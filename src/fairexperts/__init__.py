@@ -13,7 +13,6 @@ from .data import (
     DataError,
     Dataset,
     GroupStats,
-    Sample,
     SyntheticConfig,
     generate_synthetic,
     group_stats,
@@ -25,7 +24,6 @@ from .losses import (
     PairAssignment,
     VirtualCenters,
     center_alignment_loss,
-    cosine_sim,
     discriminator_loss,
     diversity_loss,
     sample_pairs,
@@ -45,7 +43,6 @@ from .net import Layer, Mlp, SgdState, TrainingDivergence, decay_lr, init_mlp, i
 from .selection import (
     SelectionDecision,
     combine,
-    route_predict,
     routed_predictor,
     select_greedy,
     select_ip,

@@ -28,13 +28,6 @@ class DataError(ValueError):
 
 
 @dataclass(frozen=True)
-class Sample:
-    features: np.ndarray  # (d,)
-    label: int
-    group: int
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Immutable feature/label/group arrays plus per-sample split tags."""
 
@@ -86,9 +79,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.features[i], int(self.labels[i]), int(self.groups[i]))
 
     def split_indices(self, split_name: str) -> np.ndarray:
         if split_name not in SPLITS:

@@ -79,17 +79,6 @@ class VirtualCenters:
         return count
 
 
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine of the angle between two nonzero vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm input")
-    return float(u @ v / (nu * nv))
-
-
 @dataclass(frozen=True)
 class PairAssignment:
     """Partner indices per batch position; -1 marks no eligible partner.

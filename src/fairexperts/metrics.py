@@ -67,8 +67,10 @@ class GroupMetrics:
             raise ValueError(f"unknown metric kind {self.metric_kind!r}")
         if self.values.shape != self.proportions.shape or self.values.ndim != 1:
             raise ValueError("values and proportions must be matching vectors")
-        if self.values.size and (self.values.min() < 0 or self.values.max() > 1):
-            raise ValueError("metric values must lie in [0, 1]")
+        if not np.all((self.values >= 0) & (self.values <= 1)):
+            raise ValueError("metric values must be finite and lie in [0, 1]")
+        if not np.all(np.isfinite(self.proportions) & (self.proportions >= 0)):
+            raise ValueError("proportions must be finite and nonnegative")
 
     @property
     def num_groups(self) -> int:
@@ -200,15 +202,6 @@ class MetricsReport:
             "eo": self.eo,
             "selection": self.selection,
         }
-
-    def to_csv_row(self) -> tuple[list[str], list]:
-        """(header, row) pair for flat sweep aggregation."""
-        header = ["metric_kind", "split", "overall", "mf", "gap", "eo"]
-        row: list = [self.metric_kind, self.split, self.overall, self.mf, self.gap, self.eo]
-        for g, (v, p) in enumerate(zip(self.per_group, self.proportions)):
-            header += [f"group{g}", f"proportion{g}"]
-            row += [v, p]
-        return header, row
 
 
 def build_report(

@@ -7,8 +7,10 @@ value below its pooled baseline:
 * greedy keeps the better model per group, maximizing the worst-group
   value over all selections;
 * the integer program minimizes the max pairwise gap minus a weighted
-  mean-performance bonus, solved exactly (exhaustive enumeration up to
-  20 groups, depth-first branch and bound with a prefix bound beyond).
+  mean-performance bonus. It is solved exactly by a sweep over value
+  windows [lo, hi]: inside a window each group takes its largest
+  feasible value, so only O(G^2) choice vectors need scoring, in O(G^3)
+  time and O(G) memory per window, with no recursion.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import GroupMetrics
-
-ENUMERATION_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -95,66 +95,47 @@ def select_greedy(expert: GroupMetrics, erm: GroupMetrics) -> SelectionDecision:
     )
 
 
-def _objective(alpha: np.ndarray, proportions: np.ndarray, lambda_sel: float) -> float:
-    return _delta(alpha) - lambda_sel * float(proportions @ alpha)
-
-
-def _solve_enumerate(
+def _solve_windows(
     expert: np.ndarray, erm: np.ndarray, proportions: np.ndarray, lambda_sel: float
 ) -> tuple[np.ndarray, float]:
-    g = expert.size
-    masks = np.arange(1 << g, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(g)) & 1  # (2^G, G)
-    feasible = ~np.any((bits == 1) & (expert < erm), axis=1)
-    alpha = bits * expert + (1 - bits) * erm
-    spread = alpha.max(axis=1) - alpha.min(axis=1) if g > 1 else np.zeros(len(masks))
-    objective = spread - lambda_sel * (alpha @ proportions)
-    bits = bits[feasible]
-    objective = objective[feasible]
-    # order: objective, then expert count, then lexicographically smallest v
-    keys = tuple(bits[:, i] for i in range(g - 1, -1, -1)) + (bits.sum(axis=1), objective)
-    best = np.lexsort(keys)[0]
-    return bits[best], float(objective[best])
+    """Optimal choice vector and objective, by a sweep over value windows.
 
+    Fix a window [lo, hi] and give each group its largest feasible value
+    inside it. An expert value counts only when it is strictly above the
+    pooled one and lambda_sel * p > 0; otherwise the pooled value, which
+    is as good, is taken. No choice vector whose values lie in the window
+    beats this one or ties it with fewer experts, so the optimum is the
+    best of these window vectors. (That tie claim holds while each expert
+    gain lambda_sel * p * (expert - pooled) moves the rounded objective;
+    for a lambda_sel too small for that, the expert is kept.)
 
-def _solve_branch_and_bound(
-    expert: np.ndarray, erm: np.ndarray, proportions: np.ndarray, lambda_sel: float
-) -> tuple[np.ndarray, float]:
-    g = expert.size
-    expert_ok = expert >= erm
-    best_tail = np.maximum(expert, erm)  # best attainable per-group value
-    tail_bonus = np.cumsum((proportions * best_tail)[::-1])[::-1]  # suffix sums
-    best: dict = {"key": None, "choices": None, "objective": None}
-    prefix = np.zeros(g, dtype=np.int64)
-
-    def visit(depth: int, lo: float, hi: float, bonus: float) -> None:
-        if depth == g:
-            spread = hi - lo if g > 1 else 0.0
-            objective = spread - lambda_sel * bonus
-            key = (objective, int(prefix.sum()), tuple(int(v) for v in prefix))
-            if best["key"] is None or key < best["key"]:
-                best.update(key=key, choices=prefix.copy(), objective=objective)
-            return
-        # bound: spread of the fixed prefix, best attainable tail bonus
-        spread_lb = max(0.0, hi - lo) if depth > 0 else 0.0
-        bound = spread_lb - lambda_sel * (bonus + tail_bonus[depth])
-        if best["key"] is not None and bound > best["key"][0]:
-            return
-        for v in (0, 1):
-            if v == 1 and not expert_ok[depth]:
-                continue
-            value = expert[depth] if v else erm[depth]
-            prefix[depth] = v
-            visit(
-                depth + 1,
-                value if depth == 0 else min(lo, value),
-                value if depth == 0 else max(hi, value),
-                bonus + proportions[depth] * value,
-            )
-        prefix[depth] = 0
-
-    visit(0, np.inf, -np.inf, 0.0)
-    return best["choices"], best["objective"]
+    Groups whose pooled value is below lo are forced onto their expert;
+    once one of them cannot reach lo, no larger lo is feasible either.
+    For one lo the candidate hi values give nested expert sets, so the
+    first row with the least objective has the fewest experts.
+    """
+    optional = (expert > erm) & (lambda_sel * proportions > 0)
+    best = (np.inf, 0, ())
+    for lo in np.unique(np.concatenate([erm, expert])):
+        forced = erm < lo
+        if np.any(forced & (expert < lo)):
+            break
+        top = max(erm.max(), expert[forced].max(initial=-np.inf))
+        free = optional & ~forced
+        his = np.unique(np.append(expert[free & (expert > top)], top))
+        # Repeat the last row up to a multiple of 4. OpenBLAS dgemv rounds a
+        # leftover row differently from a row in a full 4-row block, and
+        # each objective must equal bit for bit that of the same row in the
+        # full (2^G, G) matrix of all choice vectors, whose blocks are full.
+        his = np.pad(his, (0, -his.size % 4), mode="edge")
+        bits = (forced | (free & (expert <= his[:, None]))).astype(np.int64)
+        alpha = bits * expert + (1 - bits) * erm
+        objective = alpha.max(axis=1) - alpha.min(axis=1) - lambda_sel * (alpha @ proportions)
+        i = int(np.argmin(objective))
+        # tie order: objective, then fewer experts, then smallest choices
+        key = (float(objective[i]), int(bits[i].sum()), tuple(bits[i].tolist()))
+        best = min(best, key)
+    return np.array(best[2]), best[0]
 
 
 def select_ip(
@@ -171,13 +152,9 @@ def select_ip(
     _check_compatible(expert, erm)
     if expert.num_groups == 0:
         raise ValueError("no groups to select over")
-    if lambda_sel < 0:
-        raise ValueError("lambda_sel must be nonnegative")
-    args = (expert.values, erm.values, erm.proportions, lambda_sel)
-    if expert.num_groups <= ENUMERATION_LIMIT:
-        choices, objective = _solve_enumerate(*args)
-    else:
-        choices, objective = _solve_branch_and_bound(*args)
+    if not 0 <= lambda_sel < np.inf:
+        raise ValueError("lambda_sel must be finite and nonnegative")
+    choices, objective = _solve_windows(expert.values, erm.values, erm.proportions, lambda_sel)
     alpha = combine(choices, expert, erm)
     return SelectionDecision(
         choices=tuple(int(v) for v in choices),
@@ -217,9 +194,3 @@ def routed_predictor(decision: SelectionDecision, experts_model, erm_model):
         return probs
 
     return predict
-
-
-def route_predict(x, a, decision: SelectionDecision, experts_model, erm_model) -> np.ndarray:
-    """Class scores for one sample of group ``a`` under ``decision``."""
-    predict = routed_predictor(decision, experts_model, erm_model)
-    return predict(np.atleast_2d(np.asarray(x, dtype=np.float64)), np.array([a]))[0]

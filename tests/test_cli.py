@@ -170,6 +170,34 @@ def test_select_accepts_metrics_report_payloads(tmp_path):
     assert main(["select", "--strategy", "greedy", "--expert", str(a), "--erm", str(b)]) == 0
 
 
+def test_select_rejects_nan_metric_values(tmp_path, capsys):
+    # json reads the bare token NaN as a float
+    expert = tmp_path / "expert.json"
+    erm = tmp_path / "erm.json"
+    expert.write_text('{"values": [0.9, NaN], "proportions": [0.5, 0.5]}')
+    erm.write_text('{"values": [0.8, 0.8], "proportions": [0.5, 0.5]}')
+    code = main(["select", "--strategy", "ip", "--expert", str(expert), "--erm", str(erm)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_select_ip_on_1200_groups(tmp_path):
+    rng = np.random.default_rng(29)
+    g = 1200
+    p = rng.dirichlet(np.ones(g))
+    erm_values = rng.uniform(0.5, 0.9, g)
+    expert_values = np.clip(erm_values + rng.normal(0.01, 0.05, g), 0, 1)
+    paths = []
+    for name, values in (("expert", expert_values), ("erm", erm_values)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(GroupMetrics("accuracy", values, p, "val").to_dict()))
+        paths.append(str(path))
+    out = tmp_path / "decision.json"
+    argv = ["select", "--strategy", "ip", "--expert", paths[0], "--erm", paths[1], "--out", str(out)]
+    assert main(argv) == 0
+    assert len(json.loads(out.read_text())["choices"]) == g
+
+
 def test_export_repr_writes_csv(tmp_path, config_path):
     out_dir = tmp_path / "models"
     main(["train", "--config", config_path, "--out-dir", str(out_dir)])

@@ -273,14 +273,6 @@ def test_dataset_arrays_are_immutable():
         ds.features[0, 0] = 99.0
 
 
-def test_sample_accessor():
-    ds = generate_synthetic(blob_config())
-    s = ds.sample(0)
-    assert s.features.shape == (ds.d,)
-    assert 0 <= s.label < ds.classes
-    assert 0 <= s.group < ds.num_groups
-
-
 def test_load_csv_with_custom_column_names(tmp_path):
     path = tmp_path / "custom.csv"
     path.write_text(

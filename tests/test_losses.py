@@ -11,7 +11,6 @@ from fairexperts.losses import (
     PairAssignment,
     VirtualCenters,
     center_alignment_loss,
-    cosine_sim,
     discriminator_loss,
     diversity_loss,
     sample_pairs,
@@ -21,28 +20,6 @@ from fairexperts.net import Layer, Mlp, init_mlp
 from helpers import central_difference, max_relative_error
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pair_assignment_seed3.json")
-
-
-# --- cosine similarity -------------------------------------------------
-
-
-def test_cosine_identical_directions():
-    u = np.array([0.3, -1.2, 4.0])
-    assert cosine_sim(u, u) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cosine_orthogonal():
-    assert cosine_sim(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
-
-
-def test_cosine_known_value():
-    got = cosine_sim(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-    assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-
-def test_cosine_rejects_zero_norm():
-    with pytest.raises(ValueError):
-        cosine_sim(np.zeros(3), np.ones(3))
 
 
 # --- discriminator loss ------------------------------------------------

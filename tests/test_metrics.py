@@ -92,6 +92,23 @@ def test_group_metrics_validation():
         GroupMetrics("f1", np.array([0.5]), np.array([1.0]), "val")
 
 
+def test_group_metrics_rejects_nan_value():
+    with pytest.raises(ValueError, match="finite"):
+        GroupMetrics("accuracy", np.array([0.5, np.nan]), np.array([0.5, 0.5]), "val")
+
+
+def test_group_metrics_rejects_non_finite_proportion():
+    with pytest.raises(ValueError, match="proportions"):
+        GroupMetrics("accuracy", np.array([0.5, 0.6]), np.array([0.5, np.nan]), "val")
+    with pytest.raises(ValueError, match="proportions"):
+        GroupMetrics("accuracy", np.array([0.5, 0.6]), np.array([0.5, np.inf]), "val")
+
+
+def test_group_metrics_rejects_negative_proportion():
+    with pytest.raises(ValueError, match="proportions"):
+        GroupMetrics("accuracy", np.array([0.5, 0.6]), np.array([1.5, -0.5]), "val")
+
+
 def test_max_min_and_gap_fractional_values():
     gm = GroupMetrics("auc", np.array([0.8145, 0.8366]), np.array([0.5, 0.5]), "val")
     assert max_min(gm) == pytest.approx(0.8145, abs=1e-12)
@@ -324,7 +341,7 @@ def test_group_metrics_from_report_dict():
     assert gm.values.tolist() == [0.5, 0.75]
 
 
-def test_build_report_fields_and_csv_row():
+def test_build_report_fields():
     labels = np.tile([0, 1], 10)
     groups = np.repeat([0, 1], 10)
     ds = dataset_from_arrays(np.zeros((20, 1)), labels, groups, 2, 2)
@@ -341,9 +358,6 @@ def test_build_report_fields_and_csv_row():
         "mf", "gap", "eo", "selection",
     }
     assert payload["mf"] == 1.0 and payload["gap"] == 0.0 and payload["eo"] == 1.0
-    header, row = report.to_csv_row()
-    assert header[:2] == ["metric_kind", "split"]
-    assert len(header) == len(row)
 
 
 def test_build_report_eo_none_when_group_lacks_class():

@@ -4,10 +4,7 @@ import pytest
 from fairexperts.metrics import GroupMetrics
 from fairexperts.selection import (
     SelectionDecision,
-    _solve_branch_and_bound,
-    _solve_enumerate,
     combine,
-    route_predict,
     routed_predictor,
     select_greedy,
     select_ip,
@@ -33,6 +30,30 @@ def random_instance(rng, max_groups=6):
     p = rng.uniform(0.05, 1.0, g)
     p = p / p.sum()
     return gm(expert, p), gm(erm, p)
+
+
+def oracle_instance(rng, max_groups=12):
+    """Instance plus lambda for exactness checks.
+
+    Values are continuous or quantized to k/n, so that expert and pooled
+    values often coincide; some instances give one group zero
+    proportion; lambda is 0, 0.1 or uniform in [0, 2].
+    """
+    g = int(rng.integers(1, max_groups + 1))
+    if rng.uniform() < 0.5:
+        n = int(rng.integers(2, 30))
+        expert, erm = rng.integers(0, n + 1, (2, g)) / n
+    else:
+        expert, erm = rng.uniform(0, 1, (2, g))
+    if rng.uniform() < 0.3:
+        i = int(rng.integers(g))
+        expert[i] = erm[i]
+    p = rng.uniform(0.05, 1.0, g)
+    if g > 1 and rng.uniform() < 0.2:
+        p[int(rng.integers(g))] = 0.0
+    p = p / p.sum()
+    lam = (0.0, 0.1, float(rng.uniform(0, 2)))[int(rng.integers(3))]
+    return gm(expert, p), gm(erm, p), lam
 
 
 # --- combine -----------------------------------------------------------------
@@ -107,6 +128,10 @@ def test_greedy_no_harm_exact():
 # --- integer program -------------------------------------------------------------
 
 
+def all_pooled_objective(erm, lam):
+    return float(erm.values.max() - erm.values.min()) - lam * float(erm.proportions @ erm.values)
+
+
 def test_ip_trivial_when_expert_strictly_worse():
     expert, erm = gm([0.6, 0.7]), gm([0.8, 0.9])
     decision = select_ip(expert, erm, 0.1)
@@ -134,15 +159,15 @@ def test_ip_accuracy_term_dominates_large_lambda():
 
 
 def test_ip_rejects_negative_lambda():
-    with pytest.raises(ValueError):
-        select_ip(gm([0.5]), gm([0.5]), -0.1)
+    for lam in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambda_sel"):
+            select_ip(gm([0.5]), gm([0.5]), lam)
 
 
 def test_ip_matches_enumeration_oracle():
     rng = np.random.default_rng(23)
     for _ in range(300):
-        expert, erm = random_instance(rng)
-        lam = float(rng.uniform(0, 2))
+        expert, erm, lam = oracle_instance(rng)
         decision = select_ip(expert, erm, lam)
         choices, objective, alpha, delta = enumerate_ip_oracle(
             expert.values, erm.values, erm.proportions, lam
@@ -157,9 +182,7 @@ def test_ip_all_pooled_always_feasible():
         expert, erm = random_instance(rng)
         decision = select_ip(expert, erm, 0.1)
         # the returned optimum can never be worse than the trivial point
-        erm_delta = float(erm.values.max() - erm.values.min()) if erm.num_groups > 1 else 0.0
-        trivial = erm_delta - 0.1 * float(erm.proportions @ erm.values)
-        assert decision.objective <= trivial + 1e-15
+        assert decision.objective <= all_pooled_objective(erm, 0.1) + 1e-15
         assert np.all(np.asarray(decision.per_group) >= erm.values)
 
 
@@ -203,19 +226,56 @@ def test_ip_tie_break_fewer_experts_then_lexicographic():
     assert select_ip(expert, erm, 1.0).choices == (0, 0)
 
 
-def test_branch_and_bound_agrees_with_enumeration():
+def full_enumeration_objectives(expert, erm, proportions, lam):
+    """Feasibility and objective of every selection, scored as one (2^G, G)
+    matrix; row m holds the choice vector whose bit i is (m >> i) & 1."""
+    g = expert.size
+    bits = (np.arange(1 << g)[:, None] >> np.arange(g)) & 1
+    alpha = bits * expert + (1 - bits) * erm
+    feasible = ~np.any((bits == 1) & (expert < erm), axis=1)
+    objective = alpha.max(axis=1) - alpha.min(axis=1) - lam * (alpha @ proportions)
+    return feasible, objective
+
+
+def test_ip_objective_bits_match_full_enumeration():
+    # Reports carry the objective, so the solver must reproduce the bits
+    # the full 2^G matrix gives the chosen row. BLAS rounds a row of a
+    # matrix-vector product by its position in a block of rows; a numpy or
+    # BLAS change that breaks the solver's row padding fails here.
     rng = np.random.default_rng(27)
-    for _ in range(100):
-        g = int(rng.integers(2, 11))
-        expert = rng.uniform(0, 1, g)
-        erm = rng.uniform(0, 1, g)
-        p = rng.uniform(0.05, 1.0, g)
-        p = p / p.sum()
-        lam = float(rng.uniform(0, 1))
-        ve, oe = _solve_enumerate(expert, erm, p, lam)
-        vb, ob = _solve_branch_and_bound(expert, erm, p, lam)
-        assert np.array_equal(ve, vb)
-        assert oe == pytest.approx(ob, abs=1e-12)
+    for _ in range(300):
+        expert, erm, lam = oracle_instance(rng)
+        decision = select_ip(expert, erm, lam)
+        feasible, objective = full_enumeration_objectives(
+            expert.values, erm.values, erm.proportions, lam
+        )
+        row = sum(bit << i for i, bit in enumerate(decision.choices))
+        assert decision.objective == objective[row]
+        assert decision.objective == objective[feasible].min()
+
+
+def test_ip_solves_1200_groups():
+    rng = np.random.default_rng(28)
+    g = 1200
+    erm_values = rng.uniform(0.5, 0.9, g)
+    expert_values = np.clip(erm_values + rng.normal(0.01, 0.05, g), 0, 1)
+    p = rng.dirichlet(np.ones(g))
+    expert, erm = gm(expert_values, p), gm(erm_values, p)
+    decision = select_ip(expert, erm, 0.1)
+    assert len(decision.choices) == g
+    assert np.all(np.asarray(decision.per_group) >= erm.values)
+    assert decision.objective <= all_pooled_objective(erm, 0.1) + 1e-12
+
+
+def test_ip_nested_worst_case_completes():
+    # every pooled value lies below every expert value, so each of the G
+    # lowest windows is feasible and offers up to G candidate rows
+    g = 200
+    p = np.full(g, 1.0 / g)
+    expert, erm = gm(np.linspace(0.5, 1.0, g), p), gm(np.linspace(0.0, 0.4, g), p)
+    decision = select_ip(expert, erm, 0.1)
+    assert np.all(np.asarray(decision.per_group) >= erm.values)
+    assert decision.objective <= all_pooled_objective(erm, 0.1) + 1e-12
 
 
 # --- routing ---------------------------------------------------------------------
@@ -266,13 +326,6 @@ def test_routing_mixed_decision():
     probs = predict(x, groups)
     assert np.allclose(probs[groups == 0, 0], 0.9)
     assert np.allclose(probs[groups == 1, 0], 0.1)
-
-
-def test_route_predict_single_sample():
-    experts, erm = StubModel(0.9), StubModel(0.1)
-    decision = make_decision((1, 0))
-    assert route_predict(np.zeros(2), 0, decision, experts, erm)[0] == 0.9
-    assert route_predict(np.zeros(2), 1, decision, experts, erm)[0] == 0.1
 
 
 def test_routing_rejects_unknown_group():
