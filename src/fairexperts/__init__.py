@@ -48,10 +48,8 @@ from .selection import (
     select_ip,
 )
 from .training import (
-    DecoupledModel,
-    ErmModel,
-    ExpertsModel,
     HyperParams,
+    Model,
     discriminator_accuracy,
     extract_representations,
     probe_group_accuracy,

@@ -2,7 +2,9 @@
 
 The container stores layer shapes, float64 parameters (shortest
 round-trip decimal encoding, so save/load is bit-exact), the model kind,
-and the seed the model was trained from. Training logs are exported
+and the seed the model was trained from. The kind fixes the other keys:
+``head`` for erm; ``heads`` for decoupled and experts; ``discriminator``
+and ``centers`` for experts only. Training logs are exported
 separately as CSV and are not part of the checkpoint.
 """
 
@@ -13,7 +15,7 @@ import json
 from .data import DataError
 from .losses import VirtualCenters
 from .net import Layer, Mlp
-from .training import DecoupledModel, ErmModel, ExpertsModel
+from .training import MODEL_KINDS, Model
 
 FORMAT_VERSION = 1
 
@@ -40,33 +42,27 @@ def mlp_from_dict(payload: dict) -> Mlp:
     )
 
 
-def save_checkpoint(model, path: str) -> None:
+def save_checkpoint(model: Model, path: str) -> None:
     payload: dict = {
         "format_version": FORMAT_VERSION,
         "seed_lineage": {"seed": model.seed, "generator": "PCG64"},
+        "kind": model.kind,
+        "backbone": mlp_to_dict(model.backbone),
     }
-    if isinstance(model, ErmModel):
-        payload["kind"] = "erm"
-        payload["backbone"] = mlp_to_dict(model.backbone)
-        payload["head"] = mlp_to_dict(model.head)
-    elif isinstance(model, ExpertsModel):
-        payload["kind"] = "experts"
-        payload["backbone"] = mlp_to_dict(model.backbone)
+    heads = [mlp_to_dict(h) for h in model.heads]
+    if model.kind == "erm":
+        payload["head"] = heads[0]
+    else:
+        payload["heads"] = heads
+    if model.kind == "experts":
         payload["discriminator"] = mlp_to_dict(model.discriminator)
         payload["centers"] = model.centers.vectors.tolist()
-        payload["heads"] = [mlp_to_dict(h) for h in model.heads]
-    elif isinstance(model, DecoupledModel):
-        payload["kind"] = "decoupled"
-        payload["backbone"] = mlp_to_dict(model.backbone)
-        payload["heads"] = [mlp_to_dict(h) for h in model.heads]
-    else:
-        raise TypeError(f"cannot checkpoint {type(model).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def load_checkpoint(path: str) -> ErmModel | ExpertsModel | DecoupledModel:
+def load_checkpoint(path: str) -> Model:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -77,27 +73,19 @@ def load_checkpoint(path: str) -> ErmModel | ExpertsModel | DecoupledModel:
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(f"checkpoint {path!r} has unsupported format version {version!r}")
-    seed = payload.get("seed_lineage", {}).get("seed")
     kind = payload.get("kind")
+    if kind not in MODEL_KINDS:
+        raise DataError(f"checkpoint {path!r} has unknown kind {kind!r}")
+    experts = kind == "experts"
     try:
-        if kind == "erm":
-            return ErmModel(
-                mlp_from_dict(payload["backbone"]), mlp_from_dict(payload["head"]), seed=seed
-            )
-        if kind == "experts":
-            return ExpertsModel(
-                mlp_from_dict(payload["backbone"]),
-                mlp_from_dict(payload["discriminator"]),
-                VirtualCenters(payload["centers"]),
-                [mlp_from_dict(h) for h in payload["heads"]],
-                seed=seed,
-            )
-        if kind == "decoupled":
-            return DecoupledModel(
-                mlp_from_dict(payload["backbone"]),
-                [mlp_from_dict(h) for h in payload["heads"]],
-                seed=seed,
-            )
+        heads = [payload["head"]] if kind == "erm" else payload["heads"]
+        return Model(
+            kind,
+            mlp_from_dict(payload["backbone"]),
+            [mlp_from_dict(h) for h in heads],
+            mlp_from_dict(payload["discriminator"]) if experts else None,
+            VirtualCenters(payload["centers"]) if experts else None,
+            seed=payload.get("seed_lineage", {}).get("seed"),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {path!r} is malformed: {exc}") from None
-    raise DataError(f"checkpoint {path!r} has unknown kind {kind!r}")

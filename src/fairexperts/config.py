@@ -247,11 +247,14 @@ def config_from_dict(kv: dict[str, str]) -> ExperimentConfig:
         source = _parse_csv(kv)
     else:
         raise ConfigError(f"data.kind must be synthetic or csv, got {kind!r}")
+    lambda_sel = _float(kv, "lambda_sel", 0.1)
+    if not 0 <= lambda_sel < np.inf:
+        raise ConfigError(f"lambda_sel must be finite and nonnegative, got {lambda_sel!r}")
     return ExperimentConfig(
         seeds=seeds,
         metric=metric,
         strategies=strategies,
-        lambda_sel=_float(kv, "lambda_sel", 0.1),
+        lambda_sel=lambda_sel,
         data=source,
         hyper=_parse_hyper(kv),
         output_dir=kv.get("output_dir"),

@@ -72,16 +72,8 @@ def write_training_log(model, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss_cls", "loss_disc", "loss_virt", "loss_div", "lr"])
         for entry in model.log:
-            writer.writerow(
-                [
-                    entry.epoch,
-                    repr(float(entry.loss_cls)),
-                    repr(float(entry.loss_disc)),
-                    repr(float(entry.loss_virt)),
-                    repr(float(entry.loss_div)),
-                    repr(float(entry.lr)),
-                ]
-            )
+            values = (entry.loss_cls, entry.loss_disc, entry.loss_virt, entry.loss_div, entry.lr)
+            writer.writerow([entry.epoch, *(repr(float(v)) for v in values)])
 
 
 def write_representations_csv(path: str, reps: np.ndarray, labels: np.ndarray, groups: np.ndarray) -> None:
@@ -89,7 +81,7 @@ def write_representations_csv(path: str, reps: np.ndarray, labels: np.ndarray, g
         writer = csv.writer(fh)
         writer.writerow([f"z{i}" for i in range(reps.shape[1])] + ["label", "group"])
         for row, label, group in zip(reps, labels, groups):
-            writer.writerow([repr(float(v)) for v in row] + [int(label), int(group)])
+            writer.writerow([*map(repr, row.tolist()), int(label), int(group)])
 
 
 def _pair_reports(predict, dataset: Dataset, kind: str, selection: dict | None = None) -> dict:

@@ -153,8 +153,8 @@ def _positive_scores(probs: np.ndarray) -> np.ndarray:
     return probs[:, 1]
 
 
-def group_eval(predict, dataset: Dataset, split: str, kind: str) -> GroupMetrics:
-    """Evaluate one metric independently per group on a split."""
+def _evaluate(predict, dataset: Dataset, split: str, kind: str):
+    """(GroupMetrics, probabilities, labels, groups) of one predictor call."""
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
     features, labels, groups = dataset.split_arrays(split)
@@ -173,7 +173,12 @@ def group_eval(predict, dataset: Dataset, split: str, kind: str) -> GroupMetrics
             if len(set(labels[mask].tolist())) < 2:
                 raise ValueError(f"group {g} has a single class; auc undefined")
             values[g] = auc(_positive_scores(probs[mask]), labels[mask])
-    return GroupMetrics(kind, values, stats.proportions, split)
+    return GroupMetrics(kind, values, stats.proportions, split), probs, labels, groups
+
+
+def group_eval(predict, dataset: Dataset, split: str, kind: str) -> GroupMetrics:
+    """Evaluate one metric independently per group on a split."""
+    return _evaluate(predict, dataset, split, kind)[0]
 
 
 @dataclass(frozen=True)
@@ -212,11 +217,9 @@ def build_report(
     The pooled value is computed on the whole split (for AUC this is not
     a proportion-weighted mean of the group values). The equalized-odds
     score is included for binary tasks when every group carries both
-    classes, from argmax predictions.
+    classes, from argmax predictions. The predictor is called once.
     """
-    gm = group_eval(predict, dataset, split, kind)
-    features, labels, groups = dataset.split_arrays(split)
-    probs = np.asarray(predict(features, groups), dtype=np.float64)
+    gm, probs, labels, groups = _evaluate(predict, dataset, split, kind)
     if kind == "accuracy":
         overall = accuracy(probs.argmax(axis=1), labels)
     else:

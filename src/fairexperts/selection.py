@@ -166,14 +166,10 @@ def select_ip(
     )
 
 
-def _as_predictor(model):
-    return model.predict_proba if hasattr(model, "predict_proba") else model
-
-
 def routed_predictor(decision: SelectionDecision, experts_model, erm_model):
     """Predictor that routes each sample by its group's selection bit."""
-    expert_predict = _as_predictor(experts_model)
-    erm_predict = _as_predictor(erm_model)
+    expert_predict = experts_model.predict_proba
+    erm_predict = erm_model.predict_proba
     choices = np.asarray(decision.choices)
 
     def predict(features: np.ndarray, groups: np.ndarray) -> np.ndarray:

@@ -1,9 +1,14 @@
 """Training pipelines.
 
-Three trainers share the same seeded mini-batch SGD machinery:
+Every trained predictor is one ``Model``: a backbone plus linear heads.
+``kind`` says how the heads are routed: ``erm`` has one pooled head and
+ignores groups; ``decoupled`` and ``experts`` send each sample to its
+group's head. Only experts carry a discriminator and virtual centers.
 
-* ``train_erm``: one backbone plus one pooled head, plain cross-entropy.
+* ``train_erm``: backbone and pooled head, plain cross-entropy.
 * ``train_decoupled``: per-group heads over the frozen ERM backbone.
+* ``train_group_probe``: a linear group classifier on fixed
+  representations.
 * ``train_experts``: the full procedure. Each batch computes the routed
   per-group cross-entropy, the discriminator linkage loss, the center
   alignment loss, and the diversity loss, then applies one simultaneous
@@ -12,15 +17,18 @@ Three trainers share the same seeded mini-batch SGD machinery:
   diversity terms, the backbone along the weighted sum of all four, and
   each head along the classification loss restricted to its group.
 
-All gradients are evaluated at the pre-step parameters. Determinism:
-given the same dataset and hyperparameters, training is bit-identical.
-Named random streams (init, shuffle, pairs) derive from the seed, so the
-ERM and expert runs of one seed start from the same backbone draw.
+The first three share one seeded cross-entropy SGD loop, ``_fit``; the
+expert step is the method itself and has its own loop. All gradients are
+evaluated at the pre-step parameters. Determinism: given the same
+dataset and hyperparameters, training is bit-identical. Named random
+streams (init, shuffle, pairs) derive from the seed, so the ERM and
+expert runs of one seed start from the same backbone draw.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +47,6 @@ from .losses import (
 from .metrics import accuracy
 from .net import (
     Mlp,
-    SgdState,
     TrainingDivergence,
     decay_lr,
     init_mlp,
@@ -71,10 +78,13 @@ class HyperParams:
     alignment_mode: str = "all_groups"
 
     def __post_init__(self) -> None:
-        if min(self.lambda_disc, self.lambda_virt, self.lambda_div) < 0:
-            raise ValueError("loss coefficients must be nonnegative")
-        if self.lr0 < 0:
-            raise ValueError("learning rate must be nonnegative")
+        # written so that NaN fails every comparison and is rejected too
+        if not all(0 <= v < math.inf for v in (self.lambda_disc, self.lambda_virt, self.lambda_div)):
+            raise ValueError("loss coefficients must be finite and nonnegative")
+        if not 0 <= self.lr0 < math.inf:
+            raise ValueError("learning rate must be finite and nonnegative")
+        if not (0 <= self.momentum < math.inf and 0 <= self.lr_decay < math.inf):
+            raise ValueError("momentum and lr_decay must be finite and nonnegative")
         if self.batch_size < 2:
             raise ValueError("batch size must be at least 2")
         if self.epochs < 1:
@@ -90,7 +100,6 @@ class ErmEpoch:
     epoch: int
     loss: float
     lr: float
-    val_accuracy: float | None
 
 
 @dataclass(frozen=True)
@@ -101,72 +110,52 @@ class ExpertsEpoch:
     loss_virt: float
     loss_div: float
     lr: float
-    val_accuracy: float | None
+
+
+MODEL_KINDS = ("erm", "decoupled", "experts")
 
 
 @dataclass
-class ErmModel:
-    """Pooled baseline: backbone plus a single classification head."""
+class Model:
+    """Backbone plus linear heads, routed as ``kind`` says.
 
+    ``erm`` uses ``heads[0]`` for every sample and ignores groups; the
+    other kinds send each sample to its group's head. Experts also carry
+    the discriminator and the virtual centers they were trained with.
+    """
+
+    kind: str
     backbone: Mlp
-    head: Mlp
-    log: list[ErmEpoch] = field(default_factory=list)
+    heads: list[Mlp]
+    discriminator: Mlp | None = None
+    centers: VirtualCenters | None = None
+    log: list = field(default_factory=list)
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        if not self.heads or (self.kind == "erm" and len(self.heads) != 1):
+            raise ValueError(f"wrong head count {len(self.heads)} for a {self.kind} model")
+        if (self.kind == "experts") != (self.discriminator is not None and self.centers is not None):
+            raise ValueError("exactly the experts model has a discriminator and centers")
 
     def representations(self, features: np.ndarray) -> np.ndarray:
         return self.backbone.forward(np.atleast_2d(features))[0]
 
     def predict_proba(self, features: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
         z = self.representations(features)
-        return softmax(self.head.forward(z)[0])
-
-
-def _routed_proba(backbone: Mlp, heads: list[Mlp], features, groups) -> np.ndarray:
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    groups = np.atleast_1d(np.asarray(groups))
-    if groups.size and (groups.min() < 0 or groups.max() >= len(heads)):
-        raise ValueError("group index out of range for per-group heads")
-    z = backbone.forward(features)[0]
-    probs = np.empty((features.shape[0], heads[0].out_dim))
-    for g in range(len(heads)):
-        mask = groups == g
-        if mask.any():
-            probs[mask] = softmax(heads[g].forward(z[mask])[0])
-    return probs
-
-
-@dataclass
-class ExpertsModel:
-    """Group-linked backbone, discriminator, centers, per-group heads."""
-
-    backbone: Mlp
-    discriminator: Mlp
-    centers: VirtualCenters
-    heads: list[Mlp]
-    log: list[ExpertsEpoch] = field(default_factory=list)
-    seed: int | None = None
-
-    def representations(self, features: np.ndarray) -> np.ndarray:
-        return self.backbone.forward(np.atleast_2d(features))[0]
-
-    def predict_proba(self, features: np.ndarray, groups: np.ndarray) -> np.ndarray:
-        return _routed_proba(self.backbone, self.heads, features, groups)
-
-
-@dataclass
-class DecoupledModel:
-    """Per-group heads over a frozen, ERM-trained backbone."""
-
-    backbone: Mlp
-    heads: list[Mlp]
-    log: dict[int, list[ErmEpoch]] = field(default_factory=dict)
-    seed: int | None = None
-
-    def representations(self, features: np.ndarray) -> np.ndarray:
-        return self.backbone.forward(np.atleast_2d(features))[0]
-
-    def predict_proba(self, features: np.ndarray, groups: np.ndarray) -> np.ndarray:
-        return _routed_proba(self.backbone, self.heads, features, groups)
+        if self.kind == "erm":
+            return softmax(self.heads[0].forward(z)[0])
+        groups = np.atleast_1d(np.asarray(groups))
+        if groups.size and (groups.min() < 0 or groups.max() >= len(self.heads)):
+            raise ValueError("group index out of range for per-group heads")
+        probs = np.empty((z.shape[0], self.heads[0].out_dim))
+        for g, head in enumerate(self.heads):
+            mask = groups == g
+            if mask.any():
+                probs[mask] = softmax(head.forward(z[mask])[0])
+        return probs
 
 
 def _batches(perm: np.ndarray, batch_size: int):
@@ -174,47 +163,55 @@ def _batches(perm: np.ndarray, batch_size: int):
         yield perm[start : start + batch_size]
 
 
-def _val_accuracy(predict, dataset: Dataset) -> float | None:
-    features, labels, groups = dataset.split_arrays("val")
-    if features.shape[0] == 0:
-        return None
-    return accuracy(np.asarray(predict(features, groups)).argmax(axis=1), labels)
+def _fit(
+    nets: list[Mlp], x: np.ndarray, y: np.ndarray, shuffle_rng, hp: HyperParams, name: str
+) -> list[ErmEpoch]:
+    """Minimize cross-entropy of the chain ``nets`` on (x, y) in place.
 
-
-def train_erm(dataset: Dataset, hp: HyperParams) -> ErmModel:
-    """Minimize pooled cross-entropy with seeded mini-batch SGD."""
-    features, labels, _ = dataset.split_arrays("train")
-    n = features.shape[0]
-    if n == 0:
-        raise ValueError("train split is empty")
-    init_rng = rngmod.stream(hp.seed, rngmod.INIT)
-    shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE)
-    backbone = init_mlp([dataset.d, hp.hidden_dim, hp.repr_dim], ["relu", "identity"], init_rng)
-    head = init_mlp([hp.repr_dim, dataset.classes], ["identity"], init_rng)
-    st_backbone = init_sgd(backbone.params(), hp.lr0, hp.momentum, hp.lr_decay)
-    st_head = init_sgd(head.params(), hp.lr0, hp.momentum, hp.lr_decay)
-    model = ErmModel(backbone, head, seed=hp.seed)
-
+    Seeded mini-batch momentum SGD: one permutation per epoch, then for
+    each batch a forward pass, every gradient at the pre-step
+    parameters, and one step per net, output end first. Returns the
+    per-epoch mean loss and learning rate.
+    """
+    states = [init_sgd(net.params(), hp.lr0, hp.momentum, hp.lr_decay) for net in nets]
+    n = x.shape[0]
+    log: list[ErmEpoch] = []
     for epoch in range(hp.epochs):
         perm = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for batch in _batches(perm, hp.batch_size):
-            z, cache_b = backbone.forward(features[batch])
-            logits, cache_h = head.forward(z)
-            loss, dlogits = softmax_cross_entropy(logits, labels[batch])
+            out, caches = x[batch], []
+            for net in nets:
+                out, cache = net.forward(out)
+                caches.append(cache)
+            loss, dout = softmax_cross_entropy(out, y[batch])
             if not np.isfinite(loss):
-                raise TrainingDivergence(f"pooled loss diverged at epoch {epoch}")
-            grads_h, dz = head.backward(cache_h, dlogits)
-            grads_b, _ = backbone.backward(cache_b, dz)
-            sgd_step(head.params(), st_head, grads_h)
-            sgd_step(backbone.params(), st_backbone, grads_b)
+                raise TrainingDivergence(f"{name} diverged at epoch {epoch}")
+            grads = []
+            for net, cache in zip(reversed(nets), reversed(caches)):
+                net_grads, dout = net.backward(cache, dout)
+                grads.append(net_grads)
+            for net, state, net_grads in zip(reversed(nets), reversed(states), grads):
+                sgd_step(net.params(), state, net_grads)
             epoch_loss += loss * len(batch)
-        model.log.append(
-            ErmEpoch(epoch, epoch_loss / n, st_backbone.lr, _val_accuracy(model.predict_proba, dataset))
-        )
-        decay_lr(st_backbone)
-        decay_lr(st_head)
-    return model
+        log.append(ErmEpoch(epoch, epoch_loss / n, states[0].lr))
+        for state in states:
+            decay_lr(state)
+    return log
+
+
+def train_erm(dataset: Dataset, hp: HyperParams) -> Model:
+    """Minimize pooled cross-entropy with seeded mini-batch SGD."""
+    features, labels, _ = dataset.split_arrays("train")
+    if features.shape[0] == 0:
+        raise ValueError("train split is empty")
+    init_rng = rngmod.stream(hp.seed, rngmod.INIT)
+    backbone = init_mlp([dataset.d, hp.hidden_dim, hp.repr_dim], ["relu", "identity"], init_rng)
+    head = init_mlp([hp.repr_dim, dataset.classes], ["identity"], init_rng)
+    log = _fit(
+        [backbone, head], features, labels, rngmod.stream(hp.seed, rngmod.SHUFFLE), hp, "pooled loss"
+    )
+    return Model("erm", backbone, [head], log=log, seed=hp.seed)
 
 
 def _routed_cross_entropy(
@@ -258,7 +255,7 @@ def missing_train_cells(dataset: Dataset) -> list[tuple[int, int]]:
     ]
 
 
-def train_experts(dataset: Dataset, hp: HyperParams) -> ExpertsModel:
+def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
     """Run the full decoupled-representation training procedure."""
     missing = missing_train_cells(dataset)
     if missing:
@@ -278,11 +275,11 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> ExpertsModel:
         init_mlp([hp.repr_dim, dataset.classes], ["identity"], init_rng)
         for _ in range(dataset.num_groups)
     ]
-    st_backbone = init_sgd(backbone.params(), hp.lr0, hp.momentum, hp.lr_decay)
-    st_disc = init_sgd(disc.params(), hp.lr0, hp.momentum, hp.lr_decay)
-    st_centers = init_sgd(centers.params(), hp.lr0, hp.momentum, hp.lr_decay)
-    st_heads = [init_sgd(h.params(), hp.lr0, hp.momentum, hp.lr_decay) for h in heads]
-    model = ExpertsModel(backbone, disc, centers, heads, seed=hp.seed)
+    st_backbone, st_disc, st_centers, *st_heads = [
+        init_sgd(part.params(), hp.lr0, hp.momentum, hp.lr_decay)
+        for part in (backbone, disc, centers, *heads)
+    ]
+    model = Model("experts", backbone, heads, disc, centers, seed=hp.seed)
 
     for epoch in range(hp.epochs):
         perm = shuffle_rng.permutation(n)
@@ -333,59 +330,28 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> ExpertsModel:
                 logger.warning("epoch %d: redrew %d degenerate centers", epoch, redrawn)
             sums += np.array([loss_cls, loss_disc, loss_virt, loss_div]) * len(batch)
 
-        means = sums / n
-        model.log.append(
-            ExpertsEpoch(
-                epoch,
-                float(means[0]),
-                float(means[1]),
-                float(means[2]),
-                float(means[3]),
-                st_backbone.lr,
-                _val_accuracy(model.predict_proba, dataset),
-            )
-        )
+        model.log.append(ExpertsEpoch(epoch, *map(float, sums / n), st_backbone.lr))
         for state in (st_backbone, st_disc, st_centers, *st_heads):
             decay_lr(state)
     return model
 
 
-def train_decoupled(erm: ErmModel, dataset: Dataset, hp: HyperParams) -> DecoupledModel:
+def train_decoupled(erm: Model, dataset: Dataset, hp: HyperParams) -> Model:
     """Train per-group heads over the frozen ERM backbone."""
     backbone = erm.backbone.copy()
     features, labels, groups = dataset.split_arrays("train")
     z_all = backbone.forward(features)[0]
     heads: list[Mlp] = []
     init_rng = rngmod.stream(hp.seed, rngmod.INIT, 1)
-    model = DecoupledModel(backbone, heads, seed=hp.seed)
-
     for g in range(dataset.num_groups):
         idx = np.flatnonzero(groups == g)
         if idx.size == 0:
             raise ValueError(f"group {g} has no training samples")
         head = init_mlp([backbone.out_dim, dataset.classes], ["identity"], init_rng)
-        state = init_sgd(head.params(), hp.lr0, hp.momentum, hp.lr_decay)
         shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE, 1, g)
-        z_g, y_g = z_all[idx], labels[idx]
-        log: list[ErmEpoch] = []
-        for epoch in range(hp.epochs):
-            perm = shuffle_rng.permutation(idx.size)
-            epoch_loss = 0.0
-            for batch in _batches(perm, hp.batch_size):
-                logits, cache = head.forward(z_g[batch])
-                loss, dlogits = softmax_cross_entropy(logits, y_g[batch])
-                if not np.isfinite(loss):
-                    raise TrainingDivergence(
-                        f"decoupled head {g} diverged at epoch {epoch}"
-                    )
-                grads, _ = head.backward(cache, dlogits)
-                sgd_step(head.params(), state, grads)
-                epoch_loss += loss * len(batch)
-            log.append(ErmEpoch(epoch, epoch_loss / idx.size, state.lr, None))
-            decay_lr(state)
+        _fit([head], z_all[idx], labels[idx], shuffle_rng, hp, f"decoupled head {g}")
         heads.append(head)
-        model.log[g] = log
-    return model
+    return Model("decoupled", backbone, heads, seed=hp.seed)
 
 
 def extract_representations(
@@ -401,30 +367,15 @@ def extract_representations(
     return model.representations(features), labels, groups
 
 
-def train_group_probe(
-    reps: np.ndarray,
-    groups: np.ndarray,
-    num_groups: int,
-    seed: int,
-    epochs: int = 25,
-    lr0: float = 0.1,
-) -> Mlp:
+# the probe's fixed optimizer schedule, independent of the models' one
+_PROBE_HP = HyperParams(lr0=0.1, momentum=0.9, lr_decay=0.9, batch_size=64, epochs=25)
+
+
+def train_group_probe(reps: np.ndarray, groups: np.ndarray, num_groups: int, seed: int) -> Mlp:
     """Fit a fresh linear group classifier on fixed representations."""
     reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
-    init_rng = rngmod.stream(seed, rngmod.PROBE)
-    shuffle_rng = rngmod.stream(seed, rngmod.PROBE, 1)
-    probe = init_mlp([reps.shape[1], num_groups], ["identity"], init_rng)
-    state = init_sgd(probe.params(), lr0, 0.9, 0.9)
-    for epoch in range(epochs):
-        perm = shuffle_rng.permutation(reps.shape[0])
-        for batch in _batches(perm, 64):
-            logits, cache = probe.forward(reps[batch])
-            loss, dlogits = softmax_cross_entropy(logits, groups[batch])
-            if not np.isfinite(loss):
-                raise TrainingDivergence(f"probe diverged at epoch {epoch}")
-            grads, _ = probe.backward(cache, dlogits)
-            sgd_step(probe.params(), state, grads)
-        decay_lr(state)
+    probe = init_mlp([reps.shape[1], num_groups], ["identity"], rngmod.stream(seed, rngmod.PROBE))
+    _fit([probe], reps, groups, rngmod.stream(seed, rngmod.PROBE, 1), _PROBE_HP, "probe")
     return probe
 
 
@@ -443,7 +394,7 @@ def probe_group_accuracy(
     return accuracy(probe.forward(z_eval)[0].argmax(axis=1), g_eval)
 
 
-def discriminator_accuracy(model: ExpertsModel, dataset: Dataset, split: str) -> float:
+def discriminator_accuracy(model: Model, dataset: Dataset, split: str) -> float:
     """Accuracy of the trained discriminator at recovering groups."""
     z, _, groups = extract_representations(model, dataset, split)
     return accuracy(model.discriminator.forward(z)[0].argmax(axis=1), groups)

@@ -74,6 +74,25 @@ def test_divergence_exit_code(tmp_path, config_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("hyper.epochs = 3", "hyper.epochs = 3\nhyper.lambda_disc = nan"),
+        ("lambda_sel = 0.1", "lambda_sel = -1"),
+    ],
+)
+def test_run_rejects_bad_coefficients_before_training(tmp_path, monkeypatch, capsys, old, new):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("fairexperts.experiment.train_erm", no_training)
+    path = tmp_path / "bad.cfg"
+    path.write_text(CONFIG.replace(old, new))
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_missing_checkpoint_is_data_error(config_path, capsys):
     assert (
         main(["evaluate", "--checkpoint", "/no/such.json", "--config", config_path]) == 2

@@ -97,6 +97,19 @@ def test_config_rejects_invalid_hyperparameters():
         config_from_dict(parse_kv_text(MINIMAL + "\nhyper.lr0 = -1\n"))
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_config_rejects_invalid_lambda_sel(value):
+    text = MINIMAL.replace("lambda_sel = 0.1", f"lambda_sel = {value}")
+    with pytest.raises(ConfigError, match="lambda_sel"):
+        config_from_dict(parse_kv_text(text))
+
+
+@pytest.mark.parametrize("line", ["hyper.lambda_disc = nan", "hyper.lr0 = inf"])
+def test_config_rejects_non_finite_hyperparameters(line):
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        config_from_dict(parse_kv_text(MINIMAL + f"\n{line}\n"))
+
+
 def test_csv_source_config():
     text = """
 version = 1

@@ -16,8 +16,8 @@ from fairexperts.net import (
     softmax_cross_entropy,
 )
 from fairexperts.training import (
-    ErmModel,
     HyperParams,
+    Model,
     _batches,
     _routed_cross_entropy,
     discriminator_accuracy,
@@ -69,6 +69,15 @@ def test_hyperparams_validation():
     HyperParams(lr0=0.0)  # zero learning rate is allowed: freezes training
 
 
+@pytest.mark.parametrize(
+    "field", ["lambda_disc", "lambda_virt", "lambda_div", "lr0", "momentum", "lr_decay"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_hyperparams_reject_non_finite_and_negative_values(field, value):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        HyperParams(**{field: value})
+
+
 # --- pooled baseline ------------------------------------------------------------
 
 
@@ -78,7 +87,7 @@ def test_erm_zero_learning_rate_keeps_initialization():
     model = train_erm(ds, hp)
     backbone0, head0 = drawn_erm_inits(ds, hp)
     assert params_equal(model.backbone.params(), backbone0.params())
-    assert params_equal(model.head.params(), head0.params())
+    assert params_equal(model.heads[0].params(), head0.params())
 
 
 def test_erm_single_full_batch_step_matches_finite_difference_gradient():
@@ -104,7 +113,7 @@ def test_erm_single_full_batch_step_matches_finite_difference_gradient():
 
     for trained, init in (
         (model.backbone.params(), backbone0.params()),
-        (model.head.params(), head0.params()),
+        (model.heads[0].params(), head0.params()),
     ):
         for p_new, p_init in zip(trained, init):
             grad = central_difference(batch_loss, p_init, step=1e-6)
@@ -396,6 +405,18 @@ def test_decoupled_group_matching_pooled_distribution_tracks_erm():
     assert np.abs(gm_dec.values - gm_erm.values).max() <= 0.02
 
 
+def test_one_group_decoupled_model_still_routes_by_group():
+    # one head, like ERM, but a group index past it is an error, not pooled
+    ds = single_group_dataset()
+    hp = tiny_hp(epochs=1)
+    decoupled = train_decoupled(train_erm(ds, hp), ds, hp)
+    assert len(decoupled.heads) == 1
+    x = ds.features[:2]
+    decoupled.predict_proba(x, np.array([0, 0]))
+    with pytest.raises(ValueError, match="group index out of range"):
+        decoupled.predict_proba(x, np.array([0, 1]))
+
+
 def test_decoupled_rejects_group_without_training_samples():
     ds = tiny_dataset()
     keep = ~((ds.split == "train") & (ds.groups == 1))
@@ -419,7 +440,7 @@ def test_extract_representations_identity_backbone_returns_raw_features():
     ds = tiny_dataset()
     identity = Mlp([Layer(np.eye(ds.d), np.zeros(ds.d), "identity")])
     head = Mlp([Layer(np.zeros((2, ds.d)), np.zeros(2), "identity")])
-    model = ErmModel(identity, head)
+    model = Model("erm", identity, [head])
     reps, labels, groups = extract_representations(model, ds, "val")
     features, want_labels, want_groups = ds.split_arrays("val")
     assert np.array_equal(reps, features)
@@ -482,5 +503,5 @@ def test_erm_training_is_deterministic():
     a = train_erm(ds, tiny_hp())
     b = train_erm(ds, tiny_hp())
     assert params_equal(a.backbone.params(), b.backbone.params())
-    assert params_equal(a.head.params(), b.head.params())
+    assert params_equal(a.heads[0].params(), b.heads[0].params())
     assert a.log == b.log
