@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairexperts import rng as rngmod
 from fairexperts.data import Dataset, SyntheticConfig, generate_synthetic
-from fairexperts.losses import VirtualCenters
+from fairexperts.losses import (
+    VirtualCenters,
+    center_alignment_loss,
+    discriminator_loss,
+    diversity_loss,
+    sample_pairs,
+)
 from fairexperts.metrics import accuracy, group_eval
 from fairexperts.net import (
     Layer,
@@ -12,6 +20,7 @@ from fairexperts.net import (
     decay_lr,
     init_mlp,
     init_sgd,
+    log_softmax,
     sgd_step,
     softmax_cross_entropy,
 )
@@ -28,7 +37,7 @@ from fairexperts.training import (
     train_experts,
 )
 
-from helpers import central_difference, tiny_dataset, tiny_hp
+from helpers import central_difference, max_relative_error, tiny_dataset, tiny_hp
 
 
 def drawn_erm_inits(dataset, hp):
@@ -217,6 +226,58 @@ def test_experts_zero_coefficients_reduce_to_joint_cross_entropy():
     assert params_equal(model.backbone.params(), backbone.params())
     for trained, reference in zip(model.heads, heads):
         assert params_equal(trained.params(), reference.params())
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    num_groups=st.integers(2, 3),
+    extra=st.integers(0, 8),
+    lambdas=st.tuples(*[st.floats(0.0, 2.0)] * 3),
+)
+def test_experts_full_batch_step_follows_total_loss_gradient(seed, num_groups, extra, lambdas):
+    # one full-batch epoch from zero momentum moves every parameter by
+    # -lr0 times the gradient of the lambda-weighted total loss
+    rng = np.random.default_rng(seed)
+    cells = [(a, y) for a in range(num_groups) for y in range(2)] * 2
+    groups = np.array([a for a, _ in cells] + rng.integers(0, num_groups, extra).tolist())
+    labels = np.array([y for _, y in cells] + rng.integers(0, 2, extra).tolist())
+    n = len(labels)
+    ds = Dataset(rng.standard_normal((n, 3)), labels, groups, np.array(["train"] * n), 2, num_groups)
+    lambda_disc, lambda_virt, lambda_div = lambdas
+    hp = HyperParams(
+        seed=seed, epochs=1, batch_size=n, lr0=0.5, hidden_dim=16, repr_dim=4,
+        lambda_disc=lambda_disc, lambda_virt=lambda_virt, lambda_div=lambda_div,
+    )
+    model = train_experts(ds, hp)
+
+    backbone, disc, centers, heads = drawn_experts_inits(ds, hp)
+    perm = rngmod.stream(hp.seed, rngmod.SHUFFLE).permutation(n)
+    xb, yb, ab = ds.features[perm], ds.labels[perm], ds.groups[perm]
+    pairs = sample_pairs(yb, ab, rngmod.stream(hp.seed, rngmod.PAIRS), hp.negative_rule)
+
+    def total_loss():
+        z, _ = backbone.forward(xb)
+        loss_cls = -np.mean(
+            [log_softmax(heads[a].forward(z[i])[0])[y] for i, (y, a) in enumerate(zip(yb, ab))]
+        )
+        return (
+            loss_cls
+            + lambda_disc * discriminator_loss(z, ab, disc)[0]
+            + lambda_virt * center_alignment_loss(z, yb, ab, centers, hp.alignment_mode)[0]
+            + lambda_div * diversity_loss(z, yb, ab, pairs, centers)[0]
+        )
+
+    parts = [
+        (model.backbone.params(), backbone.params()),
+        (model.discriminator.params(), disc.params()),
+        (model.centers.params(), centers.params()),
+    ] + [(trained.params(), init.params()) for trained, init in zip(model.heads, heads)]
+    for trained, init in parts:
+        for p_new, p_init in zip(trained, init):
+            step_grad = (p_init - p_new) / hp.lr0
+            numeric = central_difference(total_loss, p_init, step=1e-6)
+            assert max_relative_error(step_grad, numeric) < 1e-5
 
 
 def test_update_routing_lambda_disc_only_touches_disc_and_backbone():
