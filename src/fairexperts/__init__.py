@@ -39,7 +39,7 @@ from .metrics import (
     group_eval,
     max_min,
 )
-from .net import Layer, Mlp, SgdState, TrainingDivergence, decay_lr, init_mlp, init_sgd, sgd_step
+from .net import Layer, Mlp, TrainingDivergence, init_mlp, sgd_step
 from .selection import (
     SelectionDecision,
     combine,

@@ -231,6 +231,8 @@ def config_from_dict(kv: dict[str, str]) -> ExperimentConfig:
         raise ConfigError("seeds: expected comma-separated integers") from None
     if not seeds:
         raise ConfigError("need at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be nonnegative, got {min(seeds)}")
     metric = kv.get("metric", "accuracy")
     if metric not in ("accuracy", "auc"):
         raise ConfigError(f"metric must be accuracy or auc, got {metric!r}")

@@ -11,7 +11,7 @@ gradients; the loss helpers in this package follow that convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,51 +171,24 @@ def softmax_cross_entropy(
     return float(loss), dlogits
 
 
-@dataclass
-class SgdState:
-    """Momentum buffers plus the decaying learning-rate schedule.
-
-    The current rate is computed as ``lr0 * decay**epoch`` so that after
-    k epoch boundaries it equals the closed form exactly.
-    """
-
-    lr0: float
-    momentum: float
-    decay: float = 1.0
-    epoch: int = 0
-    velocity: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def lr(self) -> float:
-        return self.lr0 * self.decay**self.epoch
-
-
-def init_sgd(
-    params: list[np.ndarray], lr0: float, momentum: float, decay: float = 1.0
-) -> SgdState:
-    if lr0 < 0:
-        raise ValueError("learning rate must be nonnegative")
-    return SgdState(lr0, momentum, decay, 0, [np.zeros_like(p) for p in params])
-
-
-def sgd_step(params: list[np.ndarray], state: SgdState, grads: list[np.ndarray]) -> None:
+def sgd_step(
+    params: list[np.ndarray],
+    velocity: list[np.ndarray],
+    grads: list[np.ndarray],
+    lr: float,
+    momentum: float,
+) -> None:
     """Classical momentum update, in place.
 
-    buffer <- momentum * buffer + grad; param <- param - lr * buffer.
+    velocity <- momentum * velocity + grad; param <- param - lr * velocity.
     """
-    if len(params) != len(state.velocity) or len(grads) != len(params):
+    if len(params) != len(velocity) or len(grads) != len(params):
         raise ValueError("parameter/gradient/buffer counts disagree")
-    lr = state.lr
-    for p, v, g in zip(params, state.velocity, grads):
+    for p, v, g in zip(params, velocity, grads):
         if p.shape != g.shape:
             raise ValueError("gradient shape does not match parameter")
         if not np.all(np.isfinite(g)):
             raise TrainingDivergence("non-finite gradient entries")
-        v *= state.momentum
+        v *= momentum
         v += g
         p -= lr * v
-
-
-def decay_lr(state: SgdState) -> None:
-    """Advance one epoch boundary: lr becomes lr0 * decay**(epoch+1)."""
-    state.epoch += 1

@@ -11,18 +11,21 @@ group's head. Only experts carry a discriminator and virtual centers.
   representations.
 * ``train_experts``: the full procedure. Each batch computes the routed
   per-group cross-entropy, the discriminator linkage loss, the center
-  alignment loss, and the diversity loss, then applies one simultaneous
-  momentum step per component: the discriminator moves along its own
-  loss scaled by lambda_disc, the centers along the alignment and
-  diversity terms, the backbone along the weighted sum of all four, and
-  each head along the classification loss restricted to its group.
+  alignment loss, and the diversity loss, then takes one simultaneous
+  momentum step: the discriminator moves along its own loss scaled by
+  lambda_disc, the centers along the alignment and diversity terms, the
+  backbone along the weighted sum of all four, and each head along the
+  classification loss restricted to its group.
 
-The first three share one seeded cross-entropy SGD loop, ``_fit``; the
-expert step is the method itself and has its own loop. All gradients are
-evaluated at the pre-step parameters. Determinism: given the same
-dataset and hyperparameters, training is bit-identical. Named random
-streams (init, shuffle, pairs) derive from the seed, so the ERM and
-expert runs of one seed start from the same backbone draw.
+All four run through ``_fit``, the one training loop: seeded mini-batch
+momentum SGD with one velocity buffer per parameter array and the rate
+lr0 * lr_decay**epoch. Each trainer hands it a batch function that
+returns the batch losses and every gradient at the pre-step parameters:
+``_fit_cross_entropy`` for the first three, the expert step for the
+last. Determinism: given the same dataset and hyperparameters, training
+is bit-identical. Named random streams (init, shuffle, pairs) derive
+from the seed, so the ERM and expert runs of one seed start from the
+same backbone draw.
 """
 
 from __future__ import annotations
@@ -48,9 +51,7 @@ from .metrics import accuracy
 from .net import (
     Mlp,
     TrainingDivergence,
-    decay_lr,
     init_mlp,
-    init_sgd,
     sgd_step,
     softmax,
     softmax_cross_entropy,
@@ -89,10 +90,16 @@ class HyperParams:
             raise ValueError("batch size must be at least 2")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
+        if self.hidden_dim < 1 or self.repr_dim < 1:
+            raise ValueError("hidden_dim and repr_dim must be at least 1")
         if self.negative_rule not in NEGATIVE_RULES:
             raise ValueError(f"unknown negative rule {self.negative_rule!r}")
         if self.alignment_mode not in ALIGNMENT_MODES:
             raise ValueError(f"unknown alignment mode {self.alignment_mode!r}")
+
+    def lr(self, epoch: int) -> float:
+        """Learning rate of epoch ``epoch`` (0-based): lr0 * lr_decay**epoch."""
+        return self.lr0 * self.lr_decay**epoch
 
 
 @dataclass(frozen=True)
@@ -163,41 +170,47 @@ def _batches(perm: np.ndarray, batch_size: int):
         yield perm[start : start + batch_size]
 
 
-def _fit(
-    nets: list[Mlp], x: np.ndarray, y: np.ndarray, shuffle_rng, hp: HyperParams, name: str
-) -> list[ErmEpoch]:
-    """Minimize cross-entropy of the chain ``nets`` on (x, y) in place.
+def _fit(params: list[np.ndarray], n: int, shuffle_rng, hp: HyperParams, name: str, batch_grads):
+    """The one training loop: seeded mini-batch momentum SGD, in place.
 
-    Seeded mini-batch momentum SGD: one permutation per epoch, then for
-    each batch a forward pass, every gradient at the pre-step
-    parameters, and one step per net, output end first. Returns the
-    per-epoch mean loss and learning rate.
+    Each epoch draws one permutation of the ``n`` training rows. For each
+    batch, ``batch_grads(batch, epoch)`` returns its losses and the
+    gradients of ``params`` at the pre-step values, and one momentum step
+    moves all of ``params``. Returns each epoch's mean losses.
     """
-    states = [init_sgd(net.params(), hp.lr0, hp.momentum, hp.lr_decay) for net in nets]
-    n = x.shape[0]
-    log: list[ErmEpoch] = []
+    velocity = [np.zeros_like(p) for p in params]
+    means = []
     for epoch in range(hp.epochs):
-        perm = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        for batch in _batches(perm, hp.batch_size):
-            out, caches = x[batch], []
-            for net in nets:
-                out, cache = net.forward(out)
-                caches.append(cache)
-            loss, dout = softmax_cross_entropy(out, y[batch])
-            if not np.isfinite(loss):
+        sums = 0.0
+        for batch in _batches(shuffle_rng.permutation(n), hp.batch_size):
+            losses, grads = batch_grads(batch, epoch)
+            if not all(map(math.isfinite, losses)):
                 raise TrainingDivergence(f"{name} diverged at epoch {epoch}")
-            grads = []
-            for net, cache in zip(reversed(nets), reversed(caches)):
-                net_grads, dout = net.backward(cache, dout)
-                grads.append(net_grads)
-            for net, state, net_grads in zip(reversed(nets), reversed(states), grads):
-                sgd_step(net.params(), state, net_grads)
-            epoch_loss += loss * len(batch)
-        log.append(ErmEpoch(epoch, epoch_loss / n, states[0].lr))
-        for state in states:
-            decay_lr(state)
-    return log
+            sgd_step(params, velocity, grads, hp.lr(epoch), hp.momentum)
+            sums = sums + np.asarray(losses) * len(batch)
+        means.append(sums / n)
+    return means
+
+
+def _fit_cross_entropy(
+    nets: list[Mlp], x: np.ndarray, y: np.ndarray, shuffle_rng, hp: HyperParams, name: str
+) -> list[np.ndarray]:
+    """Minimize cross-entropy of the chain ``nets`` on (x, y) through ``_fit``."""
+
+    def batch_grads(batch, epoch):
+        out, caches = x[batch], []
+        for net in nets:
+            out, cache = net.forward(out)
+            caches.append(cache)
+        loss, dout = softmax_cross_entropy(out, y[batch])
+        grads: list[np.ndarray] = []
+        for net, cache in zip(reversed(nets), reversed(caches)):
+            net_grads, dout = net.backward(cache, dout)
+            grads = net_grads + grads
+        return (loss,), grads
+
+    params = [p for net in nets for p in net.params()]
+    return _fit(params, x.shape[0], shuffle_rng, hp, name, batch_grads)
 
 
 def train_erm(dataset: Dataset, hp: HyperParams) -> Model:
@@ -208,9 +221,10 @@ def train_erm(dataset: Dataset, hp: HyperParams) -> Model:
     init_rng = rngmod.stream(hp.seed, rngmod.INIT)
     backbone = init_mlp([dataset.d, hp.hidden_dim, hp.repr_dim], ["relu", "identity"], init_rng)
     head = init_mlp([hp.repr_dim, dataset.classes], ["identity"], init_rng)
-    log = _fit(
+    means = _fit_cross_entropy(
         [backbone, head], features, labels, rngmod.stream(hp.seed, rngmod.SHUFFLE), hp, "pooled loss"
     )
+    log = [ErmEpoch(k, float(mean[0]), hp.lr(k)) for k, mean in enumerate(means)]
     return Model("erm", backbone, [head], log=log, seed=hp.seed)
 
 
@@ -261,9 +275,7 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
     if missing:
         raise ValueError(f"(group, class) cells {missing} have no training samples")
     features, labels, groups = dataset.split_arrays("train")
-    n = features.shape[0]
     init_rng = rngmod.stream(hp.seed, rngmod.INIT)
-    shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE)
     pairs_rng = rngmod.stream(hp.seed, rngmod.PAIRS)
 
     # draw order matters for reproducibility: backbone, discriminator,
@@ -275,65 +287,52 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
         init_mlp([hp.repr_dim, dataset.classes], ["identity"], init_rng)
         for _ in range(dataset.num_groups)
     ]
-    st_backbone, st_disc, st_centers, *st_heads = [
-        init_sgd(part.params(), hp.lr0, hp.momentum, hp.lr_decay)
-        for part in (backbone, disc, centers, *heads)
-    ]
-    model = Model("experts", backbone, heads, disc, centers, seed=hp.seed)
 
-    for epoch in range(hp.epochs):
-        perm = shuffle_rng.permutation(n)
-        sums = np.zeros(4)
-        for batch in _batches(perm, hp.batch_size):
-            xb, yb, ab = features[batch], labels[batch], groups[batch]
-            z, cache_b = backbone.forward(xb)
-            if np.any(np.linalg.norm(z, axis=1) == 0.0):
-                raise TrainingDivergence(
-                    f"epoch {epoch}: a sample's representation is exactly zero "
-                    "(all hidden units inactive); widen hidden_dim or rescale "
-                    "the features"
-                )
+    def redraw_degenerate_centers(epoch: int) -> None:
+        redrawn = centers.reinit_degenerate(init_rng)
+        if redrawn:
+            logger.warning("epoch %d: redrew %d degenerate centers", epoch, redrawn)
 
-            loss_cls, dz_cls, head_grads = _routed_cross_entropy(heads, z, yb, ab)
-            loss_disc, dz_disc, disc_grads = discriminator_loss(z, ab, disc)
-            loss_virt, dz_virt, dv_virt = center_alignment_loss(
-                z, yb, ab, centers, hp.alignment_mode
+    def batch_grads(batch, epoch):
+        # the previous step may have collapsed a center; redraw it before
+        # any loss reads it
+        redraw_degenerate_centers(epoch)
+        xb, yb, ab = features[batch], labels[batch], groups[batch]
+        z, cache_b = backbone.forward(xb)
+        if np.any(np.linalg.norm(z, axis=1) == 0.0):
+            raise TrainingDivergence(
+                f"epoch {epoch}: a sample's representation is exactly zero "
+                "(all hidden units inactive); widen hidden_dim or rescale "
+                "the features"
             )
-            pairs = sample_pairs(yb, ab, pairs_rng, hp.negative_rule)
-            loss_div, dz_div, dv_div, skipped = diversity_loss(z, yb, ab, pairs, centers)
-            if skipped:
-                logger.debug("epoch %d: %d samples skipped in diversity loss", epoch, skipped)
-            if not all(np.isfinite(v) for v in (loss_cls, loss_disc, loss_virt, loss_div)):
-                raise TrainingDivergence(f"loss diverged at epoch {epoch}")
 
-            dz_total = (
-                dz_cls
-                + hp.lambda_disc * dz_disc
-                + hp.lambda_virt * dz_virt
-                + hp.lambda_div * dz_div
-            )
-            grads_b, _ = backbone.backward(cache_b, dz_total)
+        loss_cls, dz_cls, head_grads = _routed_cross_entropy(heads, z, yb, ab)
+        loss_disc, dz_disc, disc_grads = discriminator_loss(z, ab, disc)
+        loss_virt, dz_virt, dv_virt = center_alignment_loss(z, yb, ab, centers, hp.alignment_mode)
+        pairs = sample_pairs(yb, ab, pairs_rng, hp.negative_rule)
+        loss_div, dz_div, dv_div, skipped = diversity_loss(z, yb, ab, pairs, centers)
+        if skipped:
+            logger.debug("epoch %d: %d samples skipped in diversity loss", epoch, skipped)
 
-            # simultaneous step: all gradients above use pre-step parameters
-            sgd_step(disc.params(), st_disc, [hp.lambda_disc * g for g in disc_grads])
-            sgd_step(
-                centers.params(),
-                st_centers,
-                [hp.lambda_virt * dv_virt + hp.lambda_div * dv_div],
-            )
-            sgd_step(backbone.params(), st_backbone, grads_b)
-            for g, head in enumerate(heads):
-                sgd_step(head.params(), st_heads[g], head_grads[g])
+        dz_total = (
+            dz_cls + hp.lambda_disc * dz_disc + hp.lambda_virt * dz_virt + hp.lambda_div * dz_div
+        )
+        grads_b, _ = backbone.backward(cache_b, dz_total)
+        grads = [
+            *grads_b,
+            *(hp.lambda_disc * g for g in disc_grads),
+            hp.lambda_virt * dv_virt + hp.lambda_div * dv_div,
+        ]
+        for g in head_grads:
+            grads += g
+        return (loss_cls, loss_disc, loss_virt, loss_div), grads
 
-            redrawn = centers.reinit_degenerate(init_rng)
-            if redrawn:
-                logger.warning("epoch %d: redrew %d degenerate centers", epoch, redrawn)
-            sums += np.array([loss_cls, loss_disc, loss_virt, loss_div]) * len(batch)
-
-        model.log.append(ExpertsEpoch(epoch, *map(float, sums / n), st_backbone.lr))
-        for state in (st_backbone, st_disc, st_centers, *st_heads):
-            decay_lr(state)
-    return model
+    params = [p for part in (backbone, disc, centers, *heads) for p in part.params()]
+    shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE)
+    means = _fit(params, len(labels), shuffle_rng, hp, "expert loss", batch_grads)
+    redraw_degenerate_centers(hp.epochs - 1)
+    log = [ExpertsEpoch(k, *map(float, mean), hp.lr(k)) for k, mean in enumerate(means)]
+    return Model("experts", backbone, heads, disc, centers, log=log, seed=hp.seed)
 
 
 def train_decoupled(erm: Model, dataset: Dataset, hp: HyperParams) -> Model:
@@ -349,7 +348,7 @@ def train_decoupled(erm: Model, dataset: Dataset, hp: HyperParams) -> Model:
             raise ValueError(f"group {g} has no training samples")
         head = init_mlp([backbone.out_dim, dataset.classes], ["identity"], init_rng)
         shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE, 1, g)
-        _fit([head], z_all[idx], labels[idx], shuffle_rng, hp, f"decoupled head {g}")
+        _fit_cross_entropy([head], z_all[idx], labels[idx], shuffle_rng, hp, f"decoupled head {g}")
         heads.append(head)
     return Model("decoupled", backbone, heads, seed=hp.seed)
 
@@ -375,7 +374,7 @@ def train_group_probe(reps: np.ndarray, groups: np.ndarray, num_groups: int, see
     """Fit a fresh linear group classifier on fixed representations."""
     reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
     probe = init_mlp([reps.shape[1], num_groups], ["identity"], rngmod.stream(seed, rngmod.PROBE))
-    _fit([probe], reps, groups, rngmod.stream(seed, rngmod.PROBE, 1), _PROBE_HP, "probe")
+    _fit_cross_entropy([probe], reps, groups, rngmod.stream(seed, rngmod.PROBE, 1), _PROBE_HP, "probe")
     return probe
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,14 @@ def config_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def forbid_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("fairexperts.experiment.train_erm", no_training)
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -81,15 +93,35 @@ def test_divergence_exit_code(tmp_path, config_path):
         ("lambda_sel = 0.1", "lambda_sel = -1"),
     ],
 )
-def test_run_rejects_bad_coefficients_before_training(tmp_path, monkeypatch, capsys, old, new):
-    def no_training(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr("fairexperts.experiment.train_erm", no_training)
+def test_run_rejects_bad_coefficients_before_training(tmp_path, forbid_training, capsys, old, new):
     path = tmp_path / "bad.cfg"
     path.write_text(CONFIG.replace(old, new))
     assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert "finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+EMPTY_LAYER = "hidden_dim and repr_dim must be at least 1"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("hyper.hidden_dim = 16", "hyper.hidden_dim = 0", EMPTY_LAYER),
+        ("hyper.repr_dim = 4", "hyper.repr_dim = 0", EMPTY_LAYER),
+        ("seeds = 5", "seeds = -1", "seeds must be nonnegative"),
+    ],
+    ids=["hidden_dim_zero", "repr_dim_zero", "seeds_negative"],
+)
+def test_run_rejects_empty_layers_and_negative_seeds_before_any_stage(
+    tmp_path, forbid_training, capsys, old, new, message
+):
+    path = tmp_path / "bad.cfg"
+    path.write_text(CONFIG.replace(old, new))
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "stage=" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -255,3 +287,21 @@ def test_run_uses_config_output_dir(tmp_path):
     path.write_text(CONFIG + f"\noutput_dir = {out_dir}\n")
     assert main(["run", "--config", str(path)]) == 0
     assert (out_dir / "report_5.json").exists()
+
+
+def test_run_output_bytes_do_not_depend_on_blas_thread_count(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(CONFIG.replace("hyper.epochs = 3", "hyper.epochs = 2"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    one_thread = dict(base, OPENBLAS_NUM_THREADS="1")
+    default = {k: v for k, v in base.items() if k != "OPENBLAS_NUM_THREADS"}
+    outputs = []
+    for name, env in (("one", one_thread), ("default", default)):
+        out = tmp_path / name
+        code = "import sys; from fairexperts.cli import main; sys.exit(main(sys.argv[1:]))"
+        cmd = [sys.executable, "-c", code, "run", "--config", str(path), "--out-dir", str(out)]
+        subprocess.run(cmd, env=env, check=True, capture_output=True)
+        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -93,8 +93,16 @@ def test_config_rejects_unknown_metric_and_strategy():
 
 
 def test_config_rejects_invalid_hyperparameters():
-    with pytest.raises(ConfigError, match="hyper"):
-        config_from_dict(parse_kv_text(MINIMAL + "\nhyper.lr0 = -1\n"))
+    cases = [
+        ("hyper.epochs = 2", "hyper.epochs = 2\nhyper.lr0 = -1", "hyper"),
+        ("hyper.epochs = 2", "hyper.epochs = 2\nhyper.hidden_dim = 0", "hidden_dim"),
+        ("hyper.epochs = 2", "hyper.epochs = 2\nhyper.repr_dim = 0", "repr_dim"),
+        ("hyper.epochs = 2", "hyper.epochs = 2\nhyper.hidden_dim = -3", "hidden_dim"),
+        ("seeds = 11, 12", "seeds = 11, -1", "seeds must be nonnegative"),
+    ]
+    for old, new, match in cases:
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(parse_kv_text(MINIMAL.replace(old, new)))
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])

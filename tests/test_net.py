@@ -7,9 +7,7 @@ from fairexperts.net import (
     Layer,
     Mlp,
     TrainingDivergence,
-    decay_lr,
     init_mlp,
-    init_sgd,
     log_softmax,
     sgd_step,
     softmax_cross_entropy,
@@ -110,8 +108,8 @@ def test_sgd_zero_gradients_zero_buffers_is_fixed_point():
     rng = np.random.default_rng(2)
     net = init_mlp([3, 2], ["identity"], rng)
     before = [p.copy() for p in net.params()]
-    state = init_sgd(net.params(), lr0=0.1, momentum=0.9)
-    sgd_step(net.params(), state, [np.zeros_like(p) for p in net.params()])
+    velocity = [np.zeros_like(p) for p in net.params()]
+    sgd_step(net.params(), velocity, [np.zeros_like(p) for p in net.params()], 0.1, 0.9)
     for p, q in zip(net.params(), before):
         assert np.array_equal(p, q)
 
@@ -121,8 +119,8 @@ def test_sgd_without_momentum_is_plain_gradient_descent():
     net = init_mlp([3, 2], ["identity"], rng)
     before = [p.copy() for p in net.params()]
     grads = [rng.standard_normal(p.shape) for p in net.params()]
-    state = init_sgd(net.params(), lr0=0.05, momentum=0.0)
-    sgd_step(net.params(), state, grads)
+    velocity = [np.zeros_like(p) for p in net.params()]
+    sgd_step(net.params(), velocity, grads, 0.05, 0.0)
     for p, q, g in zip(net.params(), before, grads):
         assert np.allclose(p, q - 0.05 * g, atol=1e-15)
 
@@ -131,11 +129,11 @@ def test_sgd_momentum_two_identical_gradients():
     # buffer after step 1 is g, after step 2 is 1.9 g, so the second
     # displacement is lr * 1.9 * g
     param = np.array([1.0, -1.0])
-    state = init_sgd([param], lr0=0.1, momentum=0.9)
+    velocity = [np.zeros(2)]
     g = np.array([0.5, 0.25])
-    sgd_step([param], state, [g.copy()])
+    sgd_step([param], velocity, [g.copy()], 0.1, 0.9)
     after_first = param.copy()
-    sgd_step([param], state, [g.copy()])
+    sgd_step([param], velocity, [g.copy()], 0.1, 0.9)
     assert np.allclose(after_first - param, 0.1 * 1.9 * g, atol=1e-15)
 
 
@@ -143,35 +141,24 @@ def test_sgd_zero_learning_rate_is_identity():
     rng = np.random.default_rng(4)
     param = rng.standard_normal(5)
     before = param.copy()
-    state = init_sgd([param], lr0=0.0, momentum=0.9)
-    sgd_step([param], state, [rng.standard_normal(5)])
+    sgd_step([param], [np.zeros(5)], [rng.standard_normal(5)], 0.0, 0.9)
     assert np.array_equal(param, before)
+
+
+def test_sgd_rejects_mismatched_counts_and_shapes():
+    param = np.zeros(2)
+    with pytest.raises(ValueError, match="counts"):
+        sgd_step([param], [], [np.ones(2)], 0.1, 0.9)
+    with pytest.raises(ValueError, match="counts"):
+        sgd_step([param], [np.zeros(2)], [], 0.1, 0.9)
+    with pytest.raises(ValueError, match="shape"):
+        sgd_step([param], [np.zeros(2)], [np.ones(3)], 0.1, 0.9)
 
 
 def test_sgd_rejects_non_finite_gradients():
     param = np.zeros(2)
-    state = init_sgd([param], lr0=0.1, momentum=0.9)
     with pytest.raises(TrainingDivergence):
-        sgd_step([param], state, [np.array([1.0, np.nan])])
-
-
-def test_lr_decay_default_rate():
-    state = init_sgd([np.zeros(1)], lr0=0.05, momentum=0.9, decay=0.9)
-    decay_lr(state)
-    assert state.lr == 0.05 * 0.9
-
-
-def test_lr_decay_closed_form_after_sixty_epochs():
-    state = init_sgd([np.zeros(1)], lr0=0.01, momentum=0.9, decay=0.9)
-    for _ in range(60):
-        decay_lr(state)
-    assert state.lr == 0.01 * 0.9**60
-
-
-def test_lr_decay_zero_is_absorbing():
-    state = init_sgd([np.zeros(1)], lr0=0.0, momentum=0.9, decay=0.9)
-    decay_lr(state)
-    assert state.lr == 0.0
+        sgd_step([param], [np.zeros(2)], [np.array([1.0, np.nan])], 0.1, 0.9)
 
 
 def test_softmax_cross_entropy_uniform_logits():
