@@ -30,7 +30,6 @@ from .losses import (
 )
 from .metrics import (
     GroupMetrics,
-    MetricsReport,
     accuracy,
     auc,
     build_report,

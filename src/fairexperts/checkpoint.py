@@ -70,6 +70,8 @@ def load_checkpoint(path: str) -> Model:
         raise DataError(f"checkpoint {path!r} does not exist") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"checkpoint {path!r} does not hold a JSON object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(f"checkpoint {path!r} has unsupported format version {version!r}")
@@ -87,5 +89,5 @@ def load_checkpoint(path: str) -> Model:
             VirtualCenters(payload["centers"]) if experts else None,
             seed=payload.get("seed_lineage", {}).get("seed"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {path!r} is malformed: {exc}") from None

@@ -87,8 +87,7 @@ def cmd_evaluate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     dataset = dataset_for_seed(config, _seed(args, config))
     kind = args.metric or config.metric
-    report = build_report(model.predict_proba, dataset, args.split, kind)
-    payload = report.to_dict()
+    payload = build_report(model.predict_proba, dataset, args.split, kind)
     if args.out:
         write_json(payload, args.out)
     else:
@@ -104,6 +103,8 @@ def _read_group_metrics(path: str) -> GroupMetrics:
         raise DataError(f"metrics file {path!r} does not exist") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"metrics file {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"metrics file {path!r} does not hold a JSON object")
     try:
         return GroupMetrics.from_dict(payload)
     except (KeyError, ValueError) as exc:

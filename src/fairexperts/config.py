@@ -206,9 +206,7 @@ def _parse_hyper(kv: dict[str, str]) -> HyperParams:
         key = f"hyper.{name}"
         if key not in kv:
             continue
-        if name in ("negative_rule", "alignment_mode"):
-            kwargs[name] = kv[key]
-        elif name in ("batch_size", "epochs", "hidden_dim", "repr_dim"):
+        if name in ("batch_size", "epochs", "hidden_dim", "repr_dim"):
             kwargs[name] = _int(kv, key)
         else:
             kwargs[name] = _float(kv, key)

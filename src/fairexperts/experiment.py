@@ -86,7 +86,7 @@ def write_representations_csv(path: str, reps: np.ndarray, labels: np.ndarray, g
 
 def _pair_reports(predict, dataset: Dataset, kind: str, selection: dict | None = None) -> dict:
     return {
-        split: build_report(predict, dataset, split, kind, selection).to_dict()
+        split: build_report(predict, dataset, split, kind, selection)
         for split in ("val", "test")
     }
 
@@ -149,20 +149,7 @@ def run_seed(config: ExperimentConfig, seed: int):
             "final_loss_cls": experts.log[-1].loss_cls,
         },
     }
-    return _plain(report), experts, dataset
-
-
-def _plain(value):
-    """Recursively convert numpy scalars so json output is stable."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
+    return report, experts, dataset
 
 
 def _aggregate(reports: list[dict]) -> dict:

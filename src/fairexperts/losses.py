@@ -31,8 +31,6 @@ from .net import Mlp, TrainingDivergence, kaiming_uniform, log_softmax, softmax_
 
 EXP_CLAMP = 30.0
 CENTER_NORM_FLOOR = 1e-8
-NEGATIVE_RULES = ("different_both", "different_either")
-ALIGNMENT_MODES = ("all_groups", "own_group")
 
 
 @dataclass
@@ -84,27 +82,21 @@ class PairAssignment:
     """Partner indices per batch position; -1 marks no eligible partner.
 
     A positive partner shares both class and group; a negative partner
-    differs according to the sampling rule (by default in both class and
-    group).
+    differs in both class and group.
     """
 
     positive: np.ndarray  # (n,) int64
     negative: np.ndarray  # (n,) int64
 
 
-def sample_pairs(
-    labels: np.ndarray,
-    groups: np.ndarray,
-    gen: np.random.Generator,
-    negative_rule: str = "different_both",
-) -> PairAssignment:
+def sample_pairs(labels: np.ndarray, groups: np.ndarray, gen: np.random.Generator) -> PairAssignment:
     """Draw positive/negative partners uniformly among eligible indices.
 
-    For each sample in batch order, the positive partner is drawn first,
-    then the negative. Entries with no eligible partner get -1.
+    The positive shares the sample's class and group; the negative differs
+    in both class and group. For each sample in batch order, the positive
+    partner is drawn first, then the negative. Entries with no eligible
+    partner get -1.
     """
-    if negative_rule not in NEGATIVE_RULES:
-        raise ValueError(f"unknown negative rule {negative_rule!r}")
     labels = np.asarray(labels)
     groups = np.asarray(groups)
     n = len(labels)
@@ -117,12 +109,7 @@ def sample_pairs(
         cand = idx[pos_mask]
         if cand.size:
             positive[i] = cand[gen.integers(cand.size)]
-        if negative_rule == "different_both":
-            neg_mask = (labels != labels[i]) & (groups != groups[i])
-        else:
-            neg_mask = (labels != labels[i]) | (groups != groups[i])
-            neg_mask[i] = False
-        cand = idx[neg_mask]
+        cand = idx[(labels != labels[i]) & (groups != groups[i])]
         if cand.size:
             negative[i] = cand[gen.integers(cand.size)]
     return PairAssignment(positive, negative)
@@ -180,17 +167,13 @@ def center_alignment_loss(
     labels: np.ndarray,
     groups: np.ndarray,
     centers: VirtualCenters,
-    mode: str = "all_groups",
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Bidirectional sample/center alignment, batch-averaged.
 
-    For each sample and each group's center row (or only the sample's
-    own row in ``own_group`` mode), the cross-entropy of the true class
-    under a softmax over cosine similarities to that row's per-class
-    centers. Returns (loss, dZ, dV).
+    For each sample and every group's center row, the cross-entropy of
+    the true class under a softmax over cosine similarities to that row's
+    per-class centers, summed over the rows. Returns (loss, dZ, dV).
     """
-    if mode not in ALIGNMENT_MODES:
-        raise ValueError(f"unknown alignment mode {mode!r}")
     labels = np.atleast_1d(np.asarray(labels))
     groups = np.atleast_1d(np.asarray(groups))
     g_total, c_total, _ = centers.shape
@@ -206,11 +189,6 @@ def center_alignment_loss(
     weights = np.exp(logp)
     weights[rows, :, labels] -= 1.0
     per_group_ce = -logp[rows, :, labels]  # (n, G)
-    if mode == "own_group":
-        keep = np.zeros((n, g_total), dtype=bool)
-        keep[rows, groups] = True
-        per_group_ce = np.where(keep, per_group_ce, 0.0)
-        weights *= keep[:, :, None]
     loss = float(per_group_ce.sum() / n)
     weights /= n
     dz, dv = sys.grads(weights)

@@ -181,40 +181,14 @@ def group_eval(predict, dataset: Dataset, split: str, kind: str) -> GroupMetrics
     return _evaluate(predict, dataset, split, kind)[0]
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Pooled and per-group results for one predictor on one split."""
-
-    metric_kind: str
-    split: str
-    overall: float
-    per_group: tuple[float, ...]
-    proportions: tuple[float, ...]
-    mf: float
-    gap: float
-    eo: float | None
-    selection: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "metric_kind": self.metric_kind,
-            "split": self.split,
-            "overall": self.overall,
-            "per_group": list(self.per_group),
-            "proportions": list(self.proportions),
-            "mf": self.mf,
-            "gap": self.gap,
-            "eo": self.eo,
-            "selection": self.selection,
-        }
-
-
 def build_report(
     predict, dataset: Dataset, split: str, kind: str, selection: dict | None = None
-) -> MetricsReport:
-    """Full evaluation of one predictor on one split.
+) -> dict:
+    """Full evaluation of one predictor on one split, as a JSON-ready dict.
 
-    The pooled value is computed on the whole split (for AUC this is not
+    Keys: metric_kind, split, overall, per_group, proportions, mf (the
+    worst-group value), gap, eo, and the ``selection`` passed in. The
+    pooled value is computed on the whole split (for AUC this is not
     a proportion-weighted mean of the group values). The equalized-odds
     score is included for binary tasks when every group carries both
     classes, from argmax predictions. The predictor is called once.
@@ -232,14 +206,14 @@ def build_report(
         if has_both:
             eo = equalized_odds(probs.argmax(axis=1), labels, groups)
     g = float(gm.values.max() - gm.values.min()) if gm.num_groups >= 2 else 0.0
-    return MetricsReport(
-        metric_kind=kind,
-        split=split,
-        overall=float(overall),
-        per_group=tuple(float(v) for v in gm.values),
-        proportions=tuple(float(p) for p in gm.proportions),
-        mf=float(gm.values.min()),
-        gap=g,
-        eo=eo,
-        selection=selection,
-    )
+    return {
+        "metric_kind": kind,
+        "split": split,
+        "overall": float(overall),
+        "per_group": [float(v) for v in gm.values],
+        "proportions": [float(p) for p in gm.proportions],
+        "mf": float(gm.values.min()),
+        "gap": g,
+        "eo": eo,
+        "selection": selection,
+    }

@@ -175,7 +175,9 @@ def routed_predictor(decision: SelectionDecision, experts_model, erm_model):
     def predict(features: np.ndarray, groups: np.ndarray) -> np.ndarray:
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         groups = np.atleast_1d(np.asarray(groups))
-        if groups.size and (groups.min() < 0 or groups.max() >= choices.size):
+        if groups.size == 0:
+            return erm_predict(features, groups)  # (0, classes), as a model gives
+        if groups.min() < 0 or groups.max() >= choices.size:
             raise ValueError("group index not covered by the selection decision")
         use_expert = choices[groups] == 1
         probs: np.ndarray | None = None
@@ -186,7 +188,6 @@ def routed_predictor(decision: SelectionDecision, experts_model, erm_model):
             if probs is None:
                 probs = np.empty((features.shape[0], part.shape[1]))
             probs[mask] = part
-        assert probs is not None
         return probs
 
     return predict

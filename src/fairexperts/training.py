@@ -39,8 +39,6 @@ import numpy as np
 from . import rng as rngmod
 from .data import Dataset
 from .losses import (
-    ALIGNMENT_MODES,
-    NEGATIVE_RULES,
     VirtualCenters,
     center_alignment_loss,
     discriminator_loss,
@@ -62,7 +60,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Loss coefficients, optimizer schedule, and architecture knobs."""
+    """Loss coefficients, optimizer schedule, and architecture sizes.
+
+    The expert objective itself has one form (see ``losses``); only the
+    weights of its terms are settable.
+    """
 
     lambda_disc: float = 0.05
     lambda_virt: float = 0.05
@@ -75,8 +77,6 @@ class HyperParams:
     seed: int = 0
     hidden_dim: int = 32
     repr_dim: int = 8
-    negative_rule: str = "different_both"
-    alignment_mode: str = "all_groups"
 
     def __post_init__(self) -> None:
         # written so that NaN fails every comparison and is rejected too
@@ -92,10 +92,6 @@ class HyperParams:
             raise ValueError("need at least one epoch")
         if self.hidden_dim < 1 or self.repr_dim < 1:
             raise ValueError("hidden_dim and repr_dim must be at least 1")
-        if self.negative_rule not in NEGATIVE_RULES:
-            raise ValueError(f"unknown negative rule {self.negative_rule!r}")
-        if self.alignment_mode not in ALIGNMENT_MODES:
-            raise ValueError(f"unknown alignment mode {self.alignment_mode!r}")
 
     def lr(self, epoch: int) -> float:
         """Learning rate of epoch ``epoch`` (0-based): lr0 * lr_decay**epoch."""
@@ -193,24 +189,16 @@ def _fit(params: list[np.ndarray], n: int, shuffle_rng, hp: HyperParams, name: s
 
 
 def _fit_cross_entropy(
-    nets: list[Mlp], x: np.ndarray, y: np.ndarray, shuffle_rng, hp: HyperParams, name: str
+    net: Mlp, x: np.ndarray, y: np.ndarray, shuffle_rng, hp: HyperParams, name: str
 ) -> list[np.ndarray]:
-    """Minimize cross-entropy of the chain ``nets`` on (x, y) through ``_fit``."""
+    """Minimize cross-entropy of ``net`` on (x, y) through ``_fit``."""
 
     def batch_grads(batch, epoch):
-        out, caches = x[batch], []
-        for net in nets:
-            out, cache = net.forward(out)
-            caches.append(cache)
-        loss, dout = softmax_cross_entropy(out, y[batch])
-        grads: list[np.ndarray] = []
-        for net, cache in zip(reversed(nets), reversed(caches)):
-            net_grads, dout = net.backward(cache, dout)
-            grads = net_grads + grads
-        return (loss,), grads
+        logits, cache = net.forward(x[batch])
+        loss, dlogits = softmax_cross_entropy(logits, y[batch])
+        return (loss,), net.backward(cache, dlogits)[0]
 
-    params = [p for net in nets for p in net.params()]
-    return _fit(params, x.shape[0], shuffle_rng, hp, name, batch_grads)
+    return _fit(net.params(), x.shape[0], shuffle_rng, hp, name, batch_grads)
 
 
 def train_erm(dataset: Dataset, hp: HyperParams) -> Model:
@@ -221,8 +209,10 @@ def train_erm(dataset: Dataset, hp: HyperParams) -> Model:
     init_rng = rngmod.stream(hp.seed, rngmod.INIT)
     backbone = init_mlp([dataset.d, hp.hidden_dim, hp.repr_dim], ["relu", "identity"], init_rng)
     head = init_mlp([hp.repr_dim, dataset.classes], ["identity"], init_rng)
+    # one network over the same Layer objects, so training moves their arrays
+    shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE)
     means = _fit_cross_entropy(
-        [backbone, head], features, labels, rngmod.stream(hp.seed, rngmod.SHUFFLE), hp, "pooled loss"
+        Mlp(backbone.layers + head.layers), features, labels, shuffle_rng, hp, "pooled loss"
     )
     log = [ErmEpoch(k, float(mean[0]), hp.lr(k)) for k, mean in enumerate(means)]
     return Model("erm", backbone, [head], log=log, seed=hp.seed)
@@ -308,8 +298,8 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
 
         loss_cls, dz_cls, head_grads = _routed_cross_entropy(heads, z, yb, ab)
         loss_disc, dz_disc, disc_grads = discriminator_loss(z, ab, disc)
-        loss_virt, dz_virt, dv_virt = center_alignment_loss(z, yb, ab, centers, hp.alignment_mode)
-        pairs = sample_pairs(yb, ab, pairs_rng, hp.negative_rule)
+        loss_virt, dz_virt, dv_virt = center_alignment_loss(z, yb, ab, centers)
+        pairs = sample_pairs(yb, ab, pairs_rng)
         loss_div, dz_div, dv_div, skipped = diversity_loss(z, yb, ab, pairs, centers)
         if skipped:
             logger.debug("epoch %d: %d samples skipped in diversity loss", epoch, skipped)
@@ -348,7 +338,7 @@ def train_decoupled(erm: Model, dataset: Dataset, hp: HyperParams) -> Model:
             raise ValueError(f"group {g} has no training samples")
         head = init_mlp([backbone.out_dim, dataset.classes], ["identity"], init_rng)
         shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE, 1, g)
-        _fit_cross_entropy([head], z_all[idx], labels[idx], shuffle_rng, hp, f"decoupled head {g}")
+        _fit_cross_entropy(head, z_all[idx], labels[idx], shuffle_rng, hp, f"decoupled head {g}")
         heads.append(head)
     return Model("decoupled", backbone, heads, seed=hp.seed)
 
@@ -374,7 +364,7 @@ def train_group_probe(reps: np.ndarray, groups: np.ndarray, num_groups: int, see
     """Fit a fresh linear group classifier on fixed representations."""
     reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
     probe = init_mlp([reps.shape[1], num_groups], ["identity"], rngmod.stream(seed, rngmod.PROBE))
-    _fit_cross_entropy([probe], reps, groups, rngmod.stream(seed, rngmod.PROBE, 1), _PROBE_HP, "probe")
+    _fit_cross_entropy(probe, reps, groups, rngmod.stream(seed, rngmod.PROBE, 1), _PROBE_HP, "probe")
     return probe
 
 

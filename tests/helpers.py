@@ -6,12 +6,13 @@ from fairexperts import HyperParams, SyntheticConfig, generate_synthetic
 
 
 def central_difference(fn, x, step=1e-5):
-    """Finite-difference gradient of scalar ``fn()`` w.r.t. array ``x``.
+    """Finite-difference gradient of ``fn()`` w.r.t. array ``x``.
 
-    Mutates entries of ``x`` in place and restores them, so ``fn`` must
-    read ``x`` by reference.
+    ``fn`` returns a scalar or a vector; the result has shape
+    ``x.shape + shape of fn()``. Mutates entries of ``x`` in place and
+    restores them, so ``fn`` must read ``x`` by reference.
     """
-    grad = np.zeros_like(x)
+    grad = np.zeros(x.shape + np.shape(fn()))
     it = np.nditer(x, flags=["multi_index"])
     for _ in it:
         idx = it.multi_index

@@ -132,6 +132,33 @@ def test_evaluate_missing_checkpoint_is_data_error(config_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+# an erm checkpoint for CONFIG's 3 features and 2 classes, except that
+# its seed lineage is a list
+LINEAGE_LIST = {
+    "format_version": 1,
+    "kind": "erm",
+    "seed_lineage": [5],
+    "backbone": {"layers": [{"weight": [[1.0, 0.0, 0.0]], "bias": [0.0], "activation": "identity"}]},
+    "head": {"layers": [{"weight": [[1.0], [-1.0]], "bias": [0.0, 0.0], "activation": "identity"}]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [("select", []), ("evaluate", "x"), ("evaluate", LINEAGE_LIST)],
+    ids=["metrics_list", "checkpoint_string", "checkpoint_lineage_list"],
+)
+def test_json_that_is_not_an_object_is_data_error(tmp_path, config_path, capsys, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if command == "select":
+        argv = ["select", "--strategy", "ip", "--expert", str(path), "--erm", str(path)]
+    else:
+        argv = ["evaluate", "--checkpoint", str(path), "--config", config_path]
+    assert main(argv) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_run_writes_bundle(tmp_path, config_path):
     out_dir = tmp_path / "bundle"
     assert main(["run", "--config", config_path, "--out-dir", str(out_dir)]) == 0

@@ -1,9 +1,17 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fairexperts.config import (
+    _DATA_KEYS,
+    _DATA_PATTERNS,
+    _HYPER_FIELDS,
+    _TOP_KEYS,
     ConfigError,
     CsvSource,
+    _known_key,
     config_from_dict,
     load_config,
     parse_kv_text,
@@ -67,8 +75,44 @@ def test_minimal_synthetic_config_parses():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        config_from_dict(parse_kv_text(MINIMAL + "\nhyper.turbo = 9\n"))
+    # the last two were options of the expert objective, which has one form now
+    for line in (
+        "hyper.turbo = 9",
+        "hyper.negative_rule = different_both",
+        "hyper.alignment_mode = all_groups",
+    ):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"unknown config keys: .*{re.escape(key)}"):
+            config_from_dict(parse_kv_text(MINIMAL + f"\n{line}\n"))
+
+
+def readme_config_keys() -> list[str]:
+    """Keys in the README's configuration table; ``a.b/c`` means a.b and a.c."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration format")[1].split("\n## ")[0]
+    keys = []
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        for span in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            head, _, tail = span.rpartition(".")
+            keys += [f"{head}.{name}".lstrip(".") for name in tail.split("/")]
+    return keys
+
+
+def test_readme_config_table_lists_exactly_the_accepted_keys():
+    documented = readme_config_keys()
+    exact = {key for key in documented if "<" not in key}
+    assert exact == _TOP_KEYS | _DATA_KEYS | {f"hyper.{name}" for name in _HYPER_FIELDS}
+    instances = [
+        key.replace("<A>", "1").replace("<Y>", "0").replace("<split>", split)
+        for key in documented
+        if "<" in key
+        for split in ("train", "val", "test")
+    ]
+    assert all(_known_key(key) for key in [*exact, *instances])
+    covered = {p.pattern for p in _DATA_PATTERNS for key in instances if p.match(key)}
+    assert covered == {p.pattern for p in _DATA_PATTERNS}
 
 
 def test_config_rejects_bad_version():

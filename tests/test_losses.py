@@ -96,25 +96,6 @@ def test_alignment_loss_hand_value_two_groups():
     assert loss == pytest.approx(2 * math.log(1 + math.exp(-2)), abs=1e-12)
 
 
-def test_alignment_loss_own_group_mode_restricts_sum():
-    rng = np.random.default_rng(1)
-    z = rng.standard_normal((5, 4))
-    labels = rng.integers(0, 3, 5)
-    groups = rng.integers(0, 2, 5)
-    centers = VirtualCenters(rng.standard_normal((2, 3, 4)))
-    full, _, _ = center_alignment_loss(z, labels, groups, centers, "all_groups")
-    own, _, _ = center_alignment_loss(z, labels, groups, centers, "own_group")
-    # all-groups includes the own-group terms plus the cross-group ones
-    other = 0.0
-    for g in range(2):
-        masked, _, _ = center_alignment_loss(
-            z, labels, np.full(5, g), centers, "own_group"
-        )
-        other += masked
-    assert full == pytest.approx(other, abs=1e-12)
-    assert own <= full + 1e-12
-
-
 def test_alignment_loss_nonnegative_and_scale_invariant():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((6, 4))
@@ -205,16 +186,6 @@ def test_sample_pairs_satisfies_predicates_on_random_batches():
                     j for j in range(n) if labels[j] != labels[i] and groups[j] != groups[i]
                 ]
                 assert not eligible
-
-
-def test_sample_pairs_either_rule_uses_disjunction():
-    labels = np.array([0, 0, 1])
-    groups = np.array([0, 1, 0])
-    pairs = sample_pairs(
-        labels, groups, rngmod.stream(0, rngmod.PAIRS), negative_rule="different_either"
-    )
-    # sample 0 may pick either 1 (other group) or 2 (other class)
-    assert pairs.negative[0] in (1, 2)
 
 
 def test_sample_pairs_uniform_over_eligible_partners():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fairexperts.metrics import GroupMetrics
+from fairexperts.net import init_mlp
 from fairexperts.selection import (
     SelectionDecision,
     combine,
@@ -9,6 +10,7 @@ from fairexperts.selection import (
     select_greedy,
     select_ip,
 )
+from fairexperts.training import Model
 
 from helpers import enumerate_ip_oracle
 
@@ -326,6 +328,17 @@ def test_routing_mixed_decision():
     probs = predict(x, groups)
     assert np.allclose(probs[groups == 0, 0], 0.9)
     assert np.allclose(probs[groups == 1, 0], 0.1)
+
+
+def test_routing_zero_rows_gives_the_models_empty_shape():
+    rng = np.random.default_rng(0)
+    backbone = init_mlp([3, 4], ["relu"], rng)
+    erm = Model("erm", backbone, [init_mlp([4, 2], ["identity"], rng)])
+    experts = Model("decoupled", backbone, [init_mlp([4, 2], ["identity"], rng) for _ in range(2)])
+    x, groups = np.empty((0, 3)), np.empty(0, dtype=np.int64)
+    for choices in ((0, 0), (1, 0), (1, 1)):
+        probs = routed_predictor(make_decision(choices), experts, erm)(x, groups)
+        assert probs.shape == experts.predict_proba(x, groups).shape == (0, 2)
 
 
 def test_routing_rejects_unknown_group():

@@ -71,8 +71,6 @@ def test_hyperparams_validation():
         HyperParams(batch_size=1)
     with pytest.raises(ValueError):
         HyperParams(epochs=0)
-    with pytest.raises(ValueError):
-        HyperParams(negative_rule="sometimes")
     HyperParams(lr0=0.0)  # zero learning rate is allowed: freezes training
 
 
@@ -255,19 +253,23 @@ def test_experts_full_batch_step_follows_total_loss_gradient(seed, num_groups, e
     backbone, disc, centers, heads = drawn_experts_inits(ds, hp)
     perm = rngmod.stream(hp.seed, rngmod.SHUFFLE).permutation(n)
     xb, yb, ab = ds.features[perm], ds.labels[perm], ds.groups[perm]
-    pairs = sample_pairs(yb, ab, rngmod.stream(hp.seed, rngmod.PAIRS), hp.negative_rule)
+    pairs = sample_pairs(yb, ab, rngmod.stream(hp.seed, rngmod.PAIRS))
 
-    def total_loss():
+    # each term is differenced on its own and weighted afterwards: differencing
+    # the O(1) weighted sum loses the terms a tiny lambda scales to ~1e-6
+    weights = np.array([1.0, lambda_disc, lambda_virt, lambda_div])
+
+    def loss_terms():
         z, _ = backbone.forward(xb)
         loss_cls = -np.mean(
             [log_softmax(heads[a].forward(z[i])[0])[y] for i, (y, a) in enumerate(zip(yb, ab))]
         )
-        return (
-            loss_cls
-            + lambda_disc * discriminator_loss(z, ab, disc)[0]
-            + lambda_virt * center_alignment_loss(z, yb, ab, centers, hp.alignment_mode)[0]
-            + lambda_div * diversity_loss(z, yb, ab, pairs, centers)[0]
-        )
+        return np.array([
+            loss_cls,
+            discriminator_loss(z, ab, disc)[0],
+            center_alignment_loss(z, yb, ab, centers)[0],
+            diversity_loss(z, yb, ab, pairs, centers)[0],
+        ])
 
     parts = [
         (model.backbone.params(), backbone.params()),
@@ -277,7 +279,7 @@ def test_experts_full_batch_step_follows_total_loss_gradient(seed, num_groups, e
     for trained, init in parts:
         for p_new, p_init in zip(trained, init):
             step_grad = (p_init - p_new) / hp.lr0
-            numeric = central_difference(total_loss, p_init, step=1e-6)
+            numeric = central_difference(loss_terms, p_init, step=1e-6) @ weights
             assert max_relative_error(step_grad, numeric) < 1e-5
 
 
@@ -545,18 +547,6 @@ def test_trained_representations_cluster_by_cell(experts42, separable_ds):
         )
         scores.append((b - a) / max(a, b))
     assert np.mean(scores) > 0.0
-
-
-def test_experts_train_with_ablation_flags():
-    ds = tiny_dataset()
-    hp = tiny_hp(negative_rule="different_either", alignment_mode="own_group", epochs=2)
-    a = train_experts(ds, hp)
-    b = train_experts(ds, hp)
-    assert params_equal(a.backbone.params(), b.backbone.params())
-    assert np.array_equal(a.centers.vectors, b.centers.vectors)
-    # flag values change the trajectory relative to the defaults
-    c = train_experts(ds, tiny_hp(epochs=2))
-    assert not params_equal(a.backbone.params(), c.backbone.params())
 
 
 def test_erm_training_is_deterministic():
