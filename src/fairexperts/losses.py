@@ -89,29 +89,81 @@ class PairAssignment:
     negative: np.ndarray  # (n,) int64
 
 
+def _check_cells(
+    labels: np.ndarray, groups: np.ndarray, rows: int, centers: VirtualCenters | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate per-sample class and group indices; returns them as arrays.
+
+    Both must be 1-D, hold nonnegative integers and have ``rows``
+    entries; with ``centers``, they must also index its cells.
+    """
+    labels = np.asarray(labels)
+    groups = np.asarray(groups)
+    for name, a in (("labels", labels), ("groups", groups)):
+        if a.shape != (rows,):
+            raise ValueError(
+                f"{name} must be 1-D with one entry per row ({rows}), got shape {a.shape}"
+            )
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integers, got dtype {a.dtype}")
+        if rows and a.min() < 0:
+            raise ValueError(f"{name} must be nonnegative")
+    if centers is not None and rows:
+        g_total, c_total, _ = centers.shape
+        if labels.max() >= c_total:
+            raise ValueError("label index out of range for centers")
+        if groups.max() >= g_total:
+            raise ValueError("group index out of range for centers")
+    return labels, groups
+
+
 def sample_pairs(labels: np.ndarray, groups: np.ndarray, gen: np.random.Generator) -> PairAssignment:
     """Draw positive/negative partners uniformly among eligible indices.
 
     The positive shares the sample's class and group; the negative differs
-    in both class and group. For each sample in batch order, the positive
-    partner is drawn first, then the negative. Entries with no eligible
-    partner get -1.
+    in both class and group. Entries with no eligible partner get -1.
+
+    Draw order: for each sample in batch order, its positive, then its
+    negative, skipping partners with no candidate; the k-th draw picks the
+    k-th candidate in batch order. All draws come from one
+    ``gen.integers(0, bounds)`` call, which yields the same values and
+    leaves ``gen`` in the same state as one scalar call per draw.
+    Memory is O(n * cells) for n samples over the (group, class) cells
+    present; nothing is n by n.
     """
-    labels = np.asarray(labels)
-    groups = np.asarray(groups)
-    n = len(labels)
+    n = np.size(labels)
+    labels, groups = _check_cells(labels, groups, n)
+    classes = int(labels.max(initial=0)) + 1
+    keys, cell = np.unique(groups * classes + labels, return_inverse=True)
+    cell_groups, cell_labels = np.divmod(keys, classes)
+    # each cell's members in batch order, and each sample's rank among them
+    order = np.argsort(cell, kind="stable")
+    sizes = np.bincount(cell, minlength=len(keys))
+    starts = np.cumsum(sizes) - sizes
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - starts[cell[order]]
+    # each cell's negatives, listed in batch order
+    neg_cell, neg_index = np.nonzero(
+        (groups != cell_groups[:, None]) & (labels != cell_labels[:, None])
+    )
+    neg_sizes = np.bincount(neg_cell, minlength=len(keys))
+    neg_starts = np.cumsum(neg_sizes) - neg_sizes
+
+    bounds = np.empty(2 * n, dtype=np.int64)  # positive0, negative0, positive1, ...
+    bounds[0::2] = sizes[cell] - 1
+    bounds[1::2] = neg_sizes[cell]
+    live = bounds > 0
+    draws = np.zeros(2 * n, dtype=np.int64)
+    if live.any():
+        draws[live] = gen.integers(0, bounds[live])
+    k_pos, k_neg = draws[0::2], draws[1::2]
+    has_pos, has_neg = live[0::2], live[1::2]
+
     positive = np.full(n, -1, dtype=np.int64)
     negative = np.full(n, -1, dtype=np.int64)
-    idx = np.arange(n)
-    for i in range(n):
-        pos_mask = (labels == labels[i]) & (groups == groups[i])
-        pos_mask[i] = False
-        cand = idx[pos_mask]
-        if cand.size:
-            positive[i] = cand[gen.integers(cand.size)]
-        cand = idx[(labels != labels[i]) & (groups != groups[i])]
-        if cand.size:
-            negative[i] = cand[gen.integers(cand.size)]
+    # the k-th positive candidate skips the sample itself
+    positive[has_pos] = order[(starts[cell] + k_pos + (k_pos >= rank))[has_pos]]
+    negative[has_neg] = neg_index[(neg_starts[cell] + k_neg)[has_neg]]
     return PairAssignment(positive, negative)
 
 
@@ -174,15 +226,10 @@ def center_alignment_loss(
     the true class under a softmax over cosine similarities to that row's
     per-class centers, summed over the rows. Returns (loss, dZ, dV).
     """
-    labels = np.atleast_1d(np.asarray(labels))
-    groups = np.atleast_1d(np.asarray(groups))
-    g_total, c_total, _ = centers.shape
-    if labels.size and (labels.min() < 0 or labels.max() >= c_total):
-        raise ValueError("label index out of range for centers")
-    if labels.size and (groups.min() < 0 or groups.max() >= g_total):
-        raise ValueError("group index out of range for centers")
+    reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
+    n = reps.shape[0]
+    labels, groups = _check_cells(np.atleast_1d(labels), np.atleast_1d(groups), n, centers)
     sys = _CosineSystem(reps, centers)
-    n = sys.z.shape[0]
     logp = log_softmax(sys.cos)  # softmax over classes, per (sample, group)
     rows = np.arange(n)
     # weights[i, g, c] = d loss / d cos[i, g, c]
@@ -210,16 +257,10 @@ def diversity_loss(
     denominator would be empty is skipped. Returns
     (loss, dZ, dV, skipped_count). The value may be negative.
     """
-    labels = np.atleast_1d(np.asarray(labels))
-    groups = np.atleast_1d(np.asarray(groups))
-    sys = _CosineSystem(reps, centers)
-    z = sys.z
-    n = z.shape[0]
+    reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
+    n = reps.shape[0]
+    labels, groups = _check_cells(np.atleast_1d(labels), np.atleast_1d(groups), n, centers)
     g_total, c_total, _ = centers.shape
-    if labels.size and (labels.min() < 0 or labels.max() >= c_total):
-        raise ValueError("label index out of range for centers")
-    if labels.size and (groups.min() < 0 or groups.max() >= g_total):
-        raise ValueError("group index out of range for centers")
     for name, partner in (("positive", pairs.positive), ("negative", pairs.negative)):
         partner = np.asarray(partner)
         if partner.shape != (n,):
@@ -228,6 +269,8 @@ def diversity_loss(
         if np.any(bad):
             raise ValueError(f"{name} partner index invalid at positions {np.flatnonzero(bad)}")
 
+    sys = _CosineSystem(reps, centers)
+    z = sys.z
     pos = pairs.positive
     neg = pairs.negative
     has_pos = pos >= 0

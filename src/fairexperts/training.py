@@ -18,8 +18,10 @@ group's head. Only experts carry a discriminator and virtual centers.
   classification loss restricted to its group.
 
 All four run through ``_fit``, the one training loop: seeded mini-batch
-momentum SGD with one velocity buffer per parameter array and the rate
-lr0 * lr_decay**epoch. Each trainer hands it a batch function that
+momentum SGD over one flat parameter buffer and one flat velocity buffer
+per trained model, with the rate lr0 * lr_decay**epoch. The model's
+arrays become views of that buffer, so one element-wise step per batch
+moves them all. Each trainer hands it a batch function that
 returns the batch losses and every gradient at the pre-step parameters:
 ``_fit_cross_entropy`` for the first three, the expert step for the
 last. Determinism: given the same dataset and hyperparameters, training
@@ -166,15 +168,44 @@ def _batches(perm: np.ndarray, batch_size: int):
         yield perm[start : start + batch_size]
 
 
-def _fit(params: list[np.ndarray], n: int, shuffle_rng, hp: HyperParams, name: str, batch_grads):
+def _flatten(parts: list[Mlp | VirtualCenters]) -> np.ndarray:
+    """Move the parameter arrays of ``parts`` into one float64 buffer.
+
+    Each ``Layer.weight``, ``Layer.bias`` and ``VirtualCenters.vectors``
+    is rebound to its view of the buffer, laid out in ``params()`` order,
+    so updating the buffer in place moves the parts.
+    """
+    slots = []
+    for part in parts:
+        if isinstance(part, VirtualCenters):
+            slots.append((part, "vectors"))
+        else:
+            slots += [(layer, attr) for layer in part.layers for attr in ("weight", "bias")]
+    flat = np.concatenate([getattr(owner, attr).ravel() for owner, attr in slots])
+    start = 0
+    for owner, attr in slots:
+        shape = getattr(owner, attr).shape
+        stop = start + math.prod(shape)
+        setattr(owner, attr, flat[start:stop].reshape(shape))
+        start = stop
+    return flat
+
+
+def _fit(
+    parts: list[Mlp | VirtualCenters], n: int, shuffle_rng, hp: HyperParams, name: str, batch_grads
+):
     """The one training loop: seeded mini-batch momentum SGD, in place.
 
-    Each epoch draws one permutation of the ``n`` training rows. For each
-    batch, ``batch_grads(batch, epoch)`` returns its losses and the
-    gradients of ``params`` at the pre-step values, and one momentum step
-    moves all of ``params``. Returns each epoch's mean losses.
+    The arrays of ``parts`` become views of one flat parameter buffer,
+    with one flat velocity buffer beside it. Each epoch draws one
+    permutation of the ``n`` training rows. For each batch,
+    ``batch_grads(batch, epoch)`` returns its losses and the gradients
+    of the parts' ``params()`` at the pre-step values, in order, and one
+    momentum step moves the whole buffer. Returns each epoch's mean
+    losses.
     """
-    velocity = [np.zeros_like(p) for p in params]
+    flat = _flatten(parts)
+    velocity = np.zeros_like(flat)
     means = []
     for epoch in range(hp.epochs):
         sums = 0.0
@@ -182,7 +213,8 @@ def _fit(params: list[np.ndarray], n: int, shuffle_rng, hp: HyperParams, name: s
             losses, grads = batch_grads(batch, epoch)
             if not all(map(math.isfinite, losses)):
                 raise TrainingDivergence(f"{name} diverged at epoch {epoch}")
-            sgd_step(params, velocity, grads, hp.lr(epoch), hp.momentum)
+            flat_grad = np.concatenate([g.ravel() for g in grads])
+            sgd_step([flat], [velocity], [flat_grad], hp.lr(epoch), hp.momentum)
             sums = sums + np.asarray(losses) * len(batch)
         means.append(sums / n)
     return means
@@ -198,7 +230,7 @@ def _fit_cross_entropy(
         loss, dlogits = softmax_cross_entropy(logits, y[batch])
         return (loss,), net.backward(cache, dlogits)[0]
 
-    return _fit(net.params(), x.shape[0], shuffle_rng, hp, name, batch_grads)
+    return _fit([net], x.shape[0], shuffle_rng, hp, name, batch_grads)
 
 
 def train_erm(dataset: Dataset, hp: HyperParams) -> Model:
@@ -317,9 +349,9 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
             grads += g
         return (loss_cls, loss_disc, loss_virt, loss_div), grads
 
-    params = [p for part in (backbone, disc, centers, *heads) for p in part.params()]
+    parts = [backbone, disc, centers, *heads]
     shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE)
-    means = _fit(params, len(labels), shuffle_rng, hp, "expert loss", batch_grads)
+    means = _fit(parts, len(labels), shuffle_rng, hp, "expert loss", batch_grads)
     redraw_degenerate_centers(hp.epochs - 1)
     log = [ExpertsEpoch(k, *map(float, mean), hp.lr(k)) for k, mean in enumerate(means)]
     return Model("experts", backbone, heads, disc, centers, log=log, seed=hp.seed)

@@ -67,6 +67,32 @@ def enumerate_ip_oracle(expert, erm, proportions, lambda_sel):
     return best
 
 
+def sample_pairs_oracle(labels, groups, gen):
+    """Per-sample loop over full-batch masks; the pair-sampling ground truth.
+
+    For each sample in batch order, draws its positive (same class and
+    group, not itself), then its negative (differs in both), with one
+    scalar ``gen.integers`` call per partner that has a candidate.
+    Returns (positive, negative), -1 where no partner is eligible.
+    """
+    labels = np.asarray(labels)
+    groups = np.asarray(groups)
+    n = len(labels)
+    positive = np.full(n, -1, dtype=np.int64)
+    negative = np.full(n, -1, dtype=np.int64)
+    idx = np.arange(n)
+    for i in range(n):
+        pos_mask = (labels == labels[i]) & (groups == groups[i])
+        pos_mask[i] = False
+        cand = idx[pos_mask]
+        if cand.size:
+            positive[i] = cand[gen.integers(cand.size)]
+        cand = idx[(labels != labels[i]) & (groups != groups[i])]
+        if cand.size:
+            negative[i] = cand[gen.integers(cand.size)]
+    return positive, negative
+
+
 def separable_config(seed=42, d=4):
     """Small group-separable mixture: distinct class axes per group."""
     means = np.zeros((2, 2, d))

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from fairexperts import rng as rngmod
 from fairexperts.losses import (
@@ -17,7 +20,7 @@ from fairexperts.losses import (
 )
 from fairexperts.net import Layer, Mlp, init_mlp
 
-from helpers import central_difference, max_relative_error
+from helpers import central_difference, max_relative_error, sample_pairs_oracle
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pair_assignment_seed3.json")
 
@@ -212,6 +215,94 @@ def test_sample_pairs_deterministic_given_seed():
     b = sample_pairs(labels, groups, rngmod.stream(7, rngmod.PAIRS))
     assert np.array_equal(a.positive, b.positive)
     assert np.array_equal(a.negative, b.negative)
+
+
+def test_vectorised_integer_draws_match_sequential_scalar_draws():
+    # sample_pairs relies on one Generator.integers(0, bounds) call giving
+    # the values and the final state of one scalar call per bound
+    for seed in (0, 1, 7, 2024):
+        for length in (1, 2, 5, 64, 300):
+            bounds = np.random.default_rng(seed + 100).integers(1, 200, length)
+            bounds[::3] = 1
+            for case in (bounds, np.ones(length, dtype=np.int64)):
+                batch_gen = rngmod.stream(seed, rngmod.PAIRS)
+                scalar_gen = rngmod.stream(seed, rngmod.PAIRS)
+                batch = batch_gen.integers(0, case)
+                scalar = [scalar_gen.integers(int(high)) for high in case]
+                assert batch.tolist() == scalar
+                assert batch_gen.bit_generator.state == scalar_gen.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 130),
+    num_groups=st.integers(1, 6),
+    classes=st.integers(1, 4),
+    skew=st.sampled_from([0.05, 0.3, 1.0, 10.0]),
+)
+def test_sample_pairs_matches_per_sample_oracle(seed, n, num_groups, classes, skew):
+    # a small Dirichlet skew leaves many cells empty or with one member
+    rng = np.random.default_rng(seed)
+    cells = num_groups * classes
+    groups, labels = np.divmod(rng.choice(cells, size=n, p=rng.dirichlet(np.full(cells, skew))), classes)
+    gen = rngmod.stream(seed, rngmod.PAIRS)
+    oracle_gen = rngmod.stream(seed, rngmod.PAIRS)
+    pairs = sample_pairs(labels, groups, gen)
+    positive, negative = sample_pairs_oracle(labels, groups, oracle_gen)
+    assert pairs.positive.tolist() == positive.tolist()
+    assert pairs.negative.tolist() == negative.tolist()
+    assert gen.bit_generator.state == oracle_gen.bit_generator.state
+
+
+def test_sample_pairs_memory_is_linear_in_batch_size():
+    # an n-by-n mask over these 20,000 rows would take at least 400 MB
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 2, 20_000)
+    groups = rng.integers(0, 2, 20_000)
+    tracemalloc.start()
+    try:
+        pairs = sample_pairs(labels, groups, rngmod.stream(0, rngmod.PAIRS))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.all(pairs.positive >= 0) and np.all(pairs.negative >= 0)
+
+
+@pytest.mark.parametrize(
+    "call, reps, labels, groups, match",
+    [
+        pytest.param("pairs", None, [0, 1, 0], [0, 1], "groups must be 1-D", id="pairs-short-groups"),
+        pytest.param("alignment", np.ones((3, 2)), [0, 1, 0], [0, 1], "groups must be 1-D",
+                     id="alignment-short-groups"),
+        pytest.param("diversity", np.ones((3, 2)), [0, 1, 0], [0, 1], "groups must be 1-D",
+                     id="diversity-short-groups"),
+        pytest.param("alignment", np.ones((2, 2)), [0, 1], [0, 1, 1], "groups must be 1-D",
+                     id="alignment-long-groups"),
+        pytest.param("diversity", np.ones((2, 2)), [[0, 1]], [0, 1], "labels must be 1-D",
+                     id="diversity-2d-labels"),
+        pytest.param("pairs", None, [0.0, 1.0], [0, 1], "labels must hold integers", id="pairs-float-labels"),
+        pytest.param("pairs", None, [0, 1], [0, -1], "groups must be nonnegative", id="pairs-negative-group"),
+        pytest.param("alignment", np.ones((2, 2)), [-1, 1], [0, 1], "labels must be nonnegative",
+                     id="alignment-negative-label"),
+        # the label check runs before the zero-norm check
+        pytest.param("diversity", np.zeros((2, 2)), [0, 5], [0, 1], "label index out of range",
+                     id="diversity-bad-label-on-zero-row"),
+    ],
+)
+def test_cell_inputs_must_match_the_batch(call, reps, labels, groups, match):
+    labels, groups = np.array(labels), np.array(groups)
+    centers = VirtualCenters(np.ones((2, 2, 2)))
+    calls = {
+        "pairs": lambda: sample_pairs(labels, groups, rngmod.stream(0, rngmod.PAIRS)),
+        "alignment": lambda: center_alignment_loss(reps, labels, groups, centers),
+        "diversity": lambda: diversity_loss(
+            reps, labels, groups, PairAssignment(np.full(len(reps), -1), np.full(len(reps), -1)), centers
+        ),
+    }
+    with pytest.raises(ValueError, match=match):
+        calls[call]()
 
 
 # --- diversity loss ------------------------------------------------------
