@@ -21,6 +21,7 @@ from .data import (
 )
 from .experiment import run_experiment, run_seed
 from .losses import (
+    CenterCosines,
     PairAssignment,
     VirtualCenters,
     center_alignment_loss,

@@ -16,18 +16,28 @@ Three losses act on a batch of representations Z (one row per sample):
 
 Losses are averaged over the batch and return analytic gradients with
 respect to the representations and to the centers or discriminator
-parameters involved. Partner dot products are taken on unnormalized
-representations; every exponent is clamped to [-EXP_CLAMP, EXP_CLAMP]
-before exponentiation (a no-op for cosines, which live in [-1, 1]).
+parameters involved. The two center losses read the batch's cosines
+from one ``CenterCosines``, which training builds once per batch.
+Partner dot products are taken on unnormalized representations; every
+exponent is clamped to [-EXP_CLAMP, EXP_CLAMP] before exponentiation (a
+no-op for cosines, which live in [-1, 1]).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Mlp, TrainingDivergence, kaiming_uniform, log_softmax, softmax_cross_entropy
+from .net import (
+    Mlp,
+    TrainingDivergence,
+    check_index,
+    kaiming_uniform,
+    log_softmax,
+    softmax_cross_entropy,
+)
 
 EXP_CLAMP = 30.0
 CENTER_NORM_FLOOR = 1e-8
@@ -68,9 +78,9 @@ class VirtualCenters:
         Keeps cosine similarity defined under aggressive updates. Returns
         the number of redrawn centers so callers can log the anomaly.
         """
-        norms = np.linalg.norm(self.vectors, axis=-1)
+        norms = np.sqrt(np.add.reduce(self.vectors * self.vectors, axis=-1))
         bad = norms < floor
-        count = int(bad.sum())
+        count = np.count_nonzero(bad)
         if count:
             dim = self.vectors.shape[-1]
             self.vectors[bad] = kaiming_uniform((count, dim), dim, rng)
@@ -90,29 +100,20 @@ class PairAssignment:
 
 
 def _check_cells(
-    labels: np.ndarray, groups: np.ndarray, rows: int, centers: VirtualCenters | None = None
+    labels: np.ndarray, groups: np.ndarray, rows: int, cells: tuple[int, int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate per-sample class and group indices; returns them as arrays.
 
-    Both must be 1-D, hold nonnegative integers and have ``rows``
-    entries; with ``centers``, they must also index its cells.
+    Both must pass ``net.check_index``; with ``cells`` = (groups, classes),
+    they must also index a center cell.
     """
-    labels = np.asarray(labels)
-    groups = np.asarray(groups)
-    for name, a in (("labels", labels), ("groups", groups)):
-        if a.shape != (rows,):
-            raise ValueError(
-                f"{name} must be 1-D with one entry per row ({rows}), got shape {a.shape}"
-            )
-        if a.dtype.kind not in "iu":
-            raise ValueError(f"{name} must hold integers, got dtype {a.dtype}")
-        if rows and a.min() < 0:
-            raise ValueError(f"{name} must be nonnegative")
-    if centers is not None and rows:
-        g_total, c_total, _ = centers.shape
-        if labels.max() >= c_total:
+    labels = check_index("labels", labels, rows)
+    groups = check_index("groups", groups, rows)
+    if cells is not None and rows:
+        g_total, c_total = cells
+        if np.maximum.reduce(labels) >= c_total:
             raise ValueError("label index out of range for centers")
-        if groups.max() >= g_total:
+        if np.maximum.reduce(groups) >= g_total:
             raise ValueError("group index out of range for centers")
     return labels, groups
 
@@ -176,8 +177,8 @@ def discriminator_loss(
     discriminator parameters in ``params()`` order).
     """
     reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
-    groups = np.atleast_1d(np.asarray(groups))
-    if groups.size and (groups.min() < 0 or groups.max() >= disc.out_dim):
+    groups = check_index("groups", np.atleast_1d(groups), reps.shape[0])
+    if groups.size and np.maximum.reduce(groups) >= disc.out_dim:
         raise ValueError("group index out of range for discriminator output")
     logits, cache = disc.forward(reps)
     loss, dlogits = softmax_cross_entropy(logits, groups)
@@ -185,40 +186,61 @@ def discriminator_loss(
     return loss, dreps, dparams
 
 
-class _CosineSystem:
-    """Shared plumbing for all-pairs cosine similarities and gradients."""
+class CenterCosines:
+    """Cosines between a batch's representations and every center.
+
+    ``cos[i, g, c]`` is the cosine of sample i's representation and
+    center (g, c); ``grads`` maps a loss's dL/dcos weights to its
+    gradients w.r.t. the representations and the centers. Training
+    builds one per batch and hands it to both center losses.
+
+    A zero-norm representation or center leaves the cosines undefined.
+    Building still succeeds, so each loss can check its cell indices
+    first; reading ``cos`` or calling ``grads`` then raises ``ValueError``.
+    """
 
     def __init__(self, reps: np.ndarray, centers: VirtualCenters):
         self.z = np.atleast_2d(np.asarray(reps, dtype=np.float64))
         self.v = centers.vectors
-        self.z_norm = np.linalg.norm(self.z, axis=1)  # (n,)
-        self.v_norm = np.linalg.norm(self.v, axis=2)  # (G, C)
-        if np.any(self.z_norm == 0.0):
-            raise ValueError("cosine similarity undefined for zero-norm representation")
-        if np.any(self.v_norm == 0.0):
-            raise ValueError("cosine similarity undefined for zero-norm center")
-        self.z_hat = self.z / self.z_norm[:, None]
-        self.v_hat = self.v / self.v_norm[:, :, None]
-        # cos[i, g, c] = cosine(V[g, c], z_i)
-        self.cos = np.einsum("nm,gcm->ngc", self.z_hat, self.v_hat)
+        # np.linalg.norm's arithmetic, without its Python dispatch
+        self.z_norm = np.sqrt(np.add.reduce(self.z * self.z, axis=1))  # (n,)
+        self.v_norm = np.sqrt(np.add.reduce(self.v * self.v, axis=2))  # (G, C)
+        self.undefined = None
+        if not self.z_norm.all():
+            self.undefined = "cosine similarity undefined for zero-norm representation"
+        elif not self.v_norm.all():
+            self.undefined = "cosine similarity undefined for zero-norm center"
+        else:
+            self.z_hat = self.z / self.z_norm[:, None]
+            self.v_hat = self.v / self.v_norm[:, :, None]
+            self._cos = np.einsum("nm,gcm->ngc", self.z_hat, self.v_hat)
+
+    @property
+    def cells(self) -> tuple[int, int]:
+        """(groups, classes) of the centers."""
+        return self.v.shape[:2]
+
+    @property
+    def cos(self) -> np.ndarray:
+        """(n, G, C) cosines; raises ``ValueError`` if undefined."""
+        if self.undefined:
+            raise ValueError(self.undefined)
+        return self._cos
 
     def grads(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map dL/dcos weights (n, G, C) to (dL/dZ, dL/dV)."""
-        wc = weights * self.cos
+        wc = weights * self.cos  # raises if the cosines are undefined
         dz = np.einsum("ngc,gcm->nm", weights, self.v_hat)
-        dz -= wc.sum(axis=(1, 2))[:, None] * self.z_hat
+        dz -= np.add.reduce(wc, axis=(1, 2))[:, None] * self.z_hat
         dz /= self.z_norm[:, None]
         dv = np.einsum("ngc,nm->gcm", weights, self.z_hat)
-        dv -= wc.sum(axis=0)[:, :, None] * self.v_hat
+        dv -= np.add.reduce(wc, axis=0)[:, :, None] * self.v_hat
         dv /= self.v_norm[:, :, None]
         return dz, dv
 
 
 def center_alignment_loss(
-    reps: np.ndarray,
-    labels: np.ndarray,
-    groups: np.ndarray,
-    centers: VirtualCenters,
+    cosines: CenterCosines, labels: np.ndarray, groups: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Bidirectional sample/center alignment, batch-averaged.
 
@@ -226,28 +248,25 @@ def center_alignment_loss(
     the true class under a softmax over cosine similarities to that row's
     per-class centers, summed over the rows. Returns (loss, dZ, dV).
     """
-    reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
-    n = reps.shape[0]
-    labels, groups = _check_cells(np.atleast_1d(labels), np.atleast_1d(groups), n, centers)
-    sys = _CosineSystem(reps, centers)
-    logp = log_softmax(sys.cos)  # softmax over classes, per (sample, group)
+    n = cosines.z.shape[0]
+    labels, groups = _check_cells(np.atleast_1d(labels), np.atleast_1d(groups), n, cosines.cells)
+    logp = log_softmax(cosines.cos)  # softmax over classes, per (sample, group)
     rows = np.arange(n)
     # weights[i, g, c] = d loss / d cos[i, g, c]
     weights = np.exp(logp)
     weights[rows, :, labels] -= 1.0
     per_group_ce = -logp[rows, :, labels]  # (n, G)
-    loss = float(per_group_ce.sum() / n)
+    loss = float(np.add.reduce(per_group_ce, axis=None) / n)
     weights /= n
-    dz, dv = sys.grads(weights)
+    dz, dv = cosines.grads(weights)
     return loss, dz, dv
 
 
 def diversity_loss(
-    reps: np.ndarray,
+    cosines: CenterCosines,
     labels: np.ndarray,
     groups: np.ndarray,
     pairs: PairAssignment,
-    centers: VirtualCenters,
 ) -> tuple[float, np.ndarray, np.ndarray, int]:
     """Contrastive pull/push over partners and centers, batch-averaged.
 
@@ -257,71 +276,74 @@ def diversity_loss(
     denominator would be empty is skipped. Returns
     (loss, dZ, dV, skipped_count). The value may be negative.
     """
-    reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
-    n = reps.shape[0]
-    labels, groups = _check_cells(np.atleast_1d(labels), np.atleast_1d(groups), n, centers)
-    g_total, c_total, _ = centers.shape
+    z = cosines.z
+    n = z.shape[0]
+    g_total, c_total = cosines.cells
+    labels, groups = _check_cells(np.atleast_1d(labels), np.atleast_1d(groups), n, cosines.cells)
+    rows = np.arange(n)
     for name, partner in (("positive", pairs.positive), ("negative", pairs.negative)):
         partner = np.asarray(partner)
         if partner.shape != (n,):
             raise ValueError(f"{name} partner array must have one entry per sample")
-        bad = (partner >= n) | (partner < -1) | ((partner >= 0) & (partner == np.arange(n)))
-        if np.any(bad):
+        bad = (partner >= n) | (partner < -1) | (partner == rows)
+        if bad.any():
             raise ValueError(f"{name} partner index invalid at positions {np.flatnonzero(bad)}")
+    cos = cosines.cos  # raises here if a representation or center has zero norm
 
-    sys = _CosineSystem(reps, centers)
-    z = sys.z
     pos = pairs.positive
     neg = pairs.negative
     has_pos = pos >= 0
     has_neg = neg >= 0
-    rows = np.arange(n)
+    z_pos = z[pos]
+    z_neg = z[neg]
 
-    dot_pos = np.where(has_pos, np.einsum("nm,nm->n", z, z[pos]), 0.0)
-    dot_neg = np.where(has_neg, np.einsum("nm,nm->n", z, z[neg]), 0.0)
-    if not (np.all(np.isfinite(dot_pos)) and np.all(np.isfinite(dot_neg))):
+    dot_pos = np.where(has_pos, np.einsum("nm,nm->n", z, z_pos), 0.0)
+    dot_neg = np.where(has_neg, np.einsum("nm,nm->n", z, z_neg), 0.0)
+    if not (np.isfinite(dot_pos).all() and np.isfinite(dot_neg).all()):
         raise TrainingDivergence("non-finite representation dot products")
 
     def clamped_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # x is finite here, so the min/max pair clamps exactly as np.clip does
         active = np.abs(x) < EXP_CLAMP
-        return np.exp(np.clip(x, -EXP_CLAMP, EXP_CLAMP)), active
+        return np.exp(np.minimum(np.maximum(x, -EXP_CLAMP), EXP_CLAMP)), active
 
     exp_pos, act_pos = clamped_exp(dot_pos)
     exp_neg, act_neg = clamped_exp(dot_neg)
     exp_pos = exp_pos * has_pos
     exp_neg = exp_neg * has_neg
 
-    own = sys.cos[rows, groups, labels]
-    exp_own = np.exp(own)
+    exp_own = np.exp(cos[rows, groups, labels])
     other = (np.arange(g_total)[:, None] != groups[:, None, None]) & (
         np.arange(c_total)[None, :] != labels[:, None, None]
     )  # (n, G, C)
-    exp_other = np.exp(sys.cos) * other
+    exp_other = np.exp(cos) * other
 
     numer = exp_pos + exp_own  # own-center term keeps this nonempty
-    has_denom = has_neg | other.any(axis=(1, 2))
-    denom = exp_neg + exp_other.sum(axis=(1, 2))
-    skipped = int((~has_denom).sum())
+    # once the cells are in range, every sample has a cell differing in
+    # both coordinates exactly when there are two groups and two classes
+    has_denom = has_neg | (g_total > 1 and c_total > 1)
+    denom = exp_neg + np.add.reduce(exp_other, axis=(1, 2))
+    skipped = n - np.count_nonzero(has_denom)
+    safe_denom = np.where(has_denom, denom, 1.0)
 
-    contrib = np.where(has_denom, np.log(np.where(has_denom, denom, 1.0)) - np.log(numer), 0.0)
-    loss = float(contrib.sum() / n)
-    if not np.isfinite(loss):
+    contrib = np.where(has_denom, np.log(safe_denom) - np.log(numer), 0.0)
+    loss = float(np.add.reduce(contrib) / n)
+    if not math.isfinite(loss):
         raise TrainingDivergence("diversity loss diverged despite exponent clamping")
 
     live = has_denom.astype(np.float64)
     coef_pos = -(exp_pos / numer) * act_pos * live / n
-    coef_neg = (exp_neg / np.where(has_denom, denom, 1.0)) * act_neg * live / n
+    coef_neg = (exp_neg / safe_denom) * act_neg * live / n
     coef_own = -(exp_own / numer) * live / n
-    w_other = exp_other / np.where(has_denom, denom, 1.0)[:, None, None] * live[:, None, None] / n
+    weights = exp_other / safe_denom[:, None, None] * live[:, None, None] / n
 
-    dz = np.zeros_like(z)
-    dz += coef_pos[:, None] * np.where(has_pos[:, None], z[pos], 0.0)
-    dz += coef_neg[:, None] * np.where(has_neg[:, None], z[neg], 0.0)
+    dz = np.zeros(z.shape)
+    dz += coef_pos[:, None] * np.where(has_pos[:, None], z_pos, 0.0)
+    dz += coef_neg[:, None] * np.where(has_neg[:, None], z_neg, 0.0)
     np.add.at(dz, pos[has_pos], coef_pos[has_pos, None] * z[has_pos])
     np.add.at(dz, neg[has_neg], coef_neg[has_neg, None] * z[has_neg])
 
-    weights = w_other.copy()
     weights[rows, groups, labels] += coef_own
-    dz_cos, dv = sys.grads(weights)
+    dz_cos, dv = cosines.grads(weights)
     dz += dz_cos
     return loss, dz, dv, skipped

@@ -111,7 +111,7 @@ class Mlp:
                 grads[2 * idx + 1] = dz.copy()
             else:
                 grads[2 * idx] = dz.T @ a_in
-                grads[2 * idx + 1] = dz.sum(axis=0)
+                grads[2 * idx + 1] = np.add.reduce(dz, axis=0)
             d = dz @ layer.weight
         return grads, d
 
@@ -137,10 +137,28 @@ def init_mlp(dims: list[int], activations: list[str], rng: np.random.Generator) 
     return Mlp(layers)
 
 
+def check_index(name: str, values: np.ndarray, rows: int) -> np.ndarray:
+    """Validate one per-sample index array, such as labels or groups.
+
+    It must be 1-D, hold nonnegative integers and have ``rows``
+    entries; returns it as an array, or raises ``ValueError``.
+    """
+    values = np.asarray(values)
+    if values.shape != (rows,):
+        raise ValueError(
+            f"{name} must be 1-D with one entry per row ({rows}), got shape {values.shape}"
+        )
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
+    if rows and np.minimum.reduce(values) < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return values
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax with max subtraction for stability."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -156,15 +174,14 @@ def softmax_cross_entropy(
     1/batch factor, matching this package's averaging convention.
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels))
     n, c = logits.shape
-    if labels.shape != (n,):
-        raise ValueError("labels must have one entry per logits row")
-    if labels.min() < 0 or labels.max() >= c:
+    labels = check_index("labels", np.atleast_1d(labels), n)
+    if np.maximum.reduce(labels) >= c:
         raise ValueError("label index out of range")
     ls = log_softmax(logits)
     rows = np.arange(n)
-    loss = -ls[rows, labels].mean()
+    # the arithmetic of ndarray.mean: one sum, then one true divide
+    loss = -(np.add.reduce(ls[rows, labels]) / n)
     dlogits = np.exp(ls)
     dlogits[rows, labels] -= 1.0
     dlogits /= n
@@ -187,7 +204,7 @@ def sgd_step(
     for p, v, g in zip(params, velocity, grads):
         if p.shape != g.shape:
             raise ValueError("gradient shape does not match parameter")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise TrainingDivergence("non-finite gradient entries")
         v *= momentum
         v += g

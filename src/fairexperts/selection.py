@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import GroupMetrics
+from .net import check_index
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,10 @@ def routed_predictor(decision: SelectionDecision, experts_model, erm_model):
 
     def predict(features: np.ndarray, groups: np.ndarray) -> np.ndarray:
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        groups = np.atleast_1d(np.asarray(groups))
+        groups = check_index("groups", np.atleast_1d(groups), features.shape[0])
         if groups.size == 0:
             return erm_predict(features, groups)  # (0, classes), as a model gives
-        if groups.min() < 0 or groups.max() >= choices.size:
+        if groups.max() >= choices.size:
             raise ValueError("group index not covered by the selection decision")
         use_expert = choices[groups] == 1
         probs: np.ndarray | None = None

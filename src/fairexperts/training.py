@@ -11,11 +11,12 @@ group's head. Only experts carry a discriminator and virtual centers.
   representations.
 * ``train_experts``: the full procedure. Each batch computes the routed
   per-group cross-entropy, the discriminator linkage loss, the center
-  alignment loss, and the diversity loss, then takes one simultaneous
-  momentum step: the discriminator moves along its own loss scaled by
-  lambda_disc, the centers along the alignment and diversity terms, the
-  backbone along the weighted sum of all four, and each head along the
-  classification loss restricted to its group.
+  alignment loss, and the diversity loss (the last two share one
+  sample/center cosine system, built once per batch), then takes one
+  simultaneous momentum step: the discriminator moves along its own
+  loss scaled by lambda_disc, the centers along the alignment and
+  diversity terms, the backbone along the weighted sum of all four, and
+  each head along the classification loss restricted to its group.
 
 All four run through ``_fit``, the one training loop: seeded mini-batch
 momentum SGD over one flat parameter buffer and one flat velocity buffer
@@ -41,6 +42,7 @@ import numpy as np
 from . import rng as rngmod
 from .data import Dataset
 from .losses import (
+    CenterCosines,
     VirtualCenters,
     center_alignment_loss,
     discriminator_loss,
@@ -51,6 +53,7 @@ from .metrics import accuracy
 from .net import (
     Mlp,
     TrainingDivergence,
+    check_index,
     init_mlp,
     sgd_step,
     softmax,
@@ -152,8 +155,8 @@ class Model:
         z = self.representations(features)
         if self.kind == "erm":
             return softmax(self.heads[0].forward(z)[0])
-        groups = np.atleast_1d(np.asarray(groups))
-        if groups.size and (groups.min() < 0 or groups.max() >= len(self.heads)):
+        groups = check_index("groups", np.atleast_1d(groups), z.shape[0])
+        if groups.size and np.maximum.reduce(groups) >= len(self.heads):
             raise ValueError("group index out of range for per-group heads")
         probs = np.empty((z.shape[0], self.heads[0].out_dim))
         for g, head in enumerate(self.heads):
@@ -206,6 +209,7 @@ def _fit(
     """
     flat = _flatten(parts)
     velocity = np.zeros_like(flat)
+    flat_grad = np.empty_like(flat)
     means = []
     for epoch in range(hp.epochs):
         sums = 0.0
@@ -213,7 +217,7 @@ def _fit(
             losses, grads = batch_grads(batch, epoch)
             if not all(map(math.isfinite, losses)):
                 raise TrainingDivergence(f"{name} diverged at epoch {epoch}")
-            flat_grad = np.concatenate([g.ravel() for g in grads])
+            np.concatenate(grads, axis=None, out=flat_grad)
             sgd_step([flat], [velocity], [flat_grad], hp.lr(epoch), hp.momentum)
             sums = sums + np.asarray(losses) * len(batch)
         means.append(sums / n)
@@ -260,7 +264,7 @@ def _routed_cross_entropy(
     exact zeros. Returns (loss, dZ, per-head parameter gradients).
     """
     n = z.shape[0]
-    dz = np.zeros_like(z)
+    dz = np.zeros(z.shape)
     total = 0.0
     head_grads: list[list[np.ndarray]] = []
     for g, head in enumerate(heads):
@@ -321,7 +325,9 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
         redraw_degenerate_centers(epoch)
         xb, yb, ab = features[batch], labels[batch], groups[batch]
         z, cache_b = backbone.forward(xb)
-        if np.any(np.linalg.norm(z, axis=1) == 0.0):
+        # one cosine system per batch, shared by both center losses
+        cosines = CenterCosines(z, centers)
+        if not cosines.z_norm.all():
             raise TrainingDivergence(
                 f"epoch {epoch}: a sample's representation is exactly zero "
                 "(all hidden units inactive); widen hidden_dim or rescale "
@@ -330,9 +336,9 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
 
         loss_cls, dz_cls, head_grads = _routed_cross_entropy(heads, z, yb, ab)
         loss_disc, dz_disc, disc_grads = discriminator_loss(z, ab, disc)
-        loss_virt, dz_virt, dv_virt = center_alignment_loss(z, yb, ab, centers)
+        loss_virt, dz_virt, dv_virt = center_alignment_loss(cosines, yb, ab)
         pairs = sample_pairs(yb, ab, pairs_rng)
-        loss_div, dz_div, dv_div, skipped = diversity_loss(z, yb, ab, pairs, centers)
+        loss_div, dz_div, dv_div, skipped = diversity_loss(cosines, yb, ab, pairs)
         if skipped:
             logger.debug("epoch %d: %d samples skipped in diversity loss", epoch, skipped)
 

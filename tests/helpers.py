@@ -3,6 +3,8 @@
 import numpy as np
 
 from fairexperts import HyperParams, SyntheticConfig, generate_synthetic
+from fairexperts.losses import EXP_CLAMP, PairAssignment, VirtualCenters
+from fairexperts.net import TrainingDivergence
 
 
 def central_difference(fn, x, step=1e-5):
@@ -140,3 +142,210 @@ def tiny_hp(**kwargs):
     defaults = dict(seed=5, epochs=2, batch_size=16, hidden_dim=16, repr_dim=4)
     defaults.update(kwargs)
     return HyperParams(**defaults)
+
+
+# --- loss oracles ------------------------------------------------------------
+# The center losses and the cross-entropy helpers as they were before the
+# cosine system was shared between the two center losses, copied with only
+# their names changed. Tests require the package's losses to reproduce
+# them bit for bit.
+
+
+def check_cells_oracle(
+    labels: np.ndarray, groups: np.ndarray, rows: int, centers: VirtualCenters | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate per-sample class and group indices; returns them as arrays.
+
+    Both must be 1-D, hold nonnegative integers and have ``rows``
+    entries; with ``centers``, they must also index its cells.
+    """
+    labels = np.asarray(labels)
+    groups = np.asarray(groups)
+    for name, a in (("labels", labels), ("groups", groups)):
+        if a.shape != (rows,):
+            raise ValueError(
+                f"{name} must be 1-D with one entry per row ({rows}), got shape {a.shape}"
+            )
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integers, got dtype {a.dtype}")
+        if rows and a.min() < 0:
+            raise ValueError(f"{name} must be nonnegative")
+    if centers is not None and rows:
+        g_total, c_total, _ = centers.shape
+        if labels.max() >= c_total:
+            raise ValueError("label index out of range for centers")
+        if groups.max() >= g_total:
+            raise ValueError("group index out of range for centers")
+    return labels, groups
+
+
+class CosineSystemOracle:
+    """Shared plumbing for all-pairs cosine similarities and gradients."""
+
+    def __init__(self, reps: np.ndarray, centers: VirtualCenters):
+        self.z = np.atleast_2d(np.asarray(reps, dtype=np.float64))
+        self.v = centers.vectors
+        self.z_norm = np.linalg.norm(self.z, axis=1)  # (n,)
+        self.v_norm = np.linalg.norm(self.v, axis=2)  # (G, C)
+        if np.any(self.z_norm == 0.0):
+            raise ValueError("cosine similarity undefined for zero-norm representation")
+        if np.any(self.v_norm == 0.0):
+            raise ValueError("cosine similarity undefined for zero-norm center")
+        self.z_hat = self.z / self.z_norm[:, None]
+        self.v_hat = self.v / self.v_norm[:, :, None]
+        # cos[i, g, c] = cosine(V[g, c], z_i)
+        self.cos = np.einsum("nm,gcm->ngc", self.z_hat, self.v_hat)
+
+    def grads(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Map dL/dcos weights (n, G, C) to (dL/dZ, dL/dV)."""
+        wc = weights * self.cos
+        dz = np.einsum("ngc,gcm->nm", weights, self.v_hat)
+        dz -= wc.sum(axis=(1, 2))[:, None] * self.z_hat
+        dz /= self.z_norm[:, None]
+        dv = np.einsum("ngc,nm->gcm", weights, self.z_hat)
+        dv -= wc.sum(axis=0)[:, :, None] * self.v_hat
+        dv /= self.v_norm[:, :, None]
+        return dz, dv
+
+
+def center_alignment_oracle(
+    reps: np.ndarray,
+    labels: np.ndarray,
+    groups: np.ndarray,
+    centers: VirtualCenters,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Bidirectional sample/center alignment, batch-averaged.
+
+    For each sample and every group's center row, the cross-entropy of
+    the true class under a softmax over cosine similarities to that row's
+    per-class centers, summed over the rows. Returns (loss, dZ, dV).
+    """
+    reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
+    n = reps.shape[0]
+    labels, groups = check_cells_oracle(np.atleast_1d(labels), np.atleast_1d(groups), n, centers)
+    sys = CosineSystemOracle(reps, centers)
+    logp = log_softmax_oracle(sys.cos)  # softmax over classes, per (sample, group)
+    rows = np.arange(n)
+    # weights[i, g, c] = d loss / d cos[i, g, c]
+    weights = np.exp(logp)
+    weights[rows, :, labels] -= 1.0
+    per_group_ce = -logp[rows, :, labels]  # (n, G)
+    loss = float(per_group_ce.sum() / n)
+    weights /= n
+    dz, dv = sys.grads(weights)
+    return loss, dz, dv
+
+
+def diversity_oracle(
+    reps: np.ndarray,
+    labels: np.ndarray,
+    groups: np.ndarray,
+    pairs: PairAssignment,
+    centers: VirtualCenters,
+) -> tuple[float, np.ndarray, np.ndarray, int]:
+    """Contrastive pull/push over partners and centers, batch-averaged.
+
+    Per sample: -log of (exp(z.z_pos) + exp(cos to own cell center)) over
+    (exp(z.z_neg) + sum of exp(cos) to centers differing in both group
+    and class). A missing partner drops its exponential; a sample whose
+    denominator would be empty is skipped. Returns
+    (loss, dZ, dV, skipped_count). The value may be negative.
+    """
+    reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
+    n = reps.shape[0]
+    labels, groups = check_cells_oracle(np.atleast_1d(labels), np.atleast_1d(groups), n, centers)
+    g_total, c_total, _ = centers.shape
+    for name, partner in (("positive", pairs.positive), ("negative", pairs.negative)):
+        partner = np.asarray(partner)
+        if partner.shape != (n,):
+            raise ValueError(f"{name} partner array must have one entry per sample")
+        bad = (partner >= n) | (partner < -1) | ((partner >= 0) & (partner == np.arange(n)))
+        if np.any(bad):
+            raise ValueError(f"{name} partner index invalid at positions {np.flatnonzero(bad)}")
+
+    sys = CosineSystemOracle(reps, centers)
+    z = sys.z
+    pos = pairs.positive
+    neg = pairs.negative
+    has_pos = pos >= 0
+    has_neg = neg >= 0
+    rows = np.arange(n)
+
+    dot_pos = np.where(has_pos, np.einsum("nm,nm->n", z, z[pos]), 0.0)
+    dot_neg = np.where(has_neg, np.einsum("nm,nm->n", z, z[neg]), 0.0)
+    if not (np.all(np.isfinite(dot_pos)) and np.all(np.isfinite(dot_neg))):
+        raise TrainingDivergence("non-finite representation dot products")
+
+    def clamped_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        active = np.abs(x) < EXP_CLAMP
+        return np.exp(np.clip(x, -EXP_CLAMP, EXP_CLAMP)), active
+
+    exp_pos, act_pos = clamped_exp(dot_pos)
+    exp_neg, act_neg = clamped_exp(dot_neg)
+    exp_pos = exp_pos * has_pos
+    exp_neg = exp_neg * has_neg
+
+    own = sys.cos[rows, groups, labels]
+    exp_own = np.exp(own)
+    other = (np.arange(g_total)[:, None] != groups[:, None, None]) & (
+        np.arange(c_total)[None, :] != labels[:, None, None]
+    )  # (n, G, C)
+    exp_other = np.exp(sys.cos) * other
+
+    numer = exp_pos + exp_own  # own-center term keeps this nonempty
+    has_denom = has_neg | other.any(axis=(1, 2))
+    denom = exp_neg + exp_other.sum(axis=(1, 2))
+    skipped = int((~has_denom).sum())
+
+    contrib = np.where(has_denom, np.log(np.where(has_denom, denom, 1.0)) - np.log(numer), 0.0)
+    loss = float(contrib.sum() / n)
+    if not np.isfinite(loss):
+        raise TrainingDivergence("diversity loss diverged despite exponent clamping")
+
+    live = has_denom.astype(np.float64)
+    coef_pos = -(exp_pos / numer) * act_pos * live / n
+    coef_neg = (exp_neg / np.where(has_denom, denom, 1.0)) * act_neg * live / n
+    coef_own = -(exp_own / numer) * live / n
+    w_other = exp_other / np.where(has_denom, denom, 1.0)[:, None, None] * live[:, None, None] / n
+
+    dz = np.zeros_like(z)
+    dz += coef_pos[:, None] * np.where(has_pos[:, None], z[pos], 0.0)
+    dz += coef_neg[:, None] * np.where(has_neg[:, None], z[neg], 0.0)
+    np.add.at(dz, pos[has_pos], coef_pos[has_pos, None] * z[has_pos])
+    np.add.at(dz, neg[has_neg], coef_neg[has_neg, None] * z[has_neg])
+
+    weights = w_other.copy()
+    weights[rows, groups, labels] += coef_own
+    dz_cos, dv = sys.grads(weights)
+    dz += dz_cos
+    return loss, dz, dv, skipped
+
+
+def log_softmax_oracle(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax with max subtraction for stability."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def softmax_cross_entropy_oracle(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Batch-averaged cross-entropy of integer ``labels`` under softmax.
+
+    Returns (loss, gradient w.r.t. logits). The gradient carries the
+    1/batch factor, matching this package's averaging convention.
+    """
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    labels = np.atleast_1d(np.asarray(labels))
+    n, c = logits.shape
+    if labels.shape != (n,):
+        raise ValueError("labels must have one entry per logits row")
+    if labels.min() < 0 or labels.max() >= c:
+        raise ValueError("label index out of range")
+    ls = log_softmax_oracle(logits)
+    rows = np.arange(n)
+    loss = -ls[rows, labels].mean()
+    dlogits = np.exp(ls)
+    dlogits[rows, labels] -= 1.0
+    dlogits /= n
+    return float(loss), dlogits

@@ -16,6 +16,7 @@ from fairexperts import rng as rngmod
 from fairexperts.config import config_from_dict, load_config
 from fairexperts.experiment import run_experiment
 from fairexperts.losses import (
+    CenterCosines,
     PairAssignment,
     VirtualCenters,
     center_alignment_loss,
@@ -92,25 +93,31 @@ def test_criterion_01_gradients_match_finite_differences():
                 grad, central_difference(lambda: discriminator_loss(z, groups, disc)[0], p)
             ))
 
-        _, dz, dv = center_alignment_loss(z, labels, groups, centers)
+        _, dz, dv = center_alignment_loss(CenterCosines(z, centers), labels, groups)
         worst = max(worst, max_relative_error(
-            dz, central_difference(lambda: center_alignment_loss(z, labels, groups, centers)[0], z)
+            dz,
+            central_difference(
+                lambda: center_alignment_loss(CenterCosines(z, centers), labels, groups)[0], z
+            ),
         ))
         worst = max(worst, max_relative_error(
             dv,
             central_difference(
-                lambda: center_alignment_loss(z, labels, groups, centers)[0], centers.vectors
+                lambda: center_alignment_loss(CenterCosines(z, centers), labels, groups)[0], centers.vectors
             ),
         ))
 
-        _, dz, dv, _ = diversity_loss(z, labels, groups, pairs, centers)
+        _, dz, dv, _ = diversity_loss(CenterCosines(z, centers), labels, groups, pairs)
         worst = max(worst, max_relative_error(
-            dz, central_difference(lambda: diversity_loss(z, labels, groups, pairs, centers)[0], z)
+            dz,
+            central_difference(
+                lambda: diversity_loss(CenterCosines(z, centers), labels, groups, pairs)[0], z
+            ),
         ))
         worst = max(worst, max_relative_error(
             dv,
             central_difference(
-                lambda: diversity_loss(z, labels, groups, pairs, centers)[0], centers.vectors
+                lambda: diversity_loss(CenterCosines(z, centers), labels, groups, pairs)[0], centers.vectors
             ),
         ))
 
@@ -143,7 +150,7 @@ def test_criterion_02_closed_form_loss_values():
 
     centers_single = VirtualCenters(np.ones((2, 1, 3)))
     loss_virt, _, _ = center_alignment_loss(
-        np.array([[1.0, 2.0, 3.0]]), np.array([0]), np.array([1]), centers_single
+        CenterCosines(np.array([[1.0, 2.0, 3.0]]), centers_single), np.array([0]), np.array([1])
     )
 
     vectors = np.zeros((2, 2, 3))
@@ -152,11 +159,10 @@ def test_criterion_02_closed_form_loss_values():
     vectors[0, 1] = [0.0, 0.0, 5.0]
     vectors[1, 0] = [0.0, 0.0, 5.0]
     loss_div, _, _, _ = diversity_loss(
-        np.array([[1.0, 0.0, 0.0]]),
+        CenterCosines(np.array([[1.0, 0.0, 0.0]]), VirtualCenters(vectors)),
         np.array([0]),
         np.array([0]),
         PairAssignment(np.array([-1]), np.array([-1])),
-        VirtualCenters(vectors),
     )
     ok = err_disc < 1e-12 and abs(loss_virt) < 1e-12 and abs(loss_div) < 1e-12
     report_criterion(

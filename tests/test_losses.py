@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fairexperts import rng as rngmod
 from fairexperts.losses import (
     EXP_CLAMP,
+    CenterCosines,
     PairAssignment,
     VirtualCenters,
     center_alignment_loss,
@@ -18,9 +19,17 @@ from fairexperts.losses import (
     diversity_loss,
     sample_pairs,
 )
-from fairexperts.net import Layer, Mlp, init_mlp
+from fairexperts.net import Layer, Mlp, init_mlp, log_softmax, softmax_cross_entropy
 
-from helpers import central_difference, max_relative_error, sample_pairs_oracle
+from helpers import (
+    center_alignment_oracle,
+    central_difference,
+    diversity_oracle,
+    log_softmax_oracle,
+    max_relative_error,
+    sample_pairs_oracle,
+    softmax_cross_entropy_oracle,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pair_assignment_seed3.json")
 
@@ -72,7 +81,7 @@ def test_disc_loss_nonnegative_and_zero_iff_exact():
 def test_alignment_loss_zero_for_single_class():
     centers = VirtualCenters(np.ones((2, 1, 3)))
     loss, dz, dv = center_alignment_loss(
-        np.array([[1.0, 2.0, 3.0]]), np.array([0]), np.array([1]), centers
+        CenterCosines(np.array([[1.0, 2.0, 3.0]]), centers), np.array([0]), np.array([1])
     )
     assert loss == 0.0
     assert np.all(dz == 0) and np.all(dv == 0)
@@ -82,7 +91,7 @@ def test_alignment_loss_symmetric_cosines_give_ln2():
     # one sample, G=1, C=2, equal similarity to both class centers
     z = np.array([[1.0, 1.0]])
     centers = VirtualCenters(np.array([[[2.0, 0.0], [0.0, 2.0]]]))
-    loss, _, _ = center_alignment_loss(z, np.array([0]), np.array([0]), centers)
+    loss, _, _ = center_alignment_loss(CenterCosines(z, centers), np.array([0]), np.array([0]))
     assert abs(loss - math.log(2)) < 1e-12
 
 
@@ -94,7 +103,7 @@ def test_alignment_loss_hand_value_two_groups():
     vectors[:, 0] = [2.0, 0.0, 0.0]
     vectors[:, 1] = [-3.0, 0.0, 0.0]
     loss, _, _ = center_alignment_loss(
-        z, np.array([0]), np.array([0]), VirtualCenters(vectors)
+        CenterCosines(z, VirtualCenters(vectors)), np.array([0]), np.array([0])
     )
     assert loss == pytest.approx(2 * math.log(1 + math.exp(-2)), abs=1e-12)
 
@@ -105,17 +114,32 @@ def test_alignment_loss_nonnegative_and_scale_invariant():
     labels = rng.integers(0, 2, 6)
     groups = rng.integers(0, 2, 6)
     centers = VirtualCenters(rng.standard_normal((2, 2, 4)))
-    loss, _, _ = center_alignment_loss(z, labels, groups, centers)
+    loss, _, _ = center_alignment_loss(CenterCosines(z, centers), labels, groups)
     assert loss >= 0.0
     scales = rng.uniform(0.1, 10.0, size=(6, 1))
-    scaled, _, _ = center_alignment_loss(z * scales, labels, groups, centers)
+    scaled, _, _ = center_alignment_loss(CenterCosines(z * scales, centers), labels, groups)
     assert scaled == pytest.approx(loss, rel=1e-12, abs=1e-12)
 
 
 def test_alignment_loss_rejects_zero_norm():
     centers = VirtualCenters(np.ones((1, 2, 3)))
     with pytest.raises(ValueError, match="zero-norm"):
-        center_alignment_loss(np.zeros((1, 3)), np.array([0]), np.array([0]), centers)
+        center_alignment_loss(
+            CenterCosines(np.zeros((1, 3)), centers), np.array([0]), np.array([0])
+        )
+    # every direct use of an undefined system raises the same error
+    z = np.ones((2, 3))
+    z[1] = 0.0
+    degenerate = VirtualCenters(np.ones((1, 2, 3)))
+    degenerate.vectors[0, 1] = 0.0  # as an SGD step could leave it
+    for cosines, zero in (
+        (CenterCosines(z, centers), "representation"),
+        (CenterCosines(np.ones((2, 3)), degenerate), "center"),
+    ):
+        with pytest.raises(ValueError, match=f"zero-norm {zero}"):
+            cosines.cos
+        with pytest.raises(ValueError, match=f"zero-norm {zero}"):
+            cosines.grads(np.ones((2, 1, 2)))
 
 
 def test_virtual_centers_reject_zero_vector():
@@ -289,6 +313,14 @@ def test_sample_pairs_memory_is_linear_in_batch_size():
         # the label check runs before the zero-norm check
         pytest.param("diversity", np.zeros((2, 2)), [0, 5], [0, 1], "label index out of range",
                      id="diversity-bad-label-on-zero-row"),
+        pytest.param("discriminator", np.ones((2, 2)), [0, 1], [0.0, 1.0], "groups must hold integers",
+                     id="discriminator-float-groups"),
+        pytest.param("discriminator", np.ones((3, 2)), [0, 1, 0], [0, 1], "groups must be 1-D",
+                     id="discriminator-short-groups"),
+        pytest.param("cross_entropy", np.ones((2, 2)), [0.0, 1.0], [0, 1], "labels must hold integers",
+                     id="cross-entropy-float-labels"),
+        pytest.param("cross_entropy", np.ones((2, 2)), [[0, 1]], [0, 1], "labels must be 1-D",
+                     id="cross-entropy-2d-labels"),
     ],
 )
 def test_cell_inputs_must_match_the_batch(call, reps, labels, groups, match):
@@ -296,9 +328,12 @@ def test_cell_inputs_must_match_the_batch(call, reps, labels, groups, match):
     centers = VirtualCenters(np.ones((2, 2, 2)))
     calls = {
         "pairs": lambda: sample_pairs(labels, groups, rngmod.stream(0, rngmod.PAIRS)),
-        "alignment": lambda: center_alignment_loss(reps, labels, groups, centers),
+        "discriminator": lambda: discriminator_loss(reps, groups, uniform_disc(2, dim=2)),
+        "cross_entropy": lambda: softmax_cross_entropy(reps, labels),
+        "alignment": lambda: center_alignment_loss(CenterCosines(reps, centers), labels, groups),
         "diversity": lambda: diversity_loss(
-            reps, labels, groups, PairAssignment(np.full(len(reps), -1), np.full(len(reps), -1)), centers
+            CenterCosines(reps, centers), labels, groups,
+            PairAssignment(np.full(len(reps), -1), np.full(len(reps), -1)),
         ),
     }
     with pytest.raises(ValueError, match=match):
@@ -319,7 +354,7 @@ def test_diversity_loss_zero_when_ratio_is_one():
     vectors[1, 0] = [0.0, 0.0, 5.0]
     pairs = PairAssignment(np.array([-1]), np.array([-1]))
     loss, dz, dv, skipped = diversity_loss(
-        z, np.array([0]), np.array([0]), pairs, VirtualCenters(vectors)
+        CenterCosines(z, VirtualCenters(vectors)), np.array([0]), np.array([0]), pairs
     )
     assert loss == 0.0
     assert skipped == 0
@@ -340,7 +375,9 @@ def test_diversity_loss_hand_value():
     vectors[0, 1] = [0.0, 0.0, 0.0, 7.0]
     vectors[1, 0] = [0.0, 0.0, 0.0, 7.0]
     pairs = PairAssignment(np.array([1, -1, -1]), np.array([2, -1, -1]))
-    loss, _, _, skipped = diversity_loss(z, labels, groups, pairs, VirtualCenters(vectors))
+    loss, _, _, skipped = diversity_loss(
+        CenterCosines(z, VirtualCenters(vectors)), labels, groups, pairs
+    )
     assert loss == pytest.approx(-1.0 / 3.0, abs=1e-12)
     assert skipped == 0
 
@@ -352,7 +389,7 @@ def test_diversity_loss_skips_samples_without_denominator():
     centers = VirtualCenters(np.ones((1, 2, 2)))
     pairs = PairAssignment(np.array([-1]), np.array([-1]))
     loss, dz, dv, skipped = diversity_loss(
-        z, np.array([0]), np.array([0]), pairs, centers
+        CenterCosines(z, centers), np.array([0]), np.array([0]), pairs
     )
     assert loss == 0.0
     assert skipped == 1
@@ -376,7 +413,7 @@ def test_diversity_loss_decreases_when_positive_dot_grows():
     for dot in (0.2, 0.9, 2.5):
         z1 = np.array([0.0, 0.0, dot, 1.0])  # z0 . z1 = dot, center cosines fixed
         loss, _, _, _ = diversity_loss(
-            np.vstack([z0, z1]), labels, groups, pairs, centers
+            CenterCosines(np.vstack([z0, z1]), centers), labels, groups, pairs
         )
         losses.append(loss)
     assert losses[0] > losses[1] > losses[2]
@@ -388,7 +425,7 @@ def test_diversity_loss_clamps_large_exponents():
     groups = np.array([0, 0, 1])
     centers = VirtualCenters(np.ones((2, 2, 2)))
     pairs = PairAssignment(np.array([1, -1, -1]), np.array([2, -1, -1]))
-    loss, dz, dv, _ = diversity_loss(z, labels, groups, pairs, centers)
+    loss, dz, dv, _ = diversity_loss(CenterCosines(z, centers), labels, groups, pairs)
     assert np.isfinite(loss)
     # sample 0 contributes about -(clamp - log(1 + e^cos)); batch of 3
     assert loss == pytest.approx(-(EXP_CLAMP - math.log(1 + math.exp(1 / math.sqrt(2)))) / 3, abs=1e-9)
@@ -400,12 +437,67 @@ def test_diversity_loss_rejects_bad_partner_index():
     centers = VirtualCenters(np.ones((2, 2, 2)))
     with pytest.raises(ValueError, match="partner index"):
         diversity_loss(
-            z,
+            CenterCosines(z, centers),
             np.array([0, 1]),
             np.array([0, 1]),
             PairAssignment(np.array([0, -1]), np.array([-1, -1])),  # self-partner
-            centers,
         )
+
+
+# --- bit-for-bit oracles --------------------------------------------------
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, float):
+            assert a.hex() == b.hex()
+        elif isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 130),
+    num_groups=st.integers(1, 4),
+    classes=st.integers(1, 3),
+    dim=st.integers(1, 8),
+    scale=st.sampled_from([0.05, 1.0, 4.0, 12.0]),
+    drop=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_losses_reproduce_the_unshared_oracles_bit_for_bit(
+    seed, n, num_groups, classes, dim, scale, drop
+):
+    # at scales 4 and 12 many partner dot products pass the exponent clamp;
+    # ``drop`` hand-sets partners to -1 on top of the sampler's own -1s
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, classes, n)
+    groups = rng.integers(0, num_groups, n)
+    z = rng.standard_normal((n, dim)) * scale
+    centers = VirtualCenters(rng.standard_normal((num_groups, classes, dim)))
+    drawn = sample_pairs(labels, groups, rngmod.stream(seed, rngmod.PAIRS))
+    pairs = PairAssignment(
+        np.where(rng.random(n) < drop, -1, drawn.positive),
+        np.where(rng.random(n) < drop, -1, drawn.negative),
+    )
+    cosines = CenterCosines(z, centers)
+    assert_same_bits(
+        center_alignment_loss(cosines, labels, groups),
+        center_alignment_oracle(z, labels, groups, centers),
+    )
+    assert_same_bits(
+        diversity_loss(cosines, labels, groups, pairs),
+        diversity_oracle(z, labels, groups, pairs, centers),
+    )
+    logits = rng.standard_normal((n, classes)) * scale * 10
+    assert_same_bits([log_softmax(logits)], [log_softmax_oracle(logits)])
+    assert_same_bits(
+        softmax_cross_entropy(logits, labels), softmax_cross_entropy_oracle(logits, labels)
+    )
 
 
 # --- gradient checks ------------------------------------------------------
@@ -432,23 +524,23 @@ def test_all_loss_gradients_match_finite_differences():
             num = central_difference(lambda: discriminator_loss(z, groups, disc)[0], p)
             assert max_relative_error(grad, num) < 1e-4
 
-        _, dz, dv = center_alignment_loss(z, labels, groups, centers)
+        _, dz, dv = center_alignment_loss(CenterCosines(z, centers), labels, groups)
         num = central_difference(
-            lambda: center_alignment_loss(z, labels, groups, centers)[0], z
+            lambda: center_alignment_loss(CenterCosines(z, centers), labels, groups)[0], z
         )
         assert max_relative_error(dz, num) < 1e-4
         num = central_difference(
-            lambda: center_alignment_loss(z, labels, groups, centers)[0], centers.vectors
+            lambda: center_alignment_loss(CenterCosines(z, centers), labels, groups)[0], centers.vectors
         )
         assert max_relative_error(dv, num) < 1e-4
 
-        _, dz, dv, _ = diversity_loss(z, labels, groups, pairs, centers)
+        _, dz, dv, _ = diversity_loss(CenterCosines(z, centers), labels, groups, pairs)
         num = central_difference(
-            lambda: diversity_loss(z, labels, groups, pairs, centers)[0], z
+            lambda: diversity_loss(CenterCosines(z, centers), labels, groups, pairs)[0], z
         )
         assert max_relative_error(dz, num) < 1e-4
         num = central_difference(
-            lambda: diversity_loss(z, labels, groups, pairs, centers)[0], centers.vectors
+            lambda: diversity_loss(CenterCosines(z, centers), labels, groups, pairs)[0], centers.vectors
         )
         assert max_relative_error(dv, num) < 1e-4
 
@@ -458,9 +550,8 @@ def test_diversity_loss_rejects_out_of_range_negative_index():
     centers = VirtualCenters(np.ones((2, 2, 2)))
     with pytest.raises(ValueError, match="partner index"):
         diversity_loss(
-            z,
+            CenterCosines(z, centers),
             np.array([0, 1]),
             np.array([0, 1]),
             PairAssignment(np.array([-1, -1]), np.array([-5, -1])),
-            centers,
         )

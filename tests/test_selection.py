@@ -341,6 +341,28 @@ def test_routing_zero_rows_gives_the_models_empty_shape():
         assert probs.shape == experts.predict_proba(x, groups).shape == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "groups, match",
+    [
+        pytest.param([0.5, 1.0], "groups must hold integers", id="fractional-group"),
+        pytest.param([0], "groups must be 1-D", id="short-groups"),
+        pytest.param([[0, 1]], "groups must be 1-D", id="2d-groups"),
+    ],
+)
+def test_models_and_routing_reject_groups_they_cannot_route(groups, match):
+    # a group of 0.5 used to pass the range check and leave its row unset
+    rng = np.random.default_rng(0)
+    backbone = init_mlp([3, 4], ["relu"], rng)
+    erm = Model("erm", backbone, [init_mlp([4, 2], ["identity"], rng)])
+    experts = Model("decoupled", backbone, [init_mlp([4, 2], ["identity"], rng) for _ in range(2)])
+    x, groups = np.ones((2, 3)), np.array(groups)
+    with pytest.raises(ValueError, match=match):
+        experts.predict_proba(x, groups)
+    for choices in ((0, 0), (1, 0), (1, 1)):
+        with pytest.raises(ValueError, match=match):
+            routed_predictor(make_decision(choices), experts, erm)(x, groups)
+
+
 def test_routing_rejects_unknown_group():
     experts, erm = StubModel(0.9), StubModel(0.1)
     predict = routed_predictor(make_decision((1, 0)), experts, erm)

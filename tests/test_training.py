@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fairexperts import rng as rngmod
 from fairexperts.data import Dataset, SyntheticConfig, generate_synthetic
 from fairexperts.losses import (
+    CenterCosines,
     VirtualCenters,
     center_alignment_loss,
     discriminator_loss,
@@ -267,8 +268,8 @@ def test_experts_full_batch_step_follows_total_loss_gradient(seed, num_groups, e
         return np.array([
             loss_cls,
             discriminator_loss(z, ab, disc)[0],
-            center_alignment_loss(z, yb, ab, centers)[0],
-            diversity_loss(z, yb, ab, pairs, centers)[0],
+            center_alignment_loss(CenterCosines(z, centers), yb, ab)[0],
+            diversity_loss(CenterCosines(z, centers), yb, ab, pairs)[0],
         ])
 
     parts = [

@@ -1,0 +1,174 @@
+"""Alternated benchmark pairs: a parent commit against the working tree.
+
+    python3 tools/bench_pairs.py --parent HEAD --workload reference --pairs 10 --out BENCH.json
+
+The parent commit's files are extracted with ``git archive`` into a
+temporary directory (removed on exit, also after an error or Ctrl-C).
+Each pair runs
+
+    python3 perfbench/run.py --workload W --trace 0 --out FILE
+
+once in the parent tree and once in the working tree, at the run length
+that ``perfbench/run.py`` sets by default; the parent runs
+first in odd pairs (1, 3, ...) and second in even ones. The output JSON
+holds every pair's end-to-end metrics and, per workload and metric,
+each side's q1/median/q3, the change/parent median ratio and how many
+pairs the change was lower and higher in. ``--traced-pair`` first runs
+one ``--trace 1`` pair (change first) and stores both full results.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def end_to_end_metrics() -> list[str]:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return [m["name"] for m in spec["end_to_end"]]
+
+
+def extract_commit(commit: str, dest: Path) -> str:
+    """Write the files of ``commit`` under ``dest``; returns the full hash."""
+    full = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{commit}^{{commit}}"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = dest.parent / "parent.tar"
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "-C", str(ROOT), "archive", full], check=True, stdout=fh)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    archive.unlink()
+    return full
+
+
+def run_bench(tree: Path, workload: str, trace: int, out: Path) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--trace", str(trace), "--out", str(out)]
+    print(f"[{tree}] {' '.join(cmd[1:])}", file=sys.stderr, flush=True)
+    subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.DEVNULL)
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def pair_values(result: dict, names: list[str]) -> dict:
+    """One run's end-to-end metrics, ops and failed ops, per workload."""
+    out = {}
+    for workload, res in result["workloads"].items():
+        row = {name: res["metrics"][name]["value"] for name in names}
+        row["ops"] = res["attempted"]
+        row["ops_failed"] = res["failed"]
+        out[workload] = row
+    return out
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) == 1:
+        return [round(values[0], 4)] * 3
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [round(q1, 4), round(median, 4), round(q3, 4)]
+
+
+def summarize(pairs: list[dict], names: list[str]) -> dict:
+    summary = {}
+    for workload in pairs[0]["parent"]:
+        rows = {}
+        for name in names:
+            parent = [p["parent"][workload][name] for p in pairs]
+            change = [p["change"][workload][name] for p in pairs]
+            rows[name] = {
+                "parent_q1_median_q3": quartiles(parent),
+                "change_q1_median_q3": quartiles(change),
+                "change_over_parent_median": round(
+                    statistics.median(change) / statistics.median(parent), 4
+                ),
+                "pairs_change_lower": sum(c < p for p, c in zip(parent, change)),
+                "pairs_change_higher": sum(c > p for p, c in zip(parent, change)),
+            }
+        summary[workload] = rows
+    return summary
+
+
+def host() -> dict:
+    cpu = platform.processor()
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"cpu": cpu, "vcpus": os.cpu_count(), "os": platform.system()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="commit to compare the working tree against")
+    parser.add_argument("--workload", default="all")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--traced-pair", action="store_true",
+                        help="first run one --trace 1 pair, change first")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(argv)
+    names = end_to_end_metrics()
+
+    tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    try:
+        parent_tree = tmp / "parent"
+        parent_tree.mkdir()
+        commit = extract_commit(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        payload: dict = {
+            "host": host(),
+            "parent_commit": commit,
+            "command": " ".join(["python3", "tools/bench_pairs.py", *argv]),
+        }
+
+        if args.traced_pair:
+            for side in ("change", "parent"):
+                payload[side] = run_bench(trees[side], args.workload, 1,
+                                          tmp / f"traced_{side}.json")
+            payload["order"] = "one traced pair, change first"
+
+        pairs = []
+        for k in range(1, args.pairs + 1):
+            order = ("parent", "change") if k % 2 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                result = run_bench(trees[side], args.workload, 0, tmp / f"pair{k}_{side}.json")
+                pair[side] = pair_values(result, names)
+                payload.setdefault("environment", next(iter(result["workloads"].values()))["environment"])
+            pairs.append(pair)
+            print(f"pair {k}: {json.dumps({s: pair[s] for s in ('parent', 'change')})}",
+                  file=sys.stderr, flush=True)
+
+        payload["untraced_pairs"] = {
+            # the run length each run reported, which is perfbench's default
+            "command": f"python3 perfbench/run.py --workload {args.workload} "
+                       f"--seconds {result['seconds']:g} --trace 0 --out FILE",
+            "note": f"{args.pairs} pairs, parent first in odd pairs; each value is the "
+                    "run's median over its repetitions",
+            "summary": summarize(pairs, names),
+            "pairs": pairs,
+        }
+        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
