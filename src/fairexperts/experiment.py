@@ -76,12 +76,27 @@ def write_training_log(model, path: str) -> None:
             writer.writerow([entry.epoch, *(repr(float(v)) for v in values)])
 
 
+# rows per tolist() call; converting the whole array at once would hold
+# every value as a Python float and raise peak memory
+_CSV_CHUNK = 4096
+
+
 def write_representations_csv(path: str, reps: np.ndarray, labels: np.ndarray, groups: np.ndarray) -> None:
+    """Representations, label and group per row, as the csv module writes them.
+
+    Floats are written with ``repr`` and lines end in ``\\r\\n``; no field
+    needs quoting, so joining with commas gives ``csv.writer``'s bytes.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"z{i}" for i in range(reps.shape[1])] + ["label", "group"])
-        for row, label, group in zip(reps, labels, groups):
-            writer.writerow([*map(repr, row.tolist()), int(label), int(group)])
+        fh.write(",".join([f"z{i}" for i in range(reps.shape[1])] + ["label", "group"]) + "\r\n")
+        for start in range(0, len(reps), _CSV_CHUNK):
+            stop = start + _CSV_CHUNK
+            fh.writelines(
+                f"{','.join(map(repr, row))},{label},{group}\r\n"
+                for row, label, group in zip(
+                    reps[start:stop].tolist(), labels[start:stop].tolist(), groups[start:stop].tolist()
+                )
+            )
 
 
 def _pair_reports(predict, dataset: Dataset, kind: str, selection: dict | None = None) -> dict:

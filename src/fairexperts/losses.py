@@ -118,36 +118,73 @@ def _check_cells(
     return labels, groups
 
 
-def sample_pairs(labels: np.ndarray, groups: np.ndarray, gen: np.random.Generator) -> PairAssignment:
+def sample_pairs(
+    labels: np.ndarray,
+    groups: np.ndarray,
+    gen: np.random.Generator,
+    batch_size: int | None = None,
+) -> PairAssignment:
     """Draw positive/negative partners uniformly among eligible indices.
 
     The positive shares the sample's class and group; the negative differs
     in both class and group. Entries with no eligible partner get -1.
+
+    With ``batch_size``, the rows are consecutive batches of that many
+    (the last may be shorter), partners come only from the sample's own
+    batch, and each index is a position within that batch. The result
+    equals one call per batch on the same ``gen``, in batch order; this
+    is how training draws an epoch's partners at once. Without it, the
+    rows are one batch.
 
     Draw order: for each sample in batch order, its positive, then its
     negative, skipping partners with no candidate; the k-th draw picks the
     k-th candidate in batch order. All draws come from one
     ``gen.integers(0, bounds)`` call, which yields the same values and
     leaves ``gen`` in the same state as one scalar call per draw.
-    Memory is O(n * cells) for n samples over the (group, class) cells
-    present; nothing is n by n.
+    Memory is O(n * cells) for n samples over the (batch, group, class)
+    cells present; nothing is n by n, and the group and class ids may
+    be any nonnegative integers.
     """
     n = np.size(labels)
     labels, groups = _check_cells(labels, groups, n)
-    classes = int(labels.max(initial=0)) + 1
-    keys, cell = np.unique(groups * classes + labels, return_inverse=True)
-    cell_groups, cell_labels = np.divmod(keys, classes)
-    # each cell's members in batch order, and each sample's rank among them
-    order = np.argsort(cell, kind="stable")
-    sizes = np.bincount(cell, minlength=len(keys))
-    starts = np.cumsum(sizes) - sizes
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n) - starts[cell[order]]
-    # each cell's negatives, listed in batch order
-    neg_cell, neg_index = np.nonzero(
-        (groups != cell_groups[:, None]) & (labels != cell_labels[:, None])
+    if batch_size is not None and batch_size < 1:
+        raise ValueError("batch size must be at least 1")
+    positive = np.full(n, -1, dtype=np.int64)
+    negative = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return PairAssignment(positive, negative)
+    size = n if batch_size is None else min(batch_size, n)
+    batch = np.arange(n) // size
+    # cells are runs of equal (batch, group, class) in this stable order,
+    # so each cell lists its members in batch order
+    order = np.lexsort((labels, groups, batch))
+    sorted_batch, sorted_groups, sorted_labels = batch[order], groups[order], labels[order]
+    new_cell = np.empty(n, dtype=bool)
+    new_cell[0] = True
+    new_cell[1:] = (
+        (sorted_batch[1:] != sorted_batch[:-1])
+        | (sorted_groups[1:] != sorted_groups[:-1])
+        | (sorted_labels[1:] != sorted_labels[:-1])
     )
-    neg_sizes = np.bincount(neg_cell, minlength=len(keys))
+    starts = np.flatnonzero(new_cell)
+    sizes = np.diff(starts, append=n)
+    sorted_cell = np.cumsum(new_cell) - 1
+    cell = np.empty(n, dtype=np.int64)
+    cell[order] = sorted_cell
+    # each sample's rank within its cell
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - starts[sorted_cell]
+    # each cell's negatives, listed in batch order, among its own batch's
+    # rows: a (cells, size) block; slots past n pad a short last batch
+    rows = np.arange(n + -n % size).reshape(-1, size)[sorted_batch[starts]]
+    real = rows < n
+    rows[~real] = 0
+    neg_cell, neg_index = np.nonzero(
+        real
+        & (groups[rows] != sorted_groups[starts, None])
+        & (labels[rows] != sorted_labels[starts, None])
+    )
+    neg_sizes = np.bincount(neg_cell, minlength=len(starts))
     neg_starts = np.cumsum(neg_sizes) - neg_sizes
 
     bounds = np.empty(2 * n, dtype=np.int64)  # positive0, negative0, positive1, ...
@@ -160,10 +197,9 @@ def sample_pairs(labels: np.ndarray, groups: np.ndarray, gen: np.random.Generato
     k_pos, k_neg = draws[0::2], draws[1::2]
     has_pos, has_neg = live[0::2], live[1::2]
 
-    positive = np.full(n, -1, dtype=np.int64)
-    negative = np.full(n, -1, dtype=np.int64)
-    # the k-th positive candidate skips the sample itself
-    positive[has_pos] = order[(starts[cell] + k_pos + (k_pos >= rank))[has_pos]]
+    # the k-th positive candidate skips the sample itself; a row's place
+    # in its batch is its index modulo size
+    positive[has_pos] = order[(starts[cell] + k_pos + (k_pos >= rank))[has_pos]] % size
     negative[has_neg] = neg_index[(neg_starts[cell] + k_neg)[has_neg]]
     return PairAssignment(positive, negative)
 

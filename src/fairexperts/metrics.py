@@ -205,15 +205,14 @@ def build_report(
         )
         if has_both:
             eo = equalized_odds(probs.argmax(axis=1), labels, groups)
-    g = float(gm.values.max() - gm.values.min()) if gm.num_groups >= 2 else 0.0
     return {
         "metric_kind": kind,
         "split": split,
         "overall": float(overall),
         "per_group": [float(v) for v in gm.values],
         "proportions": [float(p) for p in gm.proportions],
-        "mf": float(gm.values.min()),
-        "gap": g,
+        "mf": max_min(gm),
+        "gap": gap(gm) if gm.num_groups >= 2 else 0.0,
         "eo": eo,
         "selection": selection,
     }

@@ -4,9 +4,10 @@ All parameters are float64 numpy arrays. ``Mlp.forward`` accepts a single
 input vector or a batch matrix (one row per sample). ``Mlp.backward``
 consumes the gradient of a scalar loss with respect to the output and
 returns per-layer parameter gradients plus the gradient with respect to
-the input. Gradients are summed over batch rows, so a loss gradient that
-already carries a 1/batch factor yields batch-averaged parameter
-gradients; the loss helpers in this package follow that convention.
+the input, which a caller that discards it can skip. Gradients are
+summed over batch rows, so a loss gradient that already carries a
+1/batch factor yields batch-averaged parameter gradients; the loss
+helpers in this package follow that convention.
 """
 
 from __future__ import annotations
@@ -89,12 +90,14 @@ class Mlp:
         return a, cache
 
     def backward(
-        self, cache: Cache, dout: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray]:
+        self, cache: Cache, dout: np.ndarray, input_grad: bool = True
+    ) -> tuple[list[np.ndarray], np.ndarray | None]:
         """Backpropagate ``dout`` (gradient w.r.t. the output).
 
         Returns (parameter gradients in ``params()`` order, gradient
-        w.r.t. the network input). Pure function of its arguments.
+        w.r.t. the network input). With ``input_grad=False`` the input
+        gradient is not computed and is returned as None; the parameter
+        gradients are the same. Pure function of its arguments.
         """
         if len(cache) != len(self.layers):
             raise ValueError("cache does not match network depth")
@@ -112,7 +115,7 @@ class Mlp:
             else:
                 grads[2 * idx] = dz.T @ a_in
                 grads[2 * idx + 1] = np.add.reduce(dz, axis=0)
-            d = dz @ layer.weight
+            d = dz @ layer.weight if idx or input_grad else None
         return grads, d
 
 

@@ -22,7 +22,10 @@ All four run through ``_fit``, the one training loop: seeded mini-batch
 momentum SGD over one flat parameter buffer and one flat velocity buffer
 per trained model, with the rate lr0 * lr_decay**epoch. The model's
 arrays become views of that buffer, so one element-wise step per batch
-moves them all. Each trainer hands it a batch function that
+moves them all. Each epoch gathers the training arrays in shuffled
+order once and hands each batch contiguous slices of them; the expert
+trainer also draws the whole epoch's partners in one ``sample_pairs``
+call. Each trainer hands ``_fit`` a batch function that
 returns the batch losses and every gradient at the pre-step parameters:
 ``_fit_cross_entropy`` for the first three, the expert step for the
 last. Determinism: given the same dataset and hyperparameters, training
@@ -43,6 +46,7 @@ from . import rng as rngmod
 from .data import Dataset
 from .losses import (
     CenterCosines,
+    PairAssignment,
     VirtualCenters,
     center_alignment_loss,
     discriminator_loss,
@@ -166,9 +170,10 @@ class Model:
         return probs
 
 
-def _batches(perm: np.ndarray, batch_size: int):
-    for start in range(0, len(perm), batch_size):
-        yield perm[start : start + batch_size]
+def _batches(n: int, batch_size: int):
+    """Slices of ``n`` rows into consecutive batches; the last may be short."""
+    for start in range(0, n, batch_size):
+        yield slice(start, start + batch_size)
 
 
 def _flatten(parts: list[Mlp | VirtualCenters]) -> np.ndarray:
@@ -195,31 +200,45 @@ def _flatten(parts: list[Mlp | VirtualCenters]) -> np.ndarray:
 
 
 def _fit(
-    parts: list[Mlp | VirtualCenters], n: int, shuffle_rng, hp: HyperParams, name: str, batch_grads
+    parts: list[Mlp | VirtualCenters],
+    arrays: list[np.ndarray],
+    shuffle_rng,
+    hp: HyperParams,
+    name: str,
+    batch_grads,
+    epoch_arrays=None,
 ):
     """The one training loop: seeded mini-batch momentum SGD, in place.
 
     The arrays of ``parts`` become views of one flat parameter buffer,
     with one flat velocity buffer beside it. Each epoch draws one
-    permutation of the ``n`` training rows. For each batch,
-    ``batch_grads(batch, epoch)`` returns its losses and the gradients
-    of the parts' ``params()`` at the pre-step values, in order, and one
-    momentum step moves the whole buffer. Returns each epoch's mean
-    losses.
+    permutation of the training rows and gathers every per-row array of
+    ``arrays`` in that order once; ``epoch_arrays(gathered)``, if given,
+    returns more per-row arrays for that epoch. Each batch is a
+    contiguous slice of all of them: ``batch_grads(columns, epoch)``
+    returns its losses and the gradients of the parts' ``params()`` at
+    the pre-step values, in order, and one momentum step moves the whole
+    buffer. Returns each epoch's mean losses.
     """
     flat = _flatten(parts)
     velocity = np.zeros_like(flat)
     flat_grad = np.empty_like(flat)
+    n = len(arrays[0])
     means = []
     for epoch in range(hp.epochs):
+        perm = shuffle_rng.permutation(n)
+        gathered = [a[perm] for a in arrays]
+        if epoch_arrays is not None:
+            gathered += epoch_arrays(gathered)
         sums = 0.0
-        for batch in _batches(shuffle_rng.permutation(n), hp.batch_size):
-            losses, grads = batch_grads(batch, epoch)
+        for rows in _batches(n, hp.batch_size):
+            columns = [a[rows] for a in gathered]
+            losses, grads = batch_grads(columns, epoch)
             if not all(map(math.isfinite, losses)):
                 raise TrainingDivergence(f"{name} diverged at epoch {epoch}")
             np.concatenate(grads, axis=None, out=flat_grad)
             sgd_step([flat], [velocity], [flat_grad], hp.lr(epoch), hp.momentum)
-            sums = sums + np.asarray(losses) * len(batch)
+            sums = sums + np.asarray(losses) * len(columns[0])
         means.append(sums / n)
     return means
 
@@ -229,12 +248,13 @@ def _fit_cross_entropy(
 ) -> list[np.ndarray]:
     """Minimize cross-entropy of ``net`` on (x, y) through ``_fit``."""
 
-    def batch_grads(batch, epoch):
-        logits, cache = net.forward(x[batch])
-        loss, dlogits = softmax_cross_entropy(logits, y[batch])
-        return (loss,), net.backward(cache, dlogits)[0]
+    def batch_grads(columns, epoch):
+        xb, yb = columns
+        logits, cache = net.forward(xb)
+        loss, dlogits = softmax_cross_entropy(logits, yb)
+        return (loss,), net.backward(cache, dlogits, input_grad=False)[0]
 
-    return _fit([net], x.shape[0], shuffle_rng, hp, name, batch_grads)
+    return _fit([net], [x, y], shuffle_rng, hp, name, batch_grads)
 
 
 def train_erm(dataset: Dataset, hp: HyperParams) -> Model:
@@ -319,11 +339,17 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
         if redrawn:
             logger.warning("epoch %d: redrew %d degenerate centers", epoch, redrawn)
 
-    def batch_grads(batch, epoch):
+    def epoch_pairs(gathered):
+        # every batch's partners in one draw, the same as one draw per batch
+        _, yb, ab = gathered
+        pairs = sample_pairs(yb, ab, pairs_rng, hp.batch_size)
+        return [pairs.positive, pairs.negative]
+
+    def batch_grads(columns, epoch):
         # the previous step may have collapsed a center; redraw it before
         # any loss reads it
         redraw_degenerate_centers(epoch)
-        xb, yb, ab = features[batch], labels[batch], groups[batch]
+        xb, yb, ab, positive, negative = columns
         z, cache_b = backbone.forward(xb)
         # one cosine system per batch, shared by both center losses
         cosines = CenterCosines(z, centers)
@@ -337,15 +363,16 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
         loss_cls, dz_cls, head_grads = _routed_cross_entropy(heads, z, yb, ab)
         loss_disc, dz_disc, disc_grads = discriminator_loss(z, ab, disc)
         loss_virt, dz_virt, dv_virt = center_alignment_loss(cosines, yb, ab)
-        pairs = sample_pairs(yb, ab, pairs_rng)
-        loss_div, dz_div, dv_div, skipped = diversity_loss(cosines, yb, ab, pairs)
+        loss_div, dz_div, dv_div, skipped = diversity_loss(
+            cosines, yb, ab, PairAssignment(positive, negative)
+        )
         if skipped:
             logger.debug("epoch %d: %d samples skipped in diversity loss", epoch, skipped)
 
         dz_total = (
             dz_cls + hp.lambda_disc * dz_disc + hp.lambda_virt * dz_virt + hp.lambda_div * dz_div
         )
-        grads_b, _ = backbone.backward(cache_b, dz_total)
+        grads_b, _ = backbone.backward(cache_b, dz_total, input_grad=False)
         grads = [
             *grads_b,
             *(hp.lambda_disc * g for g in disc_grads),
@@ -357,7 +384,9 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
 
     parts = [backbone, disc, centers, *heads]
     shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE)
-    means = _fit(parts, len(labels), shuffle_rng, hp, "expert loss", batch_grads)
+    means = _fit(
+        parts, [features, labels, groups], shuffle_rng, hp, "expert loss", batch_grads, epoch_pairs
+    )
     redraw_degenerate_centers(hp.epochs - 1)
     log = [ExpertsEpoch(k, *map(float, mean), hp.lr(k)) for k, mean in enumerate(means)]
     return Model("experts", backbone, heads, disc, centers, log=log, seed=hp.seed)

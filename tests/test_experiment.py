@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -6,7 +8,13 @@ import pytest
 
 from fairexperts.config import config_from_dict, parse_kv_text
 from fairexperts.data import DataError
-from fairexperts.experiment import dataset_for_seed, run_experiment, run_seed
+from fairexperts.experiment import (
+    _CSV_CHUNK,
+    dataset_for_seed,
+    run_experiment,
+    run_seed,
+    write_representations_csv,
+)
 
 SMALL = """
 version = 1
@@ -124,6 +132,27 @@ def test_representations_csv_shape(tmp_path):
     lines = (tmp_path / "representations_5.csv").read_text().splitlines()
     assert lines[0] == "z0,z1,z2,z3,label,group"
     assert len(lines) == 1 + 120  # test split size
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2 * _CSV_CHUNK + 3])
+def test_representations_csv_matches_csv_writer_bytes(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    reps = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-20, 20, (rows, 3))
+    edge = [-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1e300, -1e300, 0.1, 1 / 3, 1e16]
+    reps.flat[: len(edge)] = edge[: reps.size]
+    if rows:
+        reps[-1] = [-0.0, 5e-324, 1e300]
+    labels = rng.integers(0, 3, rows)
+    groups = rng.integers(10**9 - 5, 10**9, rows)
+    path = tmp_path / "reps.csv"
+    write_representations_csv(str(path), reps, labels, groups)
+
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["z0", "z1", "z2", "label", "group"])
+    for row, label, group in zip(reps, labels, groups):
+        writer.writerow([*map(repr, row.tolist()), int(label), int(group)])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_report_json_is_sorted_and_plain(tmp_path):

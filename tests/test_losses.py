@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from fairexperts import rng as rngmod
@@ -292,6 +292,76 @@ def test_sample_pairs_memory_is_linear_in_batch_size():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert np.all(pairs.positive >= 0) and np.all(pairs.negative >= 0)
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True, phases=[Phase.explicit, Phase.generate]
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 200),
+    batch_size=st.integers(1, 250),
+    num_groups=st.integers(1, 5),
+    classes=st.integers(1, 4),
+    skew=st.sampled_from([0.05, 0.3, 1.0, 10.0]),
+    group_base=st.sampled_from([0, 10**9 - 6]),
+)
+@example(seed=1, n=0, batch_size=64, num_groups=2, classes=2, skew=1.0, group_base=0)
+@example(seed=2, n=150, batch_size=64, num_groups=2, classes=2, skew=1.0, group_base=0)
+@example(seed=3, n=40, batch_size=40, num_groups=3, classes=2, skew=1.0, group_base=0)
+@example(seed=4, n=40, batch_size=250, num_groups=3, classes=3, skew=0.05, group_base=0)
+@example(seed=5, n=199, batch_size=16, num_groups=5, classes=4, skew=0.05, group_base=10**9 - 6)
+def test_epoch_sample_pairs_matches_per_batch_oracle(
+    seed, n, batch_size, num_groups, classes, skew, group_base
+):
+    # one call over consecutive batches equals the oracle run batch by
+    # batch on one generator, with partners as positions in their batch
+    rng = np.random.default_rng(seed)
+    cells = num_groups * classes
+    groups, labels = np.divmod(rng.choice(cells, size=n, p=rng.dirichlet(np.full(cells, skew))), classes)
+    groups += group_base
+    gen = rngmod.stream(seed, rngmod.PAIRS)
+    oracle_gen = rngmod.stream(seed, rngmod.PAIRS)
+    pairs = sample_pairs(labels, groups, gen, batch_size)
+    positive, negative = [], []
+    for start in range(0, n, batch_size):
+        stop = start + batch_size
+        pos, neg = sample_pairs_oracle(labels[start:stop], groups[start:stop], oracle_gen)
+        positive += pos.tolist()
+        negative += neg.tolist()
+    assert pairs.positive.tolist() == positive
+    assert pairs.negative.tolist() == negative
+    assert gen.bit_generator.state == oracle_gen.bit_generator.state
+
+
+def test_epoch_sample_pairs_memory_is_linear_in_rows():
+    # the ~1,250 (batch, group, class) cells of these 20,000 rows in
+    # batches of 64 make an (epoch cells x rows) mask of at least 25 MB,
+    # and dense ids up to the group ids near 10^9 would be larger still
+    rng = np.random.default_rng(0)
+    n, size = 20_000, 64
+    labels = rng.integers(0, 2, n)
+    groups = 10**9 - rng.integers(0, 2, n)
+    tracemalloc.start()
+    try:
+        pairs = sample_pairs(labels, groups, rngmod.stream(0, rngmod.PAIRS), size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    rows = np.arange(n)
+    first = rows // size * size
+    for partner, same in ((pairs.positive, True), (pairs.negative, False)):
+        assert np.all((partner >= -1) & (partner < size))
+        has = partner >= 0
+        j = (first + partner)[has]
+        i = rows[has]
+        assert np.all(j < n) and np.all(j // size == i // size)
+        if same:
+            assert np.all((j != i) & (labels[j] == labels[i]) & (groups[j] == groups[i]))
+        else:
+            assert np.all((labels[j] != labels[i]) & (groups[j] != groups[i]))
+    assert np.count_nonzero(pairs.positive >= 0) > 0.99 * n
 
 
 @pytest.mark.parametrize(

@@ -358,6 +358,17 @@ def test_build_report_fields():
     assert payload["mf"] == 1.0 and payload["gap"] == 0.0 and payload["eo"] == 1.0
 
 
+def test_build_report_single_group_has_worst_group_value_and_zero_gap():
+    labels = np.array([0, 1, 1, 0])
+    ds = dataset_from_arrays(np.zeros((4, 1)), labels, np.zeros(4, dtype=int), 2, 1)
+
+    def predictor(features, g):
+        return np.tile([0.4, 0.6], (len(features), 1))
+
+    payload = build_report(predictor, ds, "train", "accuracy")
+    assert payload["mf"] == 0.5 and payload["gap"] == 0.0
+
+
 def test_build_report_eo_none_when_group_lacks_class():
     labels = np.array([0, 0, 0, 1])
     groups = np.array([0, 0, 1, 1])

@@ -96,6 +96,23 @@ def test_forward_is_deterministic_bitwise():
     assert np.array_equal(a, b)
 
 
+def test_backward_without_input_gradient_keeps_parameter_gradients_bit_identical():
+    rng = np.random.default_rng(12)
+    shapes = [([5, 7, 3], ["relu", "identity"]), ([4, 2], ["identity"]),
+              ([3, 6, 6, 2], ["relu", "relu", "identity"])]
+    for dims, acts in shapes:
+        net = init_mlp(dims, acts, rng)
+        for x in (rng.standard_normal((9, dims[0])), rng.standard_normal(dims[0])):
+            out, cache = net.forward(x)
+            dout = rng.standard_normal(out.shape)
+            full, dx = net.backward(cache, dout)
+            grads, skipped = net.backward(cache, dout, input_grad=False)
+            assert dx.shape == x.shape and skipped is None
+            assert len(grads) == len(full)
+            for a, b in zip(full, grads):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_backward_rejects_mismatched_cache():
     rng = np.random.default_rng(1)
     net = init_mlp([3, 2], ["identity"], rng)

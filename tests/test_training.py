@@ -200,8 +200,9 @@ def test_experts_zero_coefficients_reduce_to_joint_cross_entropy():
     for epoch in range(hp.epochs):
         lr = hp.lr0 * hp.lr_decay**epoch
         perm = shuffle_rng.permutation(n)
-        for batch in _batches(perm, hp.batch_size):
-            xb, yb, ab = features[batch], labels[batch], groups[batch]
+        for batch in _batches(n, hp.batch_size):
+            picked = perm[batch]
+            xb, yb, ab = features[picked], labels[picked], groups[picked]
             z, cache = backbone.forward(xb)
             dz = np.zeros_like(z)
             head_grads = []
@@ -212,7 +213,7 @@ def test_experts_zero_coefficients_reduce_to_joint_cross_entropy():
                     continue
                 logits, hcache = head.forward(z[rows])
                 _, dlogits = softmax_cross_entropy(logits, yb[rows])
-                dlogits *= rows.size / len(batch)  # global batch averaging
+                dlogits *= rows.size / len(picked)  # global batch averaging
                 grads, dz_rows = head.backward(hcache, dlogits)
                 head_grads.append(grads)
                 dz[rows] = dz_rows
@@ -426,9 +427,10 @@ def test_decoupled_single_group_equals_pooled_head_retraining():
     shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE, 1, 0)
     for epoch in range(hp.epochs):
         perm = shuffle_rng.permutation(len(labels))
-        for batch in _batches(perm, hp.batch_size):
-            logits, cache = head.forward(z[batch])
-            _, dlogits = softmax_cross_entropy(logits, labels[batch])
+        for batch in _batches(len(labels), hp.batch_size):
+            rows = perm[batch]
+            logits, cache = head.forward(z[rows])
+            _, dlogits = softmax_cross_entropy(logits, labels[rows])
             grads, _ = head.backward(cache, dlogits)
             sgd_step(head.params(), velocity, grads, hp.lr0 * hp.lr_decay**epoch, hp.momentum)
     assert params_equal(decoupled.heads[0].params(), head.params())
