@@ -10,9 +10,7 @@ separately as CSV and are not part of the checkpoint.
 
 from __future__ import annotations
 
-import json
-
-from .data import DataError
+from .data import DataError, read_json_object, write_json
 from .losses import VirtualCenters
 from .net import Layer, Mlp
 from .training import MODEL_KINDS, Model
@@ -57,21 +55,11 @@ def save_checkpoint(model: Model, path: str) -> None:
     if model.kind == "experts":
         payload["discriminator"] = mlp_to_dict(model.discriminator)
         payload["centers"] = model.centers.vectors.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def load_checkpoint(path: str) -> Model:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"checkpoint {path!r} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"checkpoint {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise DataError(f"checkpoint {path!r} does not hold a JSON object")
+    payload = read_json_object(path, "checkpoint")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(f"checkpoint {path!r} has unsupported format version {version!r}")

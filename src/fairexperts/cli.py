@@ -15,11 +15,10 @@ from dataclasses import replace
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import CsvSource, ExperimentConfig, load_config
-from .data import DataError, default_schema, save_csv
+from .data import DataError, default_schema, read_json_object, save_csv, write_json
 from .experiment import (
     dataset_for_seed,
     run_experiment,
-    write_json,
     write_representations_csv,
     write_training_log,
 )
@@ -96,18 +95,10 @@ def cmd_evaluate(args) -> int:
 
 
 def _read_group_metrics(path: str) -> GroupMetrics:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"metrics file {path!r} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"metrics file {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise DataError(f"metrics file {path!r} does not hold a JSON object")
+    payload = read_json_object(path, "metrics file")
     try:
         return GroupMetrics.from_dict(payload)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"metrics file {path!r} is malformed: {exc}") from None
 
 

@@ -6,12 +6,13 @@ a header row with feature columns ``f0..f{d-1}``, required integer
 columns ``label`` and ``group``, and an optional ``split`` column with
 values train/val/test. Features are stored as float64 and serialized
 with shortest round-trip decimal repr, so save followed by load
-reproduces values exactly.
+reproduces values exactly. ``read_json_object`` and ``write_json`` handle JSON files.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,6 +26,30 @@ SPLIT_RATIOS = {"train": 0.8, "val": 0.1, "test": 0.1}
 
 class DataError(ValueError):
     """Malformed dataset input (bad file, bad schema, bad config)."""
+
+
+def read_json_object(path: str, what: str) -> dict:
+    """Load a JSON file whose top level must be an object.
+
+    ``what`` names the file in errors ("checkpoint"); a missing file,
+    invalid JSON or another top-level type raises ``DataError``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"{what} {path!r} does not exist") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{what} {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{what} {path!r} does not hold a JSON object")
+    return payload
+
+
+def write_json(payload: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ same seed reproduce all files byte for byte.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from contextlib import contextmanager
 from dataclasses import replace
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .config import CsvSource, ExperimentConfig
-from .data import Dataset, generate_synthetic, load_csv
+from .data import Dataset, generate_synthetic, load_csv, write_json
 from .metrics import build_report, group_eval
 from .selection import routed_predictor, select_greedy, select_ip
 from .training import (
@@ -58,12 +57,6 @@ def dataset_for_seed(config: ExperimentConfig, seed: int) -> Dataset:
     return generate_synthetic(
         replace(config.data, seed=rngmod.derive_seed(config.data.seed, seed))
     )
-
-
-def write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def write_training_log(model, path: str) -> None:

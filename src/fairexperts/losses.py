@@ -99,25 +99,6 @@ class PairAssignment:
     negative: np.ndarray  # (n,) int64
 
 
-def _check_cells(
-    labels: np.ndarray, groups: np.ndarray, rows: int, cells: tuple[int, int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate per-sample class and group indices; returns them as arrays.
-
-    Both must pass ``net.check_index``; with ``cells`` = (groups, classes),
-    they must also index a center cell.
-    """
-    labels = check_index("labels", labels, rows)
-    groups = check_index("groups", groups, rows)
-    if cells is not None and rows:
-        g_total, c_total = cells
-        if np.maximum.reduce(labels) >= c_total:
-            raise ValueError("label index out of range for centers")
-        if np.maximum.reduce(groups) >= g_total:
-            raise ValueError("group index out of range for centers")
-    return labels, groups
-
-
 def sample_pairs(
     labels: np.ndarray,
     groups: np.ndarray,
@@ -146,7 +127,8 @@ def sample_pairs(
     be any nonnegative integers.
     """
     n = np.size(labels)
-    labels, groups = _check_cells(labels, groups, n)
+    labels = check_index("labels", labels, n)
+    groups = check_index("groups", groups, n)
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch size must be at least 1")
     positive = np.full(n, -1, dtype=np.int64)
@@ -213,9 +195,7 @@ def discriminator_loss(
     discriminator parameters in ``params()`` order).
     """
     reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
-    groups = check_index("groups", np.atleast_1d(groups), reps.shape[0])
-    if groups.size and np.maximum.reduce(groups) >= disc.out_dim:
-        raise ValueError("group index out of range for discriminator output")
+    groups = check_index("groups", np.atleast_1d(groups), reps.shape[0], disc.out_dim)
     logits, cache = disc.forward(reps)
     loss, dlogits = softmax_cross_entropy(logits, groups)
     dparams, dreps = disc.backward(cache, dlogits)
@@ -285,7 +265,9 @@ def center_alignment_loss(
     per-class centers, summed over the rows. Returns (loss, dZ, dV).
     """
     n = cosines.z.shape[0]
-    labels, groups = _check_cells(np.atleast_1d(labels), np.atleast_1d(groups), n, cosines.cells)
+    g_total, c_total = cosines.cells
+    labels = check_index("labels", np.atleast_1d(labels), n, c_total)
+    check_index("groups", np.atleast_1d(groups), n, g_total)  # the loss covers every group's row
     logp = log_softmax(cosines.cos)  # softmax over classes, per (sample, group)
     rows = np.arange(n)
     # weights[i, g, c] = d loss / d cos[i, g, c]
@@ -315,7 +297,8 @@ def diversity_loss(
     z = cosines.z
     n = z.shape[0]
     g_total, c_total = cosines.cells
-    labels, groups = _check_cells(np.atleast_1d(labels), np.atleast_1d(groups), n, cosines.cells)
+    labels = check_index("labels", np.atleast_1d(labels), n, c_total)
+    groups = check_index("groups", np.atleast_1d(groups), n, g_total)
     rows = np.arange(n)
     for name, partner in (("positive", pairs.positive), ("negative", pairs.negative)):
         partner = np.asarray(partner)

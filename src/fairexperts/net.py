@@ -140,11 +140,12 @@ def init_mlp(dims: list[int], activations: list[str], rng: np.random.Generator) 
     return Mlp(layers)
 
 
-def check_index(name: str, values: np.ndarray, rows: int) -> np.ndarray:
+def check_index(name: str, values: np.ndarray, rows: int, bound: int | None = None) -> np.ndarray:
     """Validate one per-sample index array, such as labels or groups.
 
-    It must be 1-D, hold nonnegative integers and have ``rows``
-    entries; returns it as an array, or raises ``ValueError``.
+    It must be 1-D with ``rows`` entries of nonnegative integers, below
+    ``bound`` if given; returns it as an array, or raises ``ValueError``
+    (for ``name`` "labels", a value past the bound: "label index out of range").
     """
     values = np.asarray(values)
     if values.shape != (rows,):
@@ -155,6 +156,8 @@ def check_index(name: str, values: np.ndarray, rows: int) -> np.ndarray:
         raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
     if rows and np.minimum.reduce(values) < 0:
         raise ValueError(f"{name} must be nonnegative")
+    if rows and bound is not None and np.maximum.reduce(values) >= bound:
+        raise ValueError(f"{name[:-1]} index out of range: must be below {bound}")
     return values
 
 
@@ -178,9 +181,9 @@ def softmax_cross_entropy(
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     n, c = logits.shape
-    labels = check_index("labels", np.atleast_1d(labels), n)
-    if np.maximum.reduce(labels) >= c:
-        raise ValueError("label index out of range")
+    if n == 0:
+        raise ValueError("cross-entropy needs at least one row")
+    labels = check_index("labels", np.atleast_1d(labels), n, c)
     ls = log_softmax(logits)
     rows = np.arange(n)
     # the arithmetic of ndarray.mean: one sum, then one true divide

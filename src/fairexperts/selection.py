@@ -175,11 +175,9 @@ def routed_predictor(decision: SelectionDecision, experts_model, erm_model):
 
     def predict(features: np.ndarray, groups: np.ndarray) -> np.ndarray:
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        groups = check_index("groups", np.atleast_1d(groups), features.shape[0])
+        groups = check_index("groups", np.atleast_1d(groups), features.shape[0], choices.size)
         if groups.size == 0:
             return erm_predict(features, groups)  # (0, classes), as a model gives
-        if groups.max() >= choices.size:
-            raise ValueError("group index not covered by the selection decision")
         use_expert = choices[groups] == 1
         probs: np.ndarray | None = None
         for mask, fn in ((use_expert, expert_predict), (~use_expert, erm_predict)):

@@ -159,9 +159,7 @@ class Model:
         z = self.representations(features)
         if self.kind == "erm":
             return softmax(self.heads[0].forward(z)[0])
-        groups = check_index("groups", np.atleast_1d(groups), z.shape[0])
-        if groups.size and np.maximum.reduce(groups) >= len(self.heads):
-            raise ValueError("group index out of range for per-group heads")
+        groups = check_index("groups", np.atleast_1d(groups), z.shape[0], len(self.heads))
         probs = np.empty((z.shape[0], self.heads[0].out_dim))
         for g, head in enumerate(self.heads):
             mask = groups == g

@@ -145,8 +145,13 @@ LINEAGE_LIST = {
 
 @pytest.mark.parametrize(
     "command, payload",
-    [("select", []), ("evaluate", "x"), ("evaluate", LINEAGE_LIST)],
-    ids=["metrics_list", "checkpoint_string", "checkpoint_lineage_list"],
+    [
+        ("select", []),
+        ("select", {"values": {"a": 1}, "proportions": [1]}),
+        ("evaluate", "x"),
+        ("evaluate", LINEAGE_LIST),
+    ],
+    ids=["metrics_list", "metrics_values_object", "checkpoint_string", "checkpoint_lineage_list"],
 )
 def test_json_that_is_not_an_object_is_data_error(tmp_path, config_path, capsys, command, payload):
     path = tmp_path / "input.json"

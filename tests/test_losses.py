@@ -391,6 +391,17 @@ def test_epoch_sample_pairs_memory_is_linear_in_rows():
                      id="cross-entropy-float-labels"),
         pytest.param("cross_entropy", np.ones((2, 2)), [[0, 1]], [0, 1], "labels must be 1-D",
                      id="cross-entropy-2d-labels"),
+        pytest.param("cross_entropy", np.ones((2, 2)), [0, 2], [0, 1], "label index out of range",
+                     id="cross-entropy-label-past-classes"),
+        pytest.param("discriminator", np.ones((2, 2)), [0, 1], [0, 2], "group index out of range",
+                     id="discriminator-group-past-outputs"),
+        pytest.param("alignment", np.ones((2, 2)), [0, 1], [0, 2], "group index out of range",
+                     id="alignment-group-past-centers"),
+        # an empty batch has no mean; integer dtypes so the shape checks pass
+        pytest.param("cross_entropy", np.ones((0, 2)), np.zeros(0, dtype=np.int64),
+                     np.zeros(0, dtype=np.int64), "needs at least one row", id="cross-entropy-no-rows"),
+        pytest.param("discriminator", np.ones((0, 2)), np.zeros(0, dtype=np.int64),
+                     np.zeros(0, dtype=np.int64), "needs at least one row", id="discriminator-no-rows"),
     ],
 )
 def test_cell_inputs_must_match_the_batch(call, reps, labels, groups, match):

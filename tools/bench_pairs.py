@@ -14,7 +14,9 @@ first in odd pairs (1, 3, ...) and second in even ones. The output JSON
 holds every pair's end-to-end metrics and, per workload and metric,
 each side's q1/median/q3, the change/parent median ratio and how many
 pairs the change was lower and higher in. ``--traced-pair`` first runs
-one ``--trace 1`` pair (change first) and stores both full results.
+three alternated ``--trace 1`` pairs (change first in odd pairs) and
+stores every full result plus each side's per-metric medians, so that
+host drift within one pair does not read as a layer change.
 Standard library only.
 """
 
@@ -33,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_PAIRS = 3
 
 
 def end_to_end_metrics() -> list[str]:
@@ -72,6 +75,18 @@ def pair_values(result: dict, names: list[str]) -> dict:
         row["ops_failed"] = res["failed"]
         out[workload] = row
     return out
+
+
+def metric_medians(results: list[dict]) -> dict:
+    """Per workload and metric, the median value over ``results``."""
+    return {
+        workload: {
+            name: statistics.median(r["workloads"][workload]["metrics"][name]["value"]
+                                    for r in results)
+            for name in res["metrics"]
+        }
+        for workload, res in results[0]["workloads"].items()
+    }
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -119,7 +134,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="all")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--traced-pair", action="store_true",
-                        help="first run one --trace 1 pair, change first")
+                        help=f"first run {TRACED_PAIRS} alternated --trace 1 pairs, change first")
     parser.add_argument("--out", required=True, help="JSON file to write")
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
@@ -138,10 +153,17 @@ def main(argv=None) -> int:
         }
 
         if args.traced_pair:
-            for side in ("change", "parent"):
-                payload[side] = run_bench(trees[side], args.workload, 1,
-                                          tmp / f"traced_{side}.json")
-            payload["order"] = "one traced pair, change first"
+            runs: dict = {"parent": [], "change": []}
+            for k in range(1, TRACED_PAIRS + 1):
+                for side in ("change", "parent") if k % 2 else ("parent", "change"):
+                    runs[side].append(run_bench(trees[side], args.workload, 1,
+                                                tmp / f"traced{k}_{side}.json"))
+            payload["traced_pairs"] = {
+                "note": f"{TRACED_PAIRS} pairs, change first in odd pairs; each median is "
+                        "per metric over that side's runs",
+                "medians": {side: metric_medians(results) for side, results in runs.items()},
+                "runs": runs,
+            }
 
         pairs = []
         for k in range(1, args.pairs + 1):
