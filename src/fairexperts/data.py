@@ -79,23 +79,24 @@ class Dataset:
             raise DataError("label index out of declared range")
         if n and (self.groups.min() < 0 or self.groups.max() >= self.num_groups):
             raise DataError("group index out of declared range")
-        unknown = set(np.unique(self.split)) - set(SPLITS)
-        if unknown:
+        masks = {name: self.split == name for name in SPLITS}
+        known = masks["train"] | masks["val"] | masks["test"]
+        if not known.all():
+            unknown = set(np.unique(self.split[~known]))
             raise DataError(f"unknown split tags: {sorted(unknown)}")
-        train_cells = set(self._cells("train"))
+        # one integer code per (group, class) cell, in (group, class) order
+        codes = self.groups * self.classes + self.labels
+        train_cells = np.unique(codes[masks["train"]])
         for split_name in ("val", "test"):
-            missing = set(self._cells(split_name)) - train_cells
-            if missing:
+            missing = np.setdiff1d(codes[masks[split_name]], train_cells)
+            if missing.size:
+                cells = [divmod(code, self.classes) for code in missing.tolist()]
                 raise DataError(
-                    f"(group, class) cells {sorted(missing)} appear in {split_name} "
+                    f"(group, class) cells {cells} appear in {split_name} "
                     "but not in train"
                 )
         for arr in (self.features, self.labels, self.groups, self.split):
             arr.flags.writeable = False
-
-    def _cells(self, split_name: str) -> list[tuple[int, int]]:
-        mask = self.split == split_name
-        return list(zip(self.groups[mask].tolist(), self.labels[mask].tolist()))
 
     @property
     def n(self) -> int:
@@ -111,9 +112,16 @@ class Dataset:
         return np.flatnonzero(self.split == split_name)
 
     def split_arrays(self, split_name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(features, labels, groups) for one split, in dataset order."""
+        """(features, labels, groups) for one split, in dataset order.
+
+        When the split's rows are contiguous, as in generated data, these
+        are read-only views of the dataset's arrays; otherwise copies.
+        """
         idx = self.split_indices(split_name)
-        return self.features[idx], self.labels[idx], self.groups[idx]
+        rows = idx
+        if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+            rows = slice(idx[0], idx[-1] + 1)
+        return self.features[rows], self.labels[rows], self.groups[rows]
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,7 @@ class GroupStats:
 
 def group_stats(dataset: Dataset, split_name: str) -> GroupStats:
     """Per-group counts and proportions within one split."""
-    _, _, groups = dataset.split_arrays(split_name)
+    groups = dataset.groups[dataset.split_indices(split_name)]
     if groups.size == 0:
         raise DataError(f"split {split_name!r} is empty")
     counts = np.bincount(groups, minlength=dataset.num_groups).astype(np.int64)
@@ -184,27 +192,31 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     output. Samples are ordered by (split, group, class).
     """
     gen = rngmod.stream(config.seed, rngmod.DATA)
-    feats, labels, groups, split = [], [], [], []
-    for split_name in SPLITS:
-        for g in range(config.groups):
-            shares = _class_shares(config.counts[split_name][g], config.classes)
-            for c, n_cell in enumerate(shares):
-                if n_cell == 0:
-                    continue
-                x = config.means[g, c] + config.stds[g, c] * gen.standard_normal(
-                    (n_cell, config.d)
-                )
-                feats.append(x)
-                labels.append(np.full(n_cell, c, dtype=np.int64))
-                groups.append(np.full(n_cell, g, dtype=np.int64))
-                split.append(np.full(n_cell, split_name, dtype="U5"))
+    cells = [
+        (split_name, g, c, n_cell)
+        for split_name in SPLITS
+        for g in range(config.groups)
+        for c, n_cell in enumerate(_class_shares(config.counts[split_name][g], config.classes))
+        if n_cell
+    ]
+    n = sum(cell[3] for cell in cells)
+    features = np.empty((n, config.d))
+    labels = np.empty(n, dtype=np.int64)
+    groups = np.empty(n, dtype=np.int64)
+    split = np.empty(n, dtype="U5")
+    start = 0
+    for split_name, g, c, n_cell in cells:
+        rows = slice(start, start + n_cell)
+        # the draws and arithmetic of mean + std * standard_normal, in place
+        x = gen.standard_normal(out=features[rows])
+        x *= config.stds[g, c]
+        x += config.means[g, c]
+        labels[rows] = c
+        groups[rows] = g
+        split[rows] = split_name
+        start = rows.stop
     return Dataset(
-        np.concatenate(feats),
-        np.concatenate(labels),
-        np.concatenate(groups),
-        np.concatenate(split),
-        classes=config.classes,
-        num_groups=config.groups,
+        features, labels, groups, split, classes=config.classes, num_groups=config.groups
     )
 
 

@@ -1,7 +1,10 @@
 """Dense feedforward networks with explicit forward/backward passes.
 
 All parameters are float64 numpy arrays. ``Mlp.forward`` accepts a single
-input vector or a batch matrix (one row per sample). ``Mlp.backward``
+input vector or a batch matrix (one row per sample). Inference calls pass
+``cache=False``: no cache is kept, and the rows go through the network in
+blocks of ``APPLY_BLOCK`` into one output array, so memory grows with the
+output, not with rows times hidden width. ``Mlp.backward``
 consumes the gradient of a scalar loss with respect to the output and
 returns per-layer parameter gradients plus the gradient with respect to
 the input, which a caller that discards it can skip. Gradients are
@@ -20,6 +23,11 @@ ACTIVATIONS = ("relu", "identity")
 
 # cache entry per layer: (layer input, pre-activation)
 Cache = list[tuple[np.ndarray, np.ndarray]]
+
+# rows per block of a cache-free forward pass. A short tail joins the
+# block before it: OpenBLAS can round a product of a few rows differently
+# from the whole matrix's, while blocks this long match it bit for bit.
+APPLY_BLOCK = 8192
 
 
 class TrainingDivergence(RuntimeError):
@@ -75,19 +83,49 @@ class Mlp:
             [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
         )
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, Cache]:
-        """Evaluate the network; returns (output, cache for backward)."""
+    def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, Cache | None]:
+        """Evaluate the network; returns (output, cache for backward).
+
+        With ``cache=False`` the output is the same, bit for bit, and the
+        cache is None; rows are evaluated in ``APPLY_BLOCK``-row blocks.
+        """
         a = np.asarray(x, dtype=np.float64)
         if a.shape[-1] != self.in_dim:
             raise ValueError(
                 f"input has dimension {a.shape[-1]}, network expects {self.in_dim}"
             )
-        cache: Cache = []
+        if not cache:
+            return self._apply(a), None
+        saved: Cache = []
         for layer in self.layers:
             z = a @ layer.weight.T + layer.bias
-            cache.append((a, z))
+            saved.append((a, z))
             a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        return a, cache
+        return a, saved
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """Output for ``x`` without a cache, block by block into one array."""
+        out = np.empty(x.shape[:-1] + (self.out_dim,))
+        if x.ndim == 1:
+            self._apply_rows(x, out)
+            return out
+        n = x.shape[0]
+        blocks = max(n // APPLY_BLOCK, 1)
+        for k in range(blocks):
+            start = k * APPLY_BLOCK
+            stop = n if k == blocks - 1 else start + APPLY_BLOCK
+            self._apply_rows(x[start:stop], out[start:stop])
+        return out
+
+    def _apply_rows(self, a: np.ndarray, out: np.ndarray) -> None:
+        """``forward``'s arithmetic on rows ``a``, in place, ending in ``out``."""
+        last = len(self.layers) - 1
+        for idx, layer in enumerate(self.layers):
+            z = np.matmul(a, layer.weight.T, out=out if idx == last else None)
+            z += layer.bias
+            if layer.activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            a = z
 
     def backward(
         self, cache: Cache, dout: np.ndarray, input_grad: bool = True

@@ -183,6 +183,8 @@ def routed_predictor(decision: SelectionDecision, experts_model, erm_model):
         for mask, fn in ((use_expert, expert_predict), (~use_expert, erm_predict)):
             if not mask.any():
                 continue
+            if mask.all():  # one model serves every row: no gathered copy
+                return fn(features, groups)
             part = np.atleast_2d(np.asarray(fn(features[mask], groups[mask])))
             if probs is None:
                 probs = np.empty((features.shape[0], part.shape[1]))

@@ -153,18 +153,18 @@ class Model:
             raise ValueError("exactly the experts model has a discriminator and centers")
 
     def representations(self, features: np.ndarray) -> np.ndarray:
-        return self.backbone.forward(np.atleast_2d(features))[0]
+        return self.backbone.forward(np.atleast_2d(features), cache=False)[0]
 
     def predict_proba(self, features: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
         z = self.representations(features)
         if self.kind == "erm":
-            return softmax(self.heads[0].forward(z)[0])
+            return softmax(self.heads[0].forward(z, cache=False)[0])
         groups = check_index("groups", np.atleast_1d(groups), z.shape[0], len(self.heads))
         probs = np.empty((z.shape[0], self.heads[0].out_dim))
         for g, head in enumerate(self.heads):
             mask = groups == g
             if mask.any():
-                probs[mask] = softmax(head.forward(z[mask])[0])
+                probs[mask] = softmax(head.forward(z[mask], cache=False)[0])
         return probs
 
 
@@ -394,7 +394,7 @@ def train_decoupled(erm: Model, dataset: Dataset, hp: HyperParams) -> Model:
     """Train per-group heads over the frozen ERM backbone."""
     backbone = erm.backbone.copy()
     features, labels, groups = dataset.split_arrays("train")
-    z_all = backbone.forward(features)[0]
+    z_all = backbone.forward(features, cache=False)[0]
     heads: list[Mlp] = []
     init_rng = rngmod.stream(hp.seed, rngmod.INIT, 1)
     for g in range(dataset.num_groups):
@@ -445,10 +445,10 @@ def probe_group_accuracy(
     z_train, _, g_train = extract_representations(model, dataset, "train")
     z_eval, _, g_eval = extract_representations(model, dataset, eval_split)
     probe = train_group_probe(z_train, g_train, dataset.num_groups, seed)
-    return accuracy(probe.forward(z_eval)[0].argmax(axis=1), g_eval)
+    return accuracy(probe.forward(z_eval, cache=False)[0].argmax(axis=1), g_eval)
 
 
 def discriminator_accuracy(model: Model, dataset: Dataset, split: str) -> float:
     """Accuracy of the trained discriminator at recovering groups."""
     z, _, groups = extract_representations(model, dataset, split)
-    return accuracy(model.discriminator.forward(z)[0].argmax(axis=1), groups)
+    return accuracy(model.discriminator.forward(z, cache=False)[0].argmax(axis=1), groups)

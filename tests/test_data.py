@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from fairexperts import rng as rngmod
 from fairexperts.data import (
+    SPLITS,
     CsvSchema,
     DataError,
     Dataset,
     SyntheticConfig,
+    _class_shares,
     assign_splits,
     default_schema,
     generate_synthetic,
@@ -38,6 +41,93 @@ def test_generate_synthetic_is_deterministic_for_a_seed():
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.groups, b.groups)
     assert np.array_equal(a.split, b.split)
+
+
+def generate_synthetic_oracle(config):
+    """Per-cell draws joined with concatenate, the generator's former form."""
+    gen = rngmod.stream(config.seed, rngmod.DATA)
+    feats, labels, groups, split = [], [], [], []
+    for split_name in SPLITS:
+        for g in range(config.groups):
+            shares = _class_shares(config.counts[split_name][g], config.classes)
+            for c, n_cell in enumerate(shares):
+                if n_cell == 0:
+                    continue
+                x = config.means[g, c] + config.stds[g, c] * gen.standard_normal(
+                    (n_cell, config.d)
+                )
+                feats.append(x)
+                labels.append(np.full(n_cell, c, dtype=np.int64))
+                groups.append(np.full(n_cell, g, dtype=np.int64))
+                split.append(np.full(n_cell, split_name, dtype="U5"))
+    return tuple(map(np.concatenate, (feats, labels, groups, split)))
+
+
+def test_generate_synthetic_matches_the_concatenating_oracle():
+    rng = np.random.default_rng(6)
+    configs = [
+        blob_config(),
+        separable_config(seed=3),
+        # three classes and val/test counts below it: some cells get no rows
+        SyntheticConfig(
+            d=3,
+            classes=3,
+            groups=2,
+            means=rng.standard_normal((2, 3, 3)),
+            stds=rng.uniform(0.5, 2.0, (2, 3)),
+            counts={"train": (7, 5), "val": (2, 1), "test": (1, 4)},
+            seed=11,
+        ),
+    ]
+    for cfg in configs:
+        ds = generate_synthetic(cfg)
+        want = generate_synthetic_oracle(cfg)
+        for got, expected in zip((ds.features, ds.labels, ds.groups, ds.split), want):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_split_arrays_of_contiguous_splits_are_read_only_views():
+    ds = generate_synthetic(separable_config(seed=4))
+    for split in SPLITS:
+        idx = np.flatnonzero(ds.split == split)
+        arrays = ds.split_arrays(split)
+        for got, full in zip(arrays, (ds.features, ds.labels, ds.groups)):
+            assert np.shares_memory(got, full)
+            assert not got.flags.writeable
+            assert got.dtype == full.dtype and np.array_equal(got, full[idx])
+        with pytest.raises(ValueError):
+            arrays[0][0, 0] = 1.0
+
+
+def test_split_arrays_of_interleaved_splits_are_copies_in_dataset_order(tmp_path):
+    path = tmp_path / "interleaved.csv"
+    tags = ["train", "val", "train", "test", "train", "val", "train", "test", "train"]
+    rows = ["f0,f1,label,group,split"]
+    rows += [f"{i}.5,{-i}.25,0,{i // 2 % 2},{tag}" for i, tag in enumerate(tags)]
+    path.write_text("\n".join(rows) + "\n")
+    ds = load_csv(str(path), CsvSchema(("f0", "f1"), classes=2, groups=2))
+    for split in SPLITS:
+        idx = np.flatnonzero(np.array(tags) == split)
+        for got, full in zip(ds.split_arrays(split), (ds.features, ds.labels, ds.groups)):
+            assert not np.shares_memory(got, full)
+            assert got.dtype == full.dtype and np.array_equal(got, full[idx])
+
+
+def test_dataset_names_unknown_tags_and_missing_cells():
+    with pytest.raises(DataError, match=r"unknown split tags: \[np.str_\('dev'\)\]"):
+        Dataset(np.zeros((2, 1)), [0, 0], [0, 0], ["train", "dev"], classes=1, num_groups=1)
+    with pytest.raises(
+        DataError, match=r"cells \[\(0, 1\), \(2, 0\)\] appear in test but not in train"
+    ):
+        Dataset(
+            np.zeros((5, 1)),
+            [0, 1, 0, 1, 1],
+            [0, 0, 2, 1, 1],
+            ["train", "test", "test", "val", "train"],
+            classes=2,
+            num_groups=3,
+        )
 
 
 def test_generate_synthetic_different_seed_differs():

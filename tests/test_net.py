@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fairexperts.net import (
+    APPLY_BLOCK,
     Layer,
     Mlp,
     TrainingDivergence,
@@ -94,6 +96,64 @@ def test_forward_is_deterministic_bitwise():
     a, _ = net.forward(x)
     b, _ = net.forward(x)
     assert np.array_equal(a, b)
+
+
+BLOCK_ROW_COUNTS = (
+    APPLY_BLOCK - 1,
+    APPLY_BLOCK,
+    2 * APPLY_BLOCK - 1,
+    2 * APPLY_BLOCK,
+    2 * APPLY_BLOCK + 1,
+    5 * APPLY_BLOCK + 3,
+)
+
+
+def test_forward_without_cache_is_bit_identical_in_blocks():
+    rng = np.random.default_rng(21)
+    shapes = [([10, 32, 8], ["relu", "identity"]), ([8, 2], ["identity"]),
+              ([3, 6, 6, 2], ["relu", "relu", "identity"])]
+    for dims, acts in shapes:
+        net = init_mlp(dims, acts, rng)
+        inputs = [rng.standard_normal(dims[0])]
+        inputs += [rng.standard_normal((n, dims[0])) for n in BLOCK_ROW_COUNTS]
+        for x in inputs:
+            want, _ = net.forward(x)
+            got, cache = net.forward(x, cache=False)
+            assert cache is None
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_forward_without_cache_is_one_public_call(monkeypatch):
+    # the blocks go through a private helper, so a wrapper around
+    # Mlp.forward (as a tracer installs) sees one call per pass
+    calls = []
+    original = Mlp.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mlp, "forward", counted)
+    net = init_mlp([4, 5, 2], ["relu", "identity"], np.random.default_rng(2))
+    net.forward(np.zeros((5 * APPLY_BLOCK + 3, 4)), cache=False)
+    assert len(calls) == 1
+
+
+def test_forward_without_cache_bounds_memory_by_the_output():
+    rows, hidden = 50_000, 256
+    rng = np.random.default_rng(4)
+    net = init_mlp([10, hidden, 8], ["relu", "identity"], rng)
+    x = rng.standard_normal((rows, 10))
+    tracemalloc.start()
+    try:
+        out, _ = net.forward(x, cache=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block's hidden layer plus its matmul temporary; the cached pass
+    # holds two rows x hidden arrays (about 200 MB here)
+    assert peak < out.nbytes + 2 * APPLY_BLOCK * hidden * 8
 
 
 def test_backward_without_input_gradient_keeps_parameter_gradients_bit_identical():

@@ -13,10 +13,13 @@ that ``perfbench/run.py`` sets by default; the parent runs
 first in odd pairs (1, 3, ...) and second in even ones. The output JSON
 holds every pair's end-to-end metrics and, per workload and metric,
 each side's q1/median/q3, the change/parent median ratio and how many
-pairs the change was lower and higher in. ``--traced-pair`` first runs
+pairs the change was lower and higher in. ``--traced-pair`` then runs
 three alternated ``--trace 1`` pairs (change first in odd pairs) and
 stores every full result plus each side's per-metric medians, so that
-host drift within one pair does not read as a layer change.
+host drift within one pair does not read as a layer change. They run
+after the untraced pairs, once the host has settled: run first, they
+caught it still speeding up, and unchanged layers read faster on
+whichever side ran later.
 Standard library only.
 """
 
@@ -134,7 +137,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="all")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--traced-pair", action="store_true",
-                        help=f"first run {TRACED_PAIRS} alternated --trace 1 pairs, change first")
+                        help=f"then run {TRACED_PAIRS} alternated --trace 1 pairs, change first")
     parser.add_argument("--out", required=True, help="JSON file to write")
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
@@ -151,19 +154,6 @@ def main(argv=None) -> int:
             "parent_commit": commit,
             "command": " ".join(["python3", "tools/bench_pairs.py", *argv]),
         }
-
-        if args.traced_pair:
-            runs: dict = {"parent": [], "change": []}
-            for k in range(1, TRACED_PAIRS + 1):
-                for side in ("change", "parent") if k % 2 else ("parent", "change"):
-                    runs[side].append(run_bench(trees[side], args.workload, 1,
-                                                tmp / f"traced{k}_{side}.json"))
-            payload["traced_pairs"] = {
-                "note": f"{TRACED_PAIRS} pairs, change first in odd pairs; each median is "
-                        "per metric over that side's runs",
-                "medians": {side: metric_medians(results) for side, results in runs.items()},
-                "runs": runs,
-            }
 
         pairs = []
         for k in range(1, args.pairs + 1):
@@ -186,6 +176,20 @@ def main(argv=None) -> int:
             "summary": summarize(pairs, names),
             "pairs": pairs,
         }
+
+        if args.traced_pair:
+            runs: dict = {"parent": [], "change": []}
+            for k in range(1, TRACED_PAIRS + 1):
+                for side in ("change", "parent") if k % 2 else ("parent", "change"):
+                    runs[side].append(run_bench(trees[side], args.workload, 1,
+                                                tmp / f"traced{k}_{side}.json"))
+            payload["traced_pairs"] = {
+                "note": f"{TRACED_PAIRS} pairs after the untraced ones, change first in odd "
+                        "pairs; each median is per metric over that side's runs",
+                "medians": {side: metric_medians(results) for side, results in runs.items()},
+                "runs": runs,
+            }
+
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
