@@ -231,6 +231,8 @@ def config_from_dict(kv: dict[str, str]) -> ExperimentConfig:
         raise ConfigError("need at least one seed")
     if min(seeds) < 0:
         raise ConfigError(f"seeds must be nonnegative, got {min(seeds)}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds must be distinct, got {', '.join(map(str, seeds))}")
     metric = kv.get("metric", "accuracy")
     if metric not in ("accuracy", "auc"):
         raise ConfigError(f"metric must be accuracy or auc, got {metric!r}")

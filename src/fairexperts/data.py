@@ -84,18 +84,27 @@ class Dataset:
         if not known.all():
             unknown = set(np.unique(self.split[~known]))
             raise DataError(f"unknown split tags: {sorted(unknown)}")
-        # one integer code per (group, class) cell, in (group, class) order
+        # one integer code per (group, class) cell, in (group, class) order;
+        # each split's rows as a slice when contiguous, else an index array
         codes = self.groups * self.classes + self.labels
-        train_cells = np.unique(codes[masks["train"]])
+        rows, cells = {}, {}
+        for name, mask in masks.items():
+            idx = np.flatnonzero(mask)
+            if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+                idx = slice(idx[0], idx[-1] + 1)
+            rows[name] = idx
+            counts = np.bincount(codes[idx], minlength=self.num_groups * self.classes)
+            cells[name] = counts.reshape(self.num_groups, self.classes)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_cells", cells)
         for split_name in ("val", "test"):
-            missing = np.setdiff1d(codes[masks[split_name]], train_cells)
+            missing = np.argwhere((cells[split_name] > 0) & (cells["train"] == 0))
             if missing.size:
-                cells = [divmod(code, self.classes) for code in missing.tolist()]
                 raise DataError(
-                    f"(group, class) cells {cells} appear in {split_name} "
-                    "but not in train"
+                    f"(group, class) cells {list(map(tuple, missing.tolist()))} "
+                    f"appear in {split_name} but not in train"
                 )
-        for arr in (self.features, self.labels, self.groups, self.split):
+        for arr in (self.features, self.labels, self.groups, self.split, *cells.values()):
             arr.flags.writeable = False
 
     @property
@@ -106,10 +115,10 @@ class Dataset:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def split_indices(self, split_name: str) -> np.ndarray:
+    def _check_split(self, split_name: str) -> str:
         if split_name not in SPLITS:
             raise DataError(f"unknown split {split_name!r}")
-        return np.flatnonzero(self.split == split_name)
+        return split_name
 
     def split_arrays(self, split_name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(features, labels, groups) for one split, in dataset order.
@@ -117,11 +126,12 @@ class Dataset:
         When the split's rows are contiguous, as in generated data, these
         are read-only views of the dataset's arrays; otherwise copies.
         """
-        idx = self.split_indices(split_name)
-        rows = idx
-        if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-            rows = slice(idx[0], idx[-1] + 1)
+        rows = self._rows[self._check_split(split_name)]
         return self.features[rows], self.labels[rows], self.groups[rows]
+
+    def cell_counts(self, split_name: str) -> np.ndarray:
+        """Read-only (groups, classes) table of one split's sample counts."""
+        return self._cells[self._check_split(split_name)]
 
 
 @dataclass(frozen=True)
@@ -133,10 +143,9 @@ class GroupStats:
 
 def group_stats(dataset: Dataset, split_name: str) -> GroupStats:
     """Per-group counts and proportions within one split."""
-    groups = dataset.groups[dataset.split_indices(split_name)]
-    if groups.size == 0:
+    counts = dataset.cell_counts(split_name).sum(axis=1)
+    if not counts.any():
         raise DataError(f"split {split_name!r} is empty")
-    counts = np.bincount(groups, minlength=dataset.num_groups).astype(np.int64)
     proportions = counts / counts.sum()
     missing = tuple(int(g) for g in np.flatnonzero(counts == 0))
     return GroupStats(counts, proportions, missing)
@@ -314,9 +323,13 @@ def assign_splits(labels: np.ndarray, groups: np.ndarray, seed: int) -> np.ndarr
     """
     gen = rngmod.stream(seed, rngmod.DATA, 1)
     split = np.empty(len(labels), dtype="U5")
-    cells = sorted(set(zip(groups.tolist(), labels.tolist())))
-    for g, c in cells:
-        idx = np.flatnonzero((groups == g) & (labels == c))
+    # one stable sort lists each cell's rows in ascending order, cells in
+    # (group, class) order; no rows means no cells and no draws
+    order = np.lexsort((labels, groups))
+    g_sorted, c_sorted = groups[order], labels[order]
+    starts = np.flatnonzero((g_sorted[1:] != g_sorted[:-1]) | (c_sorted[1:] != c_sorted[:-1]))
+    cells = np.split(order, starts + 1) if order.size else []
+    for idx in cells:
         idx = idx[gen.permutation(len(idx))]
         n_cell = len(idx)
         quota = {s: SPLIT_RATIOS[s] * n_cell for s in SPLITS}

@@ -37,7 +37,7 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
-    if not set(np.unique(labels).tolist()) <= {0, 1}:
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be binary 0/1")
     pos = scores[labels == 1]
     neg = scores[labels == 0]
@@ -121,9 +121,9 @@ def equalized_odds(
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     groups = np.asarray(groups)
-    if not set(np.unique(labels).tolist()) <= {0, 1}:
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be binary 0/1")
-    if not set(np.unique(predictions).tolist()) <= {0, 1}:
+    if not ((predictions == 0) | (predictions == 1)).all():
         raise ValueError("predictions must be binary 0/1")
     ids = np.unique(groups)
     rates = {}
@@ -165,12 +165,13 @@ def _evaluate(predict, dataset: Dataset, split: str, kind: str):
     if probs.shape[0] != features.shape[0]:
         raise ValueError("predictor returned wrong number of rows")
     values = np.empty(dataset.num_groups)
+    cells = dataset.cell_counts(split)
     for g in range(dataset.num_groups):
         mask = groups == g
         if kind == "accuracy":
             values[g] = accuracy(probs[mask].argmax(axis=1), labels[mask])
         else:
-            if len(set(labels[mask].tolist())) < 2:
+            if np.count_nonzero(cells[g]) < 2:
                 raise ValueError(f"group {g} has a single class; auc undefined")
             values[g] = auc(_positive_scores(probs[mask]), labels[mask])
     return GroupMetrics(kind, values, stats.proportions, split), probs, labels, groups
@@ -199,12 +200,8 @@ def build_report(
     else:
         overall = auc(_positive_scores(probs), labels)
     eo = None
-    if dataset.classes == 2:
-        has_both = all(
-            len(set(labels[groups == g].tolist())) == 2 for g in range(dataset.num_groups)
-        )
-        if has_both:
-            eo = equalized_odds(probs.argmax(axis=1), labels, groups)
+    if dataset.classes == 2 and dataset.cell_counts(split).all():
+        eo = equalized_odds(probs.argmax(axis=1), labels, groups)
     return {
         "metric_kind": kind,
         "split": split,

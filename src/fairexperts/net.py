@@ -1,16 +1,17 @@
 """Dense feedforward networks with explicit forward/backward passes.
 
 All parameters are float64 numpy arrays. ``Mlp.forward`` accepts a single
-input vector or a batch matrix (one row per sample). Inference calls pass
-``cache=False``: no cache is kept, and the rows go through the network in
-blocks of ``APPLY_BLOCK`` into one output array, so memory grows with the
-output, not with rows times hidden width. ``Mlp.backward``
-consumes the gradient of a scalar loss with respect to the output and
-returns per-layer parameter gradients plus the gradient with respect to
-the input, which a caller that discards it can skip. Gradients are
-summed over batch rows, so a loss gradient that already carries a
-1/batch factor yields batch-averaged parameter gradients; the loss
-helpers in this package follow that convention.
+input vector or a batch matrix (one row per sample). One in-place routine
+does its arithmetic. A cached pass runs all rows as one block and keeps
+each layer's (input, output); inference calls pass ``cache=False``, which
+keeps no cache and runs blocks of ``APPLY_BLOCK`` rows into one output
+array, so memory grows with the output, not with rows times hidden width.
+``Mlp.backward`` consumes the gradient of a scalar loss with respect to
+the output and returns per-layer parameter gradients plus the gradient
+with respect to the input, which a caller that discards it can skip.
+Gradients are summed over batch rows, so a loss gradient that already
+carries a 1/batch factor yields batch-averaged parameter gradients; the
+loss helpers in this package follow that convention.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 ACTIVATIONS = ("relu", "identity")
 
-# cache entry per layer: (layer input, pre-activation)
+# cache entry per layer: (layer input, layer output)
 Cache = list[tuple[np.ndarray, np.ndarray]]
 
 # rows per block of a cache-free forward pass. A short tail joins the
@@ -94,30 +95,16 @@ class Mlp:
             raise ValueError(
                 f"input has dimension {a.shape[-1]}, network expects {self.in_dim}"
             )
-        if not cache:
-            return self._apply(a), None
-        saved: Cache = []
-        for layer in self.layers:
-            z = a @ layer.weight.T + layer.bias
-            saved.append((a, z))
-            a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        return a, saved
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """Output for ``x`` without a cache, block by block into one array."""
-        out = np.empty(x.shape[:-1] + (self.out_dim,))
-        if x.ndim == 1:
-            self._apply_rows(x, out)
-            return out
-        n = x.shape[0]
-        blocks = max(n // APPLY_BLOCK, 1)
+        out = np.empty(a.shape[:-1] + (self.out_dim,))
+        saved: Cache | None = [] if cache else None
+        blocks = 1 if cache or a.ndim == 1 else max(a.shape[0] // APPLY_BLOCK, 1)
         for k in range(blocks):
             start = k * APPLY_BLOCK
-            stop = n if k == blocks - 1 else start + APPLY_BLOCK
-            self._apply_rows(x[start:stop], out[start:stop])
-        return out
+            stop = None if k == blocks - 1 else start + APPLY_BLOCK
+            self._forward_block(a[start:stop], out[start:stop], saved)
+        return out, saved
 
-    def _apply_rows(self, a: np.ndarray, out: np.ndarray) -> None:
+    def _forward_block(self, a: np.ndarray, out: np.ndarray, saved: Cache | None) -> None:
         """``forward``'s arithmetic on rows ``a``, in place, ending in ``out``."""
         last = len(self.layers) - 1
         for idx, layer in enumerate(self.layers):
@@ -125,6 +112,8 @@ class Mlp:
             z += layer.bias
             if layer.activation == "relu":
                 np.maximum(z, 0.0, out=z)
+            if saved is not None:
+                saved.append((a, z))
             a = z
 
     def backward(
@@ -145,8 +134,9 @@ class Mlp:
         grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.layers))
         for idx in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[idx]
-            a_in, z = cache[idx]
-            dz = d * (z > 0.0) if layer.activation == "relu" else d
+            # after ReLU, output > 0 exactly where the pre-activation was
+            a_in, a_out = cache[idx]
+            dz = d * (a_out > 0.0) if layer.activation == "relu" else d
             if dz.ndim == 1:
                 grads[2 * idx] = np.outer(dz, a_in)
                 grads[2 * idx + 1] = dz.copy()

@@ -303,14 +303,7 @@ def _routed_cross_entropy(
 
 def missing_train_cells(dataset: Dataset) -> list[tuple[int, int]]:
     """(group, class) cells with no training samples."""
-    _, labels, groups = dataset.split_arrays("train")
-    present = set(zip(groups.tolist(), labels.tolist()))
-    return [
-        (g, c)
-        for g in range(dataset.num_groups)
-        for c in range(dataset.classes)
-        if (g, c) not in present
-    ]
+    return list(map(tuple, np.argwhere(dataset.cell_counts("train") == 0).tolist()))
 
 
 def train_experts(dataset: Dataset, hp: HyperParams) -> Model:

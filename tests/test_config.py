@@ -143,6 +143,7 @@ def test_config_rejects_invalid_hyperparameters():
         ("hyper.epochs = 2", "hyper.epochs = 2\nhyper.repr_dim = 0", "repr_dim"),
         ("hyper.epochs = 2", "hyper.epochs = 2\nhyper.hidden_dim = -3", "hidden_dim"),
         ("seeds = 11, 12", "seeds = 11, -1", "seeds must be nonnegative"),
+        ("seeds = 11, 12", "seeds = 11, 11, 12", "seeds must be distinct, got 11, 11, 12"),
     ]
     for old, new, match in cases:
         with pytest.raises(ConfigError, match=match):

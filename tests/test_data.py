@@ -3,6 +3,7 @@ import pytest
 
 from fairexperts import rng as rngmod
 from fairexperts.data import (
+    SPLIT_RATIOS,
     SPLITS,
     CsvSchema,
     DataError,
@@ -100,18 +101,48 @@ def test_split_arrays_of_contiguous_splits_are_read_only_views():
             arrays[0][0, 0] = 1.0
 
 
-def test_split_arrays_of_interleaved_splits_are_copies_in_dataset_order(tmp_path):
+INTERLEAVED_TAGS = ["train", "val", "train", "test", "train", "val", "train", "test", "train"]
+
+
+def load_interleaved_csv(tmp_path):
     path = tmp_path / "interleaved.csv"
-    tags = ["train", "val", "train", "test", "train", "val", "train", "test", "train"]
     rows = ["f0,f1,label,group,split"]
-    rows += [f"{i}.5,{-i}.25,0,{i // 2 % 2},{tag}" for i, tag in enumerate(tags)]
+    rows += [
+        f"{i}.5,{-i}.25,{i % 3 // 2},{i // 2 % 2},{tag}" for i, tag in enumerate(INTERLEAVED_TAGS)
+    ]
     path.write_text("\n".join(rows) + "\n")
-    ds = load_csv(str(path), CsvSchema(("f0", "f1"), classes=2, groups=2))
+    return load_csv(str(path), CsvSchema(("f0", "f1"), classes=2, groups=2))
+
+
+def test_split_arrays_of_interleaved_splits_are_copies_in_dataset_order(tmp_path):
+    ds = load_interleaved_csv(tmp_path)
     for split in SPLITS:
-        idx = np.flatnonzero(np.array(tags) == split)
+        idx = np.flatnonzero(np.array(INTERLEAVED_TAGS) == split)
         for got, full in zip(ds.split_arrays(split), (ds.features, ds.labels, ds.groups)):
             assert not np.shares_memory(got, full)
             assert got.dtype == full.dtype and np.array_equal(got, full[idx])
+
+
+def test_cell_counts_match_a_bincount_oracle(tmp_path):
+    train_only = Dataset(np.zeros((4, 1)), [0, 1, 1, 0], [2, 0, 0, 1], ["train"] * 4, 2, 3)
+    datasets = [
+        generate_synthetic(separable_config(seed=4)),
+        load_interleaved_csv(tmp_path),
+        train_only,
+    ]
+    for ds in datasets:
+        for split in SPLITS:
+            mask = ds.split == split
+            want = np.bincount(
+                ds.groups[mask] * ds.classes + ds.labels[mask],
+                minlength=ds.num_groups * ds.classes,
+            ).reshape(ds.num_groups, ds.classes)
+            got = ds.cell_counts(split)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert not got.flags.writeable
+    assert not train_only.cell_counts("val").any()
+    with pytest.raises(DataError, match="unknown split 'dev'"):
+        train_only.cell_counts("dev")
 
 
 def test_dataset_names_unknown_tags_and_missing_cells():
@@ -283,6 +314,37 @@ def test_stratified_split_keeps_every_cell_in_train():
         for s in ("val", "test"):
             eval_cells = set(zip(groups[split == s].tolist(), labels[split == s].tolist()))
             assert eval_cells <= train_cells
+
+
+def assign_splits_mask_per_cell(labels, groups, seed):
+    """Reference for ``assign_splits``: one full-length mask per cell."""
+    gen = rngmod.stream(seed, rngmod.DATA, 1)
+    split = np.empty(len(labels), dtype="U5")
+    for g, c in sorted(set(zip(groups.tolist(), labels.tolist()))):
+        idx = np.flatnonzero((groups == g) & (labels == c))
+        idx = idx[gen.permutation(len(idx))]
+        quota = {s: SPLIT_RATIOS[s] * len(idx) for s in SPLITS}
+        sizes = {s: int(np.floor(quota[s])) for s in SPLITS}
+        by_remainder = sorted(SPLITS, key=lambda s: (-(quota[s] - sizes[s]), SPLITS.index(s)))
+        for s in by_remainder[: len(idx) - sum(sizes.values())]:
+            sizes[s] += 1
+        start = 0
+        for s in SPLITS:
+            split[idx[start : start + sizes[s]]] = s
+            start += sizes[s]
+    return split
+
+
+def test_assign_splits_matches_the_mask_per_cell_loop():
+    rng = np.random.default_rng(3)
+    shapes = [(0, 2, 2), (1, 1, 1), (7, 2, 3), (200, 3, 4), (1000, 5, 7)]
+    for n, classes, num_groups in shapes:
+        for seed in (0, 9):
+            labels = rng.integers(0, classes, n)
+            groups = rng.integers(0, num_groups, n)
+            want = assign_splits_mask_per_cell(labels, groups, seed)
+            got = assign_splits(labels, groups, seed)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_group_stats_proportions():

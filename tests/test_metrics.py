@@ -203,6 +203,28 @@ def test_equalized_odds_rejects_missing_class_in_group():
         equalized_odds(preds, labels, groups)
 
 
+@pytest.mark.parametrize(
+    "binary", [np.array([True, False, True, False]), np.array([1.0, 0.0, 1.0, 0.0])]
+)
+def test_binary_inputs_may_be_bool_or_float(binary):
+    scores = np.array([0.9, 0.1, 0.8, 0.2])
+    assert auc(scores, binary) == 1.0
+    assert equalized_odds(binary, binary, np.array([0, 0, 1, 1])) == 1.0
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, np.nan])
+def test_binary_inputs_reject_other_values(value):
+    good = np.array([1.0, 0.0, 1.0, 0.0])
+    bad = np.array([1.0, 0.0, value, 0.0])
+    groups = np.array([0, 0, 1, 1])
+    with pytest.raises(ValueError, match="labels must be binary"):
+        auc(np.array([0.9, 0.1, 0.8, 0.2]), bad)
+    with pytest.raises(ValueError, match="labels must be binary"):
+        equalized_odds(good, bad, groups)
+    with pytest.raises(ValueError, match="predictions must be binary"):
+        equalized_odds(bad, good, groups)
+
+
 # --- group evaluation ---------------------------------------------------------
 
 

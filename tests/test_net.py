@@ -173,6 +173,34 @@ def test_backward_without_input_gradient_keeps_parameter_gradients_bit_identical
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_relu_at_exact_zero_pre_activations_is_bit_identical_in_every_pass():
+    # hidden unit 2 sits at exactly zero on rows 0 and 2, unit 0 on row 0
+    w1 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    b1 = np.array([0.0, -1.0, 0.0])
+    w2 = np.array([[0.5, -2.0, 3.0], [1.5, 0.25, -1.0]])
+    net = Mlp([Layer(w1, b1, "relu"), Layer(w2, np.array([0.1, -0.2]), "identity")])
+    x = np.array([[0.0, 0.0], [2.0, 1.0], [3.0, 3.0], [-1.0, 4.0]])
+    dout = np.array([[1.0, -1.0], [0.5, 2.0], [-3.0, 1.0], [0.25, 0.75]])
+    for rows in (x, x[2]):
+        d = dout[: len(rows)] if rows.ndim == 2 else dout[2]
+        # the reference arithmetic: mask the gradient by pre-activation > 0
+        z1 = rows @ w1.T + b1
+        h = np.maximum(z1, 0.0)
+        want_out = h @ w2.T + net.layers[1].bias
+        dz1 = (d @ w2) * (z1 > 0.0)
+        if rows.ndim == 2:
+            want = [dz1.T @ rows, np.add.reduce(dz1, axis=0), d.T @ h, np.add.reduce(d, axis=0)]
+        else:
+            want = [np.outer(dz1, rows), dz1, np.outer(d, h), d]
+        want.append(dz1 @ w1)
+        out, cache = net.forward(rows)
+        uncached, _ = net.forward(rows, cache=False)
+        grads, dx = net.backward(cache, d)
+        assert (z1 == 0.0).any()
+        for got, ref in zip([out, uncached, *grads, dx], [want_out, want_out, *want]):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def test_backward_rejects_mismatched_cache():
     rng = np.random.default_rng(1)
     net = init_mlp([3, 2], ["identity"], rng)

@@ -98,7 +98,7 @@ def test_erm_zero_learning_rate_keeps_initialization():
 
 def test_erm_single_full_batch_step_matches_finite_difference_gradient():
     cfg_ds = tiny_dataset()
-    idx = cfg_ds.split_indices("train")[:4]  # four points, one batch
+    idx = np.flatnonzero(cfg_ds.split == "train")[:4]  # four points, one batch
     ds = Dataset(
         cfg_ds.features[idx],
         cfg_ds.labels[idx],
@@ -375,6 +375,15 @@ def test_experts_rejects_missing_train_cell():
     assert missing_train_cells(pruned) == [(1, 1)]
     with pytest.raises(ValueError, match=r"\(1, 1\)"):
         train_experts(pruned, tiny_hp())
+
+
+def test_missing_train_cells_lists_every_cell_in_group_class_order():
+    # cells (0, 1), (1, 0) and (2, 1) hold no rows in any split
+    labels = [0, 0, 1, 1, 0, 0]
+    groups = [2, 0, 1, 1, 0, 2]
+    split = ["train", "train", "train", "val", "test", "train"]
+    ds = Dataset(np.zeros((6, 1)), labels, groups, split, classes=2, num_groups=3)
+    assert missing_train_cells(ds) == [(0, 1), (1, 0), (2, 1)]
 
 
 def test_experts_reference_run_links_groups_and_does_no_harm(
