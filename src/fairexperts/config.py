@@ -57,7 +57,8 @@ _DATA_PATTERNS = (
     re.compile(r"data\.std\.g\d+\.c\d+$"),
     re.compile(r"data\.count\.(train|val|test)\.g\d+$"),
 )
-_HYPER_FIELDS = {f.name for f in fields(HyperParams)} - {"seed"}
+# settable hyperparameters in declaration order, each parsed as the type of its default
+_HYPER_FIELDS = {f.name: type(f.default) for f in fields(HyperParams) if f.name != "seed"}
 
 
 class ConfigError(DataError):
@@ -113,26 +114,17 @@ def _require(kv: dict[str, str], key: str) -> str:
     return kv[key]
 
 
-def _int(kv: dict[str, str], key: str, default: int | None = None) -> int:
+def _number(kv: dict[str, str], key: str, kind: type = int, default: float | None = None):
+    """``kind(kv[key])`` (int or float), or ``default`` when the key is absent."""
     if key not in kv:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return int(kv[key])
+        return kind(kv[key])
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {kv[key]!r}") from None
-
-
-def _float(kv: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in kv:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {kv[key]!r}") from None
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {kv[key]!r}") from None
 
 
 def _float_list(kv: dict[str, str], key: str) -> list[float]:
@@ -147,9 +139,9 @@ def _str_list(value: str) -> list[str]:
 
 
 def _parse_synthetic(kv: dict[str, str]) -> SyntheticConfig:
-    d = _int(kv, "data.d")
-    classes = _int(kv, "data.classes")
-    groups = _int(kv, "data.groups")
+    d = _number(kv, "data.d")
+    classes = _number(kv, "data.classes")
+    groups = _number(kv, "data.groups")
     means = np.zeros((groups, classes, d))
     stds = np.ones((groups, classes))
     for g in range(groups):
@@ -160,11 +152,11 @@ def _parse_synthetic(kv: dict[str, str]) -> SyntheticConfig:
                     f"data.mean.g{g}.c{c}: expected {d} values, got {len(vec)}"
                 )
             means[g, c] = vec
-            stds[g, c] = _float(kv, f"data.std.g{g}.c{c}", 1.0)
+            stds[g, c] = _number(kv, f"data.std.g{g}.c{c}", float, 1.0)
     counts = {}
     for split in SPLITS:
         counts[split] = tuple(
-            _int(kv, f"data.count.{split}.g{g}") for g in range(groups)
+            _number(kv, f"data.count.{split}.g{g}") for g in range(groups)
         )
     return SyntheticConfig(
         d=d,
@@ -173,18 +165,18 @@ def _parse_synthetic(kv: dict[str, str]) -> SyntheticConfig:
         means=means,
         stds=stds,
         counts=counts,
-        seed=_int(kv, "data.seed"),
+        seed=_number(kv, "data.seed"),
     )
 
 
 def _parse_csv(kv: dict[str, str]) -> CsvSource:
     path = _require(kv, "data.path")
-    classes = _int(kv, "data.classes")
-    groups = _int(kv, "data.groups")
+    classes = _number(kv, "data.classes")
+    groups = _number(kv, "data.groups")
     if "data.features" in kv:
         feature_columns = tuple(_str_list(kv["data.features"]))
     else:
-        feature_columns = tuple(f"f{i}" for i in range(_int(kv, "data.d")))
+        feature_columns = tuple(f"f{i}" for i in range(_number(kv, "data.d")))
     split_column: str | None = kv.get("data.split_column", "split")
     if split_column == "none":
         split_column = None
@@ -195,21 +187,17 @@ def _parse_csv(kv: dict[str, str]) -> CsvSource:
         label_column=kv.get("data.label_column", "label"),
         group_column=kv.get("data.group_column", "group"),
         split_column=split_column,
-        split_seed=_int(kv, "data.split_seed", 0),
+        split_seed=_number(kv, "data.split_seed", int, 0),
     )
     return CsvSource(path, schema)
 
 
 def _parse_hyper(kv: dict[str, str]) -> HyperParams:
-    kwargs: dict = {}
-    for name in _HYPER_FIELDS:
-        key = f"hyper.{name}"
-        if key not in kv:
-            continue
-        if name in ("batch_size", "epochs", "hidden_dim", "repr_dim"):
-            kwargs[name] = _int(kv, key)
-        else:
-            kwargs[name] = _float(kv, key)
+    kwargs = {
+        name: _number(kv, f"hyper.{name}", kind)
+        for name, kind in _HYPER_FIELDS.items()
+        if f"hyper.{name}" in kv
+    }
     try:
         return HyperParams(**kwargs)
     except ValueError as exc:
@@ -220,7 +208,7 @@ def config_from_dict(kv: dict[str, str]) -> ExperimentConfig:
     unknown = [key for key in kv if not _known_key(key)]
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
-    version = _int(kv, "version")
+    version = _number(kv, "version")
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version}")
     try:
@@ -249,7 +237,7 @@ def config_from_dict(kv: dict[str, str]) -> ExperimentConfig:
         source = _parse_csv(kv)
     else:
         raise ConfigError(f"data.kind must be synthetic or csv, got {kind!r}")
-    lambda_sel = _float(kv, "lambda_sel", 0.1)
+    lambda_sel = _number(kv, "lambda_sel", float, 0.1)
     if not 0 <= lambda_sel < np.inf:
         raise ConfigError(f"lambda_sel must be finite and nonnegative, got {lambda_sel!r}")
     return ExperimentConfig(

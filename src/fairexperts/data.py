@@ -82,8 +82,7 @@ class Dataset:
         masks = {name: self.split == name for name in SPLITS}
         known = masks["train"] | masks["val"] | masks["test"]
         if not known.all():
-            unknown = set(np.unique(self.split[~known]))
-            raise DataError(f"unknown split tags: {sorted(unknown)}")
+            raise DataError(f"unknown split tags: {np.unique(self.split[~known]).tolist()}")
         # one integer code per (group, class) cell, in (group, class) order;
         # each split's rows as a slice when contiguous, else an index array
         codes = self.groups * self.classes + self.labels

@@ -72,14 +72,14 @@ class VirtualCenters:
     def copy(self) -> "VirtualCenters":
         return VirtualCenters(self.vectors.copy())
 
-    def reinit_degenerate(self, rng: np.random.Generator, floor: float = CENTER_NORM_FLOOR) -> int:
-        """Redraw any center whose norm fell below ``floor``.
+    def reinit_degenerate(self, rng: np.random.Generator) -> int:
+        """Redraw any center whose norm fell below ``CENTER_NORM_FLOOR``.
 
         Keeps cosine similarity defined under aggressive updates. Returns
         the number of redrawn centers so callers can log the anomaly.
         """
         norms = np.sqrt(np.add.reduce(self.vectors * self.vectors, axis=-1))
-        bad = norms < floor
+        bad = norms < CENTER_NORM_FLOOR
         count = np.count_nonzero(bad)
         if count:
             dim = self.vectors.shape[-1]

@@ -2,8 +2,10 @@
 and an equalized-odds score for binary tasks.
 
 A predictor is anything callable as ``predict(features, groups)``
-returning one row of class probabilities per sample (the groups argument
-lets routed predictors dispatch; plain models may ignore it).
+returning one row of class probabilities per sample, one column per
+class (the groups argument lets routed predictors dispatch; plain models
+may ignore it). A report takes one argmax of those rows; its accuracies
+and equalized-odds rates are integer counts divided by integer counts.
 """
 
 from __future__ import annotations
@@ -116,65 +118,59 @@ def equalized_odds(
 ) -> float:
     """1 - (|TPR gap| + |FPR gap|) / 2 for binary predictions and labels.
 
-    With more than two groups, returns the worst pairwise score.
+    With more than two groups, returns the worst pairwise score. Group ids
+    may be any numbers; the rates come from one (group, label, prediction)
+    count table.
     """
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
-    groups = np.asarray(groups)
     if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be binary 0/1")
     if not ((predictions == 0) | (predictions == 1)).all():
         raise ValueError("predictions must be binary 0/1")
-    ids = np.unique(groups)
-    rates = {}
-    for g in ids:
-        mask = groups == g
-        pos = labels[mask] == 1
-        neg = labels[mask] == 0
-        if not pos.any() or not neg.any():
-            raise ValueError(f"group {int(g)} is missing a label class")
-        tpr = float(np.mean(predictions[mask][pos] == 1))
-        fpr = float(np.mean(predictions[mask][neg] == 1))
-        rates[int(g)] = (tpr, fpr)
-    if len(ids) < 2:
-        return 1.0
-    score = 1.0
-    for i, gi in enumerate(ids):
-        for gj in ids[i + 1 :]:
-            ti, fi = rates[int(gi)]
-            tj, fj = rates[int(gj)]
-            score = min(score, 1.0 - 0.5 * (abs(ti - tj) + abs(fi - fj)))
-    return score
-
-
-def _positive_scores(probs: np.ndarray) -> np.ndarray:
-    if probs.ndim != 2 or probs.shape[1] != 2:
-        raise ValueError("auc needs binary class probabilities (n, 2)")
-    return probs[:, 1]
+    ids, index = np.unique(groups, return_inverse=True)
+    codes = index * 4 + (labels == 1) * 2 + (predictions == 1)
+    table = np.bincount(codes, minlength=4 * ids.size).reshape(ids.size, 2, 2)
+    per_label = table.sum(axis=2)
+    missing = np.flatnonzero((per_label == 0).any(axis=1))
+    if missing.size:
+        raise ValueError(f"group {int(ids[missing[0]])} is missing a label class")
+    rates = table[:, :, 1] / per_label  # (G, 2): FPR, TPR
+    spread = np.abs(rates[:, None, :] - rates[None, :, :]).sum(axis=2)
+    return float(np.min(1.0 - 0.5 * spread, initial=1.0))
 
 
 def _evaluate(predict, dataset: Dataset, split: str, kind: str):
-    """(GroupMetrics, probabilities, labels, groups) of one predictor call."""
+    """(GroupMetrics, probabilities, argmax, labels, groups) of one
+    predictor call, whose output must be (rows, classes).
+
+    Per-group accuracy is a group's correct-argmax count over its rows.
+    """
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
+    if kind == "auc" and dataset.classes != 2:
+        raise ValueError("auc needs binary class probabilities (n, 2)")
     features, labels, groups = dataset.split_arrays(split)
     stats = group_stats(dataset, split)
     if stats.missing:
         raise ValueError(f"groups {list(stats.missing)} absent from split {split!r}")
     probs = np.asarray(predict(features, groups), dtype=np.float64)
-    if probs.shape[0] != features.shape[0]:
-        raise ValueError("predictor returned wrong number of rows")
-    values = np.empty(dataset.num_groups)
-    cells = dataset.cell_counts(split)
-    for g in range(dataset.num_groups):
-        mask = groups == g
-        if kind == "accuracy":
-            values[g] = accuracy(probs[mask].argmax(axis=1), labels[mask])
-        else:
+    expected = (features.shape[0], dataset.classes)
+    if probs.shape != expected:
+        raise ValueError(f"predictor returned shape {probs.shape}, expected {expected}")
+    predicted = probs.argmax(axis=1)
+    if kind == "accuracy":
+        values = np.bincount(groups[predicted == labels], minlength=dataset.num_groups) / stats.counts
+    else:
+        values = np.empty(dataset.num_groups)
+        cells = dataset.cell_counts(split)
+        for g in range(dataset.num_groups):
             if np.count_nonzero(cells[g]) < 2:
                 raise ValueError(f"group {g} has a single class; auc undefined")
-            values[g] = auc(_positive_scores(probs[mask]), labels[mask])
-    return GroupMetrics(kind, values, stats.proportions, split), probs, labels, groups
+            mask = groups == g
+            values[g] = auc(probs[mask, 1], labels[mask])
+    gm = GroupMetrics(kind, values, stats.proportions, split)
+    return gm, probs, predicted, labels, groups
 
 
 def group_eval(predict, dataset: Dataset, split: str, kind: str) -> GroupMetrics:
@@ -194,14 +190,14 @@ def build_report(
     score is included for binary tasks when every group carries both
     classes, from argmax predictions. The predictor is called once.
     """
-    gm, probs, labels, groups = _evaluate(predict, dataset, split, kind)
+    gm, probs, predicted, labels, groups = _evaluate(predict, dataset, split, kind)
     if kind == "accuracy":
-        overall = accuracy(probs.argmax(axis=1), labels)
+        overall = accuracy(predicted, labels)
     else:
-        overall = auc(_positive_scores(probs), labels)
+        overall = auc(probs[:, 1], labels)
     eo = None
     if dataset.classes == 2 and dataset.cell_counts(split).all():
-        eo = equalized_odds(probs.argmax(axis=1), labels, groups)
+        eo = equalized_odds(predicted, labels, groups)
     return {
         "metric_kind": kind,
         "split": split,

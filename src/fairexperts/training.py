@@ -426,19 +426,16 @@ def train_group_probe(reps: np.ndarray, groups: np.ndarray, num_groups: int, see
     return probe
 
 
-def probe_group_accuracy(
-    model, dataset: Dataset, seed: int, eval_split: str = "val"
-) -> float:
+def probe_group_accuracy(model, dataset: Dataset, seed: int) -> float:
     """Accuracy of a freshly trained group probe on a model's representations.
 
-    The probe is fit on train-split representations and scored on
-    ``eval_split``. Measures how separable the groups are in the learned
-    space.
+    The probe is fit on train-split representations and scored on the val
+    split. Measures how separable the groups are in the learned space.
     """
     z_train, _, g_train = extract_representations(model, dataset, "train")
-    z_eval, _, g_eval = extract_representations(model, dataset, eval_split)
+    z_val, _, g_val = extract_representations(model, dataset, "val")
     probe = train_group_probe(z_train, g_train, dataset.num_groups, seed)
-    return accuracy(probe.forward(z_eval, cache=False)[0].argmax(axis=1), g_eval)
+    return accuracy(probe.forward(z_val, cache=False)[0].argmax(axis=1), g_val)
 
 
 def discriminator_accuracy(model: Model, dataset: Dataset, split: str) -> float:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from fairexperts import HyperParams, SyntheticConfig, generate_synthetic
+from fairexperts.data import CsvSchema, load_csv
 from fairexperts.losses import EXP_CLAMP, PairAssignment, VirtualCenters
 from fairexperts.net import TrainingDivergence
 
@@ -48,6 +49,37 @@ def pairwise_auc_oracle(scores, labels):
             elif p == q:
                 ties += 1
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def equalized_odds_oracle(predictions, labels, groups):
+    """Per-group masks and a Python loop over group pairs."""
+    predictions = np.asarray(predictions)
+    labels = np.asarray(labels)
+    groups = np.asarray(groups)
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be binary 0/1")
+    if not ((predictions == 0) | (predictions == 1)).all():
+        raise ValueError("predictions must be binary 0/1")
+    ids = np.unique(groups)
+    rates = {}
+    for g in ids:
+        mask = groups == g
+        pos = labels[mask] == 1
+        neg = labels[mask] == 0
+        if not pos.any() or not neg.any():
+            raise ValueError(f"group {int(g)} is missing a label class")
+        tpr = float(np.mean(predictions[mask][pos] == 1))
+        fpr = float(np.mean(predictions[mask][neg] == 1))
+        rates[int(g)] = (tpr, fpr)
+    if len(ids) < 2:
+        return 1.0
+    score = 1.0
+    for i, gi in enumerate(ids):
+        for gj in ids[i + 1 :]:
+            ti, fi = rates[int(gi)]
+            tj, fj = rates[int(gj)]
+            score = min(score, 1.0 - 0.5 * (abs(ti - tj) + abs(fi - fj)))
+    return score
 
 
 def enumerate_ip_oracle(expert, erm, proportions, lambda_sel):
@@ -130,6 +162,20 @@ def tiny_config(seed=5):
         counts={"train": (48, 32), "val": (24, 16), "test": (24, 16)},
         seed=seed,
     )
+
+
+INTERLEAVED_TAGS = ["train", "val", "train", "test", "train", "val", "train", "test", "train"]
+
+
+def load_interleaved_csv(tmp_path):
+    """A 2-group, 2-class CSV whose split tags interleave row by row."""
+    path = tmp_path / "interleaved.csv"
+    rows = ["f0,f1,label,group,split"]
+    rows += [
+        f"{i}.5,{-i}.25,{i % 3 // 2},{i // 2 % 2},{tag}" for i, tag in enumerate(INTERLEAVED_TAGS)
+    ]
+    path.write_text("\n".join(rows) + "\n")
+    return load_csv(str(path), CsvSchema(("f0", "f1"), classes=2, groups=2))
 
 
 def tiny_dataset(seed=5):

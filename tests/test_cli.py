@@ -164,6 +164,21 @@ def test_json_that_is_not_an_object_is_data_error(tmp_path, config_path, capsys,
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("columns", [1, 3])
+def test_evaluate_rejects_a_checkpoint_with_the_wrong_class_count(tmp_path, config_path, capsys, columns):
+    # an erm checkpoint for CONFIG's 3 features whose head has ``columns``
+    # outputs where the config has 2 classes
+    payload = dict(
+        LINEAGE_LIST,
+        seed_lineage={"seed": 5, "generator": "PCG64"},
+        head={"layers": [{"weight": [[1.0]] * columns, "bias": [0.0] * columns, "activation": "identity"}]},
+    )
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(payload))
+    assert main(["evaluate", "--checkpoint", str(path), "--config", config_path]) == 2
+    assert f"predictor returned shape (90, {columns}), expected (90, 2)" in capsys.readouterr().err
+
+
 def test_run_writes_bundle(tmp_path, config_path):
     out_dir = tmp_path / "bundle"
     assert main(["run", "--config", config_path, "--out-dir", str(out_dir)]) == 0

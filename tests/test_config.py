@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +151,29 @@ def test_config_rejects_invalid_hyperparameters():
     for old, new, match in cases:
         with pytest.raises(ConfigError, match=match):
             config_from_dict(parse_kv_text(MINIMAL.replace(old, new)))
+
+
+def test_bad_hyperparameter_named_does_not_depend_on_hash_seed():
+    # three unparsable hyperparameters; the first in HyperParams' field
+    # order is reported, whatever order a set of names would iterate in
+    text = MINIMAL + "hyper.lr_decay = y\nhyper.batch_size = x\nhyper.epochs = z\n"
+    text = text.replace("hyper.epochs = 2\nhyper.batch_size = 8\n", "")
+    script = (
+        "import sys\n"
+        "from fairexperts.config import ConfigError, config_from_dict, parse_kv_text\n"
+        "try:\n"
+        "    config_from_dict(parse_kv_text(sys.stdin.read()))\n"
+        "except ConfigError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script], input=text, env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "hyper.lr_decay: expected a number, got 'y'\n"
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairexperts.data import Dataset
+from fairexperts.data import Dataset, SyntheticConfig, generate_synthetic
 from fairexperts.metrics import (
     GroupMetrics,
     accuracy,
@@ -13,7 +13,12 @@ from fairexperts.metrics import (
     max_min,
 )
 
-from helpers import pairwise_auc_oracle
+from helpers import (
+    equalized_odds_oracle,
+    load_interleaved_csv,
+    pairwise_auc_oracle,
+    separable_config,
+)
 
 
 # --- accuracy -------------------------------------------------------------
@@ -201,6 +206,13 @@ def test_equalized_odds_rejects_missing_class_in_group():
     groups = np.array([0, 0, 0, 1])
     with pytest.raises(ValueError, match="group 1"):
         equalized_odds(preds, labels, groups)
+    # sparse, negative or float ids: the first id in sorted order is named
+    labels = np.array([1, 1, 0, 0, 1, 0])  # both groups have one class only
+    preds = np.array([1, 0, 0, 1, 1, 0])
+    for groups in (np.array([9, 9, -3, -3, 9, -3]), np.array([9.0, 9.0, -3.0, -3.0, 9.0, -3.0])):
+        for score in (equalized_odds, equalized_odds_oracle):
+            with pytest.raises(ValueError, match="^group -3 is missing a label class$"):
+                score(preds, labels, groups)
 
 
 @pytest.mark.parametrize(
@@ -417,3 +429,96 @@ def test_equalized_odds_stays_in_unit_interval():
             labels[rows] = [0, 1]
         score = equalized_odds(preds, labels, groups)
         assert 0.0 <= score <= 1.0
+
+
+def _bits(value):
+    return np.float64(value).view(np.int64)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", _bits(fn(*args))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_equalized_odds_matches_the_per_group_loop_oracle():
+    rng = np.random.default_rng(15)
+    id_pool = np.array([-3, 0, 1, 2, 5, 9, 100])
+    raised = 0
+    for trial in range(600):
+        ids = rng.choice(id_pool, size=int(rng.integers(1, 7)), replace=False)
+        n = int(rng.integers(0, 40))
+        groups = rng.choice(ids, size=n)
+        if trial % 3 == 1:
+            groups = groups.astype(float)
+        labels = rng.integers(0, 2, n)
+        preds = rng.integers(0, 2, n)
+        if trial % 4 == 2:
+            labels, preds = labels.astype(bool), preds.astype(bool)
+        elif trial % 4 == 3:
+            labels, preds = labels.astype(float), preds.astype(float)
+        want = _outcome(equalized_odds_oracle, preds, labels, groups)
+        assert _outcome(equalized_odds, preds, labels, groups) == want
+        raised += want[0] == "error"
+    assert 0 < raised < 600
+    assert equalized_odds(np.array([1, 0]), np.array([0, 1]), np.array([100, 100])) == 1.0
+    assert equalized_odds(np.array([]), np.array([]), np.array([])) == 1.0
+
+
+def _three_group_three_class():
+    means = np.arange(27, dtype=float).reshape(3, 3, 3) / 9.0
+    return SyntheticConfig(
+        d=3,
+        classes=3,
+        groups=3,
+        means=means,
+        stds=np.ones((3, 3)),
+        counts={"train": (60, 31, 17), "val": (30, 16, 9), "test": (30, 16, 9)},
+        seed=3,
+    )
+
+
+def test_report_accuracies_equal_a_mask_per_group_oracle(tmp_path):
+    rng = np.random.default_rng(21)
+    cases = [
+        (generate_synthetic(separable_config(seed=7)), ("train", "val", "test")),
+        (generate_synthetic(_three_group_three_class()), ("train", "val", "test")),
+        (load_interleaved_csv(tmp_path), ("train",)),  # index-array split
+    ]
+    for ds, splits in cases:
+        for split in splits:
+            _, labels, groups = ds.split_arrays(split)
+            probs = rng.random((labels.size, ds.classes))
+            probs[: labels.size // 3, 0] = probs[: labels.size // 3, -1]  # argmax ties
+            predicted = probs.argmax(axis=1)
+            want = [
+                float(np.mean(predicted[groups == g] == labels[groups == g]))
+                for g in range(ds.num_groups)
+            ]
+            gm = group_eval(lambda x, g: probs, ds, split, "accuracy")
+            report = build_report(lambda x, g: probs, ds, split, "accuracy")
+            assert [_bits(v) for v in gm.values] == [_bits(v) for v in want]
+            assert [_bits(v) for v in report["per_group"]] == [_bits(v) for v in want]
+            assert _bits(report["overall"]) == _bits(np.mean(predicted == labels))
+            if report["eo"] is not None:
+                assert _bits(report["eo"]) == _bits(
+                    equalized_odds_oracle(predicted, labels, groups)
+                )
+
+
+@pytest.mark.parametrize("evaluate", [group_eval, build_report])
+def test_predictor_output_needs_one_column_per_class(evaluate):
+    labels = np.tile([0, 1], 4)
+    ds = dataset_from_arrays(np.zeros((8, 1)), labels, np.repeat([0, 1], 4), 2, 2)
+    for shape in ((8, 1), (8, 3), (7, 2)):
+        message = rf"^predictor returned shape \({shape[0]}, {shape[1]}\), expected \(8, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            evaluate(lambda x, g: np.full(shape, 0.5), ds, "train", "accuracy")
+
+    def never_called(features, g):
+        raise AssertionError("predictor called")
+
+    multiclass = dataset_from_arrays(np.zeros((12, 1)), np.tile([0, 1, 2], 4), np.repeat([0, 1], 6), 3, 2)
+    with pytest.raises(ValueError, match=r"auc needs binary class probabilities \(n, 2\)"):
+        evaluate(never_called, multiclass, "train", "auc")
