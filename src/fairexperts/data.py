@@ -6,13 +6,16 @@ a header row with feature columns ``f0..f{d-1}``, required integer
 columns ``label`` and ``group``, and an optional ``split`` column with
 values train/val/test. Features are stored as float64 and serialized
 with shortest round-trip decimal repr, so save followed by load
-reproduces values exactly. ``read_json_object`` and ``write_json`` handle JSON files.
+reproduces values exactly. This module owns every file encoding:
+``write_csv`` writes each CSV file the package writes, ``write_json``
+each JSON file, and ``read_json_object`` reads JSON back.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -67,7 +70,7 @@ class Dataset:
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         object.__setattr__(self, "groups", np.asarray(self.groups, dtype=np.int64))
-        object.__setattr__(self, "split", np.asarray(self.split, dtype="U5"))
+        object.__setattr__(self, "split", np.asarray(self.split, dtype=str))
         n = self.features.shape[0]
         if self.features.ndim != 2:
             raise DataError("features must be a 2-d matrix")
@@ -83,6 +86,8 @@ class Dataset:
         known = masks["train"] | masks["val"] | masks["test"]
         if not known.all():
             raise DataError(f"unknown split tags: {np.unique(self.split[~known]).tolist()}")
+        # checked as given, so a longer tag is not cut to a known one first
+        object.__setattr__(self, "split", self.split.astype("U5", copy=False))
         # one integer code per (group, class) cell, in (group, class) order;
         # each split's rows as a slice when contiguous, else an index array
         codes = self.groups * self.classes + self.labels
@@ -256,7 +261,8 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
     largest-remainder rounding, so every nonempty cell lands in train.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        # utf-8-sig also reads the byte-order mark that some exporters write
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise DataError(f"{path}: file does not exist") from None
     with fh:
@@ -272,6 +278,10 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
     missing = [name for name in required if name not in col_index]
     if missing:
         raise DataError(f"{path}: missing columns {missing}")
+    counts = Counter(header)
+    repeated = [name for name in dict.fromkeys((*required, schema.split_column)) if counts[name] > 1]
+    if repeated:
+        raise DataError(f"{path}: repeated columns {repeated}")
 
     has_split = schema.split_column is not None and schema.split_column in col_index
     feat_idx = [col_index[name] for name in schema.feature_columns]
@@ -346,11 +356,26 @@ def assign_splits(labels: np.ndarray, groups: np.ndarray, seed: int) -> np.ndarr
 
 def save_csv(dataset: Dataset, path: str) -> None:
     """Write the documented CSV format, including the split column."""
+    header = [f"f{i}" for i in range(dataset.d)] + ["label", "group", "split"]
+    write_csv(path, header, [dataset.features, dataset.labels, dataset.groups, dataset.split])
+
+
+# rows per tolist() call; converting the whole array at once would hold
+# every value as a Python float and raise peak memory
+CSV_CHUNK = 4096
+
+
+def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length columns as CSV; a 2-d column fills one field per column.
+
+    Values are written with ``str`` (for a float, its shortest round-trip
+    ``repr``) and lines end in ``\\r\\n``. No field the package writes
+    (fixed headers, floats, ints, split tags) needs quoting, so the bytes
+    equal ``csv.writer``'s.
+    """
+    fields = [f for c in columns for f in (c.T if c.ndim == 2 else [c])]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(dataset.d)] + ["label", "group", "split"])
-        for i in range(dataset.n):
-            writer.writerow(
-                [repr(float(v)) for v in dataset.features[i]]
-                + [int(dataset.labels[i]), int(dataset.groups[i]), str(dataset.split[i])]
-            )
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), CSV_CHUNK):
+            cells = [map(str, f[start : start + CSV_CHUNK].tolist()) for f in fields]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))

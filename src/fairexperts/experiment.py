@@ -5,12 +5,12 @@ decoupled-heads baseline, and the expert model; evaluates each per group
 on the validation and test splits; runs the configured selection
 strategies on validation metrics; evaluates the routed predictors; and
 writes one JSON report per seed plus a mean/std aggregate. Reruns of the
-same seed reproduce all files byte for byte.
+same seed reproduce all files byte for byte. This module only picks the
+columns of each output file; ``data`` encodes them.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from contextlib import contextmanager
 from dataclasses import replace
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .config import CsvSource, ExperimentConfig
-from .data import Dataset, generate_synthetic, load_csv, write_json
+from .data import Dataset, generate_synthetic, load_csv, write_csv, write_json
 from .metrics import build_report, group_eval
 from .selection import routed_predictor, select_greedy, select_ip
 from .training import (
@@ -61,35 +61,16 @@ def dataset_for_seed(config: ExperimentConfig, seed: int) -> Dataset:
 
 def write_training_log(model, path: str) -> None:
     """Per-epoch losses of the expert model as CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss_cls", "loss_disc", "loss_virt", "loss_div", "lr"])
-        for entry in model.log:
-            values = (entry.loss_cls, entry.loss_disc, entry.loss_virt, entry.loss_div, entry.lr)
-            writer.writerow([entry.epoch, *(repr(float(v)) for v in values)])
-
-
-# rows per tolist() call; converting the whole array at once would hold
-# every value as a Python float and raise peak memory
-_CSV_CHUNK = 4096
+    names = ("loss_cls", "loss_disc", "loss_virt", "loss_div", "lr")
+    epochs = np.array([entry.epoch for entry in model.log])
+    losses = np.array([[getattr(entry, name) for name in names] for entry in model.log])
+    write_csv(path, ["epoch", *names], [epochs, losses])
 
 
 def write_representations_csv(path: str, reps: np.ndarray, labels: np.ndarray, groups: np.ndarray) -> None:
-    """Representations, label and group per row, as the csv module writes them.
-
-    Floats are written with ``repr`` and lines end in ``\\r\\n``; no field
-    needs quoting, so joining with commas gives ``csv.writer``'s bytes.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join([f"z{i}" for i in range(reps.shape[1])] + ["label", "group"]) + "\r\n")
-        for start in range(0, len(reps), _CSV_CHUNK):
-            stop = start + _CSV_CHUNK
-            fh.writelines(
-                f"{','.join(map(repr, row))},{label},{group}\r\n"
-                for row, label, group in zip(
-                    reps[start:stop].tolist(), labels[start:stop].tolist(), groups[start:stop].tolist()
-                )
-            )
+    """Representations, label and group per row."""
+    header = [f"z{i}" for i in range(reps.shape[1])] + ["label", "group"]
+    write_csv(path, header, [reps, labels, groups])
 
 
 def _pair_reports(predict, dataset: Dataset, kind: str, selection: dict | None = None) -> dict:

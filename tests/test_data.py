@@ -135,6 +135,10 @@ def test_cell_counts_match_a_bincount_oracle(tmp_path):
 def test_dataset_names_unknown_tags_and_missing_cells():
     with pytest.raises(DataError, match=r"unknown split tags: \['dev'\]$"):
         Dataset(np.zeros((2, 1)), [0, 0], [0, 0], ["train", "dev"], classes=1, num_groups=1)
+    # tags longer than five characters are checked whole, not cut first
+    for tag in ("trainx", "validation"):
+        with pytest.raises(DataError, match=rf"unknown split tags: \['{tag}'\]$"):
+            Dataset(np.zeros((2, 1)), [0, 0], [0, 0], ["train", tag], classes=1, num_groups=1)
     with pytest.raises(
         DataError, match=r"cells \[\(0, 1\), \(2, 0\)\] appear in test but not in train"
     ):
@@ -266,6 +270,28 @@ def test_load_csv_missing_column(tmp_path):
     path.write_text("f0,label\n1.0,0\n")
     with pytest.raises(DataError, match="missing columns"):
         load_csv(str(path), CsvSchema(("f0",), classes=2, groups=1))
+
+
+def test_load_csv_repeated_column(tmp_path):
+    path = tmp_path / "repeated.csv"
+    path.write_text("f0,f0,label,group\n1.0,2.0,0,0\n")
+    with pytest.raises(DataError, match=r"repeated columns \['f0'\]$"):
+        load_csv(str(path), CsvSchema(("f0",), classes=2, groups=1))
+    # a repeated column the schema does not read is ignored
+    path.write_text("f0,x,x,label,group\n1.0,2.0,3.0,0,0\n")
+    assert load_csv(str(path), CsvSchema(("f0",), classes=2, groups=1)).n == 1
+
+
+def test_load_csv_reads_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    text = "f0,label,group,split\n1.5,0,0,train\n2.5,1,0,train\n"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    schema = CsvSchema(("f0",), classes=2, groups=1)
+    a, b = load_csv(str(plain), schema), load_csv(str(marked), schema)
+    for name in ("features", "labels", "groups", "split"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_load_csv_unknown_split_tag(tmp_path):

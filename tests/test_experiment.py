@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from fairexperts.config import config_from_dict, parse_kv_text
-from fairexperts.data import DataError
+from fairexperts.data import CSV_CHUNK, DataError, Dataset, generate_synthetic, save_csv
 from fairexperts.experiment import (
-    _CSV_CHUNK,
     dataset_for_seed,
     run_experiment,
     run_seed,
     write_representations_csv,
+    write_training_log,
 )
+
+from helpers import load_interleaved_csv, separable_config
 
 SMALL = """
 version = 1
@@ -134,8 +136,17 @@ def test_representations_csv_shape(tmp_path):
     assert len(lines) == 1 + 120  # test split size
 
 
-@pytest.mark.parametrize("rows", [0, 1, 2 * _CSV_CHUNK + 3])
-def test_representations_csv_matches_csv_writer_bytes(tmp_path, rows):
+def csv_writer_bytes(header, rows):
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2 * CSV_CHUNK + 3])
+def test_representations_csv_matches_csv_writer_bytes(tmp_path, rows, experts42):
+    """Every CSV writer gives the bytes of the csv.writer loop it replaced."""
     rng = np.random.default_rng(rows)
     reps = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-20, 20, (rows, 3))
     edge = [-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1e300, -1e300, 0.1, 1 / 3, 1e16]
@@ -144,15 +155,38 @@ def test_representations_csv_matches_csv_writer_bytes(tmp_path, rows):
         reps[-1] = [-0.0, 5e-324, 1e300]
     labels = rng.integers(0, 3, rows)
     groups = rng.integers(10**9 - 5, 10**9, rows)
-    path = tmp_path / "reps.csv"
+    path = tmp_path / "out.csv"
     write_representations_csv(str(path), reps, labels, groups)
+    assert path.read_bytes() == csv_writer_bytes(
+        ["z0", "z1", "z2", "label", "group"],
+        ([*map(repr, row.tolist()), int(label), int(group)]
+         for row, label, group in zip(reps, labels, groups)),
+    )
 
-    expected = io.StringIO(newline="")
-    writer = csv.writer(expected)
-    writer.writerow(["z0", "z1", "z2", "label", "group"])
-    for row, label, group in zip(reps, labels, groups):
-        writer.writerow([*map(repr, row.tolist()), int(label), int(group)])
-    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    # save_csv on generated data and on interleaved split tags, their rows
+    # repeated to the test's length (train rows come first in both)
+    for source in (generate_synthetic(separable_config(seed=rows)), load_interleaved_csv(tmp_path)):
+        arrays = [
+            np.resize(a, (rows, *a.shape[1:]))
+            for a in (source.features, source.labels, source.groups, source.split)
+        ]
+        arrays[0].flat[: len(edge)] = edge[: arrays[0].size]
+        ds = Dataset(*arrays, source.classes, source.num_groups)
+        save_csv(ds, str(path))
+        assert path.read_bytes() == csv_writer_bytes(
+            [f"f{i}" for i in range(ds.d)] + ["label", "group", "split"],
+            ([repr(float(v)) for v in ds.features[i]]
+             + [int(ds.labels[i]), int(ds.groups[i]), str(ds.split[i])]
+             for i in range(ds.n)),
+        )
+
+    assert len(experts42.log) > 1
+    write_training_log(experts42, str(path))
+    assert path.read_bytes() == csv_writer_bytes(
+        ["epoch", "loss_cls", "loss_disc", "loss_virt", "loss_div", "lr"],
+        ([e.epoch, *(repr(float(v)) for v in (e.loss_cls, e.loss_disc, e.loss_virt, e.loss_div, e.lr))]
+         for e in experts42.log),
+    )
 
 
 def test_report_json_is_sorted_and_plain(tmp_path):
