@@ -25,7 +25,7 @@ from .experiment import (
 from .metrics import GroupMetrics, build_report
 from .net import TrainingDivergence
 from .selection import select_greedy, select_ip
-from .training import extract_representations, train_decoupled, train_erm, train_experts
+from .training import representation_blocks, train_decoupled, train_erm, train_experts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -121,9 +121,9 @@ def cmd_export_repr(args) -> int:
     config = _load_config(args)
     model = load_checkpoint(args.checkpoint)
     dataset = dataset_for_seed(config, _seed(args, config))
-    reps, labels, groups = extract_representations(model, dataset, args.split)
-    write_representations_csv(args.out, reps, labels, groups)
-    print(f"wrote {reps.shape[0]} representations to {args.out}")
+    blocks = representation_blocks(model, dataset, args.split)
+    write_representations_csv(args.out, model.backbone.out_dim, blocks)
+    print(f"wrote {dataset.cell_counts(args.split).sum()} representations to {args.out}")
     return EXIT_OK
 
 

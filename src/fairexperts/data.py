@@ -7,8 +7,9 @@ columns ``label`` and ``group``, and an optional ``split`` column with
 values train/val/test. Features are stored as float64 and serialized
 with shortest round-trip decimal repr, so save followed by load
 reproduces values exactly. This module owns every file encoding:
-``write_csv`` writes each CSV file the package writes, ``write_json``
-each JSON file, and ``read_json_object`` reads JSON back.
+``write_csv`` writes each CSV file the package writes, from column blocks
+that a caller may compute one at a time, ``write_json`` each JSON file,
+and ``read_json_object`` reads JSON back.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,7 +58,12 @@ def write_json(payload: dict, path: str) -> None:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature/label/group arrays plus per-sample split tags."""
+    """Immutable feature/label/group arrays plus per-sample split tags.
+
+    The arrays are stored as read-only views, without a copy where the
+    given array already has the stored dtype; the caller's arrays stay
+    writable, and the dataset assumes they are not edited afterwards.
+    """
 
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64, values in [0, classes)
@@ -108,8 +114,13 @@ class Dataset:
                     f"(group, class) cells {list(map(tuple, missing.tolist()))} "
                     f"appear in {split_name} but not in train"
                 )
-        for arr in (self.features, self.labels, self.groups, self.split, *cells.values()):
-            arr.flags.writeable = False
+        # read-only views: the caller's own arrays stay writable
+        for name in ("features", "labels", "groups", "split"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        for counts in cells.values():
+            counts.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -357,7 +368,7 @@ def assign_splits(labels: np.ndarray, groups: np.ndarray, seed: int) -> np.ndarr
 def save_csv(dataset: Dataset, path: str) -> None:
     """Write the documented CSV format, including the split column."""
     header = [f"f{i}" for i in range(dataset.d)] + ["label", "group", "split"]
-    write_csv(path, header, [dataset.features, dataset.labels, dataset.groups, dataset.split])
+    write_csv(path, header, [[dataset.features, dataset.labels, dataset.groups, dataset.split]])
 
 
 # rows per tolist() call; converting the whole array at once would hold
@@ -365,17 +376,22 @@ def save_csv(dataset: Dataset, path: str) -> None:
 CSV_CHUNK = 4096
 
 
-def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length columns as CSV; a 2-d column fills one field per column.
+def write_csv(
+    path: str, header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]]
+) -> None:
+    """Write CSV rows from ``blocks``, each a list of equal-length columns.
 
-    Values are written with ``str`` (for a float, its shortest round-trip
-    ``repr``) and lines end in ``\\r\\n``. No field the package writes
-    (fixed headers, floats, ints, split tags) needs quoting, so the bytes
-    equal ``csv.writer``'s.
+    A 2-d column fills one field per column. The blocks follow each other
+    in the file, so a caller can stream rows it computes one block at a
+    time. Values are written with ``str`` (for a float, its shortest
+    round-trip ``repr``) and lines end in ``\\r\\n``. No field the package
+    writes (fixed headers, floats, ints, split tags) needs quoting, so the
+    bytes equal ``csv.writer``'s.
     """
-    fields = [f for c in columns for f in (c.T if c.ndim == 2 else [c])]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), CSV_CHUNK):
-            cells = [map(str, f[start : start + CSV_CHUNK].tolist()) for f in fields]
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+        for columns in blocks:
+            fields = [f for c in columns for f in (c.T if c.ndim == 2 else [c])]
+            for start in range(0, len(columns[0]), CSV_CHUNK):
+                cells = [map(str, f[start : start + CSV_CHUNK].tolist()) for f in fields]
+                fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))

@@ -6,7 +6,8 @@ on the validation and test splits; runs the configured selection
 strategies on validation metrics; evaluates the routed predictors; and
 writes one JSON report per seed plus a mean/std aggregate. Reruns of the
 same seed reproduce all files byte for byte. This module only picks the
-columns of each output file; ``data`` encodes them.
+columns of each output file; ``data`` encodes them. The representations
+file is computed and written one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .data import Dataset, generate_synthetic, load_csv, write_csv, write_json
 from .metrics import build_report, group_eval
 from .selection import routed_predictor, select_greedy, select_ip
 from .training import (
-    extract_representations,
     probe_group_accuracy,
+    representation_blocks,
     train_decoupled,
     train_erm,
     train_experts,
@@ -64,13 +65,18 @@ def write_training_log(model, path: str) -> None:
     names = ("loss_cls", "loss_disc", "loss_virt", "loss_div", "lr")
     epochs = np.array([entry.epoch for entry in model.log])
     losses = np.array([[getattr(entry, name) for name in names] for entry in model.log])
-    write_csv(path, ["epoch", *names], [epochs, losses])
+    write_csv(path, ["epoch", *names], [[epochs, losses]])
 
 
-def write_representations_csv(path: str, reps: np.ndarray, labels: np.ndarray, groups: np.ndarray) -> None:
-    """Representations, label and group per row."""
-    header = [f"z{i}" for i in range(reps.shape[1])] + ["label", "group"]
-    write_csv(path, header, [reps, labels, groups])
+def write_representations_csv(path: str, width: int, blocks) -> None:
+    """Representations, label and group per row, written block by block.
+
+    ``blocks`` yields (representations, labels, groups) arrays, as
+    ``training.representation_blocks`` does; representations have
+    ``width`` columns.
+    """
+    header = [f"z{i}" for i in range(width)] + ["label", "group"]
+    write_csv(path, header, blocks)
 
 
 def _pair_reports(predict, dataset: Dataset, kind: str, selection: dict | None = None) -> dict:
@@ -177,9 +183,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
         report, experts, dataset = run_seed(config, seed)
         write_json(report, os.path.join(out_dir, f"report_{seed}.json"))
         write_training_log(experts, os.path.join(out_dir, f"training_log_{seed}.csv"))
-        reps, labels, groups = extract_representations(experts, dataset, "test")
         write_representations_csv(
-            os.path.join(out_dir, f"representations_{seed}.csv"), reps, labels, groups
+            os.path.join(out_dir, f"representations_{seed}.csv"),
+            experts.backbone.out_dim,
+            representation_blocks(experts, dataset, "test"),
         )
         reports.append(report)
     aggregate = {

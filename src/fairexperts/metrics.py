@@ -129,13 +129,26 @@ def equalized_odds(
     if not ((predictions == 0) | (predictions == 1)).all():
         raise ValueError("predictions must be binary 0/1")
     ids, index = np.unique(groups, return_inverse=True)
-    codes = index * 4 + (labels == 1) * 2 + (predictions == 1)
-    table = np.bincount(codes, minlength=4 * ids.size).reshape(ids.size, 2, 2)
-    per_label = table.sum(axis=2)
-    missing = np.flatnonzero((per_label == 0).any(axis=1))
+    table = _odds_table(predictions, labels, index, ids.size)
+    missing = np.flatnonzero((table.sum(axis=2) == 0).any(axis=1))
     if missing.size:
         raise ValueError(f"group {int(ids[missing[0]])} is missing a label class")
-    rates = table[:, :, 1] / per_label  # (G, 2): FPR, TPR
+    return _odds_score(table)
+
+
+def _odds_table(
+    predictions: np.ndarray, labels: np.ndarray, index: np.ndarray, num_groups: int
+) -> np.ndarray:
+    """(group, label, prediction) counts of binary predictions and labels,
+    for group indices ``0..num_groups-1``, from one bincount."""
+    codes = index * 4 + (labels == 1) * 2 + (predictions == 1)
+    return np.bincount(codes, minlength=4 * num_groups).reshape(num_groups, 2, 2)
+
+
+def _odds_score(table: np.ndarray) -> float:
+    """Worst pairwise equalized-odds score of a table in which every group
+    has both labels."""
+    rates = table[:, :, 1] / table.sum(axis=2)  # (G, 2): FPR, TPR
     spread = np.abs(rates[:, None, :] - rates[None, :, :]).sum(axis=2)
     return float(np.min(1.0 - 0.5 * spread, initial=1.0))
 
@@ -197,7 +210,8 @@ def build_report(
         overall = auc(probs[:, 1], labels)
     eo = None
     if dataset.classes == 2 and dataset.cell_counts(split).all():
-        eo = equalized_odds(predicted, labels, groups)
+        # ids are 0..G-1 and every group has both labels: no sort, no check
+        eo = _odds_score(_odds_table(predicted, labels, groups, dataset.num_groups))
     return {
         "metric_kind": kind,
         "split": split,

@@ -4,8 +4,10 @@ All parameters are float64 numpy arrays. ``Mlp.forward`` accepts a single
 input vector or a batch matrix (one row per sample). One in-place routine
 does its arithmetic. A cached pass runs all rows as one block and keeps
 each layer's (input, output); inference calls pass ``cache=False``, which
-keeps no cache and runs blocks of ``APPLY_BLOCK`` rows into one output
-array, so memory grows with the output, not with rows times hidden width.
+keeps no cache and runs the ``row_blocks`` of ``APPLY_BLOCK`` rows into
+one output array, so memory grows with the output, not with rows times
+hidden width, and each product stays small enough for OpenBLAS to run it
+on the calling thread.
 ``Mlp.backward`` consumes the gradient of a scalar loss with respect to
 the output and returns per-layer parameter gradients plus the gradient
 with respect to the input, which a caller that discards it can skip.
@@ -25,10 +27,51 @@ ACTIVATIONS = ("relu", "identity")
 # cache entry per layer: (layer input, layer output)
 Cache = list[tuple[np.ndarray, np.ndarray]]
 
-# rows per block of a cache-free forward pass. A short tail joins the
-# block before it: OpenBLAS can round a product of a few rows differently
-# from the whole matrix's, while blocks this long match it bit for bit.
-APPLY_BLOCK = 8192
+# Rows per block of a cache-free forward pass (``row_blocks``: a short
+# tail joins the block before it).
+#
+# Bits: with numpy 2.4 and OpenBLAS 0.3.31, a product of the default
+# backbone's second layer, (rows x 32) @ (32 x 8), rounds differently on
+# 1-128 rows from the same rows inside a larger product (4 of 4 draws at
+# each size), while 256-30,000 rows match it. A single row differs for
+# every layer, because numpy sends it to gemv instead of gemm. So no
+# block is shorter than this, unless the whole input is, and a pass in
+# blocks gives the bits of one pass over the whole input.
+#
+# Threads: OpenBLAS runs a product this small on the calling thread, so
+# its worker thread does no work and never spin-waits after a product
+# while Python scores or formats the block. Measured with
+# tools/blas_threads.py (2 vCPU, OpenBLAS 0.3.31, median of 3 runs): 2 M
+# rows through (rows x 10) @ (10 x 32), then (rows x 32) @ (32 x 8), in
+# blocks of
+#
+#   rows per block   worker-thread ticks (1/100 s)   wall
+#   8,192            11                              0.107 s
+#   2,048            14                              0.173 s
+#   1,024             0                              0.172 s
+#     512             0                              0.184 s
+#
+# Back to back, the products alone finish sooner on two threads; in a
+# pass the worker's spinning cost more than that. The first product goes
+# to the worker from about 1,700 rows on, so only a pass's last block (up
+# to 2,047 rows) may wake it.
+#
+# On another BLAS build only the CPU saving may not hold: the memory
+# bound holds on any build, and test_net's block tests check the bit rule
+# on the build at hand.
+APPLY_BLOCK = 1024
+
+
+def row_blocks(rows: int, size: int):
+    """Consecutive slices that cover ``rows`` rows in blocks of ``size``.
+
+    A tail shorter than ``size`` joins the block before it, so every
+    block but a lone one has ``size`` to ``2 * size - 1`` rows. No rows
+    give one empty block, so a pass over them still checks its input.
+    """
+    count = max(rows // size, 1)
+    for k in range(count):
+        yield slice(k * size, rows if k == count - 1 else (k + 1) * size)
 
 
 class TrainingDivergence(RuntimeError):
@@ -88,7 +131,8 @@ class Mlp:
         """Evaluate the network; returns (output, cache for backward).
 
         With ``cache=False`` the output is the same, bit for bit, and the
-        cache is None; rows are evaluated in ``APPLY_BLOCK``-row blocks.
+        cache is None; rows are evaluated in ``row_blocks`` of
+        ``APPLY_BLOCK`` rows.
         """
         a = np.asarray(x, dtype=np.float64)
         if a.shape[-1] != self.in_dim:
@@ -97,11 +141,9 @@ class Mlp:
             )
         out = np.empty(a.shape[:-1] + (self.out_dim,))
         saved: Cache | None = [] if cache else None
-        blocks = 1 if cache or a.ndim == 1 else max(a.shape[0] // APPLY_BLOCK, 1)
-        for k in range(blocks):
-            start = k * APPLY_BLOCK
-            stop = None if k == blocks - 1 else start + APPLY_BLOCK
-            self._forward_block(a[start:stop], out[start:stop], saved)
+        whole = cache or a.ndim == 1
+        for rows in [slice(None)] if whole else row_blocks(a.shape[0], APPLY_BLOCK):
+            self._forward_block(a[rows], out[rows], saved)
         return out, saved
 
     def _forward_block(self, a: np.ndarray, out: np.ndarray, saved: Cache | None) -> None:

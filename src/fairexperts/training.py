@@ -4,6 +4,10 @@ Every trained predictor is one ``Model``: a backbone plus linear heads.
 ``kind`` says how the heads are routed: ``erm`` has one pooled head and
 ignores groups; ``decoupled`` and ``experts`` send each sample to its
 group's head. Only experts carry a discriminator and virtual centers.
+Inference over a split (``Model.predict_proba``, the probe and
+discriminator scores, ``representation_blocks``) runs ``PREDICT_BLOCK``
+rows at a time and holds its output plus one block, with the bits of
+one pass over the whole split.
 
 * ``train_erm``: backbone and pooled head, plain cross-entropy.
 * ``train_decoupled``: per-group heads over the frozen ERM backbone.
@@ -53,12 +57,13 @@ from .losses import (
     diversity_loss,
     sample_pairs,
 )
-from .metrics import accuracy
 from .net import (
+    APPLY_BLOCK,
     Mlp,
     TrainingDivergence,
     check_index,
     init_mlp,
+    row_blocks,
     sgd_step,
     softmax,
     softmax_cross_entropy,
@@ -126,6 +131,15 @@ class ExpertsEpoch:
 
 MODEL_KINDS = ("erm", "decoupled", "experts")
 
+# rows per block of a streamed inference pass (prediction, probe scoring,
+# exported representations). A whole number of APPLY_BLOCKs, and
+# row_blocks puts the tail in the last block, so the backbone sees the
+# same APPLY_BLOCK blocks as in one pass over the split. Eight of them
+# keep the per-group head loop to a few calls per split: at one
+# APPLY_BLOCK per block, predicting 120,000 rows of 6 groups took 54 ms
+# against 52 ms.
+PREDICT_BLOCK = 8 * APPLY_BLOCK
+
 
 @dataclass
 class Model:
@@ -156,15 +170,33 @@ class Model:
         return self.backbone.forward(np.atleast_2d(features), cache=False)[0]
 
     def predict_proba(self, features: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
-        z = self.representations(features)
-        if self.kind == "erm":
-            return softmax(self.heads[0].forward(z, cache=False)[0])
-        groups = check_index("groups", np.atleast_1d(groups), z.shape[0], len(self.heads))
-        probs = np.empty((z.shape[0], self.heads[0].out_dim))
-        for g, head in enumerate(self.heads):
-            mask = groups == g
-            if mask.any():
-                probs[mask] = softmax(head.forward(z[mask], cache=False)[0])
+        """Class probabilities per row, one ``PREDICT_BLOCK`` of rows at a time.
+
+        Each block runs the backbone, then each group's head on the
+        block's rows of that group, so memory holds the output plus one
+        block. The bits equal one pass over the whole input.
+        """
+        x = np.atleast_2d(features)
+        n = x.shape[0]
+        if self.kind != "erm":
+            groups = check_index("groups", np.atleast_1d(groups), n, len(self.heads))
+            # numpy sends a one-row product to gemv, which rounds unlike
+            # gemm; a group with more rows in the input takes its only row
+            # of a block through a two-row product, as one pass would
+            alone = np.bincount(groups, minlength=len(self.heads)) == 1
+        probs = np.empty((n, self.heads[0].out_dim))
+        for rows in row_blocks(n, PREDICT_BLOCK):
+            z = self.representations(x[rows])
+            if self.kind == "erm":
+                probs[rows] = softmax(self.heads[0].forward(z, cache=False)[0])
+                continue
+            out, block_groups = probs[rows], groups[rows]
+            for g, head in enumerate(self.heads):
+                idx = np.flatnonzero(block_groups == g)
+                if idx.size == 1 and not alone[g]:
+                    idx = idx.repeat(2)
+                if idx.size:
+                    out[idx] = softmax(head.forward(z[idx], cache=False)[0])
         return probs
 
 
@@ -401,6 +433,13 @@ def train_decoupled(erm: Model, dataset: Dataset, hp: HyperParams) -> Model:
     return Model("decoupled", backbone, heads, seed=hp.seed)
 
 
+def _nonempty_split(dataset: Dataset, split: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    features, labels, groups = dataset.split_arrays(split)
+    if features.shape[0] == 0:
+        raise ValueError(f"split {split!r} is empty")
+    return features, labels, groups
+
+
 def extract_representations(
     model, dataset: Dataset, split: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -408,10 +447,22 @@ def extract_representations(
 
     Returns (representations, labels, groups).
     """
-    features, labels, groups = dataset.split_arrays(split)
-    if features.shape[0] == 0:
-        raise ValueError(f"split {split!r} is empty")
+    features, labels, groups = _nonempty_split(dataset, split)
     return model.representations(features), labels, groups
+
+
+def representation_blocks(model, dataset: Dataset, split: str):
+    """``extract_representations`` one ``PREDICT_BLOCK`` of rows at a time.
+
+    Returns an iterator of (representations, labels, groups) blocks in
+    row order, with the same bits as the whole split's; an empty split
+    raises here, before any block is computed.
+    """
+    features, labels, groups = _nonempty_split(dataset, split)
+    return (
+        (model.representations(features[rows]), labels[rows], groups[rows])
+        for rows in row_blocks(features.shape[0], PREDICT_BLOCK)
+    )
 
 
 # the probe's fixed optimizer schedule, independent of the models' one
@@ -426,6 +477,16 @@ def train_group_probe(reps: np.ndarray, groups: np.ndarray, num_groups: int, see
     return probe
 
 
+def _group_accuracy(classifier: Mlp, model, dataset: Dataset, split: str) -> float:
+    """Share of a split's rows whose group ``classifier`` recovers from the
+    model's representations, with the hits counted block by block."""
+    hits = rows = 0
+    for z, _, groups in representation_blocks(model, dataset, split):
+        hits += np.count_nonzero(classifier.forward(z, cache=False)[0].argmax(axis=1) == groups)
+        rows += groups.size
+    return hits / rows
+
+
 def probe_group_accuracy(model, dataset: Dataset, seed: int) -> float:
     """Accuracy of a freshly trained group probe on a model's representations.
 
@@ -433,12 +494,10 @@ def probe_group_accuracy(model, dataset: Dataset, seed: int) -> float:
     split. Measures how separable the groups are in the learned space.
     """
     z_train, _, g_train = extract_representations(model, dataset, "train")
-    z_val, _, g_val = extract_representations(model, dataset, "val")
     probe = train_group_probe(z_train, g_train, dataset.num_groups, seed)
-    return accuracy(probe.forward(z_val, cache=False)[0].argmax(axis=1), g_val)
+    return _group_accuracy(probe, model, dataset, "val")
 
 
 def discriminator_accuracy(model: Model, dataset: Dataset, split: str) -> float:
     """Accuracy of the trained discriminator at recovering groups."""
-    z, _, groups = extract_representations(model, dataset, split)
-    return accuracy(model.discriminator.forward(z, cache=False)[0].argmax(axis=1), groups)
+    return _group_accuracy(model.discriminator, model, dataset, split)

@@ -5,7 +5,7 @@ import numpy as np
 from fairexperts import HyperParams, SyntheticConfig, generate_synthetic
 from fairexperts.data import CsvSchema, load_csv
 from fairexperts.losses import EXP_CLAMP, PairAssignment, VirtualCenters
-from fairexperts.net import TrainingDivergence
+from fairexperts.net import TrainingDivergence, check_index, softmax
 
 
 def central_difference(fn, x, step=1e-5):
@@ -80,6 +80,22 @@ def equalized_odds_oracle(predictions, labels, groups):
             tj, fj = rates[int(gj)]
             score = min(score, 1.0 - 0.5 * (abs(ti - tj) + abs(fi - fj)))
     return score
+
+
+def predict_proba_oracle(model, features, groups=None):
+    """``Model.predict_proba`` before it streamed row blocks: the whole
+    input's representations, then each group's rows gathered for its head,
+    each product over all of its rows at once."""
+    z = model.backbone.forward(np.atleast_2d(features))[0]
+    if model.kind == "erm":
+        return softmax(model.heads[0].forward(z)[0])
+    groups = check_index("groups", np.atleast_1d(groups), z.shape[0], len(model.heads))
+    probs = np.empty((z.shape[0], model.heads[0].out_dim))
+    for g, head in enumerate(model.heads):
+        mask = groups == g
+        if mask.any():
+            probs[mask] = softmax(head.forward(z[mask])[0])
+    return probs
 
 
 def enumerate_ip_oracle(expert, erm, proportions, lambda_sel):

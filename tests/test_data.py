@@ -101,6 +101,24 @@ def test_split_arrays_of_contiguous_splits_are_read_only_views():
             arrays[0][0, 0] = 1.0
 
 
+def test_dataset_leaves_the_callers_arrays_writable():
+    features = np.zeros((2, 1))
+    labels = np.array([0, 1])
+    groups = np.array([0, 0])
+    split = np.array(["train", "train"], dtype="U5")
+    ds = Dataset(features, labels, groups, split, 2, 1)
+    features[0, 0] = 1.0
+    labels[0] = 1
+    groups[0] = 0
+    split[0] = "train"
+    for stored, given_array in zip((ds.features, ds.labels, ds.groups, ds.split),
+                                   (features, labels, groups, split)):
+        assert np.shares_memory(stored, given_array)  # a view, not a copy
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = stored[0]
+
+
 def test_split_arrays_of_interleaved_splits_are_copies_in_dataset_order(tmp_path):
     ds = load_interleaved_csv(tmp_path)
     for split in SPLITS:

@@ -2,18 +2,33 @@ import csv
 import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fairexperts.config import config_from_dict, parse_kv_text
-from fairexperts.data import CSV_CHUNK, DataError, Dataset, generate_synthetic, save_csv
+from fairexperts.data import (
+    CSV_CHUNK,
+    DataError,
+    Dataset,
+    SyntheticConfig,
+    generate_synthetic,
+    save_csv,
+)
 from fairexperts.experiment import (
     dataset_for_seed,
     run_experiment,
     run_seed,
     write_representations_csv,
     write_training_log,
+)
+from fairexperts.net import init_mlp
+from fairexperts.training import (
+    PREDICT_BLOCK,
+    Model,
+    extract_representations,
+    representation_blocks,
 )
 
 from helpers import load_interleaved_csv, separable_config
@@ -156,7 +171,10 @@ def test_representations_csv_matches_csv_writer_bytes(tmp_path, rows, experts42)
     labels = rng.integers(0, 3, rows)
     groups = rng.integers(10**9 - 5, 10**9, rows)
     path = tmp_path / "out.csv"
-    write_representations_csv(str(path), reps, labels, groups)
+    # two blocks, the first empty when rows < 3
+    cut = rows // 3
+    blocks = [(reps[:cut], labels[:cut], groups[:cut]), (reps[cut:], labels[cut:], groups[cut:])]
+    write_representations_csv(str(path), 3, blocks)
     assert path.read_bytes() == csv_writer_bytes(
         ["z0", "z1", "z2", "label", "group"],
         ([*map(repr, row.tolist()), int(label), int(group)]
@@ -187,6 +205,33 @@ def test_representations_csv_matches_csv_writer_bytes(tmp_path, rows, experts42)
         ([e.epoch, *(repr(float(v)) for v in (e.loss_cls, e.loss_disc, e.loss_virt, e.loss_div, e.lr))]
          for e in experts42.log),
     )
+
+
+def test_streamed_representations_csv_memory_does_not_grow_with_the_split(tmp_path):
+    rng = np.random.default_rng(5)
+    backbone = init_mlp([3, 32, 8], ["relu", "identity"], rng)
+    model = Model("erm", backbone, [init_mlp([8, 2], ["identity"], rng)])
+    peaks = []
+    for blocks in (1, 4):
+        per_group = blocks * PREDICT_BLOCK // 2
+        ds = generate_synthetic(SyntheticConfig(
+            d=3, classes=2, groups=2, means=np.zeros((2, 2, 3)), stds=np.ones((2, 2)),
+            counts={"train": (2, 2), "val": (1, 1), "test": (per_group, per_group)}, seed=3,
+        ))
+        path = tmp_path / f"streamed_{blocks}.csv"
+        tracemalloc.start()
+        try:
+            write_representations_csv(str(path), 8, representation_blocks(model, ds, "test"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+        whole = tmp_path / "whole.csv"
+        write_representations_csv(str(whole), 8, [extract_representations(model, ds, "test")])
+        assert path.read_bytes() == whole.read_bytes()
+    # one block at a time; the whole split's representations would add
+    # three blocks of PREDICT_BLOCK x 8 floats (1.5 MB)
+    assert peaks[1] < peaks[0] + PREDICT_BLOCK * 8 * 8 / 2
 
 
 def test_report_json_is_sorted_and_plain(tmp_path):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairexperts.net import (
     APPLY_BLOCK,
@@ -11,6 +13,7 @@ from fairexperts.net import (
     TrainingDivergence,
     init_mlp,
     log_softmax,
+    row_blocks,
     sgd_step,
     softmax_cross_entropy,
 )
@@ -122,6 +125,21 @@ def test_forward_without_cache_is_bit_identical_in_blocks():
             assert cache is None
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 20 * APPLY_BLOCK), st.integers(1, 3 * APPLY_BLOCK))
+def test_row_blocks_partition_rows_with_the_tail_in_the_last_block(rows, size):
+    blocks = list(row_blocks(rows, size))
+    assert blocks[0].start == 0 and blocks[-1].stop == rows
+    for before, after in zip(blocks, blocks[1:]):
+        assert before.stop == after.start
+    lengths = [b.stop - b.start for b in blocks]
+    assert all(length == size for length in lengths[:-1])
+    if rows < size:
+        assert lengths == [rows]
+    else:
+        assert size <= lengths[-1] < 2 * size
 
 
 def test_forward_without_cache_is_one_public_call(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -24,6 +26,7 @@ from fairexperts.net import (
     softmax_cross_entropy,
 )
 from fairexperts.training import (
+    PREDICT_BLOCK,
     HyperParams,
     Model,
     _batches,
@@ -31,12 +34,19 @@ from fairexperts.training import (
     discriminator_accuracy,
     extract_representations,
     missing_train_cells,
+    representation_blocks,
     train_decoupled,
     train_erm,
     train_experts,
 )
 
-from helpers import central_difference, max_relative_error, tiny_dataset, tiny_hp
+from helpers import (
+    central_difference,
+    max_relative_error,
+    predict_proba_oracle,
+    tiny_dataset,
+    tiny_hp,
+)
 
 
 def drawn_erm_inits(dataset, hp):
@@ -568,3 +578,57 @@ def test_erm_training_is_deterministic():
     assert params_equal(a.backbone.params(), b.backbone.params())
     assert params_equal(a.heads[0].params(), b.heads[0].params())
     assert a.log == b.log
+
+
+def _blocked_models(repr_dim=8, groups=4, seed=31):
+    rng = np.random.default_rng(seed)
+    backbone = init_mlp([10, 32, repr_dim], ["relu", "identity"], rng)
+    heads = [init_mlp([repr_dim, 2], ["identity"], rng) for _ in range(groups)]
+    return Model("erm", backbone, heads[:1]), Model("decoupled", backbone, heads)
+
+
+def test_predict_proba_in_blocks_equals_one_pass_over_the_input():
+    erm, routed = _blocked_models()
+    rng = np.random.default_rng(8)
+    n = 3 * PREDICT_BLOCK + 500  # three blocks, the last holding the tail
+    x = rng.standard_normal((n, 10))
+    # sorted: group 1's first row is the last row of block 0, group 3 has
+    # a single row in the whole input, group 0 fills the rest
+    sorted_groups = np.zeros(n, dtype=np.int64)
+    sorted_groups[PREDICT_BLOCK - 1 : PREDICT_BLOCK + 700] = 1
+    sorted_groups[PREDICT_BLOCK + 700 : n - 1] = 2
+    sorted_groups[n - 1] = 3
+    shuffled = rng.permutation(sorted_groups)
+    # shuffled again, then group 2 keeps one row in block 1 and more elsewhere
+    sparse = shuffled.copy()
+    sparse[(sparse == 2) & (np.arange(n) // PREDICT_BLOCK == 1)] = 0
+    sparse[PREDICT_BLOCK + 5] = 2
+    for groups in (sorted_groups, shuffled, sparse):
+        assert np.bincount(groups, minlength=4)[3] == 1
+        for model in (erm, routed):
+            for rows in (slice(None), slice(0, 1), slice(0, 700), slice(PREDICT_BLOCK - 3, None)):
+                got = model.predict_proba(x[rows], groups[rows])
+                want = predict_proba_oracle(model, x[rows], groups[rows])
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the cases above hit a group's only row in a block, with more rows
+    # of that group elsewhere
+    assert np.count_nonzero(sparse[PREDICT_BLOCK : 2 * PREDICT_BLOCK] == 2) == 1
+
+
+def test_predict_proba_bounds_memory_by_the_output():
+    _, routed = _blocked_models(repr_dim=32, groups=3)
+    rng = np.random.default_rng(9)
+    rows = 120_000
+    x = rng.standard_normal((rows, 10))
+    groups = rng.integers(0, 3, rows)
+    tracemalloc.start()
+    try:
+        out = routed.predict_proba(x, groups)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block's representations, a group's gathered copy of them and
+    # smaller temporaries, in a last block of up to 2 * PREDICT_BLOCK rows;
+    # a pass over the whole input holds rows x 32 representations (31 MB)
+    assert peak < out.nbytes + 2 * (2 * PREDICT_BLOCK) * 32 * 8
