@@ -4,8 +4,9 @@ All parameters are float64 numpy arrays. ``Mlp.forward`` accepts a single
 input vector or a batch matrix (one row per sample). One in-place routine
 does its arithmetic. A cached pass runs all rows as one block and keeps
 each layer's (input, output); inference calls pass ``cache=False``, which
-keeps no cache and runs the ``row_blocks`` of ``APPLY_BLOCK`` rows into
-one output array, so memory grows with the output, not with rows times
+keeps no cache and runs the rows into one output array in ``row_blocks``
+of at most ``APPLY_BLOCK`` rows, at least half of that unless a block is
+the whole input, so memory grows with the output, not with rows times
 hidden width, and each product stays small enough for OpenBLAS to run it
 on the calling thread.
 ``Mlp.backward`` consumes the gradient of a scalar loss with respect to
@@ -27,16 +28,18 @@ ACTIVATIONS = ("relu", "identity")
 # cache entry per layer: (layer input, layer output)
 Cache = list[tuple[np.ndarray, np.ndarray]]
 
-# Rows per block of a cache-free forward pass (``row_blocks``: a short
-# tail joins the block before it).
+# Most rows per block of a cache-free forward pass. ``row_blocks`` cuts
+# a pass into ceil(rows / APPLY_BLOCK) near-equal blocks, so a block has
+# at most APPLY_BLOCK rows and, unless it is the whole input, at least
+# half of that.
 #
 # Bits: with numpy 2.4 and OpenBLAS 0.3.31, a product of the default
 # backbone's second layer, (rows x 32) @ (32 x 8), rounds differently on
 # 1-128 rows from the same rows inside a larger product (4 of 4 draws at
 # each size), while 256-30,000 rows match it. A single row differs for
 # every layer, because numpy sends it to gemv instead of gemm. So no
-# block is shorter than this, unless the whole input is, and a pass in
-# blocks gives the bits of one pass over the whole input.
+# block is shorter than 256 rows, unless the whole input is, and a pass
+# in blocks gives the bits of one pass over the whole input.
 #
 # Threads: OpenBLAS runs a product this small on the calling thread, so
 # its worker thread does no work and never spin-waits after a product
@@ -46,15 +49,17 @@ Cache = list[tuple[np.ndarray, np.ndarray]]
 # blocks of
 #
 #   rows per block   worker-thread ticks (1/100 s)   wall
-#   8,192            11                              0.107 s
-#   2,048            14                              0.173 s
-#   1,024             0                              0.172 s
-#     512             0                              0.184 s
+#   8,192             9                              0.094 s
+#   2,048             9                              0.101 s
+#   2,047            14                              0.152 s
+#   1,800            14                              0.152 s
+#   1,536             0                              0.135 s
+#   1,024             0                              0.139 s
+#     512             0                              0.143 s
 #
 # Back to back, the products alone finish sooner on two threads; in a
 # pass the worker's spinning cost more than that. The first product goes
-# to the worker from about 1,700 rows on, so only a pass's last block (up
-# to 2,047 rows) may wake it.
+# to the worker from about 1,700 rows on, which no block reaches.
 #
 # On another BLAS build only the CPU saving may not hold: the memory
 # bound holds on any build, and test_net's block tests check the bit rule
@@ -63,15 +68,16 @@ APPLY_BLOCK = 1024
 
 
 def row_blocks(rows: int, size: int):
-    """Consecutive slices that cover ``rows`` rows in blocks of ``size``.
+    """Consecutive slices that cover ``rows`` rows in near-equal blocks.
 
-    A tail shorter than ``size`` joins the block before it, so every
-    block but a lone one has ``size`` to ``2 * size - 1`` rows. No rows
-    give one empty block, so a pass over them still checks its input.
+    There are ``ceil(rows / size)`` blocks whose lengths differ by at
+    most one, so none has more than ``size`` rows, and every block but a
+    lone one has at least ``size / 2``. No rows give one empty block, so
+    a pass over them still checks its input.
     """
-    count = max(rows // size, 1)
+    count = max(-(-rows // size), 1)
     for k in range(count):
-        yield slice(k * size, rows if k == count - 1 else (k + 1) * size)
+        yield slice(rows * k // count, rows * (k + 1) // count)
 
 
 class TrainingDivergence(RuntimeError):
@@ -131,7 +137,7 @@ class Mlp:
         """Evaluate the network; returns (output, cache for backward).
 
         With ``cache=False`` the output is the same, bit for bit, and the
-        cache is None; rows are evaluated in ``row_blocks`` of
+        cache is None; rows are evaluated in ``row_blocks`` of at most
         ``APPLY_BLOCK`` rows.
         """
         a = np.asarray(x, dtype=np.float64)

@@ -5,9 +5,9 @@ Every trained predictor is one ``Model``: a backbone plus linear heads.
 ignores groups; ``decoupled`` and ``experts`` send each sample to its
 group's head. Only experts carry a discriminator and virtual centers.
 Inference over a split (``Model.predict_proba``, the probe and
-discriminator scores, ``representation_blocks``) runs ``PREDICT_BLOCK``
-rows at a time and holds its output plus one block, with the bits of
-one pass over the whole split.
+discriminator scores, ``representation_blocks``) runs blocks of at most
+``PREDICT_BLOCK`` rows and holds its output plus one block, with the
+bits of one pass over the whole split.
 
 * ``train_erm``: backbone and pooled head, plain cross-entropy.
 * ``train_decoupled``: per-group heads over the frozen ERM backbone.
@@ -131,13 +131,14 @@ class ExpertsEpoch:
 
 MODEL_KINDS = ("erm", "decoupled", "experts")
 
-# rows per block of a streamed inference pass (prediction, probe scoring,
-# exported representations). A whole number of APPLY_BLOCKs, and
-# row_blocks puts the tail in the last block, so the backbone sees the
-# same APPLY_BLOCK blocks as in one pass over the split. Eight of them
-# keep the per-group head loop to a few calls per split: at one
-# APPLY_BLOCK per block, predicting 120,000 rows of 6 groups took 54 ms
-# against 52 ms.
+# most rows per block of a streamed inference pass (prediction, probe
+# scoring, exported representations), cut by row_blocks. A block that is
+# not the whole split has at least 4 * APPLY_BLOCK rows, so the backbone
+# cuts it into blocks of more than 512 rows: every block is above the
+# bit rule's floor (net.APPLY_BLOCK), and the bits equal one pass over
+# the split. Eight APPLY_BLOCKs keep the per-group head loop to a few
+# calls per split: at one APPLY_BLOCK per block, predicting 120,000 rows
+# of 6 groups took 54 ms against 52 ms.
 PREDICT_BLOCK = 8 * APPLY_BLOCK
 
 
@@ -170,7 +171,7 @@ class Model:
         return self.backbone.forward(np.atleast_2d(features), cache=False)[0]
 
     def predict_proba(self, features: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
-        """Class probabilities per row, one ``PREDICT_BLOCK`` of rows at a time.
+        """Class probabilities per row, in blocks of at most ``PREDICT_BLOCK`` rows.
 
         Each block runs the backbone, then each group's head on the
         block's rows of that group, so memory holds the output plus one
@@ -189,14 +190,15 @@ class Model:
             z = self.representations(x[rows])
             if self.kind == "erm":
                 probs[rows] = softmax(self.heads[0].forward(z, cache=False)[0])
-                continue
-            out, block_groups = probs[rows], groups[rows]
-            for g, head in enumerate(self.heads):
-                idx = np.flatnonzero(block_groups == g)
-                if idx.size == 1 and not alone[g]:
-                    idx = idx.repeat(2)
-                if idx.size:
-                    out[idx] = softmax(head.forward(z[idx], cache=False)[0])
+            else:
+                out, block_groups = probs[rows], groups[rows]
+                for g, head in enumerate(self.heads):
+                    idx = np.flatnonzero(block_groups == g)
+                    if idx.size == 1 and not alone[g]:
+                        idx = idx.repeat(2)
+                    if idx.size:
+                        out[idx] = softmax(head.forward(z[idx], cache=False)[0])
+            del z  # or it stays alive while the next block's is computed
         return probs
 
 
@@ -452,7 +454,7 @@ def extract_representations(
 
 
 def representation_blocks(model, dataset: Dataset, split: str):
-    """``extract_representations`` one ``PREDICT_BLOCK`` of rows at a time.
+    """``extract_representations`` in blocks of at most ``PREDICT_BLOCK`` rows.
 
     Returns an iterator of (representations, labels, groups) blocks in
     row order, with the same bits as the whole split's; an empty split

@@ -22,6 +22,7 @@ from fairexperts.net import (
     TrainingDivergence,
     init_mlp,
     log_softmax,
+    row_blocks,
     sgd_step,
     softmax_cross_entropy,
 )
@@ -590,30 +591,32 @@ def _blocked_models(repr_dim=8, groups=4, seed=31):
 def test_predict_proba_in_blocks_equals_one_pass_over_the_input():
     erm, routed = _blocked_models()
     rng = np.random.default_rng(8)
-    n = 3 * PREDICT_BLOCK + 500  # three blocks, the last holding the tail
+    n = 3 * PREDICT_BLOCK + 500  # four near-equal blocks
+    block0, block1 = list(row_blocks(n, PREDICT_BLOCK))[:2]
     x = rng.standard_normal((n, 10))
     # sorted: group 1's first row is the last row of block 0, group 3 has
     # a single row in the whole input, group 0 fills the rest
     sorted_groups = np.zeros(n, dtype=np.int64)
-    sorted_groups[PREDICT_BLOCK - 1 : PREDICT_BLOCK + 700] = 1
-    sorted_groups[PREDICT_BLOCK + 700 : n - 1] = 2
+    sorted_groups[block0.stop - 1 : block0.stop + 700] = 1
+    sorted_groups[block0.stop + 700 : n - 1] = 2
     sorted_groups[n - 1] = 3
     shuffled = rng.permutation(sorted_groups)
     # shuffled again, then group 2 keeps one row in block 1 and more elsewhere
     sparse = shuffled.copy()
-    sparse[(sparse == 2) & (np.arange(n) // PREDICT_BLOCK == 1)] = 0
-    sparse[PREDICT_BLOCK + 5] = 2
+    sparse[block1][sparse[block1] == 2] = 0
+    sparse[block1.start + 5] = 2
     for groups in (sorted_groups, shuffled, sparse):
         assert np.bincount(groups, minlength=4)[3] == 1
         for model in (erm, routed):
-            for rows in (slice(None), slice(0, 1), slice(0, 700), slice(PREDICT_BLOCK - 3, None)):
+            for rows in (slice(None), slice(0, 1), slice(0, 700), slice(block0.stop - 3, None)):
                 got = model.predict_proba(x[rows], groups[rows])
                 want = predict_proba_oracle(model, x[rows], groups[rows])
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # the cases above hit a group's only row in a block, with more rows
     # of that group elsewhere
-    assert np.count_nonzero(sparse[PREDICT_BLOCK : 2 * PREDICT_BLOCK] == 2) == 1
+    assert np.count_nonzero(sparse[block1] == 2) == 1
+    assert np.count_nonzero(sparse == 2) > 1
 
 
 def test_predict_proba_bounds_memory_by_the_output():
@@ -629,6 +632,6 @@ def test_predict_proba_bounds_memory_by_the_output():
     finally:
         tracemalloc.stop()
     # one block's representations, a group's gathered copy of them and
-    # smaller temporaries, in a last block of up to 2 * PREDICT_BLOCK rows;
-    # a pass over the whole input holds rows x 32 representations (31 MB)
-    assert peak < out.nbytes + 2 * (2 * PREDICT_BLOCK) * 32 * 8
+    # smaller temporaries, in a block of at most PREDICT_BLOCK rows; a
+    # pass over the whole input holds rows x 32 representations (31 MB)
+    assert peak < out.nbytes + 2 * PREDICT_BLOCK * 32 * 8

@@ -1,15 +1,18 @@
 """Alternated benchmark pairs: a parent commit against the working tree.
 
     python3 tools/bench_pairs.py --parent HEAD --workload reference --pairs 10 --out BENCH.json
+    python3 tools/bench_pairs.py --parent HEAD --workload reference --seed 7 --pairs 3 --out SEED7.json
 
 The parent commit's files are extracted with ``git archive`` into a
 temporary directory (removed on exit, also after an error or Ctrl-C).
 Each pair runs
 
-    python3 perfbench/run.py --workload W --trace 0 --out FILE
+    python3 perfbench/run.py --workload W [--seed N] --trace 0 --out FILE
 
 once in the parent tree and once in the working tree, at the run length
-that ``perfbench/run.py`` sets by default; the parent runs
+that ``perfbench/run.py`` sets by default. ``--seed N`` goes to every
+run on both sides; without it each run uses perfbench's default seed.
+The output JSON records the seed the runs reported. The parent runs
 first in odd pairs (1, 3, ...) and second in even ones. The output JSON
 holds every pair's end-to-end metrics and, per workload and metric,
 each side's q1/median/q3, the change/parent median ratio and how many
@@ -61,8 +64,9 @@ def extract_commit(commit: str, dest: Path) -> str:
     return full
 
 
-def run_bench(tree: Path, workload: str, trace: int, out: Path) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+def run_bench(tree: Path, workload: str, seed: int | None, trace: int, out: Path) -> dict:
+    seed_flag = [] if seed is None else ["--seed", str(seed)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, *seed_flag,
            "--trace", str(trace), "--out", str(out)]
     print(f"[{tree}] {' '.join(cmd[1:])}", file=sys.stderr, flush=True)
     subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.DEVNULL)
@@ -135,6 +139,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit to compare the working tree against")
     parser.add_argument("--workload", default="all")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="workload seed for every run (default: perfbench's default seed)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--traced-pair", action="store_true",
                         help=f"then run {TRACED_PAIRS} alternated --trace 1 pairs, change first")
@@ -160,7 +166,10 @@ def main(argv=None) -> int:
             order = ("parent", "change") if k % 2 else ("change", "parent")
             pair = {"first": order[0]}
             for side in order:
-                result = run_bench(trees[side], args.workload, 0, tmp / f"pair{k}_{side}.json")
+                result = run_bench(trees[side], args.workload, args.seed, 0,
+                                   tmp / f"pair{k}_{side}.json")
+                if result["seed"] != payload.setdefault("seed", result["seed"]):
+                    raise RuntimeError("the two trees ran different default seeds; pass --seed")
                 pair[side] = pair_values(result, names)
                 payload.setdefault("environment", next(iter(result["workloads"].values()))["environment"])
             pairs.append(pair)
@@ -170,7 +179,8 @@ def main(argv=None) -> int:
         payload["untraced_pairs"] = {
             # the run length each run reported, which is perfbench's default
             "command": f"python3 perfbench/run.py --workload {args.workload} "
-                       f"--seconds {result['seconds']:g} --trace 0 --out FILE",
+                       f"--seed {payload['seed']} --seconds {result['seconds']:g} "
+                       "--trace 0 --out FILE",
             "note": f"{args.pairs} pairs, parent first in odd pairs; each value is the "
                     "run's median over its repetitions",
             "summary": summarize(pairs, names),
@@ -181,7 +191,7 @@ def main(argv=None) -> int:
             runs: dict = {"parent": [], "change": []}
             for k in range(1, TRACED_PAIRS + 1):
                 for side in ("change", "parent") if k % 2 else ("parent", "change"):
-                    runs[side].append(run_bench(trees[side], args.workload, 1,
+                    runs[side].append(run_bench(trees[side], args.workload, args.seed, 1,
                                                 tmp / f"traced{k}_{side}.json"))
             payload["traced_pairs"] = {
                 "note": f"{TRACED_PAIRS} pairs after the untraced ones, change first in odd "

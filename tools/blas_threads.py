@@ -1,39 +1,56 @@
 """Does OpenBLAS run the default network's block products on the calling thread?
 
     python3 tools/blas_threads.py
+    python3 tools/blas_threads.py --run configs/group_shift.cfg
 
-For each block size it pushes ``ROWS`` rows through the default
-network's two backbone products, (rows x 10) @ (10 x 32) and then
-(rows x 32) @ (32 x 8), one block at a time, and prints the CPU ticks
-that the process's other threads (OpenBLAS's workers) used meanwhile,
-read from ``/proc/self/task/*/stat``, and the wall time. Zero worker
-ticks means every product ran on the calling thread, so no worker
-spin-waits after it. ``net.APPLY_BLOCK`` was chosen from this table;
-re-run it after a numpy or OpenBLAS upgrade. Linux only; standard library
-plus numpy.
+Without ``--run``, for each block size it pushes ``ROWS`` rows through
+the default network's two backbone products, (rows x 10) @ (10 x 32)
+and then (rows x 32) @ (32 x 8), one block at a time, and prints the
+CPU ticks that the process's other threads (OpenBLAS's workers) used
+meanwhile, read from ``/proc/self/task/*/stat``, and the wall time.
+Zero worker ticks means every product ran on the calling thread, so no
+worker spin-waits after it. ``net.APPLY_BLOCK`` was chosen from this
+table; re-run it after a numpy or OpenBLAS upgrade. The sizes 1,536 to
+2,047 bracket the point (about 1,700 rows with OpenBLAS 0.3.31) from
+which the first product goes to a worker.
+
+``--run CONFIG`` runs ``experiment.run_experiment`` on CONFIG in this
+process, into a temporary directory, and prints per pipeline stage (each
+``experiment._stage`` block, summed over seeds) the ticks of the worker
+threads and of the calling thread, plus the ticks before the run
+(imports, and a pause of ``SETTLE_S`` that lets the worker's start-up
+spin end) and those outside every stage (writing the report files). It
+imports ``fairexperts`` from ``PYTHONPATH`` if that has it, else from
+this checkout's ``src``, so ``PYTHONPATH=OTHER/src`` measures another
+tree. Linux only (it reads ``/proc/self/task``); standard library plus
+numpy.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
+import sys
+import tempfile
 import threading
 import time
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parent.parent
 ROWS = 2_000_000
-BLOCK_SIZES = (8192, 2048, 1024, 512)
+BLOCK_SIZES = (8192, 2048, 2047, 1800, 1536, 1024, 512)
 LAYERS = ((10, 32), (32, 8))  # (in, out) of the default backbone
 SETTLE_S = 1.0
 
 
-def worker_ticks() -> int:
-    """utime + stime, in clock ticks, of every thread but the calling one."""
+def thread_ticks() -> tuple[int, int]:
+    """utime + stime, in clock ticks, of (the calling thread, every other thread)."""
     me = threading.get_native_id()
-    total = 0
+    own = others = 0
     for tid in os.listdir("/proc/self/task"):
-        if int(tid) == me:
-            continue
         try:
             with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as fh:
                 stat = fh.read()
@@ -42,8 +59,12 @@ def worker_ticks() -> int:
         # fields after the parenthesised command name; utime and stime
         # are fields 14 and 15 of the whole line
         fields = stat[stat.rindex(")") + 2 :].split()
-        total += int(fields[11]) + int(fields[12])
-    return total
+        ticks = int(fields[11]) + int(fields[12])
+        if int(tid) == me:
+            own += ticks
+        else:
+            others += ticks
+    return own, others
 
 
 def run(size: int, weights: list[np.ndarray], rng: np.random.Generator) -> tuple[int, float]:
@@ -60,13 +81,61 @@ def run(size: int, weights: list[np.ndarray], rng: np.random.Generator) -> tuple
     # a worker that an earlier, larger product woke spin-waits for a while
     # after it; let it go back to sleep, or its spin counts against this size
     time.sleep(SETTLE_S)
-    ticks, start = worker_ticks(), time.perf_counter()
+    ticks, start = thread_ticks()[1], time.perf_counter()
     for _ in range(ROWS // size):
         block()
-    return worker_ticks() - ticks, time.perf_counter() - start
+    return thread_ticks()[1] - ticks, time.perf_counter() - start
 
 
-def main() -> None:
+def run_stages(config_path: str) -> None:
+    """Print worker and calling-thread ticks per stage of one experiment run."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which wins
+    import fairexperts
+    from fairexperts import experiment
+    from fairexperts.config import load_config
+
+    config = load_config(config_path)
+    stage = experiment._stage  # run_seed looks the name up at each call
+    ticks: dict[str, np.ndarray] = {}  # stage name: (calling, workers), over seeds
+
+    @contextmanager
+    def counted(name: str, seed: int):
+        before = np.array(thread_ticks())
+        try:
+            with stage(name, seed):
+                yield
+        finally:
+            ticks[name] = ticks.get(name, 0) + np.array(thread_ticks()) - before
+
+    # the worker spin-waits for a while after numpy starts it; let that
+    # end before the run, or it counts against the first stages
+    time.sleep(SETTLE_S)
+    start = np.array(thread_ticks())
+    experiment._stage = counted
+    try:
+        with tempfile.TemporaryDirectory(prefix="blas_threads_") as out:
+            experiment.run_experiment(config, out)
+    finally:
+        experiment._stage = stage
+    total = np.array(thread_ticks()) - start
+    table = {"(before the run)": start, **ticks,
+             "(outside stages)": total - sum(ticks.values()), "run total": total}
+    print(f"fairexperts from {Path(fairexperts.__file__).parent}, numpy {np.__version__}, "
+          f"{os.cpu_count()} CPUs, {os.sysconf('SC_CLK_TCK')} ticks/s, {config_path}")
+    print(f"{'stage':<16} | worker-thread ticks | calling-thread ticks")
+    for name, (calling, workers) in table.items():
+        print(f"{name:<16} | {workers:>19} | {calling:>20}")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--run", metavar="CONFIG",
+                        help="tick the threads per stage of one experiment run on CONFIG")
+    args = parser.parse_args(argv)
+    if args.run:
+        run_stages(args.run)
+        return
     rng = np.random.default_rng(0)
     weights = [rng.standard_normal((out, inp)) for inp, out in LAYERS]
     print(f"numpy {np.__version__}, {os.cpu_count()} CPUs, "
