@@ -15,14 +15,14 @@ from dataclasses import replace
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import CsvSource, ExperimentConfig, load_config
-from .data import DataError, default_schema, read_json_object, save_csv, write_json
+from .data import SPLITS, DataError, default_schema, read_json_object, save_csv, write_json
 from .experiment import (
     dataset_for_seed,
     run_experiment,
     write_representations_csv,
     write_training_log,
 )
-from .metrics import GroupMetrics, build_report
+from .metrics import METRIC_KINDS, GroupMetrics, build_report
 from .net import TrainingDivergence
 from .selection import select_greedy, select_ip
 from .training import representation_blocks, train_decoupled, train_erm, train_experts
@@ -57,6 +57,14 @@ def _seed(args, config: ExperimentConfig) -> int:
     return args.seed if args.seed is not None else config.seeds[0]
 
 
+def _emit(payload: dict, out: str | None) -> None:
+    """Write ``payload`` as JSON to ``out``, or print it when no file is given."""
+    if out:
+        write_json(payload, out)
+    else:
+        print(json.dumps(payload, sort_keys=True, indent=2))
+
+
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
     dataset = dataset_for_seed(config, _seed(args, config))
@@ -86,11 +94,7 @@ def cmd_evaluate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     dataset = dataset_for_seed(config, _seed(args, config))
     kind = args.metric or config.metric
-    payload = build_report(model.predict_proba, dataset, args.split, kind)
-    if args.out:
-        write_json(payload, args.out)
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    _emit(build_report(model.predict_proba, dataset, args.split, kind), args.out)
     return EXIT_OK
 
 
@@ -109,11 +113,7 @@ def cmd_select(args) -> int:
         decision = select_greedy(expert, erm)
     else:
         decision = select_ip(expert, erm, args.lambda_sel)
-    payload = decision.to_dict()
-    if args.out:
-        write_json(payload, args.out)
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    _emit(decision.to_dict(), args.out)
     return EXIT_OK
 
 
@@ -162,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--data-csv", default=None)
-    p.add_argument("--split", default="val", choices=("train", "val", "test"))
-    p.add_argument("--metric", default=None, choices=("accuracy", "auc"))
+    p.add_argument("--split", default="val", choices=SPLITS)
+    p.add_argument("--metric", default=None, choices=METRIC_KINDS)
     p.add_argument("--out", default=None)
 
     p = add("select", cmd_select, help="run a selection strategy on stored group metrics")
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--data-csv", default=None)
-    p.add_argument("--split", default="test", choices=("train", "val", "test"))
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--out", required=True)
 
     p = add("run", cmd_run, help="run the full experiment over all config seeds")

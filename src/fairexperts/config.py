@@ -34,6 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import CsvSchema, DataError, SPLITS, SyntheticConfig
+from .metrics import METRIC_KINDS
 from .training import HyperParams
 
 CONFIG_VERSION = 1
@@ -55,7 +56,7 @@ _DATA_KEYS = {
 _DATA_PATTERNS = (
     re.compile(r"data\.mean\.g\d+\.c\d+$"),
     re.compile(r"data\.std\.g\d+\.c\d+$"),
-    re.compile(r"data\.count\.(train|val|test)\.g\d+$"),
+    re.compile(rf"data\.count\.({'|'.join(SPLITS)})\.g\d+$"),
 )
 # settable hyperparameters in declaration order, each parsed as the type of its default
 _HYPER_FIELDS = {f.name: type(f.default) for f in fields(HyperParams) if f.name != "seed"}
@@ -153,11 +154,20 @@ def _parse_synthetic(kv: dict[str, str]) -> SyntheticConfig:
                 )
             means[g, c] = vec
             stds[g, c] = _number(kv, f"data.std.g{g}.c{c}", float, 1.0)
-    counts = {}
-    for split in SPLITS:
-        counts[split] = tuple(
-            _number(kv, f"data.count.{split}.g{g}") for g in range(groups)
-        )
+    counts = {
+        split: tuple(_number(kv, f"data.count.{split}.g{g}") for g in range(groups))
+        for split in SPLITS
+    }
+    # a cell key of another group or class would otherwise be ignored; every
+    # declared mean and count key was read above, so this set holds at most
+    # twice as many keys as the config
+    declared = {f"data.{what}.g{g}.c{c}" for what in ("mean", "std")
+                for g in range(groups) for c in range(classes)}
+    declared.update(f"data.count.{split}.g{g}" for split in SPLITS for g in range(groups))
+    outside = [key for key in kv if key.startswith(("data.mean.", "data.std.", "data.count."))
+               and key not in declared]
+    if outside:
+        raise ConfigError(f"config keys outside {groups} groups and {classes} classes: {outside}")
     return SyntheticConfig(
         d=d,
         classes=classes,
@@ -222,8 +232,8 @@ def config_from_dict(kv: dict[str, str]) -> ExperimentConfig:
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct, got {', '.join(map(str, seeds))}")
     metric = kv.get("metric", "accuracy")
-    if metric not in ("accuracy", "auc"):
-        raise ConfigError(f"metric must be accuracy or auc, got {metric!r}")
+    if metric not in METRIC_KINDS:
+        raise ConfigError(f"metric must be {' or '.join(METRIC_KINDS)}, got {metric!r}")
     strategies = tuple(_str_list(kv.get("strategies", "greedy, ip")))
     for s in strategies:
         if s not in ("greedy", "ip"):

@@ -17,7 +17,8 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter, length_hint
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,25 +74,33 @@ class Dataset:
     num_groups: int
 
     def __post_init__(self) -> None:
+        for name in ("labels", "groups"):
+            values = np.asarray(getattr(self, name))
+            if values.size and values.dtype.kind not in "iu":
+                raise DataError(f"{name} must be integers, got dtype {values.dtype}")
+            object.__setattr__(self, name, values.astype(np.int64, copy=False))
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        object.__setattr__(self, "groups", np.asarray(self.groups, dtype=np.int64))
         object.__setattr__(self, "split", np.asarray(self.split, dtype=str))
         n = self.features.shape[0]
         if self.features.ndim != 2:
             raise DataError("features must be a 2-d matrix")
         if self.labels.shape != (n,) or self.groups.shape != (n,) or self.split.shape != (n,):
             raise DataError("labels/groups/split lengths must match features")
+        # each check runs on the whole array; only a failed one looks for
+        # the first row at fault, counted from 1 as in a CSV file
         if n and not np.all(np.isfinite(self.features)):
-            raise DataError("features must be finite")
-        if n and (self.labels.min() < 0 or self.labels.max() >= self.classes):
-            raise DataError("label index out of declared range")
-        if n and (self.groups.min() < 0 or self.groups.max() >= self.num_groups):
-            raise DataError("group index out of declared range")
+            r = np.argmax(~np.isfinite(self.features).all(axis=1))
+            raise DataError(f"row {r + 1}: features must be finite")
+        bounds = (("label", self.labels, self.classes), ("group", self.groups, self.num_groups))
+        for what, values, bound in bounds:
+            if n and (values.min() < 0 or values.max() >= bound):
+                r = np.argmax((values < 0) | (values >= bound))
+                raise DataError(f"row {r + 1}: {what} {values[r]} out of range")
         masks = {name: self.split == name for name in SPLITS}
         known = masks["train"] | masks["val"] | masks["test"]
         if not known.all():
-            raise DataError(f"unknown split tags: {np.unique(self.split[~known]).tolist()}")
+            tags = np.unique(self.split[~known]).tolist()
+            raise DataError(f"row {np.argmax(~known) + 1}: unknown split tags: {tags}")
         # checked as given, so a longer tag is not cut to a known one first
         object.__setattr__(self, "split", self.split.astype("U5", copy=False))
         # one integer code per (group, class) cell, in (group, class) order;
@@ -266,10 +275,32 @@ def default_schema(d: int, classes: int, groups: int, split_seed: int = 0) -> Cs
 def load_csv(path: str, schema: CsvSchema) -> Dataset:
     """Parse a dataset CSV in row order.
 
+    This turns text into arrays; ``Dataset`` checks their content, and
+    its errors are prefixed with the path.
+
     If the schema's split column is absent from the header, rows are
     assigned to train/val/test at an 8:1:1 ratio, stratified by
     (group, class): within each cell, a seeded shuffle splits rows with
     largest-remainder rounding, so every nonempty cell lands in train.
+    """
+    # the file's rows are freed when _csv_columns returns, before the
+    # dataset stores the split tags
+    features, labels, groups, split = _csv_columns(path, schema)
+    if split is None:
+        split = assign_splits(labels, groups, schema.split_seed)
+    try:
+        return Dataset(features, labels, groups, split, schema.classes, schema.groups)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _csv_columns(path: str, schema: CsvSchema) -> tuple:
+    """Features, labels, groups and the split tags (or None) of a CSV file.
+
+    Checks the header and each row's field count, then converts each
+    column the schema reads once, in schema order; a cell that does not
+    convert (an integer outside int64 included) is named by row, column
+    and text. The split tags are the column's text, unchecked.
     """
     try:
         # utf-8-sig also reads the byte-order mark that some exporters write
@@ -278,11 +309,10 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
         raise DataError(f"{path}: file does not exist") from None
     with fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        header = next(reader, None)
         rows = list(reader)
+    if header is None:
+        raise DataError(f"{path}: empty file")
 
     col_index = {name: i for i, name in enumerate(header)}
     required = [*schema.feature_columns, schema.label_column, schema.group_column]
@@ -293,52 +323,39 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
     repeated = [name for name in dict.fromkeys((*required, schema.split_column)) if counts[name] > 1]
     if repeated:
         raise DataError(f"{path}: repeated columns {repeated}")
-
-    has_split = schema.split_column is not None and schema.split_column in col_index
-    feat_idx = [col_index[name] for name in schema.feature_columns]
-    n = len(rows)
-    features = np.empty((n, len(feat_idx)), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
-    groups = np.empty(n, dtype=np.int64)
-    split = np.empty(n, dtype="U5")
-
-    for r, row in enumerate(rows):
+    for r, row in enumerate(rows, 1):
         if len(row) != len(header):
-            raise DataError(f"{path}: row {r + 1} has {len(row)} fields, expected {len(header)}")
-        for j, ci in enumerate(feat_idx):
-            try:
-                features[r, j] = float(row[ci])
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {r + 1}, column {schema.feature_columns[j]!r}: "
-                    f"non-numeric value {row[ci]!r}"
-                ) from None
-        try:
-            labels[r] = int(row[col_index[schema.label_column]])
-            groups[r] = int(row[col_index[schema.group_column]])
-        except ValueError:
-            raise DataError(f"{path}: row {r + 1}: non-integer label or group") from None
-        if not 0 <= labels[r] < schema.classes:
-            raise DataError(f"{path}: row {r + 1}: label {labels[r]} out of range")
-        if not 0 <= groups[r] < schema.groups:
-            raise DataError(f"{path}: row {r + 1}: group {groups[r]} out of range")
-        if has_split:
-            tag = row[col_index[schema.split_column]]
-            if tag not in SPLITS:
-                raise DataError(f"{path}: row {r + 1}: unknown split tag {tag!r}")
-            split[r] = tag
+            raise DataError(f"{path}: row {r} has {len(row)} fields, expected {len(header)}")
 
-    if not has_split:
-        split = assign_splits(labels, groups, schema.split_seed)
-    return Dataset(features, labels, groups, split, schema.classes, schema.groups)
+    def column(name: str, kind: type) -> np.ndarray:
+        # float cells become float64, int cells int64; a Python int
+        # outside int64 raises OverflowError
+        ci, unread = col_index[name], iter(rows)
+        dtype = np.float64 if kind is float else np.int64
+        try:
+            return np.fromiter(map(kind, map(itemgetter(ci), unread)), dtype, count=len(rows))
+        except (ValueError, OverflowError):
+            r = len(rows) - length_hint(unread)  # the last row read is the one that failed
+            what = "non-numeric" if kind is float else "non-int64"
+            raise DataError(
+                f"{path}: row {r}, column {name!r}: {what} value {rows[r - 1][ci]!r}"
+            ) from None
+
+    features = np.empty((len(rows), len(schema.feature_columns)))
+    for j, name in enumerate(schema.feature_columns):
+        features[:, j] = column(name, float)
+    si = col_index.get(schema.split_column)
+    split = None if si is None else list(map(itemgetter(si), rows))
+    return features, column(schema.label_column, int), column(schema.group_column, int), split
 
 
 def assign_splits(labels: np.ndarray, groups: np.ndarray, seed: int) -> np.ndarray:
     """Seeded stratified 8:1:1 split assignment.
 
     Cells are processed in sorted (group, class) order; within a cell the
-    row indices are shuffled and dealt to train/val/test with
-    largest-remainder rounding (ties resolved train before val before
+    row indices are shuffled and dealt to train/val/test: each split
+    takes the floor of its quota, then the splits with the largest
+    remainders take one row each (ties resolved train before val before
     test, which also guarantees every nonempty cell reaches train).
     """
     gen = rngmod.stream(seed, rngmod.DATA, 1)
@@ -349,19 +366,15 @@ def assign_splits(labels: np.ndarray, groups: np.ndarray, seed: int) -> np.ndarr
     g_sorted, c_sorted = groups[order], labels[order]
     starts = np.flatnonzero((g_sorted[1:] != g_sorted[:-1]) | (c_sorted[1:] != c_sorted[:-1]))
     cells = np.split(order, starts + 1) if order.size else []
+    ratios = np.array([SPLIT_RATIOS[s] for s in SPLITS])
     for idx in cells:
         idx = idx[gen.permutation(len(idx))]
-        n_cell = len(idx)
-        quota = {s: SPLIT_RATIOS[s] * n_cell for s in SPLITS}
-        sizes = {s: int(np.floor(quota[s])) for s in SPLITS}
-        leftover = n_cell - sum(sizes.values())
-        by_remainder = sorted(SPLITS, key=lambda s: (-(quota[s] - sizes[s]), SPLITS.index(s)))
-        for s in by_remainder[:leftover]:
-            sizes[s] += 1
-        start = 0
-        for s in SPLITS:
-            split[idx[start : start + sizes[s]]] = s
-            start += sizes[s]
+        quota = ratios * len(idx)
+        sizes = np.floor(quota).astype(np.int64)
+        # a stable sort of the negated remainders keeps SPLITS order on ties
+        largest = np.argsort(sizes - quota, kind="stable")
+        sizes[largest[: len(idx) - sizes.sum()]] += 1
+        split[idx] = np.repeat(SPLITS, sizes)
     return split
 
 

@@ -7,7 +7,8 @@ group's head. Only experts carry a discriminator and virtual centers.
 Inference over a split (``Model.predict_proba``, the probe and
 discriminator scores, ``representation_blocks``) runs blocks of at most
 ``PREDICT_BLOCK`` rows and holds its output plus one block, with the
-bits of one pass over the whole split.
+bits of one pass over the whole split at the default widths (hidden 32,
+representation 8); see ``PREDICT_BLOCK`` for wider representations.
 
 * ``train_erm``: backbone and pooled head, plain cross-entropy.
 * ``train_decoupled``: per-group heads over the frozen ERM backbone.
@@ -135,10 +136,20 @@ MODEL_KINDS = ("erm", "decoupled", "experts")
 # scoring, exported representations), cut by row_blocks. A block that is
 # not the whole split has at least 4 * APPLY_BLOCK rows, so the backbone
 # cuts it into blocks of more than 512 rows: every block is above the
-# bit rule's floor (net.APPLY_BLOCK), and the bits equal one pass over
-# the split. Eight APPLY_BLOCKs keep the per-group head loop to a few
-# calls per split: at one APPLY_BLOCK per block, predicting 120,000 rows
-# of 6 groups took 54 ms against 52 ms.
+# bit rule's floor (net.APPLY_BLOCK), and the backbone's bits equal one
+# pass over the split. Each group's head runs on that group's rows of a
+# block, which can be few. With numpy 2.4 and OpenBLAS 0.3.31,
+# (k x 8) @ (8 x 2) rounds like the same rows inside an 8,192-row
+# product for every k but 1, which predict_proba sends through two rows;
+# so at the default widths (hidden 32, repr 8) predictions equal one
+# pass. (k x 32) @ (32 x 2) rounded differently for 364 of the k from 1
+# to 512 (one random draw): with repr_dim 32, 4 to 7 of the 589 rows of
+# a group holding 2% of 30,000 rows differed in the last bit from one
+# pass (three random initialisations; 1 to 4 at hidden and repr 64).
+# Reruns stay identical at any width. Eight APPLY_BLOCKs
+# keep the per-group head loop to a few calls per split: at one
+# APPLY_BLOCK per block, predicting 120,000 rows of 6 groups took 54 ms
+# against 52 ms.
 PREDICT_BLOCK = 8 * APPLY_BLOCK
 
 
@@ -175,7 +186,9 @@ class Model:
 
         Each block runs the backbone, then each group's head on the
         block's rows of that group, so memory holds the output plus one
-        block. The bits equal one pass over the whole input.
+        block. At the default widths the bits equal one pass over the
+        whole input; with a wider representation a group's rows in a
+        block may round differently in the last bit (``PREDICT_BLOCK``).
         """
         x = np.atleast_2d(features)
         n = x.shape[0]

@@ -1,9 +1,12 @@
 """Shared test utilities: independent oracles and small dataset builders."""
 
+import csv
+from collections import Counter
+
 import numpy as np
 
 from fairexperts import HyperParams, SyntheticConfig, generate_synthetic
-from fairexperts.data import CsvSchema, load_csv
+from fairexperts.data import SPLITS, CsvSchema, DataError, Dataset, assign_splits, load_csv
 from fairexperts.losses import EXP_CLAMP, PairAssignment, VirtualCenters
 from fairexperts.net import TrainingDivergence, check_index, softmax
 
@@ -192,6 +195,70 @@ def load_interleaved_csv(tmp_path):
     ]
     path.write_text("\n".join(rows) + "\n")
     return load_csv(str(path), CsvSchema(("f0", "f1"), classes=2, groups=2))
+
+
+def load_csv_oracle(path, schema):
+    """``load_csv`` as a per-row loop that converts and range-checks each
+    cell on its own, the loader's former form."""
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except FileNotFoundError:
+        raise DataError(f"{path}: file does not exist") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        rows = list(reader)
+
+    col_index = {name: i for i, name in enumerate(header)}
+    required = [*schema.feature_columns, schema.label_column, schema.group_column]
+    missing = [name for name in required if name not in col_index]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}")
+    counts = Counter(header)
+    repeated = [name for name in dict.fromkeys((*required, schema.split_column)) if counts[name] > 1]
+    if repeated:
+        raise DataError(f"{path}: repeated columns {repeated}")
+
+    has_split = schema.split_column is not None and schema.split_column in col_index
+    feat_idx = [col_index[name] for name in schema.feature_columns]
+    n = len(rows)
+    features = np.empty((n, len(feat_idx)), dtype=np.float64)
+    labels = np.empty(n, dtype=np.int64)
+    groups = np.empty(n, dtype=np.int64)
+    split = np.empty(n, dtype="U5")
+
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {r + 1} has {len(row)} fields, expected {len(header)}")
+        for j, ci in enumerate(feat_idx):
+            try:
+                features[r, j] = float(row[ci])
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {r + 1}, column {schema.feature_columns[j]!r}: "
+                    f"non-numeric value {row[ci]!r}"
+                ) from None
+        try:
+            labels[r] = int(row[col_index[schema.label_column]])
+            groups[r] = int(row[col_index[schema.group_column]])
+        except ValueError:
+            raise DataError(f"{path}: row {r + 1}: non-integer label or group") from None
+        if not 0 <= labels[r] < schema.classes:
+            raise DataError(f"{path}: row {r + 1}: label {labels[r]} out of range")
+        if not 0 <= groups[r] < schema.groups:
+            raise DataError(f"{path}: row {r + 1}: group {groups[r]} out of range")
+        if has_split:
+            tag = row[col_index[schema.split_column]]
+            if tag not in SPLITS:
+                raise DataError(f"{path}: row {r + 1}: unknown split tag {tag!r}")
+            split[r] = tag
+
+    if not has_split:
+        split = assign_splits(labels, groups, schema.split_seed)
+    return Dataset(features, labels, groups, split, schema.classes, schema.groups)
 
 
 def tiny_dataset(seed=5):

@@ -74,6 +74,20 @@ def test_missing_config_is_data_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_on_a_csv_label_outside_int64_is_data_error(tmp_path, config_path, capsys):
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text(
+        "f0,f1,f2,label,group,split\n"
+        "0.5,1.5,2.5,0,0,train\n"
+        "0.5,1.5,2.5,99999999999999999999,1,train\n"
+    )
+    argv = ["run", "--config", config_path, "--data-csv", str(csv_path)]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "row 2, column 'label': non-int64 value '99999999999999999999'" in err
+    assert "Traceback" not in err
+
+
 def test_run_without_out_dir_is_usage_error(config_path):
     assert main(["run", "--config", config_path]) == 1
 

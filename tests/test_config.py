@@ -118,6 +118,24 @@ def test_readme_config_table_lists_exactly_the_accepted_keys():
     assert covered == {p.pattern for p in _DATA_PATTERNS}
 
 
+def test_config_rejects_cell_keys_outside_the_declared_groups_and_classes():
+    reference = (Path(__file__).resolve().parents[1] / "configs" / "group_shift.cfg").read_text(
+        encoding="utf-8"
+    )
+    kv = parse_kv_text(reference)
+    assert (kv["data.groups"], kv["data.classes"]) == ("2", "2")
+    config_from_dict(kv)
+    extra = {"data.mean.g2.c0": "0, 0", "data.count.train.g5": "10", "data.std.g0.c7": "1"}
+    with pytest.raises(
+        ConfigError,
+        match=re.escape(f"config keys outside 2 groups and 2 classes: {list(extra)}"),
+    ):
+        config_from_dict({**kv, **extra})
+    for key, value in extra.items():
+        with pytest.raises(ConfigError, match=re.escape(f"classes: ['{key}']")):
+            config_from_dict({**kv, key: value})
+
+
 def test_config_rejects_bad_version():
     text = MINIMAL.replace("version = 1", "version = 2")
     with pytest.raises(ConfigError, match="version"):

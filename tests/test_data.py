@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,10 @@ from fairexperts.data import (
     group_stats,
     load_csv,
     save_csv,
+    write_csv,
 )
 
-from helpers import INTERLEAVED_TAGS, load_interleaved_csv, separable_config
+from helpers import INTERLEAVED_TAGS, load_csv_oracle, load_interleaved_csv, separable_config
 
 
 def blob_config(**overrides):
@@ -327,6 +330,131 @@ def test_load_csv_out_of_range_label_and_group(tmp_path):
     path.write_text("f0,label,group\n1.0,0,2\n")
     with pytest.raises(DataError, match="group 2 out of range"):
         load_csv(str(path), CsvSchema(("f0",), classes=2, groups=1))
+
+
+def test_dataset_rejects_labels_and_groups_that_are_not_integers():
+    features, split = np.zeros((3, 1)), ["train"] * 3
+    with pytest.raises(DataError, match=r"^labels must be integers, got dtype float64$"):
+        Dataset(features, np.array([0.5, 1.7, 0.2]), [0, 0, 0], split, classes=2, num_groups=1)
+    with pytest.raises(DataError, match=r"^groups must be integers, got dtype <U1$"):
+        Dataset(features, [0, 1, 0], np.array(["0", "0", "0"]), split, classes=2, num_groups=1)
+    # an empty array has no values to be wrong, whatever its dtype
+    empty = Dataset(np.zeros((0, 1)), [], np.array([]), [], classes=2, num_groups=1)
+    assert empty.labels.dtype == empty.groups.dtype == np.int64
+    # narrower integer dtypes are widened to int64
+    ds = Dataset(features, np.array([0, 1, 0], np.uint8), np.zeros(3, np.int32), split, 2, 1)
+    assert ds.labels.dtype == ds.groups.dtype == np.int64 and ds.labels.tolist() == [0, 1, 0]
+
+
+def test_dataset_names_the_first_row_at_fault():
+    def build(features=((0.0,),) * 4, labels=(0, 1, 0, 1), groups=(0, 0, 0, 0), split=None):
+        split = split or ["train"] * 4
+        return Dataset(np.array(features), np.array(labels), np.array(groups), split, 2, 1)
+
+    with pytest.raises(DataError, match=r"^row 3: features must be finite$"):
+        build(features=((0.0,), (1.0,), (np.inf,), (np.nan,)))
+    with pytest.raises(DataError, match=r"^row 2: label 5 out of range$"):
+        build(labels=(0, 5, -1, 1))
+    with pytest.raises(DataError, match=r"^row 4: group -1 out of range$"):
+        build(groups=(0, 0, 0, -1))
+    with pytest.raises(DataError, match=r"^row 2: unknown split tags: \['dev', 'test2'\]$"):
+        build(split=["train", "test2", "val", "dev"])
+    # the checks run in this order: finite, label, group, tags
+    with pytest.raises(DataError, match="features must be finite"):
+        build(features=((0.0,), (0.0,), (0.0,), (np.inf,)), labels=(9, 0, 0, 0))
+    with pytest.raises(DataError, match="row 4: label 9"):
+        build(labels=(0, 0, 0, 9), groups=(3, 0, 0, 0), split=["dev"] * 4)
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_load_csv_error_paths(tmp_path):
+    schema = CsvSchema(("f0", "f1"), classes=2, groups=2)
+    head = "f0,f1,label,group,split"
+    cases = [
+        ([head, "1,2,0,0,train", "1,2,0,train"], r"row 2 has 4 fields, expected 5$"),
+        ([head, "1,2,0,0,train", ""], r"row 2 has 0 fields, expected 5$"),
+        ([head, "1,2,0.5,0,train"], r"row 1, column 'label': non-int64 value '0.5'$"),
+        ([head, "1,2,0,one,train"], r"row 1, column 'group': non-int64 value 'one'$"),
+        (
+            [head, "1,2,0,0,train", "1,2,99999999999999999999,0,train"],
+            r"row 2, column 'label': non-int64 value '99999999999999999999'$",
+        ),
+        ([head, "1,2,0,0,train", "1,1e999,1,0,train"], r"row 2: features must be finite$"),
+        ([head, "1,2,0,0,train", "1,2,0,0,dev"], r"row 2: unknown split tags: \['dev'\]$"),
+        ([head, "1,2,0,1,train", "1,2,0,1,val", "1,2,1,0,test"],
+         r"\(group, class\) cells \[\(0, 1\)\] appear in test but not in train$"),
+    ]
+    for lines, message in cases:
+        path = write_lines(tmp_path / "bad.csv", lines)
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: {message}"):
+            load_csv(path, schema)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(DataError, match="empty.csv: empty file$"):
+        load_csv(str(empty), schema)
+
+
+def test_load_csv_reports_field_counts_then_columns_then_content(tmp_path):
+    schema = CsvSchema(("f0", "f1"), classes=2, groups=2)
+    head = "f0,f1,label,group,split"
+    cases = [
+        # a field count anywhere comes before any bad cell
+        ([head, "x,2,0,0,train", "1,2,0,0"], "row 2 has 4 fields"),
+        # columns in schema order: features, then label, then group
+        ([head, "1,x,0,0,train", "x,2,0,0,train"], r"row 2, column 'f0'"),
+        ([head, "1,2,x,0,train", "1,x,0,0,train"], r"row 2, column 'f1'"),
+        ([head, "1,2,0,x,train", "1,2,x,0,train"], r"row 2, column 'label'"),
+        # a conversion error before any content check
+        ([head, "inf,2,5,0,dev", "1,2,0,x,train"], r"row 2, column 'group'"),
+        # then the dataset's checks: finite, label, group, tags
+        ([head, "1,2,5,0,train", "nan,2,0,0,train"], "row 2: features must be finite"),
+        ([head, "1,2,0,7,train", "1,2,5,0,train"], "row 2: label 5 out of range"),
+        ([head, "1,2,0,0,dev", "1,2,0,7,train"], "row 2: group 7 out of range"),
+    ]
+    for lines, message in cases:
+        path = write_lines(tmp_path / "order.csv", lines)
+        with pytest.raises(DataError, match=message):
+            load_csv(path, schema)
+
+
+def assert_same_arrays(got, want):
+    for name in ("labels", "groups", "split"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.features.dtype == want.features.dtype == np.float64
+    assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
+
+
+def test_load_csv_matches_the_per_row_oracle(tmp_path):
+    ds = generate_synthetic(separable_config(seed=12))
+    with_split, without = tmp_path / "with.csv", tmp_path / "without.csv"
+    save_csv(ds, str(with_split))
+    header = [f"f{i}" for i in range(ds.d)] + ["label", "group"]
+    write_csv(str(without), header, [[ds.features, ds.labels, ds.groups]])
+    schema = default_schema(ds.d, ds.classes, ds.num_groups, split_seed=4)
+    for path in (with_split, without):
+        assert_same_arrays(load_csv(str(path), schema), load_csv_oracle(str(path), schema))
+
+    # cells that Python's float and int read in more than one way
+    floats = ["-0.0", "5e-324", "1_0", " 2.5", "+3", "1e308", "-1E-5", "\t7 "]
+    labels = ["0", "+1", " 2", "1_0", "-0", "3 ", "00", " +1"]
+    groups = ["4", "0_1", "-0", "+2", " 3", "0", "04", "1"]  # val and test repeat train cells
+    lines = ["f0,f1,label,group,split"]
+    for i, tag in enumerate(["train"] * 6 + ["val", "test"]):
+        lines.append(f"{floats[i]},{floats[-1 - i]},{labels[i]},{groups[i]},{tag}")
+    write_lines(tmp_path / "edge.csv", lines)
+    write_lines(tmp_path / "edge_no_split.csv", [line.rpartition(",")[0] for line in lines])
+    schema = CsvSchema(("f0", "f1"), classes=11, groups=11, split_seed=2)
+    for name in ("edge.csv", "edge_no_split.csv"):
+        path = str(tmp_path / name)
+        got = load_csv(path, schema)
+        assert_same_arrays(got, load_csv_oracle(path, schema))
+    assert got.features[:, 0].tolist()[:5] == [-0.0, 5e-324, 10.0, 2.5, 3.0]
+    assert np.signbit(got.features[0, 0])
 
 
 def test_stratified_split_keeps_every_cell_in_train():
