@@ -34,7 +34,6 @@ from .metrics import (
     accuracy,
     auc,
     build_report,
-    equalized_odds,
     gap,
     group_eval,
     max_min,
@@ -50,8 +49,6 @@ from .selection import (
 from .training import (
     HyperParams,
     Model,
-    discriminator_accuracy,
-    extract_representations,
     probe_group_accuracy,
     train_decoupled,
     train_erm,

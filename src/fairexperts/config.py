@@ -40,12 +40,9 @@ from .training import HyperParams
 CONFIG_VERSION = 1
 
 _TOP_KEYS = {"version", "seeds", "metric", "strategies", "lambda_sel", "output_dir"}
-_DATA_KEYS = {
-    "data.kind",
-    "data.seed",
-    "data.d",
-    "data.classes",
-    "data.groups",
+# keys only a CSV source reads; only a synthetic source reads data.seed
+# and the cell keys (_DATA_PATTERNS, which start with _CELL_PREFIXES)
+_CSV_KEYS = {
     "data.path",
     "data.features",
     "data.label_column",
@@ -53,11 +50,13 @@ _DATA_KEYS = {
     "data.split_column",
     "data.split_seed",
 }
+_DATA_KEYS = {"data.kind", "data.seed", "data.d", "data.classes", "data.groups", *_CSV_KEYS}
 _DATA_PATTERNS = (
     re.compile(r"data\.mean\.g\d+\.c\d+$"),
     re.compile(r"data\.std\.g\d+\.c\d+$"),
     re.compile(rf"data\.count\.({'|'.join(SPLITS)})\.g\d+$"),
 )
+_CELL_PREFIXES = ("data.mean.", "data.std.", "data.count.")
 # settable hyperparameters in declaration order, each parsed as the type of its default
 _HYPER_FIELDS = {f.name: type(f.default) for f in fields(HyperParams) if f.name != "seed"}
 
@@ -164,8 +163,7 @@ def _parse_synthetic(kv: dict[str, str]) -> SyntheticConfig:
     declared = {f"data.{what}.g{g}.c{c}" for what in ("mean", "std")
                 for g in range(groups) for c in range(classes)}
     declared.update(f"data.count.{split}.g{g}" for split in SPLITS for g in range(groups))
-    outside = [key for key in kv if key.startswith(("data.mean.", "data.std.", "data.count."))
-               and key not in declared]
+    outside = [key for key in kv if key.startswith(_CELL_PREFIXES) and key not in declared]
     if outside:
         raise ConfigError(f"config keys outside {groups} groups and {classes} classes: {outside}")
     return SyntheticConfig(
@@ -241,12 +239,16 @@ def config_from_dict(kv: dict[str, str]) -> ExperimentConfig:
     if not strategies:
         raise ConfigError("need at least one selection strategy")
     kind = _require(kv, "data.kind")
-    if kind == "synthetic":
-        source: SyntheticConfig | CsvSource = _parse_synthetic(kv)
-    elif kind == "csv":
-        source = _parse_csv(kv)
-    else:
+    if kind not in ("synthetic", "csv"):
         raise ConfigError(f"data.kind must be synthetic or csv, got {kind!r}")
+    # a key that only the other kind reads would be ignored
+    if kind == "synthetic":
+        foreign = [key for key in kv if key in _CSV_KEYS]
+    else:
+        foreign = [key for key in kv if key == "data.seed" or key.startswith(_CELL_PREFIXES)]
+    if foreign:
+        raise ConfigError(f"data.kind = {kind} does not read keys: {foreign}")
+    source = _parse_synthetic(kv) if kind == "synthetic" else _parse_csv(kv)
     lambda_sel = _number(kv, "lambda_sel", float, 0.1)
     if not 0 <= lambda_sel < np.inf:
         raise ConfigError(f"lambda_sel must be finite and nonnegative, got {lambda_sel!r}")

@@ -233,10 +233,13 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
         if n_cell
     ]
     n = sum(cell[3] for cell in cells)
-    features = np.empty((n, config.d))
-    labels = np.empty(n, dtype=np.int64)
-    groups = np.empty(n, dtype=np.int64)
-    split = np.empty(n, dtype="U5")
+    try:
+        features = np.empty((n, config.d))
+        labels = np.empty(n, dtype=np.int64)
+        groups = np.empty(n, dtype=np.int64)
+        split = np.empty(n, dtype="U5")
+    except (ValueError, MemoryError) as exc:  # more rows than numpy or the host can hold
+        raise DataError(f"data.count: cannot allocate {n} rows: {exc}") from None
     start = 0
     for split_name, g, c, n_cell in cells:
         rows = slice(start, start + n_cell)
@@ -309,8 +312,11 @@ def _csv_columns(path: str, schema: CsvSchema) -> tuple:
         raise DataError(f"{path}: file does not exist") from None
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = list(reader)
+        try:
+            header = next(reader, None)
+            rows = list(reader)
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if header is None:
         raise DataError(f"{path}: empty file")
 

@@ -69,9 +69,6 @@ class VirtualCenters:
     def params(self) -> list[np.ndarray]:
         return [self.vectors]
 
-    def copy(self) -> "VirtualCenters":
-        return VirtualCenters(self.vectors.copy())
-
     def reinit_degenerate(self, rng: np.random.Generator) -> int:
         """Redraw any center whose norm fell below ``CENTER_NORM_FLOOR``.
 

@@ -113,29 +113,6 @@ def gap(gm: GroupMetrics) -> float:
     return float(gm.values.max() - gm.values.min())
 
 
-def equalized_odds(
-    predictions: np.ndarray, labels: np.ndarray, groups: np.ndarray
-) -> float:
-    """1 - (|TPR gap| + |FPR gap|) / 2 for binary predictions and labels.
-
-    With more than two groups, returns the worst pairwise score. Group ids
-    may be any numbers; the rates come from one (group, label, prediction)
-    count table.
-    """
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if not ((labels == 0) | (labels == 1)).all():
-        raise ValueError("labels must be binary 0/1")
-    if not ((predictions == 0) | (predictions == 1)).all():
-        raise ValueError("predictions must be binary 0/1")
-    ids, index = np.unique(groups, return_inverse=True)
-    table = _odds_table(predictions, labels, index, ids.size)
-    missing = np.flatnonzero((table.sum(axis=2) == 0).any(axis=1))
-    if missing.size:
-        raise ValueError(f"group {int(ids[missing[0]])} is missing a label class")
-    return _odds_score(table)
-
-
 def _odds_table(
     predictions: np.ndarray, labels: np.ndarray, index: np.ndarray, num_groups: int
 ) -> np.ndarray:

@@ -44,17 +44,6 @@ class SelectionDecision:
             "lambda_sel": self.lambda_sel,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SelectionDecision":
-        return cls(
-            tuple(int(v) for v in payload["choices"]),
-            tuple(float(v) for v in payload["per_group"]),
-            float(payload["delta"]),
-            float(payload["objective"]),
-            payload["strategy"],
-            payload.get("lambda_sel"),
-        )
-
 
 def _check_compatible(expert: GroupMetrics, erm: GroupMetrics) -> None:
     if expert.num_groups != erm.num_groups:

@@ -4,8 +4,8 @@ Every trained predictor is one ``Model``: a backbone plus linear heads.
 ``kind`` says how the heads are routed: ``erm`` has one pooled head and
 ignores groups; ``decoupled`` and ``experts`` send each sample to its
 group's head. Only experts carry a discriminator and virtual centers.
-Inference over a split (``Model.predict_proba``, the probe and
-discriminator scores, ``representation_blocks``) runs blocks of at most
+Inference over a split (``Model.predict_proba``, the group probe's val
+scores, ``representation_blocks``) runs blocks of at most
 ``PREDICT_BLOCK`` rows and holds its output plus one block, with the
 bits of one pass over the whole split at the default widths (hidden 32,
 representation 8); see ``PREDICT_BLOCK`` for wider representations.
@@ -448,32 +448,16 @@ def train_decoupled(erm: Model, dataset: Dataset, hp: HyperParams) -> Model:
     return Model("decoupled", backbone, heads, seed=hp.seed)
 
 
-def _nonempty_split(dataset: Dataset, split: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def representation_blocks(model, dataset: Dataset, split: str):
+    """Backbone outputs of one split, in blocks of at most ``PREDICT_BLOCK`` rows.
+
+    Returns an iterator of (representations, labels, groups) blocks in
+    row order, with the same bits as one pass over the whole split; an
+    empty split raises here, before any block is computed.
+    """
     features, labels, groups = dataset.split_arrays(split)
     if features.shape[0] == 0:
         raise ValueError(f"split {split!r} is empty")
-    return features, labels, groups
-
-
-def extract_representations(
-    model, dataset: Dataset, split: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backbone outputs for one split, order-preserving.
-
-    Returns (representations, labels, groups).
-    """
-    features, labels, groups = _nonempty_split(dataset, split)
-    return model.representations(features), labels, groups
-
-
-def representation_blocks(model, dataset: Dataset, split: str):
-    """``extract_representations`` in blocks of at most ``PREDICT_BLOCK`` rows.
-
-    Returns an iterator of (representations, labels, groups) blocks in
-    row order, with the same bits as the whole split's; an empty split
-    raises here, before any block is computed.
-    """
-    features, labels, groups = _nonempty_split(dataset, split)
     return (
         (model.representations(features[rows]), labels[rows], groups[rows])
         for rows in row_blocks(features.shape[0], PREDICT_BLOCK)
@@ -492,27 +476,20 @@ def train_group_probe(reps: np.ndarray, groups: np.ndarray, num_groups: int, see
     return probe
 
 
-def _group_accuracy(classifier: Mlp, model, dataset: Dataset, split: str) -> float:
-    """Share of a split's rows whose group ``classifier`` recovers from the
-    model's representations, with the hits counted block by block."""
-    hits = rows = 0
-    for z, _, groups in representation_blocks(model, dataset, split):
-        hits += np.count_nonzero(classifier.forward(z, cache=False)[0].argmax(axis=1) == groups)
-        rows += groups.size
-    return hits / rows
-
-
 def probe_group_accuracy(model, dataset: Dataset, seed: int) -> float:
     """Accuracy of a freshly trained group probe on a model's representations.
 
-    The probe is fit on train-split representations and scored on the val
-    split. Measures how separable the groups are in the learned space.
+    The probe is fit on the train split's representations and scored on
+    the val split, whose hits are counted block by block. Measures how
+    separable the groups are in the learned space.
     """
-    z_train, _, g_train = extract_representations(model, dataset, "train")
-    probe = train_group_probe(z_train, g_train, dataset.num_groups, seed)
-    return _group_accuracy(probe, model, dataset, "val")
-
-
-def discriminator_accuracy(model: Model, dataset: Dataset, split: str) -> float:
-    """Accuracy of the trained discriminator at recovering groups."""
-    return _group_accuracy(model.discriminator, model, dataset, split)
+    # an empty train split leaves val empty too (Dataset), so this check
+    # also runs before the fit
+    val_blocks = representation_blocks(model, dataset, "val")
+    features, _, groups = dataset.split_arrays("train")
+    probe = train_group_probe(model.representations(features), groups, dataset.num_groups, seed)
+    hits = rows = 0
+    for z, _, val_groups in val_blocks:
+        hits += np.count_nonzero(probe.forward(z, cache=False)[0].argmax(axis=1) == val_groups)
+        rows += val_groups.size
+    return hits / rows

@@ -8,13 +8,14 @@ minority group. Bundles are produced once per session and shared.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fairexperts import rng as rngmod
 from fairexperts.config import config_from_dict, load_config
-from fairexperts.experiment import run_experiment
+from fairexperts.experiment import dataset_for_seed, run_experiment
 from fairexperts.losses import (
     CenterCosines,
     PairAssignment,
@@ -24,10 +25,10 @@ from fairexperts.losses import (
     diversity_loss,
     sample_pairs,
 )
-from fairexperts.metrics import GroupMetrics, auc
+from fairexperts.metrics import GroupMetrics, auc, group_eval
 from fairexperts.net import Layer, Mlp, init_mlp
 from fairexperts.selection import combine, select_greedy, select_ip
-from fairexperts.training import _routed_cross_entropy
+from fairexperts.training import _routed_cross_entropy, train_erm, train_experts
 
 from helpers import (
     central_difference,
@@ -330,6 +331,29 @@ def test_criterion_09_centers_off_variant_reverts_to_pooled_selection(ablation_b
         trivial >= 2,
         f"trivial selection on {trivial}/3 seeds with center losses off; observed {observed!r}",
     )
+
+
+def test_one_group_experts_with_every_lambda_zero_score_like_pooled():
+    # Criterion 09's sanity check: with one group every row routes to one
+    # head, and with every lambda at 0 only the classification loss moves
+    # the backbone, so the experts model is the pooled architecture trained
+    # on the same data. A val accuracy far from the pooled model's would
+    # point at a routing defect, not at the representation losses.
+    kv = {key: value for key, value in load_config(CONFIG_PATH).raw.items()
+          if ".g1" not in key}
+    kv["data.groups"] = "1"
+    for name in ("lambda_disc", "lambda_virt", "lambda_div"):
+        kv[f"hyper.{name}"] = "0"
+    config = config_from_dict(kv)
+    observed = []
+    for seed in config.seeds:
+        dataset = dataset_for_seed(config, seed)
+        hp = replace(config.hyper, seed=seed)
+        pooled = group_eval(train_erm(dataset, hp).predict_proba, dataset, "val", "accuracy")
+        experts = group_eval(train_experts(dataset, hp).predict_proba, dataset, "val", "accuracy")
+        observed.append((seed, float(pooled.values[0]), float(experts.values[0])))
+    assert config.seeds == (11, 12, 13)
+    assert all(abs(e - p) <= 0.02 for _, p, e in observed), observed
 
 
 def test_criterion_10_reports_reproduce_byte_identically(reference_bundle, tmp_path):

@@ -88,6 +88,25 @@ def test_run_on_a_csv_label_outside_int64_is_data_error(tmp_path, config_path, c
     assert "Traceback" not in err
 
 
+def test_run_on_a_csv_field_over_the_csv_module_limit_is_data_error(tmp_path, config_path, capsys):
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_text("f0,f1,f2,label,group,split\n" + "1" * 200_000 + ",1.5,2.5,0,0,train\n")
+    argv = ["run", "--config", config_path, "--data-csv", str(csv_path)]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{csv_path}: line 2: field larger than field limit (131072)" in err
+    assert "Traceback" not in err
+
+
+def test_run_on_a_count_numpy_cannot_size_is_data_error(tmp_path, config_path, capsys):
+    huge = Path(config_path).read_text().replace(
+        "data.count.train.g1 = 60", "data.count.train.g1 = 99999999999999999999"
+    )
+    Path(config_path).write_text(huge)
+    assert main(["run", "--config", config_path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "data.count: cannot allocate" in capsys.readouterr().err
+
+
 def test_run_without_out_dir_is_usage_error(config_path):
     assert main(["run", "--config", config_path]) == 1
 

@@ -136,6 +136,28 @@ def test_config_rejects_cell_keys_outside_the_declared_groups_and_classes():
             config_from_dict({**kv, key: value})
 
 
+def test_synthetic_config_rejects_csv_keys():
+    for line in ("data.path = x.csv", "data.split_seed = 3", "data.label_column = y"):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=re.escape(f"data.kind = synthetic does not read keys: ['{key}']")):
+            config_from_dict(parse_kv_text(MINIMAL + f"\n{line}\n"))
+
+
+def test_csv_config_rejects_synthetic_keys():
+    reference = (Path(__file__).resolve().parents[1] / "configs" / "group_shift.cfg").read_text(
+        encoding="utf-8"
+    )
+    kv = parse_kv_text(reference)
+    kv.update({"data.kind": "csv", "data.path": "x.csv"})
+    synthetic = [key for key in kv if key.startswith(("data.seed", "data.mean.", "data.std.", "data.count."))]
+    assert len(synthetic) == 1 + 4 + 4 + 6
+    with pytest.raises(ConfigError, match=re.escape(f"data.kind = csv does not read keys: {synthetic}")):
+        config_from_dict(kv)
+    # data.d, data.classes and data.groups serve both kinds
+    config = config_from_dict({key: value for key, value in kv.items() if key not in synthetic})
+    assert config.data.schema.feature_columns == tuple(f"f{i}" for i in range(10))
+
+
 def test_config_rejects_bad_version():
     text = MINIMAL.replace("version = 1", "version = 2")
     with pytest.raises(ConfigError, match="version"):

@@ -223,6 +223,22 @@ def test_synthetic_config_validation():
         blob_config(counts={"train": (20,), "val": (10, 10), "test": (10, 10)})
 
 
+def test_generate_synthetic_names_data_count_when_numpy_cannot_size_the_rows():
+    # numpy refuses this row count before it allocates anything
+    config = blob_config(counts={"train": (20, 99999999999999999999), "val": (10, 10), "test": (10, 10)})
+    with pytest.raises(DataError, match=r"^data\.count: cannot allocate 100000000000000000059 rows: "):
+        generate_synthetic(config)
+
+
+def test_generate_synthetic_names_data_count_when_the_host_cannot_allocate(monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    monkeypatch.setattr(np, "empty", out_of_memory)
+    with pytest.raises(DataError, match=r"^data\.count: cannot allocate 80 rows: Unable to allocate"):
+        generate_synthetic(blob_config())
+
+
 def test_dataset_requires_every_eval_cell_in_train():
     features = np.zeros((3, 1))
     with pytest.raises(DataError):

@@ -24,12 +24,7 @@ from fairexperts.experiment import (
     write_training_log,
 )
 from fairexperts.net import init_mlp
-from fairexperts.training import (
-    PREDICT_BLOCK,
-    Model,
-    extract_representations,
-    representation_blocks,
-)
+from fairexperts.training import PREDICT_BLOCK, Model, representation_blocks
 
 from helpers import load_interleaved_csv, separable_config
 
@@ -227,7 +222,9 @@ def test_streamed_representations_csv_memory_does_not_grow_with_the_split(tmp_pa
             tracemalloc.stop()
         peaks.append(peak)
         whole = tmp_path / "whole.csv"
-        write_representations_csv(str(whole), 8, [extract_representations(model, ds, "test")])
+        features, labels, groups = ds.split_arrays("test")
+        one_block = (model.representations(features), labels, groups)
+        write_representations_csv(str(whole), 8, [one_block])
         assert path.read_bytes() == whole.read_bytes()
     # one block at a time; the whole split's representations would add
     # three blocks of PREDICT_BLOCK x 8 floats (1.5 MB)

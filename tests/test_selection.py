@@ -368,8 +368,3 @@ def test_routing_rejects_unknown_group():
     predict = routed_predictor(make_decision((1, 0)), experts, erm)
     with pytest.raises(ValueError, match="group index"):
         predict(np.zeros((1, 2)), np.array([2]))
-
-
-def test_selection_decision_round_trip():
-    decision = SelectionDecision((1, 0), (0.8, 0.7), 0.1, -0.05, "ip", 0.1)
-    assert SelectionDecision.from_dict(decision.to_dict()) == decision

@@ -32,8 +32,6 @@ from fairexperts.training import (
     Model,
     _batches,
     _routed_cross_entropy,
-    discriminator_accuracy,
-    extract_representations,
     missing_train_cells,
     representation_blocks,
     train_decoupled,
@@ -401,7 +399,11 @@ def test_experts_reference_run_links_groups_and_does_no_harm(
     separable_ds, erm42, experts42
 ):
     # the discriminator separates groups in representation space
-    assert discriminator_accuracy(experts42, separable_ds, "val") > 0.9
+    hits = [
+        experts42.discriminator.forward(z, cache=False)[0].argmax(axis=1) == groups
+        for z, _, groups in representation_blocks(experts42, separable_ds, "val")
+    ]
+    assert np.mean(np.concatenate(hits)) > 0.9
     gm_experts = group_eval(experts42.predict_proba, separable_ds, "val", "accuracy")
     gm_erm = group_eval(erm42.predict_proba, separable_ds, "val", "accuracy")
     assert gm_experts.values.min() >= gm_erm.values.min()
@@ -522,25 +524,31 @@ def test_decoupled_rejects_group_without_training_samples():
 # --- representation extraction -------------------------------------------------------
 
 
-def test_extract_representations_identity_backbone_returns_raw_features():
+def _split_representations(model, ds, split):
+    """``representation_blocks`` of one split, concatenated."""
+    reps, labels, groups = zip(*representation_blocks(model, ds, split))
+    return np.concatenate(reps), np.concatenate(labels), np.concatenate(groups)
+
+
+def test_representation_blocks_identity_backbone_returns_raw_features():
     ds = tiny_dataset()
     identity = Mlp([Layer(np.eye(ds.d), np.zeros(ds.d), "identity")])
     head = Mlp([Layer(np.zeros((2, ds.d)), np.zeros(2), "identity")])
     model = Model("erm", identity, [head])
-    reps, labels, groups = extract_representations(model, ds, "val")
+    reps, labels, groups = _split_representations(model, ds, "val")
     features, want_labels, want_groups = ds.split_arrays("val")
     assert np.array_equal(reps, features)
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(groups, want_groups)
 
 
-def test_extract_representations_is_deterministic(experts42, separable_ds):
-    a, _, _ = extract_representations(experts42, separable_ds, "val")
-    b, _, _ = extract_representations(experts42, separable_ds, "val")
+def test_representation_blocks_are_deterministic(experts42, separable_ds):
+    a, _, _ = _split_representations(experts42, separable_ds, "val")
+    b, _, _ = _split_representations(experts42, separable_ds, "val")
     assert np.array_equal(a, b)
 
 
-def test_extract_representations_rejects_empty_split():
+def test_representation_blocks_reject_empty_split():
     ds = tiny_dataset()
     keep = ds.split != "test"
     pruned = Dataset(
@@ -549,11 +557,11 @@ def test_extract_representations_rejects_empty_split():
     )
     model = train_erm(pruned, tiny_hp())
     with pytest.raises(ValueError, match="empty"):
-        extract_representations(model, pruned, "test")
+        representation_blocks(model, pruned, "test")
 
 
 def test_trained_representations_cluster_by_cell(experts42, separable_ds):
-    reps, labels, groups = extract_representations(experts42, separable_ds, "val")
+    reps, labels, groups = _split_representations(experts42, separable_ds, "val")
     cells = sorted(set(zip(groups.tolist(), labels.tolist())))
     centroids = {
         cell: reps[(groups == cell[0]) & (labels == cell[1])].mean(axis=0)
