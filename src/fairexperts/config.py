@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import CsvSchema, DataError, SPLITS, SyntheticConfig
+from .data import CsvSchema, DataError, SPLITS, SyntheticConfig, non_utf8_line
 from .metrics import METRIC_KINDS
 from .training import HyperParams
 
@@ -270,4 +270,9 @@ def load_config(path: str) -> ExperimentConfig:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file {path!r} does not exist") from None
+    except UnicodeDecodeError as exc:
+        line = non_utf8_line(path)
+        raise ConfigError(
+            f"config file {path!r}: line {line}: not UTF-8 text ({exc.reason})"
+        ) from None
     return config_from_dict(parse_kv_text(text))

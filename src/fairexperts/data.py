@@ -46,9 +46,27 @@ def read_json_object(path: str, what: str) -> dict:
         raise DataError(f"{what} {path!r} does not exist") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{what} {path!r} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line = non_utf8_line(path)
+        raise DataError(f"{what} {path!r}: line {line}: not UTF-8 text ({exc.reason})") from None
     if not isinstance(payload, dict):
         raise DataError(f"{what} {path!r} does not hold a JSON object")
     return payload
+
+
+def non_utf8_line(path: str) -> int:
+    """Number of the first line of ``path`` that is not UTF-8, 0 if none.
+
+    For errors: a text file is decoded in blocks, so the line a reader
+    had reached when decoding failed may lie before the bad one.
+    """
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return n
+    return 0
 
 
 def write_json(payload: dict, path: str) -> None:
@@ -317,6 +335,9 @@ def _csv_columns(path: str, schema: CsvSchema) -> tuple:
             rows = list(reader)
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            line = non_utf8_line(path)
+            raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
     if header is None:
         raise DataError(f"{path}: empty file")
 

@@ -10,7 +10,8 @@ value below its pooled baseline:
   mean-performance bonus. It is solved exactly by a sweep over value
   windows [lo, hi]: inside a window each group takes its largest
   feasible value, so only O(G^2) choice vectors need scoring, in O(G^3)
-  time and O(G) memory per window, with no recursion.
+  time and O(G^2) memory (the windows of one lo at a time), with no
+  recursion.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def combine(choices: np.ndarray, expert: GroupMetrics, erm: GroupMetrics) -> np.
 
 
 def _delta(alpha: np.ndarray) -> float:
-    return float(alpha.max() - alpha.min()) if alpha.size > 1 else 0.0
+    return float(np.maximum.reduce(alpha) - np.minimum.reduce(alpha)) if alpha.size > 1 else 0.0
 
 
 def select_greedy(expert: GroupMetrics, erm: GroupMetrics) -> SelectionDecision:
@@ -77,17 +78,17 @@ def select_greedy(expert: GroupMetrics, erm: GroupMetrics) -> SelectionDecision:
     choices = (expert.values > erm.values).astype(np.int64)
     alpha = combine(choices, expert, erm)
     return SelectionDecision(
-        choices=tuple(int(v) for v in choices),
-        per_group=tuple(float(a) for a in alpha),
+        choices=tuple(choices.tolist()),
+        per_group=tuple(alpha.tolist()),
         delta=_delta(alpha),
-        objective=float(alpha.min()),
+        objective=float(np.minimum.reduce(alpha)),
         strategy="greedy",
     )
 
 
 def _solve_windows(
     expert: np.ndarray, erm: np.ndarray, proportions: np.ndarray, lambda_sel: float
-) -> tuple[np.ndarray, float]:
+) -> tuple[tuple[int, ...], float]:
     """Optimal choice vector and objective, by a sweep over value windows.
 
     Fix a window [lo, hi] and give each group its largest feasible value
@@ -100,32 +101,44 @@ def _solve_windows(
     for a lambda_sel too small for that, the expert is kept.)
 
     Groups whose pooled value is below lo are forced onto their expert;
-    once one of them cannot reach lo, no larger lo is feasible either.
-    For one lo the candidate hi values give nested expert sets, so the
-    first row with the least objective has the fewest experts.
+    once one of them cannot reach lo, that is once lo passes the least
+    per-group maximum, no larger lo is feasible either. For one lo the
+    candidate hi values give nested expert sets, so the first row with
+    the least objective has the fewest experts.
+
+    The loop calls only numpy functions and methods written in C
+    (ufuncs, sort, indexing): numpy's Python-level helpers (unique, pad,
+    ndarray.max) cost more than a small window's arithmetic.
     """
     optional = (expert > erm) & (lambda_sel * proportions > 0)
+    erm_top = np.maximum.reduce(erm)
+    los = np.concatenate([erm, expert])
+    los.sort()
+    los = los[np.concatenate([[True], los[1:] != los[:-1]])]  # distinct, ascending
     best = (np.inf, 0, ())
-    for lo in np.unique(np.concatenate([erm, expert])):
+    for lo in los[los <= np.minimum.reduce(np.maximum(erm, expert))]:
         forced = erm < lo
-        if np.any(forced & (expert < lo)):
-            break
-        top = max(erm.max(), expert[forced].max(initial=-np.inf))
+        top = max(erm_top, np.maximum.reduce(expert, where=forced, initial=-np.inf))
         free = optional & ~forced
-        his = np.unique(np.append(expert[free & (expert > top)], top))
+        his = np.concatenate([[top], expert[free & (expert > top)]])
+        his.sort()  # top stays first: every other value is above it
+        his = his[np.concatenate([[True], his[1:] != his[:-1]])]
         # Repeat the last row up to a multiple of 4. OpenBLAS dgemv rounds a
         # leftover row differently from a row in a full 4-row block, and
         # each objective must equal bit for bit that of the same row in the
         # full (2^G, G) matrix of all choice vectors, whose blocks are full.
-        his = np.pad(his, (0, -his.size % 4), mode="edge")
+        his = his[np.minimum(np.arange(his.size + -his.size % 4), his.size - 1)]
         bits = (forced | (free & (expert <= his[:, None]))).astype(np.int64)
         alpha = bits * expert + (1 - bits) * erm
-        objective = alpha.max(axis=1) - alpha.min(axis=1) - lambda_sel * (alpha @ proportions)
-        i = int(np.argmin(objective))
+        spread = np.maximum.reduce(alpha, axis=1) - np.minimum.reduce(alpha, axis=1)
+        objective = spread - lambda_sel * (alpha @ proportions)
+        i = objective.argmin()
+        if objective[i] > best[0]:
+            continue
         # tie order: objective, then fewer experts, then smallest choices
-        key = (float(objective[i]), int(bits[i].sum()), tuple(bits[i].tolist()))
-        best = min(best, key)
-    return np.array(best[2]), best[0]
+        row = bits[i].tolist()
+        best = min(best, (float(objective[i]), sum(row), tuple(row)))
+    return best[2], best[0]
 
 
 def select_ip(
@@ -147,8 +160,8 @@ def select_ip(
     choices, objective = _solve_windows(expert.values, erm.values, erm.proportions, lambda_sel)
     alpha = combine(choices, expert, erm)
     return SelectionDecision(
-        choices=tuple(int(v) for v in choices),
-        per_group=tuple(float(a) for a in alpha),
+        choices=choices,
+        per_group=tuple(alpha.tolist()),
         delta=_delta(alpha),
         objective=objective,
         strategy="ip",

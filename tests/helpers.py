@@ -120,6 +120,34 @@ def enumerate_ip_oracle(expert, erm, proportions, lambda_sel):
     return best
 
 
+def solve_windows_oracle(expert, erm, proportions, lambda_sel):
+    """The window sweep as it stood before its loop was rid of numpy's
+    Python-level helpers (np.unique, np.pad, ndarray.max), kept verbatim:
+    the solver must return its choices and objective bit for bit."""
+    optional = (expert > erm) & (lambda_sel * proportions > 0)
+    best = (np.inf, 0, ())
+    for lo in np.unique(np.concatenate([erm, expert])):
+        forced = erm < lo
+        if np.any(forced & (expert < lo)):
+            break
+        top = max(erm.max(), expert[forced].max(initial=-np.inf))
+        free = optional & ~forced
+        his = np.unique(np.append(expert[free & (expert > top)], top))
+        # Repeat the last row up to a multiple of 4. OpenBLAS dgemv rounds a
+        # leftover row differently from a row in a full 4-row block, and
+        # each objective must equal bit for bit that of the same row in the
+        # full (2^G, G) matrix of all choice vectors, whose blocks are full.
+        his = np.pad(his, (0, -his.size % 4), mode="edge")
+        bits = (forced | (free & (expert <= his[:, None]))).astype(np.int64)
+        alpha = bits * expert + (1 - bits) * erm
+        objective = alpha.max(axis=1) - alpha.min(axis=1) - lambda_sel * (alpha @ proportions)
+        i = int(np.argmin(objective))
+        # tie order: objective, then fewer experts, then smallest choices
+        key = (float(objective[i]), int(bits[i].sum()), tuple(bits[i].tolist()))
+        best = min(best, key)
+    return np.array(best[2]), best[0]
+
+
 def sample_pairs_oracle(labels, groups, gen):
     """Per-sample loop over full-batch masks; the pair-sampling ground truth.
 

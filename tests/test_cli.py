@@ -98,6 +98,25 @@ def test_run_on_a_csv_field_over_the_csv_module_limit_is_data_error(tmp_path, co
     assert "Traceback" not in err
 
 
+def test_run_on_a_csv_that_is_not_utf8_is_data_error(tmp_path, config_path, capsys):
+    csv_path = tmp_path / "latin.csv"
+    csv_path.write_bytes(b"f0,f1,f2,label,group,split\n1.5,2.5,3.5,0,0,train\n1,2,3,1,1,caf\xe9\n")
+    argv = ["run", "--config", config_path, "--data-csv", str(csv_path)]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{csv_path}: line 3: not UTF-8 text (invalid continuation byte)" in err
+    assert "Traceback" not in err
+
+
+def test_run_on_a_config_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(CONFIG.replace("seeds = 5", "# caf\xe9\nseeds = 5").encode("latin-1"))
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config file {str(path)!r}: line 3: not UTF-8 text (invalid continuation byte)" in err
+    assert "Traceback" not in err
+
+
 def test_run_on_a_count_numpy_cannot_size_is_data_error(tmp_path, config_path, capsys):
     huge = Path(config_path).read_text().replace(
         "data.count.train.g1 = 60", "data.count.train.g1 = 99999999999999999999"
@@ -195,6 +214,18 @@ def test_json_that_is_not_an_object_is_data_error(tmp_path, config_path, capsys,
         argv = ["evaluate", "--checkpoint", str(path), "--config", config_path]
     assert main(argv) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["select", "evaluate"])
+def test_json_that_is_not_utf8_is_data_error(tmp_path, config_path, capsys, command):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{\n  "values": [0.5],\n  "note": "caf\xe9"\n}\n')
+    if command == "select":
+        argv = ["select", "--strategy", "ip", "--expert", str(path), "--erm", str(path)]
+    else:
+        argv = ["evaluate", "--checkpoint", str(path), "--config", config_path]
+    assert main(argv) == 2
+    assert f"{str(path)!r}: line 3: not UTF-8 text (invalid continuation byte)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("columns", [1, 3])

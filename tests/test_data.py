@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from fairexperts import rng as rngmod
 from fairexperts.data import (
@@ -329,6 +331,62 @@ def test_load_csv_reads_a_byte_order_mark(tmp_path):
     a, b = load_csv(str(plain), schema), load_csv(str(marked), schema)
     for name in ("features", "labels", "groups", "split"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("rows_before", [1, 5000], ids=["first_block", "past_first_block"])
+def test_load_csv_names_the_line_that_is_not_utf8(tmp_path, rows_before):
+    # the file is decoded in 8 KiB blocks; the error names the bad line,
+    # not the last line the csv reader got before the block
+    path = tmp_path / "latin.csv"
+    body = "".join(f"{i}.5,0,0,train\n" for i in range(rows_before))
+    path.write_bytes(("f0,label,group,split\n" + body).encode() + b"9.5,1,0,caf\xe9\n1.5,0,0,val\n")
+    line = rows_before + 2
+    with pytest.raises(DataError) as info:
+        load_csv(str(path), CsvSchema(("f0",), classes=2, groups=1))
+    assert str(info.value) == f"{path}: line {line}: not UTF-8 text (invalid continuation byte)"
+
+
+VALID_CSV = (
+    b"f0,f1,label,group,split\n"
+    b"1.5,-2.25,0,0,train\n"
+    b"0.5,3,1,0,train\n"
+    b"-1e-3,2.5,0,1,train\n"
+    b"4,0.125,1,1,val\n"
+    b"2,1,0,1,test\n"
+)
+# bytes that are never UTF-8 where they land: a Latin-1 letter, an
+# unused byte, a truncated sequence, an encoded surrogate
+NOT_UTF8 = (b"\xe9", b"\xff", b"\xc3", b"\xed\xa0\x80")
+
+
+@st.composite
+def mutated_csv(draw) -> bytes:
+    data = bytearray(VALID_CSV)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("flip", "insert", "truncate", "not_utf8")))
+        at = draw(st.integers(0, len(data)))
+        if kind == "flip" and at < len(data):
+            data[at] = draw(st.one_of(st.sampled_from(b',"\n\r .-e019'), st.integers(0, 255)))
+        elif kind == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+        elif kind == "truncate":
+            del data[at:]
+        elif kind == "not_utf8":
+            data[at:at] = draw(st.sampled_from(NOT_UTF8))
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(data=mutated_csv())
+def test_load_csv_on_mutated_bytes_loads_or_names_the_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.csv"
+    path.write_bytes(data)
+    try:
+        dataset = load_csv(str(path), CsvSchema(("f0", "f1"), classes=2, groups=2))
+    except DataError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert isinstance(dataset, Dataset)
 
 
 def test_load_csv_unknown_split_tag(tmp_path):

@@ -12,7 +12,7 @@ from fairexperts.selection import (
 )
 from fairexperts.training import Model
 
-from helpers import enumerate_ip_oracle
+from helpers import enumerate_ip_oracle, solve_windows_oracle
 
 
 def gm(values, proportions=None, kind="accuracy", split="val"):
@@ -254,6 +254,31 @@ def test_ip_objective_bits_match_full_enumeration():
         row = sum(bit << i for i, bit in enumerate(decision.choices))
         assert decision.objective == objective[row]
         assert decision.objective == objective[feasible].min()
+
+
+def test_ip_matches_the_window_sweep_oracle_bit_for_bit():
+    # quantized values so that expert and pooled values tie, all-equal
+    # values, and -0.0 beside 0.0; the objective must match exactly. At
+    # lambda 1e-17 no expert gain moves the rounded objective, so rows of
+    # one window tie and only the row order picks among them.
+    rng = np.random.default_rng(29)
+    cases = []
+    for g in (1, 2, 3, 5, 8, 13, 21, 34, 64):
+        for _ in range(6):
+            n = int(rng.integers(2, 12))
+            expert, erm = rng.integers(0, n + 1, (2, g)) / n
+            cases.append((expert, erm, rng.dirichlet(np.ones(g))))
+        cases.append((np.full(g, 0.5), np.full(g, 0.5), np.full(g, 1.0 / g)))
+        signed = np.where(rng.uniform(size=(2, g)) < 0.5, -0.0, 0.0)
+        signed[0, ::3] = 0.25
+        cases.append((signed[0], signed[1], rng.dirichlet(np.ones(g))))
+    for expert_values, erm_values, p in cases:
+        expert, erm = gm(expert_values, p), gm(erm_values, p)
+        for lam in (0.0, 1e-17, 1e-12, 0.1, 2.0):
+            decision = select_ip(expert, erm, lam)
+            choices, objective = solve_windows_oracle(expert.values, erm.values, p, lam)
+            assert decision.choices == tuple(choices.tolist())
+            assert np.float64(decision.objective).tobytes() == np.float64(objective).tobytes()
 
 
 def test_ip_solves_1200_groups():

@@ -15,8 +15,21 @@ run on both sides; without it each run uses perfbench's default seed.
 The output JSON records the seed the runs reported. The parent runs
 first in odd pairs (1, 3, ...) and second in even ones. The output JSON
 holds every pair's end-to-end metrics and, per workload and metric,
-each side's q1/median/q3, the change/parent median ratio and how many
-pairs the change was lower and higher in. ``--traced-pair`` then runs
+each side's q1/median/q3, the change/parent median ratio, how many
+pairs the change was lower and higher in, and the verdict that
+``summarize`` computes with the metric's direction and bound from
+``BENCHMARK.json``:
+
+* ``gain_rule_met``: the change is better in at least 9 of 10 pairs
+  (a tie counts for neither side) and its median is better than the
+  parent's by more than the parent's interquartile range;
+* ``within_bound``: the change's median is worse than the parent's by
+  at most the bound (a fraction of the parent's median);
+* ``unresolved``: the parent's IQR/median exceeds the bound and not
+  every change run is better than every parent run, so the runs spread
+  too widely to tell.
+
+``--traced-pair`` then runs
 three alternated ``--trace 1`` pairs (change first in odd pairs) and
 stores every full result plus each side's per-metric medians, so that
 host drift within one pair does not read as a layer change. They run
@@ -44,9 +57,10 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACED_PAIRS = 3
 
 
-def end_to_end_metrics() -> list[str]:
+def end_to_end_metrics() -> list[dict]:
+    """``BENCHMARK.json``'s end-to-end metrics: name, unit, better, bound."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return [m["name"] for m in spec["end_to_end"]]
+    return spec["end_to_end"]
 
 
 def extract_commit(commit: str, dest: Path) -> str:
@@ -98,26 +112,34 @@ def metric_medians(results: list[dict]) -> dict:
 
 def quartiles(values: list[float]) -> list[float]:
     if len(values) == 1:
-        return [round(values[0], 4)] * 3
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [round(q1, 4), round(median, 4), round(q3, 4)]
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(pairs: list[dict], names: list[str]) -> dict:
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per workload and metric: both sides' quartiles, pair counts and the
+    verdict, for ``metrics`` given as in ``BENCHMARK.json``'s end_to_end."""
     summary = {}
     for workload in pairs[0]["parent"]:
         rows = {}
-        for name in names:
+        for metric in metrics:
+            name, bound = metric["name"], metric["bound"]
             parent = [p["parent"][workload][name] for p in pairs]
             change = [p["change"][workload][name] for p in pairs]
+            (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+            # sign * (parent - change) > 0 where the change is better
+            sign = 1 if metric["better"] == "lower" else -1
+            better = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+            separated = all(sign * (p - c) > 0 for p in parent for c in change)
             rows[name] = {
-                "parent_q1_median_q3": quartiles(parent),
-                "change_q1_median_q3": quartiles(change),
-                "change_over_parent_median": round(
-                    statistics.median(change) / statistics.median(parent), 4
-                ),
+                "parent_q1_median_q3": [round(p1, 4), round(pm, 4), round(p3, 4)],
+                "change_q1_median_q3": [round(c1, 4), round(cm, 4), round(c3, 4)],
+                "change_over_parent_median": round(cm / pm, 4),
                 "pairs_change_lower": sum(c < p for p, c in zip(parent, change)),
                 "pairs_change_higher": sum(c > p for p, c in zip(parent, change)),
+                "gain_rule_met": 10 * better >= 9 * len(pairs) and sign * (pm - cm) > p3 - p1,
+                "within_bound": sign * (pm - cm) >= -bound * pm,
+                "unresolved": (p3 - p1) / pm > bound and not separated,
             }
         summary[workload] = rows
     return summary
@@ -147,7 +169,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
-    names = end_to_end_metrics()
+    metrics = end_to_end_metrics()
+    names = [m["name"] for m in metrics]
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
@@ -183,7 +206,7 @@ def main(argv=None) -> int:
                        "--trace 0 --out FILE",
             "note": f"{args.pairs} pairs, parent first in odd pairs; each value is the "
                     "run's median over its repetitions",
-            "summary": summarize(pairs, names),
+            "summary": summarize(pairs, metrics),
             "pairs": pairs,
         }
 
