@@ -77,5 +77,5 @@ def load_checkpoint(path: str) -> Model:
             VirtualCenters(payload["centers"]) if experts else None,
             seed=payload.get("seed_lineage", {}).get("seed"),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {path!r} is malformed: {exc}") from None

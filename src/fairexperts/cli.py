@@ -102,7 +102,7 @@ def _read_group_metrics(path: str) -> GroupMetrics:
     payload = read_json_object(path, "metrics file")
     try:
         return GroupMetrics.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"metrics file {path!r} is malformed: {exc}") from None
 
 

@@ -1,8 +1,12 @@
 """Experiment configuration: a flat, versioned key-value text format.
 
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
-Lists are comma separated. The full key reference lives in the README;
-a minimal synthetic config looks like::
+Lists are comma separated. The full key reference lives in the README.
+The parse is the vocabulary: ``config_from_dict`` records every key it
+looks up, and a key of the config that it never looked up (a misspelt
+key, a cell beyond ``data.groups`` x ``data.classes``, a key only the
+other ``data.kind`` reads) is an error naming every such key, raised
+once the values have parsed. A minimal synthetic config looks like::
 
     version = 1
     seeds = 11, 12, 13
@@ -28,7 +32,6 @@ a minimal synthetic config looks like::
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,24 +42,6 @@ from .training import HyperParams
 
 CONFIG_VERSION = 1
 
-_TOP_KEYS = {"version", "seeds", "metric", "strategies", "lambda_sel", "output_dir"}
-# keys only a CSV source reads; only a synthetic source reads data.seed
-# and the cell keys (_DATA_PATTERNS, which start with _CELL_PREFIXES)
-_CSV_KEYS = {
-    "data.path",
-    "data.features",
-    "data.label_column",
-    "data.group_column",
-    "data.split_column",
-    "data.split_seed",
-}
-_DATA_KEYS = {"data.kind", "data.seed", "data.d", "data.classes", "data.groups", *_CSV_KEYS}
-_DATA_PATTERNS = (
-    re.compile(r"data\.mean\.g\d+\.c\d+$"),
-    re.compile(r"data\.std\.g\d+\.c\d+$"),
-    re.compile(rf"data\.count\.({'|'.join(SPLITS)})\.g\d+$"),
-)
-_CELL_PREFIXES = ("data.mean.", "data.std.", "data.count.")
 # settable hyperparameters in declaration order, each parsed as the type of its default
 _HYPER_FIELDS = {f.name: type(f.default) for f in fields(HyperParams) if f.name != "seed"}
 
@@ -83,6 +68,26 @@ class ExperimentConfig:
     raw: dict[str, str]
 
 
+class _Reads(dict):
+    """A config's keys; ``read`` collects every key that the parse looks up."""
+
+    def __init__(self, kv: dict[str, str]) -> None:
+        super().__init__(kv)
+        self.read: set[str] = set()
+
+    def __contains__(self, key) -> bool:
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def parse_kv_text(text: str) -> dict[str, str]:
     """Parse ``key = value`` lines into an ordered mapping."""
     out: dict[str, str] = {}
@@ -100,36 +105,35 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def _known_key(key: str) -> bool:
-    if key in _TOP_KEYS or key in _DATA_KEYS:
-        return True
-    if key.startswith("hyper.") and key[len("hyper.") :] in _HYPER_FIELDS:
-        return True
-    return any(p.match(key) for p in _DATA_PATTERNS)
-
-
 def _require(kv: dict[str, str], key: str) -> str:
     if key not in kv:
         raise ConfigError(f"missing required key {key!r}")
     return kv[key]
 
 
-def _number(kv: dict[str, str], key: str, kind: type = int, default: float | None = None):
-    """``kind(kv[key])`` (int or float), or ``default`` when the key is absent."""
+def _number(
+    kv: dict[str, str], key: str, kind: type = int, default: float | None = None, low: float = -np.inf
+):
+    """``kind(kv[key])`` (int or float), at least ``low``, or ``default`` when
+    the key is absent."""
     if key not in kv:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return kind(kv[key])
+        value = kind(kv[key])
     except ValueError:
         expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key}: expected {expected}, got {kv[key]!r}") from None
+    if value < low:
+        raise ConfigError(f"{key} must be at least {low}, got {value}")
+    return value
 
 
 def _float_list(kv: dict[str, str], key: str) -> list[float]:
+    parts = _require(kv, key).split(",")
     try:
-        return [float(part) for part in _require(kv, key).split(",")]
+        return [float(part) for part in parts]
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated numbers") from None
 
@@ -138,53 +142,39 @@ def _str_list(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
-def _parse_synthetic(kv: dict[str, str]) -> SyntheticConfig:
-    d = _number(kv, "data.d")
-    classes = _number(kv, "data.classes")
-    groups = _number(kv, "data.groups")
-    means = np.zeros((groups, classes, d))
-    stds = np.ones((groups, classes))
+def _parse_synthetic(kv: dict[str, str], classes: int, groups: int) -> SyntheticConfig:
+    d = _number(kv, "data.d", low=1)
+    # every cell key is read before any array is sized from d, classes or groups
+    means: list[list[float]] = []
+    stds: list[float] = []
     for g in range(groups):
         for c in range(classes):
             vec = _float_list(kv, f"data.mean.g{g}.c{c}")
             if len(vec) != d:
-                raise ConfigError(
-                    f"data.mean.g{g}.c{c}: expected {d} values, got {len(vec)}"
-                )
-            means[g, c] = vec
-            stds[g, c] = _number(kv, f"data.std.g{g}.c{c}", float, 1.0)
+                raise ConfigError(f"data.mean.g{g}.c{c}: expected {d} values, got {len(vec)}")
+            means.append(vec)
+            stds.append(_number(kv, f"data.std.g{g}.c{c}", float, 1.0))
     counts = {
         split: tuple(_number(kv, f"data.count.{split}.g{g}") for g in range(groups))
         for split in SPLITS
     }
-    # a cell key of another group or class would otherwise be ignored; every
-    # declared mean and count key was read above, so this set holds at most
-    # twice as many keys as the config
-    declared = {f"data.{what}.g{g}.c{c}" for what in ("mean", "std")
-                for g in range(groups) for c in range(classes)}
-    declared.update(f"data.count.{split}.g{g}" for split in SPLITS for g in range(groups))
-    outside = [key for key in kv if key.startswith(_CELL_PREFIXES) and key not in declared]
-    if outside:
-        raise ConfigError(f"config keys outside {groups} groups and {classes} classes: {outside}")
     return SyntheticConfig(
         d=d,
         classes=classes,
         groups=groups,
-        means=means,
-        stds=stds,
+        means=np.reshape(means, (groups, classes, d)),
+        stds=np.reshape(stds, (groups, classes)),
         counts=counts,
-        seed=_number(kv, "data.seed"),
+        seed=_number(kv, "data.seed", low=0),
     )
 
 
-def _parse_csv(kv: dict[str, str]) -> CsvSource:
+def _parse_csv(kv: dict[str, str], classes: int, groups: int) -> CsvSource:
     path = _require(kv, "data.path")
-    classes = _number(kv, "data.classes")
-    groups = _number(kv, "data.groups")
     if "data.features" in kv:
         feature_columns = tuple(_str_list(kv["data.features"]))
     else:
-        feature_columns = tuple(f"f{i}" for i in range(_number(kv, "data.d")))
+        feature_columns = tuple(f"f{i}" for i in range(_number(kv, "data.d", low=1)))
     split_column: str | None = kv.get("data.split_column", "split")
     if split_column == "none":
         split_column = None
@@ -195,7 +185,7 @@ def _parse_csv(kv: dict[str, str]) -> CsvSource:
         label_column=kv.get("data.label_column", "label"),
         group_column=kv.get("data.group_column", "group"),
         split_column=split_column,
-        split_seed=_number(kv, "data.split_seed", int, 0),
+        split_seed=_number(kv, "data.split_seed", int, 0, low=0),
     )
     return CsvSource(path, schema)
 
@@ -212,15 +202,15 @@ def _parse_hyper(kv: dict[str, str]) -> HyperParams:
         raise ConfigError(f"invalid hyperparameters: {exc}") from None
 
 
-def config_from_dict(kv: dict[str, str]) -> ExperimentConfig:
-    unknown = [key for key in kv if not _known_key(key)]
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
+def config_from_dict(config: dict[str, str]) -> ExperimentConfig:
+    """Parse a config's keys; a key that the parse never looks up is an error."""
+    kv = _Reads(config)
     version = _number(kv, "version")
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version}")
+    seeds_text = _require(kv, "seeds")
     try:
-        seeds = tuple(int(s) for s in _str_list(_require(kv, "seeds")))
+        seeds = tuple(int(s) for s in _str_list(seeds_text))
     except ValueError:
         raise ConfigError("seeds: expected comma-separated integers") from None
     if not seeds:
@@ -241,18 +231,13 @@ def config_from_dict(kv: dict[str, str]) -> ExperimentConfig:
     kind = _require(kv, "data.kind")
     if kind not in ("synthetic", "csv"):
         raise ConfigError(f"data.kind must be synthetic or csv, got {kind!r}")
-    # a key that only the other kind reads would be ignored
-    if kind == "synthetic":
-        foreign = [key for key in kv if key in _CSV_KEYS]
-    else:
-        foreign = [key for key in kv if key == "data.seed" or key.startswith(_CELL_PREFIXES)]
-    if foreign:
-        raise ConfigError(f"data.kind = {kind} does not read keys: {foreign}")
-    source = _parse_synthetic(kv) if kind == "synthetic" else _parse_csv(kv)
+    classes, groups = _number(kv, "data.classes", low=1), _number(kv, "data.groups", low=1)
+    parse_source = _parse_synthetic if kind == "synthetic" else _parse_csv
+    source = parse_source(kv, classes, groups)
     lambda_sel = _number(kv, "lambda_sel", float, 0.1)
     if not 0 <= lambda_sel < np.inf:
         raise ConfigError(f"lambda_sel must be finite and nonnegative, got {lambda_sel!r}")
-    return ExperimentConfig(
+    parsed = ExperimentConfig(
         seeds=seeds,
         metric=metric,
         strategies=strategies,
@@ -260,8 +245,15 @@ def config_from_dict(kv: dict[str, str]) -> ExperimentConfig:
         data=source,
         hyper=_parse_hyper(kv),
         output_dir=kv.get("output_dir"),
-        raw=dict(kv),
+        raw=dict(config),
     )
+    unread = [key for key in config if key not in kv.read]
+    if unread:
+        raise ConfigError(
+            f"unknown config keys for data.kind = {kind}, data.groups = {groups} "
+            f"and data.classes = {classes}: {unread}"
+        )
+    return parsed
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -46,6 +46,8 @@ def read_json_object(path: str, what: str) -> dict:
         raise DataError(f"{what} {path!r} does not exist") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{what} {path!r} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DataError(f"{what} {path!r} nests arrays or objects too deeply to read") from None
     except UnicodeDecodeError as exc:
         line = non_utf8_line(path)
         raise DataError(f"{what} {path!r}: line {line}: not UTF-8 text ({exc.reason})") from None
@@ -220,8 +222,16 @@ class SyntheticConfig:
             )
         if self.stds.shape != (self.groups, self.classes):
             raise DataError("stds must have one entry per (group, class) cell")
-        if np.any(self.stds <= 0):
-            raise DataError("standard deviations must be positive")
+        # written so that NaN fails each comparison
+        bad_means = ~(np.abs(self.means) < np.inf).all(axis=2)
+        bad_stds = ~((0 < self.stds) & (self.stds < np.inf))
+        for bad, values, what in (
+            (bad_means, self.means, "mean must be finite"),
+            (bad_stds, self.stds, "standard deviation must be finite and positive"),
+        ):
+            if bad.any():
+                g, c = np.argwhere(bad)[0]
+                raise DataError(f"group {g}, class {c}: {what}, got {values[g, c].tolist()}")
         if set(self.counts) != set(SPLITS):
             raise DataError(f"counts must cover splits {SPLITS}")
         for split_name, per_group in self.counts.items():

@@ -99,6 +99,8 @@ class Layer:
             raise ValueError("layer weight must be a 2-d matrix")
         if self.bias.shape != (self.weight.shape[0],):
             raise ValueError("bias length must match weight rows")
+        if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
+            raise ValueError("layer parameters must be finite")
 
 
 @dataclass

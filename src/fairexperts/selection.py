@@ -76,7 +76,7 @@ def select_greedy(expert: GroupMetrics, erm: GroupMetrics) -> SelectionDecision:
     if expert.num_groups == 0:
         raise ValueError("no groups to select over")
     choices = (expert.values > erm.values).astype(np.int64)
-    alpha = combine(choices, expert, erm)
+    alpha = choices * expert.values + (1 - choices) * erm.values  # as combine, unchecked
     return SelectionDecision(
         choices=tuple(choices.tolist()),
         per_group=tuple(alpha.tolist()),
@@ -158,7 +158,8 @@ def select_ip(
     if not 0 <= lambda_sel < np.inf:
         raise ValueError("lambda_sel must be finite and nonnegative")
     choices, objective = _solve_windows(expert.values, erm.values, erm.proportions, lambda_sel)
-    alpha = combine(choices, expert, erm)
+    v = np.asarray(choices)
+    alpha = v * expert.values + (1 - v) * erm.values  # as combine, unchecked
     return SelectionDecision(
         choices=choices,
         per_group=tuple(alpha.tolist()),

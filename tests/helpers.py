@@ -4,6 +4,7 @@ import csv
 from collections import Counter
 
 import numpy as np
+from hypothesis import strategies as st
 
 from fairexperts import HyperParams, SyntheticConfig, generate_synthetic
 from fairexperts.data import SPLITS, CsvSchema, DataError, Dataset, assign_splits, load_csv
@@ -506,3 +507,27 @@ def softmax_cross_entropy_oracle(
     dlogits[rows, labels] -= 1.0
     dlogits /= n
     return float(loss), dlogits
+
+
+# bytes that are never UTF-8 where they land: a Latin-1 letter, an
+# unused byte, a truncated sequence, an encoded surrogate
+NOT_UTF8 = (b"\xe9", b"\xff", b"\xc3", b"\xed\xa0\x80")
+
+
+@st.composite
+def mutated_bytes(draw, valid: bytes, syntax: bytes) -> bytes:
+    """``valid`` after 1 to 3 edits: a byte flipped (often to one of
+    ``syntax``), bytes inserted, the tail cut, or non-UTF-8 bytes inserted."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("flip", "insert", "truncate", "not_utf8")))
+        at = draw(st.integers(0, len(data)))
+        if kind == "flip" and at < len(data):
+            data[at] = draw(st.one_of(st.sampled_from(syntax), st.integers(0, 255)))
+        elif kind == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+        elif kind == "truncate":
+            del data[at:]
+        elif kind == "not_utf8":
+            data[at:at] = draw(st.sampled_from(NOT_UTF8))
+    return bytes(data)

@@ -1,13 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
 
 from fairexperts.checkpoint import load_checkpoint, save_checkpoint
 from fairexperts.data import DataError
-from fairexperts.training import train_decoupled, train_erm, train_experts
+from fairexperts.training import Model, train_decoupled, train_erm, train_experts
 
-from helpers import tiny_dataset, tiny_hp
+from helpers import mutated_bytes, tiny_dataset, tiny_hp
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +91,32 @@ def test_checkpoint_missing_file_and_invalid_json(tmp_path):
     garbled.write_text("{not json")
     with pytest.raises(DataError, match="not valid JSON"):
         load_checkpoint(str(garbled))
+
+
+GOLDEN_EXPERTS = Path(__file__).resolve().parent / "golden" / "checkpoint_experts.json"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(data=mutated_bytes(GOLDEN_EXPERTS.read_bytes(), b'{}[]",:.-e019 \n'))
+def test_load_checkpoint_on_mutated_bytes_loads_or_raises_data_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_bytes(data)
+    try:
+        model = load_checkpoint(str(path))
+    except DataError:
+        pass
+    else:
+        assert isinstance(model, Model)
+
+
+@pytest.mark.parametrize("value", ["1e999", "NaN"])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, value):
+    # json reads 1e999 as inf and NaN as nan; a model with either predicts
+    # nan probabilities, which evaluate would score as if they were a class
+    first_bias = '"bias": [\n          0.125,'
+    text = GOLDEN_EXPERTS.read_text(encoding="utf-8")
+    assert first_bias in text
+    path = tmp_path / "non_finite.json"
+    path.write_text(text.replace(first_bias, first_bias.replace("0.125", value)))
+    with pytest.raises(DataError, match=f"^checkpoint '{path}' is malformed: layer parameters must be finite$"):
+        load_checkpoint(str(path))

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from fairexperts.checkpoint import load_checkpoint, save_checkpoint
 from fairexperts.cli import main
@@ -13,7 +15,7 @@ from fairexperts.metrics import GroupMetrics
 from fairexperts.selection import select_ip
 from fairexperts.training import train_erm
 
-from helpers import tiny_dataset, tiny_hp
+from helpers import mutated_bytes, tiny_dataset, tiny_hp
 
 CONFIG = """
 version = 1
@@ -228,6 +230,29 @@ def test_json_that_is_not_utf8_is_data_error(tmp_path, config_path, capsys, comm
     assert f"{str(path)!r}: line 3: not UTF-8 text (invalid continuation byte)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["select", "evaluate"])
+@pytest.mark.parametrize("deep", [False, True], ids=["int_too_large_for_a_float", "nested_too_deeply"])
+def test_json_that_numpy_or_json_cannot_read_is_data_error(tmp_path, config_path, capsys, command, deep):
+    path = tmp_path / "input.json"
+    big = "1" + "0" * 400  # an integer beyond float64's range
+    if deep:
+        text = "[" * 100_000 + "]" * 100_000
+    elif command == "select":
+        text = json.dumps({"values": [0.5], "proportions": [1]}).replace("0.5", big)
+    else:
+        erm = dict(LINEAGE_LIST, seed_lineage={"seed": 5, "generator": "PCG64"})
+        text = json.dumps(erm).replace("-1.0", big)
+    path.write_text(text)
+    if command == "select":
+        argv = ["select", "--strategy", "ip", "--expert", str(path), "--erm", str(path)]
+    else:
+        argv = ["evaluate", "--checkpoint", str(path), "--config", config_path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert ("too deeply" if deep else "int too large to convert to float") in err
+
+
 @pytest.mark.parametrize("columns", [1, 3])
 def test_evaluate_rejects_a_checkpoint_with_the_wrong_class_count(tmp_path, config_path, capsys, columns):
     # an erm checkpoint for CONFIG's 3 features whose head has ``columns``
@@ -416,3 +441,23 @@ def test_run_output_bytes_do_not_depend_on_blas_thread_count(tmp_path):
         subprocess.run(cmd, env=env, check=True, capture_output=True)
         outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+METRICS_JSON = json.dumps(
+    GroupMetrics("accuracy", np.array([0.85, 0.8, 0.6]), np.array([0.5, 0.3, 0.2]), "val").to_dict()
+).encode()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(
+    expert=mutated_bytes(METRICS_JSON, b'{}[]",:.-e019 '),
+    erm=mutated_bytes(METRICS_JSON, b'{}[]",:.-e019 '),
+    strategy=st.sampled_from(("greedy", "ip")),
+)
+def test_select_on_mutated_metrics_files_exits_0_or_2(tmp_path_factory, expert, erm, strategy):
+    base = tmp_path_factory.getbasetemp()
+    (base / "expert.json").write_bytes(expert)
+    (base / "erm.json").write_bytes(erm)
+    argv = ["select", "--strategy", strategy, "--expert", str(base / "expert.json"),
+            "--erm", str(base / "erm.json"), "--out", str(base / "decision.json")]
+    assert main(argv) in (0, 2)

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import subprocess
@@ -6,20 +7,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
 
+from fairexperts import config as config_module
 from fairexperts.config import (
-    _DATA_KEYS,
-    _DATA_PATTERNS,
-    _HYPER_FIELDS,
-    _TOP_KEYS,
     ConfigError,
     CsvSource,
-    _known_key,
+    ExperimentConfig,
     config_from_dict,
     load_config,
     parse_kv_text,
 )
-from fairexperts.data import SyntheticConfig
+from fairexperts.data import DataError, SyntheticConfig
+
+from helpers import mutated_bytes
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_CONFIG = ROOT / "configs" / "group_shift.cfg"
 
 MINIMAL = """
 version = 1
@@ -52,6 +56,30 @@ hyper.epochs = 2
 hyper.batch_size = 8
 """
 
+CSV_SOURCE = """
+version = 1
+seeds = 3
+data.kind = csv
+data.path = somewhere.csv
+data.d = 4
+data.classes = 2
+data.groups = 3
+data.split_column = none
+data.split_seed = 9
+"""
+
+CSV_FEATURES = """
+version = 1
+seeds = 3
+data.kind = csv
+data.path = somewhere.csv
+data.classes = 2
+data.groups = 2
+data.features = age, income, height
+data.label_column = target
+data.group_column = cohort
+"""
+
 
 def test_parse_kv_text_basics():
     kv = parse_kv_text("# comment\na = 1\n\nb.c = x, y\n")
@@ -77,6 +105,14 @@ def test_minimal_synthetic_config_parses():
     assert config.raw["data.seed"] == "7"
 
 
+def unknown_keys(keys, kind="synthetic", groups=2, classes=2) -> str:
+    """The error a config with unread ``keys`` raises, escaped for ``match``."""
+    return re.escape(
+        f"unknown config keys for data.kind = {kind}, data.groups = {groups} "
+        f"and data.classes = {classes}: {list(keys)}"
+    )
+
+
 def test_config_rejects_unknown_keys():
     # the last two were options of the expert objective, which has one form now
     for line in (
@@ -85,13 +121,13 @@ def test_config_rejects_unknown_keys():
         "hyper.alignment_mode = all_groups",
     ):
         key = line.split(" = ")[0]
-        with pytest.raises(ConfigError, match=f"unknown config keys: .*{re.escape(key)}"):
+        with pytest.raises(ConfigError, match=unknown_keys([key])):
             config_from_dict(parse_kv_text(MINIMAL + f"\n{line}\n"))
 
 
 def readme_config_keys() -> list[str]:
     """Keys in the README's configuration table; ``a.b/c`` means a.b and a.c."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration format")[1].split("\n## ")[0]
     keys = []
     for line in section.splitlines():
@@ -103,59 +139,143 @@ def readme_config_keys() -> list[str]:
     return keys
 
 
-def test_readme_config_table_lists_exactly_the_accepted_keys():
-    documented = readme_config_keys()
-    exact = {key for key in documented if "<" not in key}
-    assert exact == _TOP_KEYS | _DATA_KEYS | {f"hyper.{name}" for name in _HYPER_FIELDS}
-    instances = [
-        key.replace("<A>", "1").replace("<Y>", "0").replace("<split>", split)
-        for key in documented
-        if "<" in key
+def keys_read(kv, monkeypatch) -> set[str]:
+    """Every key that parsing ``kv`` looks up, present in it or not."""
+    recorders = []
+
+    class Recorder(config_module._Reads):
+        def __init__(self, kv):
+            super().__init__(kv)
+            recorders.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(config_module, "_Reads", Recorder)
+        config_from_dict(kv)
+    return recorders[0].read
+
+
+def test_readme_config_table_lists_exactly_the_accepted_keys(monkeypatch):
+    # the parse accepts the keys it looks up, set or not; one config of each
+    # kind, with 2 groups and 2 classes, and no data.features, so that the
+    # CSV parse looks up data.d as well
+    synthetic = parse_kv_text(MINIMAL)
+    csv = {key: synthetic[key] for key in ("version", "seeds", "data.d", "data.classes", "data.groups")}
+    csv.update({"data.kind": "csv", "data.path": "x.csv"})
+    read = keys_read(synthetic, monkeypatch) | keys_read(csv, monkeypatch)
+    documented = {
+        key.replace("<A>", str(g)).replace("<Y>", str(c)).replace("<split>", split)
+        for key in readme_config_keys()
+        for g in range(2)
+        for c in range(2)
         for split in ("train", "val", "test")
-    ]
-    assert all(_known_key(key) for key in [*exact, *instances])
-    covered = {p.pattern for p in _DATA_PATTERNS for key in instances if p.match(key)}
-    assert covered == {p.pattern for p in _DATA_PATTERNS}
+    }
+    assert documented == read
 
 
 def test_config_rejects_cell_keys_outside_the_declared_groups_and_classes():
-    reference = (Path(__file__).resolve().parents[1] / "configs" / "group_shift.cfg").read_text(
-        encoding="utf-8"
-    )
-    kv = parse_kv_text(reference)
+    kv = parse_kv_text(REFERENCE_CONFIG.read_text(encoding="utf-8"))
     assert (kv["data.groups"], kv["data.classes"]) == ("2", "2")
     config_from_dict(kv)
     extra = {"data.mean.g2.c0": "0, 0", "data.count.train.g5": "10", "data.std.g0.c7": "1"}
-    with pytest.raises(
-        ConfigError,
-        match=re.escape(f"config keys outside 2 groups and 2 classes: {list(extra)}"),
-    ):
+    with pytest.raises(ConfigError, match=unknown_keys(extra)):
         config_from_dict({**kv, **extra})
     for key, value in extra.items():
-        with pytest.raises(ConfigError, match=re.escape(f"classes: ['{key}']")):
+        with pytest.raises(ConfigError, match=unknown_keys([key])):
             config_from_dict({**kv, key: value})
 
 
 def test_synthetic_config_rejects_csv_keys():
     for line in ("data.path = x.csv", "data.split_seed = 3", "data.label_column = y"):
         key = line.split(" = ")[0]
-        with pytest.raises(ConfigError, match=re.escape(f"data.kind = synthetic does not read keys: ['{key}']")):
+        with pytest.raises(ConfigError, match=unknown_keys([key])):
             config_from_dict(parse_kv_text(MINIMAL + f"\n{line}\n"))
 
 
 def test_csv_config_rejects_synthetic_keys():
-    reference = (Path(__file__).resolve().parents[1] / "configs" / "group_shift.cfg").read_text(
-        encoding="utf-8"
-    )
-    kv = parse_kv_text(reference)
+    kv = parse_kv_text(REFERENCE_CONFIG.read_text(encoding="utf-8"))
     kv.update({"data.kind": "csv", "data.path": "x.csv"})
     synthetic = [key for key in kv if key.startswith(("data.seed", "data.mean.", "data.std.", "data.count."))]
     assert len(synthetic) == 1 + 4 + 4 + 6
-    with pytest.raises(ConfigError, match=re.escape(f"data.kind = csv does not read keys: {synthetic}")):
+    with pytest.raises(ConfigError, match=unknown_keys(synthetic, kind="csv")):
         config_from_dict(kv)
     # data.d, data.classes and data.groups serve both kinds
     config = config_from_dict({key: value for key, value in kv.items() if key not in synthetic})
     assert config.data.schema.feature_columns == tuple(f"f{i}" for i in range(10))
+
+
+def test_checked_in_and_benchmark_configs_have_no_unread_key():
+    # a benchmark config with an unread key would fail every benchmark run
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    texts = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "configs").iterdir())]
+    for tiny in (False, True):
+        texts.append(workloads.reference_config(workloads.DEFAULT_SEED, tiny))
+        texts.append(workloads.heldout_config(workloads.DEFAULT_SEED, tiny))
+    for text in texts:
+        config_from_dict(parse_kv_text(text))
+
+
+def test_csv_config_rejects_data_d_beside_data_features():
+    # the feature list fixes the width, so data.d would go unread
+    text = CSV_FEATURES + "data.d = 3\n"
+    with pytest.raises(ConfigError, match=unknown_keys(["data.d"], kind="csv")):
+        config_from_dict(parse_kv_text(text))
+
+
+def test_unknown_keys_are_reported_after_value_errors():
+    text = MINIMAL.replace("metric = accuracy", "metric = f1") + "hyper.turbo = 9\n"
+    with pytest.raises(ConfigError, match="^metric must be accuracy or auc, got 'f1'$"):
+        config_from_dict(parse_kv_text(text))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        # sizes that numpy could not allocate: the cell keys run out first
+        ("data.groups", "100000000000", "missing required key 'data.mean.g2.c0'"),
+        ("data.d", "100000000000", "data.mean.g0.c0: expected 100000000000 values, got 10"),
+        ("data.d", "-1", "data.d must be at least 1, got -1"),
+        ("data.groups", "-1", "data.groups must be at least 1, got -1"),
+        ("data.classes", "0", "data.classes must be at least 1, got 0"),
+        ("data.seed", "-1", "data.seed must be at least 0, got -1"),
+    ],
+)
+def test_config_names_the_key_of_a_size_or_seed_out_of_range(key, value, message):
+    kv = parse_kv_text(REFERENCE_CONFIG.read_text(encoding="utf-8"))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_dict({**kv, key: value})
+
+
+@pytest.mark.parametrize("key", ["data.d", "data.split_seed"])
+def test_csv_config_names_the_key_of_a_width_or_seed_out_of_range(key):
+    text = CSV_SOURCE.replace(f"{key} = ", f"{key} = -")
+    low = 1 if key == "data.d" else 0
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be at least {low}, got -"):
+        config_from_dict(parse_kv_text(text))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("data.std.g1.c0", "nan", "group 1, class 0: standard deviation must be finite and positive, got nan"),
+        ("data.std.g0.c1", "inf", "group 0, class 1: standard deviation must be finite and positive, got inf"),
+        ("data.mean.g1.c1", "1, nan", "group 1, class 1: mean must be finite, got [1.0, nan]"),
+        ("data.mean.g0.c0", "-inf, 0", "group 0, class 0: mean must be finite, got [-inf, 0.0]"),
+    ],
+)
+def test_config_rejects_non_finite_means_and_stds(key, value, message):
+    kv = parse_kv_text(MINIMAL)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        config_from_dict({**kv, key: value})
+
+
+@pytest.mark.parametrize("key", ["seeds", "data.mean.g1.c0"])
+def test_a_missing_list_key_is_named_as_missing(key):
+    kv = parse_kv_text(MINIMAL)
+    del kv[key]
+    with pytest.raises(ConfigError, match=f"^missing required key '{re.escape(key)}'$"):
+        config_from_dict(kv)
 
 
 def test_config_rejects_bad_version():
@@ -230,18 +350,7 @@ def test_config_rejects_non_finite_hyperparameters(line):
 
 
 def test_csv_source_config():
-    text = """
-version = 1
-seeds = 3
-data.kind = csv
-data.path = somewhere.csv
-data.d = 4
-data.classes = 2
-data.groups = 3
-data.split_column = none
-data.split_seed = 9
-"""
-    config = config_from_dict(parse_kv_text(text))
+    config = config_from_dict(parse_kv_text(CSV_SOURCE))
     assert isinstance(config.data, CsvSource)
     assert config.data.schema.feature_columns == ("f0", "f1", "f2", "f3")
     assert config.data.schema.split_column is None
@@ -265,18 +374,20 @@ def test_repo_reference_config_parses():
 
 
 def test_csv_source_with_custom_feature_list():
-    text = """
-version = 1
-seeds = 3
-data.kind = csv
-data.path = somewhere.csv
-data.classes = 2
-data.groups = 2
-data.features = age, income, height
-data.label_column = target
-data.group_column = cohort
-"""
-    config = config_from_dict(parse_kv_text(text))
+    config = config_from_dict(parse_kv_text(CSV_FEATURES))
     assert config.data.schema.feature_columns == ("age", "income", "height")
     assert config.data.schema.label_column == "target"
     assert config.data.schema.group_column == "cohort"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(data=mutated_bytes(REFERENCE_CONFIG.read_bytes(), b"=#,.-\n e019"))
+def test_load_config_on_mutated_bytes_loads_or_raises_data_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.cfg"
+    path.write_bytes(data)
+    try:
+        config = load_config(str(path))
+    except DataError:
+        pass
+    else:
+        assert isinstance(config, ExperimentConfig)

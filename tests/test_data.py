@@ -3,7 +3,6 @@ import re
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
-from hypothesis import strategies as st
 
 from fairexperts import rng as rngmod
 from fairexperts.data import (
@@ -23,7 +22,13 @@ from fairexperts.data import (
     write_csv,
 )
 
-from helpers import INTERLEAVED_TAGS, load_csv_oracle, load_interleaved_csv, separable_config
+from helpers import (
+    INTERLEAVED_TAGS,
+    load_csv_oracle,
+    load_interleaved_csv,
+    mutated_bytes,
+    separable_config,
+)
 
 
 def blob_config(**overrides):
@@ -354,30 +359,10 @@ VALID_CSV = (
     b"4,0.125,1,1,val\n"
     b"2,1,0,1,test\n"
 )
-# bytes that are never UTF-8 where they land: a Latin-1 letter, an
-# unused byte, a truncated sequence, an encoded surrogate
-NOT_UTF8 = (b"\xe9", b"\xff", b"\xc3", b"\xed\xa0\x80")
-
-
-@st.composite
-def mutated_csv(draw) -> bytes:
-    data = bytearray(VALID_CSV)
-    for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("flip", "insert", "truncate", "not_utf8")))
-        at = draw(st.integers(0, len(data)))
-        if kind == "flip" and at < len(data):
-            data[at] = draw(st.one_of(st.sampled_from(b',"\n\r .-e019'), st.integers(0, 255)))
-        elif kind == "insert":
-            data[at:at] = draw(st.binary(min_size=1, max_size=4))
-        elif kind == "truncate":
-            del data[at:]
-        elif kind == "not_utf8":
-            data[at:at] = draw(st.sampled_from(NOT_UTF8))
-    return bytes(data)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, phases=[Phase.generate])
-@given(data=mutated_csv())
+@given(data=mutated_bytes(VALID_CSV, b',"\n\r .-e019'))
 def test_load_csv_on_mutated_bytes_loads_or_names_the_file(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "mutated.csv"
     path.write_bytes(data)
