@@ -199,7 +199,7 @@ def main(argv=None) -> int:
     except TrainingDivergence as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (DataError, OSError, ValueError) as exc:
+    except (DataError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

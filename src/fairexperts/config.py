@@ -174,7 +174,7 @@ def _parse_csv(kv: dict[str, str], classes: int, groups: int) -> CsvSource:
     if "data.features" in kv:
         feature_columns = tuple(_str_list(kv["data.features"]))
     else:
-        feature_columns = tuple(f"f{i}" for i in range(_number(kv, "data.d", low=1)))
+        feature_columns = _number(kv, "data.d", low=1)  # f0..f{d-1}, named against the header
     split_column: str | None = kv.get("data.split_column", "split")
     if split_column == "none":
         split_column = None

@@ -18,6 +18,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 from operator import itemgetter, length_hint
 from typing import Iterable, Sequence
 
@@ -77,19 +78,41 @@ def write_json(payload: dict, path: str) -> None:
         fh.write("\n")
 
 
+def _tag_codes(tags: np.ndarray) -> np.ndarray:
+    """The ``SPLITS`` index of each split tag, as ``uint8``.
+
+    Each tag is compared whole, so a longer tag such as ``"trainx"`` is
+    unknown rather than cut to a known one; an unknown tag raises
+    ``DataError`` naming the first row that holds one.
+    """
+    codes = np.full(tags.shape, len(SPLITS), np.uint8)
+    for code, name in enumerate(SPLITS):
+        codes[tags == name] = code
+    unknown = codes == len(SPLITS)
+    if unknown.any():
+        # listed from the unknown rows alone: no fixed-width copy of every tag
+        names = sorted(set(map(str, tags[unknown].tolist())))
+        raise DataError(f"row {np.argmax(unknown) + 1}: unknown split tags: {names}")
+    return codes
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature/label/group arrays plus per-sample split tags.
+    """Immutable feature/label/group arrays plus each row's split.
 
-    The arrays are stored as read-only views, without a copy where the
-    given array already has the stored dtype; the caller's arrays stay
-    writable, and the dataset assumes they are not edited afterwards.
+    ``split`` holds one ``uint8`` code per row, an index into ``SPLITS``.
+    It may be given as codes (an integer array) or as the tags
+    train/val/test, which are turned into codes here; tags exist only in
+    CSV files. The arrays are stored as read-only views, without a copy
+    where the given array already has the stored dtype; the caller's
+    arrays stay writable, and the dataset assumes they are not edited
+    afterwards.
     """
 
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64, values in [0, classes)
     groups: np.ndarray  # (n,) int64, values in [0, groups)
-    split: np.ndarray  # (n,) unicode, values in SPLITS
+    split: np.ndarray  # (n,) uint8, values in [0, len(SPLITS))
     classes: int
     num_groups: int
 
@@ -100,35 +123,36 @@ class Dataset:
                 raise DataError(f"{name} must be integers, got dtype {values.dtype}")
             object.__setattr__(self, name, values.astype(np.int64, copy=False))
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "split", np.asarray(self.split, dtype=str))
+        split = np.asarray(self.split)
         n = self.features.shape[0]
         if self.features.ndim != 2:
             raise DataError("features must be a 2-d matrix")
-        if self.labels.shape != (n,) or self.groups.shape != (n,) or self.split.shape != (n,):
+        if self.labels.shape != (n,) or self.groups.shape != (n,) or split.shape != (n,):
             raise DataError("labels/groups/split lengths must match features")
+        # integers (and an empty split, as for labels) are codes, anything
+        # else is tags
+        given_codes = split.dtype.kind in "iu" or not split.size
         # each check runs on the whole array; only a failed one looks for
         # the first row at fault, counted from 1 as in a CSV file
         if n and not np.all(np.isfinite(self.features)):
             r = np.argmax(~np.isfinite(self.features).all(axis=1))
             raise DataError(f"row {r + 1}: features must be finite")
-        bounds = (("label", self.labels, self.classes), ("group", self.groups, self.num_groups))
+        bounds = [("label", self.labels, self.classes), ("group", self.groups, self.num_groups)]
+        if given_codes:
+            bounds.append(("split code", split, len(SPLITS)))
         for what, values, bound in bounds:
             if n and (values.min() < 0 or values.max() >= bound):
                 r = np.argmax((values < 0) | (values >= bound))
                 raise DataError(f"row {r + 1}: {what} {values[r]} out of range")
-        masks = {name: self.split == name for name in SPLITS}
-        known = masks["train"] | masks["val"] | masks["test"]
-        if not known.all():
-            tags = np.unique(self.split[~known]).tolist()
-            raise DataError(f"row {np.argmax(~known) + 1}: unknown split tags: {tags}")
-        # checked as given, so a longer tag is not cut to a known one first
-        object.__setattr__(self, "split", self.split.astype("U5", copy=False))
+        object.__setattr__(
+            self, "split", split.astype(np.uint8, copy=False) if given_codes else _tag_codes(split)
+        )
         # one integer code per (group, class) cell, in (group, class) order;
         # each split's rows as a slice when contiguous, else an index array
         codes = self.groups * self.classes + self.labels
         rows, cells = {}, {}
-        for name, mask in masks.items():
-            idx = np.flatnonzero(mask)
+        for s, name in enumerate(SPLITS):
+            idx = np.flatnonzero(self.split == s)
             if idx.size and idx[-1] - idx[0] + 1 == idx.size:
                 idx = slice(idx[0], idx[-1] + 1)
             rows[name] = idx
@@ -254,8 +278,8 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     """
     gen = rngmod.stream(config.seed, rngmod.DATA)
     cells = [
-        (split_name, g, c, n_cell)
-        for split_name in SPLITS
+        (code, g, c, n_cell)
+        for code, split_name in enumerate(SPLITS)
         for g in range(config.groups)
         for c, n_cell in enumerate(_class_shares(config.counts[split_name][g], config.classes))
         if n_cell
@@ -265,11 +289,11 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
         features = np.empty((n, config.d))
         labels = np.empty(n, dtype=np.int64)
         groups = np.empty(n, dtype=np.int64)
-        split = np.empty(n, dtype="U5")
+        split = np.empty(n, dtype=np.uint8)
     except (ValueError, MemoryError) as exc:  # more rows than numpy or the host can hold
         raise DataError(f"data.count: cannot allocate {n} rows: {exc}") from None
     start = 0
-    for split_name, g, c, n_cell in cells:
+    for code, g, c, n_cell in cells:
         rows = slice(start, start + n_cell)
         # the draws and arithmetic of mean + std * standard_normal, in place
         x = gen.standard_normal(out=features[rows])
@@ -277,7 +301,7 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
         x += config.means[g, c]
         labels[rows] = c
         groups[rows] = g
-        split[rows] = split_name
+        split[rows] = code
         start = rows.stop
     return Dataset(
         features, labels, groups, split, classes=config.classes, num_groups=config.groups
@@ -286,9 +310,14 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """Column layout and declared ranges for a dataset CSV."""
+    """Column layout and declared ranges for a dataset CSV.
 
-    feature_columns: Sequence[str]
+    ``feature_columns`` names the feature columns in order, or is a count
+    d that stands for ``f0..f{d-1}``; those names are made only once the
+    file's header is known to hold them all.
+    """
+
+    feature_columns: Sequence[str] | int
     classes: int
     groups: int
     label_column: str = "label"
@@ -315,7 +344,7 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
     largest-remainder rounding, so every nonempty cell lands in train.
     """
     # the file's rows are freed when _csv_columns returns, before the
-    # dataset stores the split tags
+    # dataset turns the split tags into codes
     features, labels, groups, split = _csv_columns(path, schema)
     if split is None:
         split = assign_splits(labels, groups, schema.split_seed)
@@ -352,10 +381,21 @@ def _csv_columns(path: str, schema: CsvSchema) -> tuple:
         raise DataError(f"{path}: empty file")
 
     col_index = {name: i for i, name in enumerate(header)}
-    required = [*schema.feature_columns, schema.label_column, schema.group_column]
+    names, others = schema.feature_columns, [schema.label_column, schema.group_column]
+    if isinstance(names, int) and names > len(header):
+        # f0..f{d-1} cannot all be in the header, and d may be too large to
+        # hold as names: the missing ones are counted from the header
+        d = names
+        count = d - sum(_is_default_column(name, d) for name in col_index)
+        count += sum(name not in col_index for name in others)
+        wanted = chain(map("f{}".format, range(d)), others)
+        raise _missing_columns(path, (name for name in wanted if name not in col_index), count)
+    if isinstance(names, int):
+        names = [f"f{i}" for i in range(names)]
+    required = [*names, *others]
     missing = [name for name in required if name not in col_index]
     if missing:
-        raise DataError(f"{path}: missing columns {missing}")
+        raise _missing_columns(path, missing, len(missing))
     counts = Counter(header)
     repeated = [name for name in dict.fromkeys((*required, schema.split_column)) if counts[name] > 1]
     if repeated:
@@ -378,16 +418,35 @@ def _csv_columns(path: str, schema: CsvSchema) -> tuple:
                 f"{path}: row {r}, column {name!r}: {what} value {rows[r - 1][ci]!r}"
             ) from None
 
-    features = np.empty((len(rows), len(schema.feature_columns)))
-    for j, name in enumerate(schema.feature_columns):
+    features = np.empty((len(rows), len(names)))
+    for j, name in enumerate(names):
         features[:, j] = column(name, float)
     si = col_index.get(schema.split_column)
-    split = None if si is None else list(map(itemgetter(si), rows))
+    # an object array: a fixed-width str array would give every row the
+    # longest tag's width
+    split = None if si is None else np.fromiter(map(itemgetter(si), rows), object, len(rows))
     return features, column(schema.label_column, int), column(schema.group_column, int), split
 
 
+def _is_default_column(name: str, d: int) -> bool:
+    """Whether ``name`` is ``f{i}`` for some ``0 <= i < d``; a header field
+    with more digits than d is never read as an int."""
+    digits = name[1:]
+    return (
+        name[:1] == "f" and digits.isdecimal() and len(digits) <= len(str(d))
+        and name == f"f{int(digits)}" and int(digits) < d
+    )
+
+
+def _missing_columns(path: str, missing: Iterable[str], count: int) -> DataError:
+    """The error naming the first few of ``count`` missing columns."""
+    shown = list(islice(missing, 5))
+    more = f" and {count - len(shown)} more" if count > len(shown) else ""
+    return DataError(f"{path}: missing columns {shown}{more}")
+
+
 def assign_splits(labels: np.ndarray, groups: np.ndarray, seed: int) -> np.ndarray:
-    """Seeded stratified 8:1:1 split assignment.
+    """Seeded stratified 8:1:1 split assignment, as ``SPLITS`` codes.
 
     Cells are processed in sorted (group, class) order; within a cell the
     row indices are shuffled and dealt to train/val/test: each split
@@ -396,7 +455,7 @@ def assign_splits(labels: np.ndarray, groups: np.ndarray, seed: int) -> np.ndarr
     test, which also guarantees every nonempty cell reaches train).
     """
     gen = rngmod.stream(seed, rngmod.DATA, 1)
-    split = np.empty(len(labels), dtype="U5")
+    split = np.empty(len(labels), dtype=np.uint8)
     # one stable sort lists each cell's rows in ascending order, cells in
     # (group, class) order; no rows means no cells and no draws
     order = np.lexsort((labels, groups))
@@ -411,14 +470,16 @@ def assign_splits(labels: np.ndarray, groups: np.ndarray, seed: int) -> np.ndarr
         # a stable sort of the negated remainders keeps SPLITS order on ties
         largest = np.argsort(sizes - quota, kind="stable")
         sizes[largest[: len(idx) - sizes.sum()]] += 1
-        split[idx] = np.repeat(SPLITS, sizes)
+        split[idx] = np.repeat(np.arange(len(SPLITS)), sizes)
     return split
 
 
 def save_csv(dataset: Dataset, path: str) -> None:
     """Write the documented CSV format, including the split column."""
     header = [f"f{i}" for i in range(dataset.d)] + ["label", "group", "split"]
-    write_csv(path, header, [[dataset.features, dataset.labels, dataset.groups, dataset.split]])
+    # object dtype: each row refers to one of the SPLITS strings, not a copy
+    tags = np.array(SPLITS, dtype=object)[dataset.split]
+    write_csv(path, header, [[dataset.features, dataset.labels, dataset.groups, tags]])
 
 
 # rows per tolist() call; converting the whole array at once would hold

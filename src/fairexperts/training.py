@@ -302,13 +302,25 @@ def _fit_cross_entropy(
     return _fit([net], [x, y], shuffle_rng, hp, name, batch_grads)
 
 
+def _init_backbone(d: int, hp: HyperParams, init_rng: np.random.Generator) -> Mlp:
+    """The d -> hidden_dim -> repr_dim backbone; a width that numpy or the
+    host cannot allocate raises ``ValueError`` naming both widths."""
+    try:
+        return init_mlp([d, hp.hidden_dim, hp.repr_dim], ["relu", "identity"], init_rng)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(
+            f"hyper.hidden_dim = {hp.hidden_dim}, hyper.repr_dim = {hp.repr_dim}: "
+            f"cannot allocate the backbone: {exc}"
+        ) from None
+
+
 def train_erm(dataset: Dataset, hp: HyperParams) -> Model:
     """Minimize pooled cross-entropy with seeded mini-batch SGD."""
     features, labels, _ = dataset.split_arrays("train")
     if features.shape[0] == 0:
         raise ValueError("train split is empty")
     init_rng = rngmod.stream(hp.seed, rngmod.INIT)
-    backbone = init_mlp([dataset.d, hp.hidden_dim, hp.repr_dim], ["relu", "identity"], init_rng)
+    backbone = _init_backbone(dataset.d, hp, init_rng)
     head = init_mlp([hp.repr_dim, dataset.classes], ["identity"], init_rng)
     # one network over the same Layer objects, so training moves their arrays
     shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE)
@@ -364,7 +376,7 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
 
     # draw order matters for reproducibility: backbone, discriminator,
     # centers, then heads by group
-    backbone = init_mlp([dataset.d, hp.hidden_dim, hp.repr_dim], ["relu", "identity"], init_rng)
+    backbone = _init_backbone(dataset.d, hp, init_rng)
     disc = init_mlp([hp.repr_dim, dataset.num_groups], ["identity"], init_rng)
     centers = VirtualCenters.init(dataset.num_groups, dataset.classes, hp.repr_dim, init_rng)
     heads = [

@@ -212,6 +212,11 @@ def tiny_config(seed=5):
     )
 
 
+def split_tags(dataset):
+    """Each row's split tag, from the dataset's ``SPLITS`` codes."""
+    return np.asarray(SPLITS)[dataset.split]
+
+
 INTERLEAVED_TAGS = ["train", "val", "train", "test", "train", "val", "train", "test", "train"]
 
 

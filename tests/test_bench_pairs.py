@@ -12,9 +12,12 @@ WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
 ROWS = {"name": "rows", "unit": "rows", "better": "higher", "bound": 0.05}
 
 
-def verdict(parent, change, metric=WALL):
+def verdict(parent, change, metric=WALL, failed=(0, 0), attempted=(100, 100)):
+    """The verdict on these pairs; ``failed`` and ``attempted`` are each
+    side's (parent, change) op counts in every pair."""
     pairs = [
-        {"parent": {"w": {metric["name"]: p}}, "change": {"w": {metric["name"]: c}}}
+        {side: {"w": {metric["name"]: v, "ops": attempted[k], "ops_failed": failed[k]}}
+         for k, (side, v) in enumerate((("parent", p), ("change", c)))}
         for p, c in zip(parent, change)
     ]
     row = bench_pairs.summarize(pairs, [metric])["w"][metric["name"]]
@@ -59,3 +62,20 @@ def test_a_wide_parent_spread_is_unresolved_unless_the_sides_separate():
 def test_a_higher_is_better_metric_reads_the_other_way():
     assert verdict(PARENT, [2.0] * 10, ROWS) == (True, True, False)
     assert verdict(PARENT, [0.9] * 10, ROWS) == (False, False, False)
+
+
+def test_a_larger_share_of_failed_ops_voids_a_gain():
+    assert verdict(PARENT, [0.5] * 10, failed=(0, 1))[0] is False
+    assert verdict(PARENT, [0.5] * 10, failed=(2, 1), attempted=(100, 20))[0] is False
+    # the same share, or a smaller one, leaves the gain standing
+    assert verdict(PARENT, [0.5] * 10, failed=(2, 1), attempted=(100, 50))[0] is True
+    assert verdict(PARENT, [0.5] * 10, failed=(1, 0))[0] is True
+
+
+def test_each_sides_op_totals_are_recorded_per_workload():
+    pairs = [
+        {side: {"w": {"wall_s": 1.0, "ops": 10 + k, "ops_failed": k % 2}} for side in ("parent", "change")}
+        for k in range(4)
+    ]
+    ops = bench_pairs.summarize(pairs, [WALL])["w"]["ops"]
+    assert ops == {side: {"failed": 2, "attempted": 46} for side in ("parent", "change")}

@@ -128,6 +128,36 @@ def test_run_on_a_count_numpy_cannot_size_is_data_error(tmp_path, config_path, c
     assert "data.count: cannot allocate" in capsys.readouterr().err
 
 
+def test_run_on_a_width_the_host_cannot_allocate_is_data_error(tmp_path, config_path):
+    wide = Path(config_path).read_text().replace("hyper.hidden_dim = 16", "hyper.hidden_dim = 100000000000")
+    Path(config_path).write_text(wide)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # the 2 GiB address-space limit holds in the child only, so the
+    # 1.46 TiB backbone fails there as on a host without that memory
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from fairexperts.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    cmd = [sys.executable, "-c", code, "run", "--config", config_path, "--out-dir", str(tmp_path / "out")]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "hyper.hidden_dim = 100000000000, hyper.repr_dim = 4: cannot allocate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_that_runs_out_of_memory_past_the_backbone_is_data_error(
+    tmp_path, config_path, monkeypatch, capsys
+):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 732. MiB for an array with shape (32, 3000000)")
+
+    monkeypatch.setattr("fairexperts.experiment.train_decoupled", out_of_memory)
+    assert main(["run", "--config", config_path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "error: [stage=train-decoupled seed=5] Unable to allocate 732. MiB" in capsys.readouterr().err
+
+
 def test_run_without_out_dir_is_usage_error(config_path):
     assert main(["run", "--config", config_path]) == 1
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +201,7 @@ def test_csv_config_rejects_synthetic_keys():
         config_from_dict(kv)
     # data.d, data.classes and data.groups serve both kinds
     config = config_from_dict({key: value for key, value in kv.items() if key not in synthetic})
-    assert config.data.schema.feature_columns == tuple(f"f{i}" for i in range(10))
+    assert config.data.schema.feature_columns == 10  # f0..f9, named against the file's header
 
 
 def test_checked_in_and_benchmark_configs_have_no_unread_key():
@@ -352,11 +353,24 @@ def test_config_rejects_non_finite_hyperparameters(line):
 def test_csv_source_config():
     config = config_from_dict(parse_kv_text(CSV_SOURCE))
     assert isinstance(config.data, CsvSource)
-    assert config.data.schema.feature_columns == ("f0", "f1", "f2", "f3")
+    assert config.data.schema.feature_columns == 4  # f0..f3, named against the file's header
     assert config.data.schema.split_column is None
     assert config.data.schema.split_seed == 9
     assert config.strategies == ("greedy", "ip")
     assert config.lambda_sel == 0.1
+
+
+def test_csv_source_keeps_data_d_as_a_count():
+    # a d far beyond any header costs nothing until the header is read
+    text = CSV_SOURCE.replace("data.d = 4", "data.d = 1000000")
+    tracemalloc.start()
+    try:
+        config = config_from_dict(parse_kv_text(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert config.data.schema.feature_columns == 1000000
+    assert peak < 1 << 20
 
 
 def test_load_config_missing_file():

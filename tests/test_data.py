@@ -1,4 +1,6 @@
+import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from helpers import (
     load_interleaved_csv,
     mutated_bytes,
     separable_config,
+    split_tags,
 )
 
 
@@ -93,7 +96,7 @@ def test_generate_synthetic_matches_the_concatenating_oracle():
     for cfg in configs:
         ds = generate_synthetic(cfg)
         want = generate_synthetic_oracle(cfg)
-        for got, expected in zip((ds.features, ds.labels, ds.groups, ds.split), want):
+        for got, expected in zip((ds.features, ds.labels, ds.groups, split_tags(ds)), want):
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
 
@@ -101,7 +104,7 @@ def test_generate_synthetic_matches_the_concatenating_oracle():
 def test_split_arrays_of_contiguous_splits_are_read_only_views():
     ds = generate_synthetic(separable_config(seed=4))
     for split in SPLITS:
-        idx = np.flatnonzero(ds.split == split)
+        idx = np.flatnonzero(split_tags(ds) == split)
         arrays = ds.split_arrays(split)
         for got, full in zip(arrays, (ds.features, ds.labels, ds.groups)):
             assert np.shares_memory(got, full)
@@ -115,12 +118,12 @@ def test_dataset_leaves_the_callers_arrays_writable():
     features = np.zeros((2, 1))
     labels = np.array([0, 1])
     groups = np.array([0, 0])
-    split = np.array(["train", "train"], dtype="U5")
+    split = np.array([0, 0], dtype=np.uint8)
     ds = Dataset(features, labels, groups, split, 2, 1)
     features[0, 0] = 1.0
     labels[0] = 1
     groups[0] = 0
-    split[0] = "train"
+    split[0] = 0
     for stored, given_array in zip((ds.features, ds.labels, ds.groups, ds.split),
                                    (features, labels, groups, split)):
         assert np.shares_memory(stored, given_array)  # a view, not a copy
@@ -147,7 +150,7 @@ def test_cell_counts_match_a_bincount_oracle(tmp_path):
     ]
     for ds in datasets:
         for split in SPLITS:
-            mask = ds.split == split
+            mask = split_tags(ds) == split
             want = np.bincount(
                 ds.groups[mask] * ds.classes + ds.labels[mask],
                 minlength=ds.num_groups * ds.classes,
@@ -158,6 +161,66 @@ def test_cell_counts_match_a_bincount_oracle(tmp_path):
     assert not train_only.cell_counts("val").any()
     with pytest.raises(DataError, match="unknown split 'dev'"):
         train_only.cell_counts("dev")
+
+
+def test_dataset_stores_split_codes_given_as_codes_or_tags():
+    features, labels, groups = np.zeros((4, 1)), [0, 1, 0, 1], [0, 0, 0, 0]
+    tags = ["train", "train", "val", "test"]
+    for split in (tags, np.array(tags, dtype=object), [0, 0, 1, 2], np.array([0, 0, 1, 2], np.int8)):
+        ds = Dataset(features, labels, groups, split, 2, 1)
+        assert ds.split.dtype == np.uint8 and ds.split.tolist() == [0, 0, 1, 2]
+    with pytest.raises(DataError, match=r"^row 2: split code 3 out of range$"):
+        Dataset(features, labels, groups, [0, 3, 1, -1], 2, 1)
+    # codes are checked after labels and groups, as tags are
+    with pytest.raises(DataError, match=r"^row 4: label 9 out of range$"):
+        Dataset(features, [0, 0, 0, 9], groups, [5] * 4, 2, 1)
+    # an empty split holds no codes, whatever its dtype
+    for split in ([], np.array([], dtype=str)):
+        empty = Dataset(np.zeros((0, 1)), [], [], split, 2, 1)
+        assert empty.split.dtype == np.uint8 and empty.split.shape == (0,)
+
+
+def test_generated_and_assigned_splits_hold_one_byte_per_row(tmp_path):
+    ds = generate_synthetic(separable_config(seed=4))
+    assert ds.split.dtype == np.uint8 and ds.split.nbytes == ds.n
+    assert assign_splits(ds.labels, ds.groups, seed=3).nbytes == ds.n
+    path = str(tmp_path / "no_split.csv")
+    write_csv(path, [f"f{i}" for i in range(ds.d)] + ["label", "group"], [[ds.features, ds.labels, ds.groups]])
+    loaded = load_csv(path, default_schema(ds.d, ds.classes, ds.num_groups))
+    assert loaded.split.dtype == np.uint8 and loaded.split.nbytes == loaded.n
+
+
+def test_load_csv_files_each_row_under_the_split_its_tag_names(tmp_path):
+    # the split column's text, or the per-cell tag oracle when the file has none
+    ds = generate_synthetic(separable_config(seed=12))
+    with_split, without = str(tmp_path / "with.csv"), str(tmp_path / "without.csv")
+    save_csv(ds, with_split)
+    write_csv(without, [f"f{i}" for i in range(ds.d)] + ["label", "group"], [[ds.features, ds.labels, ds.groups]])
+    with open(with_split, newline="") as fh:
+        file_tags = np.array([row["split"] for row in csv.DictReader(fh)])
+    schema = default_schema(ds.d, ds.classes, ds.num_groups, split_seed=4)
+    for path, tags in ((with_split, file_tags), (without, assign_splits_mask_per_cell(ds.labels, ds.groups, 4))):
+        loaded = load_csv(path, schema)
+        for split in SPLITS:
+            rows = np.flatnonzero(tags == split)
+            assert rows.size
+            for got, full in zip(loaded.split_arrays(split), (ds.features, ds.labels, ds.groups)):
+                assert np.array_equal(got, full[rows])
+
+
+def test_load_csv_holds_no_fixed_width_copy_of_the_split_column(tmp_path):
+    # one 50,000-character tag among 200 rows: a fixed-width str array of
+    # the column would take 200 x 200 kB
+    lines = ["f0,label,group,split"] + ["0.5,0,0,train"] * 199 + ["0.5,0,0," + "v" * 50_000]
+    path = write_lines(tmp_path / "long_tag.csv", lines)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=r"row 200: unknown split tags: \['v{50000}'\]$"):
+            load_csv(path, CsvSchema(("f0",), classes=1, groups=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_dataset_names_unknown_tags_and_missing_cells():
@@ -210,7 +273,7 @@ def test_cell_means_concentrate_around_configured_means():
         seed=3,
     )
     ds = generate_synthetic(cfg)
-    mask_train = ds.split == "train"
+    mask_train = split_tags(ds) == "train"
     for g in range(2):
         for c in range(2):
             cell = mask_train & (ds.groups == g) & (ds.labels == c)
@@ -278,7 +341,7 @@ def test_load_csv_passthrough_of_explicit_split(tmp_path):
         rows.append(f"{i}.5,{i % 2},0,{tag}")
     path.write_text("\n".join(rows) + "\n")
     ds = load_csv(str(path), CsvSchema(("f0",), classes=2, groups=1))
-    assert list(ds.split) == tags
+    assert list(split_tags(ds)) == tags
 
 
 def test_load_csv_assigns_8_1_1_split_when_column_missing(tmp_path):
@@ -288,7 +351,7 @@ def test_load_csv_assigns_8_1_1_split_when_column_missing(tmp_path):
         rows.append(f"{i}.0,{i % 2},0")  # two cells of 50 rows each
     path.write_text("\n".join(rows) + "\n")
     ds = load_csv(str(path), CsvSchema(("f0",), classes=2, groups=1, split_seed=1))
-    sizes = {s: int((ds.split == s).sum()) for s in ("train", "val", "test")}
+    sizes = {s: int((split_tags(ds) == s).sum()) for s in ("train", "val", "test")}
     assert sizes == {"train": 80, "val": 10, "test": 10}
 
 
@@ -314,6 +377,27 @@ def test_load_csv_missing_column(tmp_path):
     path.write_text("f0,label\n1.0,0\n")
     with pytest.raises(DataError, match="missing columns"):
         load_csv(str(path), CsvSchema(("f0",), classes=2, groups=1))
+
+
+def test_load_csv_names_the_first_missing_columns_of_a_count_and_counts_the_rest(tmp_path):
+    # of f0..f{d-1} this header holds f0, f999 (for d above 999) and f1000
+    # (for d above 1000); f01, f and f٣ are not such names
+    path = write_lines(tmp_path / "narrow.csv", ["f0,f01,f,f٣,f999,f1000,label,group", "0,0,0,0,0,0,0,0"])
+    cases = [
+        (10**11, "['f1', 'f2', 'f3', 'f4', 'f5'] and 99999999992 more"),
+        (1000, "['f1', 'f2', 'f3', 'f4', 'f5'] and 993 more"),
+        (3, "['f1', 'f2']"),
+    ]
+    for d, missing in cases:
+        with pytest.raises(DataError, match=re.escape(f"{path}: missing columns {missing}") + "$"):
+            load_csv(path, CsvSchema(d, classes=2, groups=1))
+    path = write_lines(tmp_path / "no_label.csv", ["f0,group", "0,0"])
+    with pytest.raises(DataError, match=re.escape("['f1', 'f2', 'f3', 'f4', 'f5'] and 1 more") + "$"):
+        load_csv(path, CsvSchema(6, classes=2, groups=1))
+    # a count the header holds reads like the names it stands for
+    path = write_lines(tmp_path / "wide.csv", ["f1,label,f0,group", "1.5,1,0.5,0"])
+    ds = load_csv(path, CsvSchema(2, classes=2, groups=1))
+    assert ds.features.tolist() == [[0.5, 1.5]] and ds.labels.tolist() == [1]
 
 
 def test_load_csv_repeated_column(tmp_path):
@@ -527,7 +611,7 @@ def test_stratified_split_keeps_every_cell_in_train():
             groups += [cell // 2] * size
         labels = np.array(labels)
         groups = np.array(groups)
-        split = assign_splits(labels, groups, seed=trial)
+        split = np.asarray(SPLITS)[assign_splits(labels, groups, seed=trial)]
         train_cells = set(zip(groups[split == "train"].tolist(), labels[split == "train"].tolist()))
         for s in ("val", "test"):
             eval_cells = set(zip(groups[split == s].tolist(), labels[split == s].tolist()))
@@ -561,7 +645,7 @@ def test_assign_splits_matches_the_mask_per_cell_loop():
             labels = rng.integers(0, classes, n)
             groups = rng.integers(0, num_groups, n)
             want = assign_splits_mask_per_cell(labels, groups, seed)
-            got = assign_splits(labels, groups, seed)
+            got = np.asarray(SPLITS)[assign_splits(labels, groups, seed)]
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -603,11 +687,12 @@ def test_group_stats_three_equal_groups():
 
 def test_group_stats_rejects_empty_split():
     ds = generate_synthetic(blob_config())
+    train = split_tags(ds) == "train"
     trimmed = Dataset(
-        ds.features[ds.split == "train"],
-        ds.labels[ds.split == "train"],
-        ds.groups[ds.split == "train"],
-        np.array(["train"] * int((ds.split == "train").sum())),
+        ds.features[train],
+        ds.labels[train],
+        ds.groups[train],
+        np.array(["train"] * int(train.sum())),
         ds.classes,
         ds.num_groups,
     )
@@ -664,4 +749,4 @@ def test_load_csv_with_custom_column_names(tmp_path):
     assert ds.d == 2
     assert ds.labels.tolist() == [0, 1, 0, 1]
     assert ds.groups.tolist() == [0, 1, 0, 1]
-    assert list(ds.split) == ["train", "train", "val", "test"]
+    assert list(split_tags(ds)) == ["train", "train", "val", "test"]

@@ -26,7 +26,7 @@ from fairexperts.experiment import (
 from fairexperts.net import init_mlp
 from fairexperts.training import PREDICT_BLOCK, Model, representation_blocks
 
-from helpers import load_interleaved_csv, separable_config
+from helpers import load_interleaved_csv, separable_config, split_tags
 
 SMALL = """
 version = 1
@@ -186,10 +186,11 @@ def test_representations_csv_matches_csv_writer_bytes(tmp_path, rows, experts42)
         arrays[0].flat[: len(edge)] = edge[: arrays[0].size]
         ds = Dataset(*arrays, source.classes, source.num_groups)
         save_csv(ds, str(path))
+        tags = split_tags(ds)
         assert path.read_bytes() == csv_writer_bytes(
             [f"f{i}" for i in range(ds.d)] + ["label", "group", "split"],
             ([repr(float(v)) for v in ds.features[i]]
-             + [int(ds.labels[i]), int(ds.groups[i]), str(ds.split[i])]
+             + [int(ds.labels[i]), int(ds.groups[i]), str(tags[i])]
              for i in range(ds.n)),
         )
 

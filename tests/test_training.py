@@ -43,6 +43,7 @@ from helpers import (
     central_difference,
     max_relative_error,
     predict_proba_oracle,
+    split_tags,
     tiny_dataset,
     tiny_hp,
 )
@@ -107,7 +108,7 @@ def test_erm_zero_learning_rate_keeps_initialization():
 
 def test_erm_single_full_batch_step_matches_finite_difference_gradient():
     cfg_ds = tiny_dataset()
-    idx = np.flatnonzero(cfg_ds.split == "train")[:4]  # four points, one batch
+    idx = np.flatnonzero(split_tags(cfg_ds) == "train")[:4]  # four points, one batch
     ds = Dataset(
         cfg_ds.features[idx],
         cfg_ds.labels[idx],
@@ -296,7 +297,7 @@ def test_experts_full_batch_step_follows_total_loss_gradient(seed, num_groups, e
 
 def test_update_routing_lambda_disc_only_touches_disc_and_backbone():
     ds = tiny_dataset()
-    n_train = int((ds.split == "train").sum())
+    n_train = int((split_tags(ds) == "train").sum())
     runs = {}
     for lam in (0.05, 0.5):
         hp = HyperParams(seed=5, epochs=1, batch_size=n_train, hidden_dim=16,
@@ -312,7 +313,7 @@ def test_update_routing_lambda_disc_only_touches_disc_and_backbone():
 
 def test_update_routing_center_coefficients_never_touch_discriminator():
     ds = tiny_dataset()
-    n_train = int((ds.split == "train").sum())
+    n_train = int((split_tags(ds) == "train").sum())
     runs = {}
     for lam in (0.05, 0.5):
         hp = HyperParams(seed=5, epochs=1, batch_size=n_train, hidden_dim=16,
@@ -507,10 +508,10 @@ def test_one_group_decoupled_model_still_routes_by_group():
 
 def test_decoupled_rejects_group_without_training_samples():
     ds = tiny_dataset()
-    keep = ~((ds.split == "train") & (ds.groups == 1))
+    keep = ~((split_tags(ds) == "train") & (ds.groups == 1))
     # removing group 1 from train leaves its val cells orphaned, so drop
     # those too
-    keep &= ~((ds.split != "train") & (ds.groups == 1))
+    keep &= ~((split_tags(ds) != "train") & (ds.groups == 1))
     pruned = Dataset(
         ds.features[keep], ds.labels[keep], ds.groups[keep], ds.split[keep],
         ds.classes, ds.num_groups,
@@ -550,7 +551,7 @@ def test_representation_blocks_are_deterministic(experts42, separable_ds):
 
 def test_representation_blocks_reject_empty_split():
     ds = tiny_dataset()
-    keep = ds.split != "test"
+    keep = split_tags(ds) != "test"
     pruned = Dataset(
         ds.features[keep], ds.labels[keep], ds.groups[keep], ds.split[keep],
         ds.classes, ds.num_groups,

@@ -21,8 +21,10 @@ pairs the change was lower and higher in, and the verdict that
 ``BENCHMARK.json``:
 
 * ``gain_rule_met``: the change is better in at least 9 of 10 pairs
-  (a tie counts for neither side) and its median is better than the
-  parent's by more than the parent's interquartile range;
+  (a tie counts for neither side), its median is better than the
+  parent's by more than the parent's interquartile range, and no larger
+  share of its ops failed than of the parent's (each side's failed and
+  attempted totals over the pairs are under the workload's ``ops``);
 * ``within_bound``: the change's median is worse than the parent's by
   at most the bound (a fraction of the parent's median);
 * ``unresolved``: the parent's IQR/median exceeds the bound and not
@@ -121,7 +123,15 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     verdict, for ``metrics`` given as in ``BENCHMARK.json``'s end_to_end."""
     summary = {}
     for workload in pairs[0]["parent"]:
-        rows = {}
+        ops = {
+            side: {"failed": sum(p[side][workload]["ops_failed"] for p in pairs),
+                   "attempted": sum(p[side][workload]["ops"] for p in pairs)}
+            for side in ("parent", "change")
+        }
+        # a larger share of failed ops than at the parent voids any gain
+        more_failed = (ops["change"]["failed"] * ops["parent"]["attempted"]
+                       > ops["parent"]["failed"] * ops["change"]["attempted"])
+        rows: dict = {"ops": ops}
         for metric in metrics:
             name, bound = metric["name"], metric["bound"]
             parent = [p["parent"][workload][name] for p in pairs]
@@ -137,7 +147,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                 "change_over_parent_median": round(cm / pm, 4),
                 "pairs_change_lower": sum(c < p for p, c in zip(parent, change)),
                 "pairs_change_higher": sum(c > p for p, c in zip(parent, change)),
-                "gain_rule_met": 10 * better >= 9 * len(pairs) and sign * (pm - cm) > p3 - p1,
+                "gain_rule_met": (not more_failed and 10 * better >= 9 * len(pairs)
+                                  and sign * (pm - cm) > p3 - p1),
                 "within_bound": sign * (pm - cm) >= -bound * pm,
                 "unresolved": (p3 - p1) / pm > bound and not separated,
             }
