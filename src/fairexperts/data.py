@@ -96,10 +96,23 @@ def _tag_codes(tags: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _index_dtype(bound: int) -> type:
+    """The narrowest unsigned integer type that holds ``range(bound)``:
+    ``uint8`` up to 256 values. Labels and groups are stored in it, so
+    arithmetic on them must cast to ``np.intp`` first or wrap."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if bound <= np.iinfo(dtype).max + 1:
+            return dtype
+    return np.uint64
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature/label/group arrays plus each row's split.
 
+    ``labels`` and ``groups`` may be given in any integer type; once in
+    range they are stored in the narrowest unsigned type that holds
+    ``[0, classes)`` and ``[0, num_groups)`` (``uint8`` up to 256 values).
     ``split`` holds one ``uint8`` code per row, an index into ``SPLITS``.
     It may be given as codes (an integer array) or as the tags
     train/val/test, which are turned into codes here; tags exist only in
@@ -110,8 +123,8 @@ class Dataset:
     """
 
     features: np.ndarray  # (n, d) float64
-    labels: np.ndarray  # (n,) int64, values in [0, classes)
-    groups: np.ndarray  # (n,) int64, values in [0, groups)
+    labels: np.ndarray  # (n,) unsigned, values in [0, classes)
+    groups: np.ndarray  # (n,) unsigned, values in [0, num_groups)
     split: np.ndarray  # (n,) uint8, values in [0, len(SPLITS))
     classes: int
     num_groups: int
@@ -121,7 +134,7 @@ class Dataset:
             values = np.asarray(getattr(self, name))
             if values.size and values.dtype.kind not in "iu":
                 raise DataError(f"{name} must be integers, got dtype {values.dtype}")
-            object.__setattr__(self, name, values.astype(np.int64, copy=False))
+            object.__setattr__(self, name, values)
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         split = np.asarray(self.split)
         n = self.features.shape[0]
@@ -144,12 +157,15 @@ class Dataset:
             if n and (values.min() < 0 or values.max() >= bound):
                 r = np.argmax((values < 0) | (values >= bound))
                 raise DataError(f"row {r + 1}: {what} {values[r]} out of range")
+        for name, bound in (("labels", self.classes), ("groups", self.num_groups)):
+            values = getattr(self, name).astype(_index_dtype(bound), copy=False)
+            object.__setattr__(self, name, values)
         object.__setattr__(
             self, "split", split.astype(np.uint8, copy=False) if given_codes else _tag_codes(split)
         )
         # one integer code per (group, class) cell, in (group, class) order;
         # each split's rows as a slice when contiguous, else an index array
-        codes = self.groups * self.classes + self.labels
+        codes = self.groups.astype(np.intp) * self.classes + self.labels  # intp, or it wraps
         rows, cells = {}, {}
         for s, name in enumerate(SPLITS):
             idx = np.flatnonzero(self.split == s)
@@ -287,8 +303,8 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     n = sum(cell[3] for cell in cells)
     try:
         features = np.empty((n, config.d))
-        labels = np.empty(n, dtype=np.int64)
-        groups = np.empty(n, dtype=np.int64)
+        labels = np.empty(n, dtype=_index_dtype(config.classes))
+        groups = np.empty(n, dtype=_index_dtype(config.groups))
         split = np.empty(n, dtype=np.uint8)
     except (ValueError, MemoryError) as exc:  # more rows than numpy or the host can hold
         raise DataError(f"data.count: cannot allocate {n} rows: {exc}") from None
@@ -502,7 +518,14 @@ def write_csv(
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for columns in blocks:
-            fields = [f for c in columns for f in (c.T if c.ndim == 2 else [c])]
-            for start in range(0, len(columns[0]), CSV_CHUNK):
-                cells = [map(str, f[start : start + CSV_CHUNK].tolist()) for f in fields]
-                fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+            _write_block(fh, columns)
+            # release this block before ``blocks`` computes the next one
+            del columns
+
+
+def _write_block(fh, columns: Sequence[np.ndarray]) -> None:
+    """Write one block's rows; nothing of the block is held once it returns."""
+    fields = [f for c in columns for f in (c.T if c.ndim == 2 else [c])]
+    for start in range(0, len(columns[0]), CSV_CHUNK):
+        cells = [map(str, f[start : start + CSV_CHUNK].tolist()) for f in fields]
+        fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))

@@ -39,6 +39,9 @@ def _stage(name: str, seed: int):
     """Tag any failure with the pipeline stage and seed it came from."""
     try:
         yield
+    except MemoryError as exc:
+        # numpy's allocation error prints its shape and dtype, not its args
+        raise MemoryError(f"[stage={name} seed={seed}] {exc}") from exc
     except Exception as exc:
         exc.args = (f"[stage={name} seed={seed}] {exc}",) + exc.args[1:]
         raise

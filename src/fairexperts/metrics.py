@@ -118,7 +118,8 @@ def _odds_table(
 ) -> np.ndarray:
     """(group, label, prediction) counts of binary predictions and labels,
     for group indices ``0..num_groups-1``, from one bincount."""
-    codes = index * 4 + (labels == 1) * 2 + (predictions == 1)
+    # intp first: the index may be stored as narrow as uint8
+    codes = index.astype(np.intp) * 4 + (labels == 1) * 2 + (predictions == 1)
     return np.bincount(codes, minlength=4 * num_groups).reshape(num_groups, 2, 2)
 
 

@@ -158,6 +158,19 @@ def test_run_that_runs_out_of_memory_past_the_backbone_is_data_error(
     assert "error: [stage=train-decoupled seed=5] Unable to allocate 732. MiB" in capsys.readouterr().err
 
 
+def test_run_that_numpy_cannot_allocate_for_names_the_stage_and_seed(
+    tmp_path, config_path, monkeypatch, capsys
+):
+    def out_of_memory(*args, **kwargs):
+        # 32 PiB: numpy fails at once and touches no memory
+        return np.empty((2**40, 2**12))
+
+    monkeypatch.setattr("fairexperts.experiment.train_experts", out_of_memory)
+    assert main(["run", "--config", config_path, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error: [stage=train-experts seed=5] Unable to allocate 32.0 PiB" in err
+
+
 def test_run_without_out_dir_is_usage_error(config_path):
     assert main(["run", "--config", config_path]) == 1
 

@@ -15,6 +15,7 @@ from fairexperts.data import (
     Dataset,
     SyntheticConfig,
     _class_shares,
+    _index_dtype,
     assign_splits,
     default_schema,
     generate_synthetic,
@@ -71,8 +72,9 @@ def generate_synthetic_oracle(config):
                     (n_cell, config.d)
                 )
                 feats.append(x)
-                labels.append(np.full(n_cell, c, dtype=np.int64))
-                groups.append(np.full(n_cell, g, dtype=np.int64))
+                # labels and groups in the narrowest type that holds their range
+                labels.append(np.full(n_cell, c, dtype=np.min_scalar_type(config.classes - 1)))
+                groups.append(np.full(n_cell, g, dtype=np.min_scalar_type(config.groups - 1)))
                 split.append(np.full(n_cell, split_name, dtype="U5"))
     return tuple(map(np.concatenate, (feats, labels, groups, split)))
 
@@ -116,8 +118,9 @@ def test_split_arrays_of_contiguous_splits_are_read_only_views():
 
 def test_dataset_leaves_the_callers_arrays_writable():
     features = np.zeros((2, 1))
-    labels = np.array([0, 1])
-    groups = np.array([0, 0])
+    # already in the stored types, so nothing needs a copy
+    labels = np.array([0, 1], dtype=np.uint8)
+    groups = np.array([0, 0], dtype=np.uint8)
     split = np.array([0, 0], dtype=np.uint8)
     ds = Dataset(features, labels, groups, split, 2, 1)
     features[0, 0] = 1.0
@@ -152,7 +155,7 @@ def test_cell_counts_match_a_bincount_oracle(tmp_path):
         for split in SPLITS:
             mask = split_tags(ds) == split
             want = np.bincount(
-                ds.groups[mask] * ds.classes + ds.labels[mask],
+                ds.groups[mask].astype(np.int64) * ds.classes + ds.labels[mask],
                 minlength=ds.num_groups * ds.classes,
             ).reshape(ds.num_groups, ds.classes)
             got = ds.cell_counts(split)
@@ -161,6 +164,58 @@ def test_cell_counts_match_a_bincount_oracle(tmp_path):
     assert not train_only.cell_counts("val").any()
     with pytest.raises(DataError, match="unknown split 'dev'"):
         train_only.cell_counts("dev")
+
+
+def test_write_csv_holds_one_block_while_the_next_is_computed(tmp_path, monkeypatch):
+    # short chunks, so that a block's floats outweigh one chunk's Python values
+    monkeypatch.setattr("fairexperts.data.CSV_CHUNK", 256)
+    header = [f"z{i}" for i in range(8)]
+    peaks = []
+    for count in (1, 4):
+        rng = np.random.default_rng(8)
+        blocks = ([rng.standard_normal((8192, 8))] for _ in range(count))
+        tracemalloc.start()
+        try:
+            write_csv(str(tmp_path / f"blocks_{count}.csv"), header, blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    # a block still held while the next is drawn adds 8,192 x 8 floats (0.5 MB)
+    assert peaks[1] < peaks[0] + 8192 * 8 * 8 / 2
+
+
+def test_cell_counts_of_more_cells_than_a_uint8_code_holds():
+    # 130 groups x 2 classes are 260 cells, while each group is stored as uint8
+    want = 1 + np.arange(260).reshape(130, 2) % 3
+    groups, labels = np.divmod(np.repeat(np.arange(260), want.ravel()), 2)
+    ds = Dataset(np.zeros((groups.size, 1)), labels, groups, np.zeros(groups.size, np.uint8), 2, 130)
+    assert ds.groups.dtype == ds.labels.dtype == np.uint8
+    assert np.array_equal(ds.cell_counts("train"), want)
+
+
+def test_labels_and_groups_are_stored_in_the_narrowest_unsigned_type(tmp_path):
+    features, split = np.zeros((2, 1)), np.zeros(2, np.uint8)
+    for bound, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16), (65537, np.uint32)):
+        values = np.array([bound - 1, 0])
+        by_class = Dataset(features, values, [0, 0], split, classes=bound, num_groups=1)
+        by_group = Dataset(features, [0, 0], values, split, classes=1, num_groups=bound)
+        assert by_class.labels.dtype == by_group.groups.dtype == dtype
+        assert by_class.labels.tolist() == by_group.groups.tolist() == [bound - 1, 0]
+    assert _index_dtype(2**32) == np.uint32 and _index_dtype(2**32 + 1) == np.uint64
+    ds = generate_synthetic(blob_config())
+    assert ds.labels.nbytes + ds.groups.nbytes == 2 * ds.n
+    path = tmp_path / "wide.csv"
+    path.write_text("f0,label,group\n1.0,0,0\n1.0,1,0\n")
+    loaded = load_csv(str(path), CsvSchema(("f0",), classes=2, groups=1))
+    assert loaded.labels.dtype == loaded.groups.dtype == np.uint8
+    # a CSV value is checked before it is narrowed: 256 would wrap to 0
+    path.write_text("f0,label,group\n1.0,0,0\n1.0,256,0\n")
+    with pytest.raises(DataError, match="row 2: label 256 out of range"):
+        load_csv(str(path), CsvSchema(("f0",), classes=2, groups=1))
+    path.write_text("f0,label,group\n1.0,0,0\n1.0,1,257\n")
+    with pytest.raises(DataError, match="row 2: group 257 out of range"):
+        load_csv(str(path), CsvSchema(("f0",), classes=2, groups=2))
 
 
 def test_dataset_stores_split_codes_given_as_codes_or_tags():
@@ -483,10 +538,10 @@ def test_dataset_rejects_labels_and_groups_that_are_not_integers():
         Dataset(features, [0, 1, 0], np.array(["0", "0", "0"]), split, classes=2, num_groups=1)
     # an empty array has no values to be wrong, whatever its dtype
     empty = Dataset(np.zeros((0, 1)), [], np.array([]), [], classes=2, num_groups=1)
-    assert empty.labels.dtype == empty.groups.dtype == np.int64
-    # narrower integer dtypes are widened to int64
-    ds = Dataset(features, np.array([0, 1, 0], np.uint8), np.zeros(3, np.int32), split, 2, 1)
-    assert ds.labels.dtype == ds.groups.dtype == np.int64 and ds.labels.tolist() == [0, 1, 0]
+    assert empty.labels.dtype == empty.groups.dtype == np.uint8
+    # any integer dtype is stored in the narrowest unsigned type of its range
+    ds = Dataset(features, np.array([0, 1, 0], np.int64), np.zeros(3, np.int32), split, 2, 1)
+    assert ds.labels.dtype == ds.groups.dtype == np.uint8 and ds.labels.tolist() == [0, 1, 0]
 
 
 def test_dataset_names_the_first_row_at_fault():

@@ -442,6 +442,18 @@ def test_equalized_odds_matches_the_per_group_loop_oracle():
     assert _report_eo(np.array([1, 0]), np.array([0, 1]), np.array([0, 0])) == 1.0
 
 
+def test_equalized_odds_of_more_groups_than_a_uint8_odds_code_holds():
+    # 70 groups are stored as uint8, and group * 4 passes 255 from group 64 on
+    rng = np.random.default_rng(25)
+    groups = np.repeat(np.arange(70), 10)
+    labels = np.tile(np.arange(10) % 2, 70)
+    preds = rng.integers(0, 2, groups.size)
+    ds = dataset_from_arrays(np.zeros((groups.size, 1)), labels, groups, 2, 70)
+    assert ds.groups.dtype == np.uint8
+    eo = _report_eo(preds, labels, groups)
+    assert _bits(eo) == _bits(equalized_odds_oracle(preds, labels, groups))
+
+
 def _three_group_three_class():
     means = np.arange(27, dtype=float).reshape(3, 3, 3) / 9.0
     return SyntheticConfig(

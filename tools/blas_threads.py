@@ -19,10 +19,13 @@ process, into a temporary directory, and prints per pipeline stage (each
 ``experiment._stage`` block, summed over seeds) the ticks of the worker
 threads and of the calling thread, plus the ticks before the run
 (imports, and a pause of ``SETTLE_S`` that lets the worker's start-up
-spin end) and those outside every stage (writing the report files). It
+spin end) and those outside every stage (writing the report files).
+Two more columns show which stage sets the peak memory: the process's
+peak RSS so far (``ru_maxrss``) and its current RSS (``/proc/self/statm``),
+each the largest read at the end of the stage over the seeds. It
 imports ``fairexperts`` from ``PYTHONPATH`` if that has it, else from
 this checkout's ``src``, so ``PYTHONPATH=OTHER/src`` measures another
-tree. Linux only (it reads ``/proc/self/task``); standard library plus
+tree. Linux only (it reads ``/proc/self``); standard library plus
 numpy.
 """
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import tempfile
 import threading
@@ -67,6 +71,14 @@ def thread_ticks() -> tuple[int, int]:
     return own, others
 
 
+def rss_mb() -> np.ndarray:
+    """(peak RSS so far, current RSS) of this process, in MiB."""
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        resident = int(fh.read().split()[1])
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    return np.array([peak_kib / 1024, resident * os.sysconf("SC_PAGE_SIZE") / 2**20])
+
+
 def run(size: int, weights: list[np.ndarray], rng: np.random.Generator) -> tuple[int, float]:
     """Worker ticks and wall seconds for ``ROWS`` rows in blocks of ``size``."""
     x = rng.standard_normal((size, LAYERS[0][0]))
@@ -88,7 +100,7 @@ def run(size: int, weights: list[np.ndarray], rng: np.random.Generator) -> tuple
 
 
 def run_stages(config_path: str) -> None:
-    """Print worker and calling-thread ticks per stage of one experiment run."""
+    """Print worker and calling-thread ticks and RSS per stage of one experiment run."""
     if str(ROOT / "src") not in sys.path:
         sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which wins
     import fairexperts
@@ -98,6 +110,7 @@ def run_stages(config_path: str) -> None:
     config = load_config(config_path)
     stage = experiment._stage  # run_seed looks the name up at each call
     ticks: dict[str, np.ndarray] = {}  # stage name: (calling, workers), over seeds
+    rss: dict[str, np.ndarray] = {}  # stage name: (peak, current) at its end, over seeds
 
     @contextmanager
     def counted(name: str, seed: int):
@@ -107,25 +120,28 @@ def run_stages(config_path: str) -> None:
                 yield
         finally:
             ticks[name] = ticks.get(name, 0) + np.array(thread_ticks()) - before
+            rss[name] = np.maximum(rss.get(name, 0), rss_mb())
 
     # the worker spin-waits for a while after numpy starts it; let that
     # end before the run, or it counts against the first stages
     time.sleep(SETTLE_S)
-    start = np.array(thread_ticks())
+    start, start_rss = np.array(thread_ticks()), rss_mb()
     experiment._stage = counted
     try:
         with tempfile.TemporaryDirectory(prefix="blas_threads_") as out:
             experiment.run_experiment(config, out)
     finally:
         experiment._stage = stage
-    total = np.array(thread_ticks()) - start
+    total, end_rss = np.array(thread_ticks()) - start, rss_mb()
     table = {"(before the run)": start, **ticks,
              "(outside stages)": total - sum(ticks.values()), "run total": total}
+    rss.update({"(before the run)": start_rss, "run total": end_rss})
     print(f"fairexperts from {Path(fairexperts.__file__).parent}, numpy {np.__version__}, "
           f"{os.cpu_count()} CPUs, {os.sysconf('SC_CLK_TCK')} ticks/s, {config_path}")
-    print(f"{'stage':<16} | worker-thread ticks | calling-thread ticks")
+    print(f"{'stage':<16} | worker-thread ticks | calling-thread ticks | peak RSS MiB | RSS MiB")
     for name, (calling, workers) in table.items():
-        print(f"{name:<16} | {workers:>19} | {calling:>20}")
+        peak, current = (f"{v:.2f}" for v in rss[name]) if name in rss else ("-", "-")
+        print(f"{name:<16} | {workers:>19} | {calling:>20} | {peak:>12} | {current:>7}")
 
 
 def main(argv=None) -> None:
