@@ -96,6 +96,10 @@ def _tag_codes(tags: np.ndarray) -> np.ndarray:
     return codes
 
 
+# rows per block of Dataset's cell counts
+CHECK_BLOCK = 8192
+
+
 def _index_dtype(bound: int) -> type:
     """The narrowest unsigned integer type that holds ``range(bound)``:
     ``uint8`` up to 256 values. Labels and groups are stored in it, so
@@ -137,17 +141,20 @@ class Dataset:
             object.__setattr__(self, name, values)
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         split = np.asarray(self.split)
-        n = self.features.shape[0]
         if self.features.ndim != 2:
             raise DataError("features must be a 2-d matrix")
+        n = self.features.shape[0]
+        if self.features.shape[1] == 0:
+            raise DataError("features must have at least one column")
         if self.labels.shape != (n,) or self.groups.shape != (n,) or split.shape != (n,):
             raise DataError("labels/groups/split lengths must match features")
         # integers (and an empty split, as for labels) are codes, anything
         # else is tags
         given_codes = split.dtype.kind in "iu" or not split.size
-        # each check runs on the whole array; only a failed one looks for
-        # the first row at fault, counted from 1 as in a CSV file
-        if n and not np.all(np.isfinite(self.features)):
+        # each check reduces the whole array without a temporary (NaN fails
+        # both comparisons); only a failed one looks for the first row at
+        # fault, counted from 1 as in a CSV file
+        if n and not (-np.inf < self.features.min() and self.features.max() < np.inf):
             r = np.argmax(~np.isfinite(self.features).all(axis=1))
             raise DataError(f"row {r + 1}: features must be finite")
         bounds = [("label", self.labels, self.classes), ("group", self.groups, self.num_groups)]
@@ -163,17 +170,16 @@ class Dataset:
         object.__setattr__(
             self, "split", split.astype(np.uint8, copy=False) if given_codes else _tag_codes(split)
         )
-        # one integer code per (group, class) cell, in (group, class) order;
+        cells, ends = self._count_cells()
         # each split's rows as a slice when contiguous, else an index array
-        codes = self.groups.astype(np.intp) * self.classes + self.labels  # intp, or it wraps
-        rows, cells = {}, {}
+        rows = {}
         for s, name in enumerate(SPLITS):
-            idx = np.flatnonzero(self.split == s)
-            if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-                idx = slice(idx[0], idx[-1] + 1)
-            rows[name] = idx
-            counts = np.bincount(codes[idx], minlength=self.num_groups * self.classes)
-            cells[name] = counts.reshape(self.num_groups, self.classes)
+            first, last = ends[s]
+            if last - first + 1 == cells[s].sum():
+                rows[name] = slice(first, last + 1)
+            else:
+                rows[name] = np.flatnonzero(self.split == s)
+        cells = dict(zip(SPLITS, cells))
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_cells", cells)
         for split_name in ("val", "test"):
@@ -190,6 +196,32 @@ class Dataset:
             object.__setattr__(self, name, view)
         for counts in cells.values():
             counts.flags.writeable = False
+
+    def _count_cells(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """(split, group, class) sample counts and each split's first and
+        last row ((0, -1) if it has none), counted ``CHECK_BLOCK`` rows at
+        a time, so no temporary is as long as the data."""
+        counts = np.zeros((len(SPLITS), self.num_groups, self.classes), dtype=np.int64)
+        flat = counts.reshape(-1)  # a view
+        ends = [[None, -1] for _ in SPLITS]
+        for start in range(0, self.n, CHECK_BLOCK):
+            rows = slice(start, start + CHECK_BLOCK)
+            block = self.split[rows]
+            # one code per (split, group, class) cell, in that order; intp,
+            # or it wraps
+            codes = block.astype(np.intp)
+            codes *= self.num_groups
+            codes += self.groups[rows]
+            codes *= self.classes
+            codes += self.labels[rows]
+            flat += np.bincount(codes, minlength=flat.size)
+            for s, end in enumerate(ends):
+                hit = block == s
+                if hit.any():
+                    if end[0] is None:
+                        end[0] = start + int(hit.argmax())
+                    end[1] = start + len(block) - 1 - int(hit[::-1].argmax())
+        return counts, [(0, -1) if first is None else (first, last) for first, last in ends]
 
     @property
     def n(self) -> int:
@@ -498,9 +530,13 @@ def save_csv(dataset: Dataset, path: str) -> None:
     write_csv(path, header, [[dataset.features, dataset.labels, dataset.groups, tags]])
 
 
-# rows per tolist() call; converting the whole array at once would hold
-# every value as a Python float and raise peak memory
-CSV_CHUNK = 4096
+# rows per tolist() call: memory holds one chunk of Python values (each
+# float, its str and its share of the line) besides the block being
+# written, and converting the whole array at once would hold every value
+# as a Python float. Writing heldout_heavy's 120,000-row representations
+# file (10 columns) peaked 3.05 MB above its start at 4,096 rows per
+# chunk and 0.84 MB at 512 (tracemalloc), the same bytes.
+CSV_CHUNK = 512
 
 
 def write_csv(

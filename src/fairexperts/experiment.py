@@ -192,6 +192,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
             representation_blocks(experts, dataset, "test"),
         )
         reports.append(report)
+        # or this seed's model and data stay alive while the next seed runs
+        del experts, dataset
     aggregate = {
         "format_version": REPORT_VERSION,
         "seeds": list(config.seeds),

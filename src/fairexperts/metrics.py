@@ -4,8 +4,11 @@ and an equalized-odds score for binary tasks.
 A predictor is anything callable as ``predict(features, groups)``
 returning one row of class probabilities per sample, one column per
 class (the groups argument lets routed predictors dispatch; plain models
-may ignore it). A report takes one argmax of those rows; its accuracies
-and equalized-odds rates are integer counts divided by integer counts.
+may ignore it). A report calls its predictor once on the whole split,
+then counts (group, label, argmax) over blocks of at most
+``APPLY_BLOCK`` rows into one (groups, classes, classes) table; its
+accuracies and equalized-odds rates are counts of that table divided by
+counts, so it holds the predictor's output plus one block.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, group_stats
+from .net import APPLY_BLOCK, row_blocks
 
 METRIC_KINDS = ("accuracy", "auc")
 
@@ -113,16 +117,6 @@ def gap(gm: GroupMetrics) -> float:
     return float(gm.values.max() - gm.values.min())
 
 
-def _odds_table(
-    predictions: np.ndarray, labels: np.ndarray, index: np.ndarray, num_groups: int
-) -> np.ndarray:
-    """(group, label, prediction) counts of binary predictions and labels,
-    for group indices ``0..num_groups-1``, from one bincount."""
-    # intp first: the index may be stored as narrow as uint8
-    codes = index.astype(np.intp) * 4 + (labels == 1) * 2 + (predictions == 1)
-    return np.bincount(codes, minlength=4 * num_groups).reshape(num_groups, 2, 2)
-
-
 def _odds_score(table: np.ndarray) -> float:
     """Worst pairwise equalized-odds score of a table in which every group
     has both labels."""
@@ -132,10 +126,12 @@ def _odds_score(table: np.ndarray) -> float:
 
 
 def _evaluate(predict, dataset: Dataset, split: str, kind: str):
-    """(GroupMetrics, probabilities, argmax, labels, groups) of one
-    predictor call, whose output must be (rows, classes).
+    """(GroupMetrics, counts, probabilities, labels) of one predictor
+    call, whose output must be (rows, classes).
 
-    Per-group accuracy is a group's correct-argmax count over its rows.
+    ``counts[g, y, k]`` is the number of rows of group g with label y
+    whose argmax is k (the first index on ties). Per-group accuracy is a
+    group's diagonal over its rows.
     """
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
@@ -149,9 +145,18 @@ def _evaluate(predict, dataset: Dataset, split: str, kind: str):
     expected = (features.shape[0], dataset.classes)
     if probs.shape != expected:
         raise ValueError(f"predictor returned shape {probs.shape}, expected {expected}")
-    predicted = probs.argmax(axis=1)
+    c = dataset.classes
+    counts = np.zeros(dataset.num_groups * c * c, dtype=np.int64)
+    for rows in row_blocks(len(probs), APPLY_BLOCK):
+        codes = groups[rows].astype(np.intp)  # intp, or it wraps
+        codes *= c
+        codes += labels[rows]
+        codes *= c
+        codes += probs[rows].argmax(axis=1)
+        counts += np.bincount(codes, minlength=counts.size)
+    counts = counts.reshape(dataset.num_groups, c, c)
     if kind == "accuracy":
-        values = np.bincount(groups[predicted == labels], minlength=dataset.num_groups) / stats.counts
+        values = np.trace(counts, axis1=1, axis2=2) / stats.counts
     else:
         values = np.empty(dataset.num_groups)
         cells = dataset.cell_counts(split)
@@ -161,7 +166,7 @@ def _evaluate(predict, dataset: Dataset, split: str, kind: str):
             mask = groups == g
             values[g] = auc(probs[mask, 1], labels[mask])
     gm = GroupMetrics(kind, values, stats.proportions, split)
-    return gm, probs, predicted, labels, groups
+    return gm, counts, probs, labels
 
 
 def group_eval(predict, dataset: Dataset, split: str, kind: str) -> GroupMetrics:
@@ -179,17 +184,21 @@ def build_report(
     pooled value is computed on the whole split (for AUC this is not
     a proportion-weighted mean of the group values). The equalized-odds
     score is included for binary tasks when every group carries both
-    classes, from argmax predictions. The predictor is called once.
+    classes, from argmax predictions. The predictor is called once, on
+    the whole split; accuracies and the equalized-odds score come from
+    one (group, label, argmax) count table, so no array as long as the
+    split is made beyond the predictor's output (AUC, which ranks the
+    scores, still takes per-group masks of the split).
     """
-    gm, probs, predicted, labels, groups = _evaluate(predict, dataset, split, kind)
+    gm, counts, probs, labels = _evaluate(predict, dataset, split, kind)
     if kind == "accuracy":
-        overall = accuracy(predicted, labels)
+        # equal to the mean of the n-length hit mask: an integer count over n
+        overall = np.trace(counts, axis1=1, axis2=2).sum() / len(labels)
     else:
         overall = auc(probs[:, 1], labels)
     eo = None
     if dataset.classes == 2 and dataset.cell_counts(split).all():
-        # ids are 0..G-1 and every group has both labels: no sort, no check
-        eo = _odds_score(_odds_table(predicted, labels, groups, dataset.num_groups))
+        eo = _odds_score(counts)
     return {
         "metric_kind": kind,
         "split": split,

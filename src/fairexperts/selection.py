@@ -174,14 +174,17 @@ def routed_predictor(decision: SelectionDecision, experts_model, erm_model):
     """Predictor that routes each sample by its group's selection bit."""
     expert_predict = experts_model.predict_proba
     erm_predict = erm_model.predict_proba
-    choices = np.asarray(decision.choices)
+    # a boolean lookup: one byte per routed row, not an int64
+    expert_groups = np.asarray(decision.choices) == 1
 
     def predict(features: np.ndarray, groups: np.ndarray) -> np.ndarray:
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        groups = check_index("groups", np.atleast_1d(groups), features.shape[0], choices.size)
+        groups = check_index(
+            "groups", np.atleast_1d(groups), features.shape[0], expert_groups.size
+        )
         if groups.size == 0:
             return erm_predict(features, groups)  # (0, classes), as a model gives
-        use_expert = choices[groups] == 1
+        use_expert = expert_groups[groups]
         probs: np.ndarray | None = None
         for mask, fn in ((use_expert, expert_predict), (~use_expert, erm_predict)):
             if not mask.any():

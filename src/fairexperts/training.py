@@ -197,7 +197,11 @@ class Model:
             # numpy sends a one-row product to gemv, which rounds unlike
             # gemm; a group with more rows in the input takes its only row
             # of a block through a two-row product, as one pass would
-            alone = np.bincount(groups, minlength=len(self.heads)) == 1
+            # (counted per block: bincount casts its input to an intp copy)
+            counts = np.zeros(len(self.heads), dtype=np.int64)
+            for rows in row_blocks(n, PREDICT_BLOCK):
+                counts += np.bincount(groups[rows], minlength=len(self.heads))
+            alone = counts == 1
         probs = np.empty((n, self.heads[0].out_dim))
         for rows in row_blocks(n, PREDICT_BLOCK):
             z = self.representations(x[rows])

@@ -7,8 +7,17 @@ import numpy as np
 from hypothesis import strategies as st
 
 from fairexperts import HyperParams, SyntheticConfig, generate_synthetic
-from fairexperts.data import SPLITS, CsvSchema, DataError, Dataset, assign_splits, load_csv
+from fairexperts.data import (
+    SPLITS,
+    CsvSchema,
+    DataError,
+    Dataset,
+    assign_splits,
+    group_stats,
+    load_csv,
+)
 from fairexperts.losses import EXP_CLAMP, PairAssignment, VirtualCenters
+from fairexperts.metrics import _odds_score, accuracy, auc
 from fairexperts.net import TrainingDivergence, check_index, softmax
 
 
@@ -100,6 +109,40 @@ def predict_proba_oracle(model, features, groups=None):
         if mask.any():
             probs[mask] = softmax(head.forward(z[mask])[0])
     return probs
+
+
+def build_report_oracle(probs, dataset, split, kind):
+    """``build_report`` of the predictor output ``probs`` as it was computed
+    on whole-split arrays: one argmax of every row, an n-length hit mask
+    per group and for the pooled accuracy, and the (group, label,
+    prediction) table of binary tasks from one bincount of n codes."""
+    _, labels, groups = dataset.split_arrays(split)
+    stats = group_stats(dataset, split)
+    predicted = probs.argmax(axis=1)
+    if kind == "accuracy":
+        values = np.bincount(groups[predicted == labels], minlength=dataset.num_groups)
+        values = values / stats.counts
+        overall = accuracy(predicted, labels)
+    else:
+        values = np.array([auc(probs[groups == g, 1], labels[groups == g])
+                           for g in range(dataset.num_groups)])
+        overall = auc(probs[:, 1], labels)
+    eo = None
+    if dataset.classes == 2 and dataset.cell_counts(split).all():
+        codes = groups.astype(np.intp) * 4 + (labels == 1) * 2 + (predicted == 1)
+        table = np.bincount(codes, minlength=4 * dataset.num_groups)
+        eo = _odds_score(table.reshape(dataset.num_groups, 2, 2))
+    return {
+        "metric_kind": kind,
+        "split": split,
+        "overall": float(overall),
+        "per_group": [float(v) for v in values],
+        "proportions": [float(p) for p in stats.proportions],
+        "mf": float(values.min()),
+        "gap": float(values.max() - values.min()) if dataset.num_groups >= 2 else 0.0,
+        "eo": eo,
+        "selection": None,
+    }
 
 
 def enumerate_ip_oracle(expert, erm, proportions, lambda_sel):

@@ -8,6 +8,7 @@ from hypothesis import Phase, given, settings
 
 from fairexperts import rng as rngmod
 from fairexperts.data import (
+    CHECK_BLOCK,
     SPLIT_RATIOS,
     SPLITS,
     CsvSchema,
@@ -562,6 +563,44 @@ def test_dataset_names_the_first_row_at_fault():
         build(features=((0.0,), (0.0,), (0.0,), (np.inf,)), labels=(9, 0, 0, 0))
     with pytest.raises(DataError, match="row 4: label 9"):
         build(labels=(0, 0, 0, 9), groups=(3, 0, 0, 0), split=["dev"] * 4)
+
+
+def test_dataset_rejects_zero_width_features():
+    # training would divide by a zero fan-in, and min/max reduce no values
+    for n in (4, 0):
+        with pytest.raises(DataError, match=r"^features must have at least one column$"):
+            Dataset(np.zeros((n, 0)), [0, 1, 0, 1][:n], [0] * n, ["train"] * n, 2, 1)
+    # the shape is checked before its row count is read
+    with pytest.raises(DataError, match=r"^features must be a 2-d matrix$"):
+        Dataset(np.float64(5.0), [], [], [], 2, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_names_the_first_row_with_a_value_that_is_not_finite(bad):
+    features = np.ones((5, 2))
+    features[2, 1] = bad
+    features[3, 0] = np.nan
+    with pytest.raises(DataError, match=r"^row 3: features must be finite$"):
+        Dataset(features, [0, 1, 0, 1, 0], [0] * 5, ["train"] * 5, 2, 1)
+
+
+def test_dataset_checks_hold_one_block_at_any_size():
+    peaks = []
+    for n in (30_000, 120_000):
+        features = np.random.default_rng(0).standard_normal((n, 10))
+        labels = (np.arange(n) % 2).astype(np.uint8)
+        groups = (np.arange(n) % 6).astype(np.uint8)
+        split = np.repeat(np.arange(3, dtype=np.uint8), [n // 2, n // 4, n - n // 2 - n // 4])
+        tracemalloc.start()
+        try:
+            Dataset(features, labels, groups, split, 2, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    # one block of intp cell codes and numpy's cast buffer of as many; an
+    # n x d finiteness mask alone would take 0.3 MB at 30,000 rows
+    assert max(peaks) < 3 * CHECK_BLOCK * 8
 
 
 def write_lines(path, lines):

@@ -3,10 +3,12 @@ import io
 import json
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from fairexperts import experiment
 from fairexperts.config import config_from_dict, parse_kv_text
 from fairexperts.data import (
     CSV_CHUNK,
@@ -154,7 +156,8 @@ def csv_writer_bytes(header, rows):
     return out.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("rows", [0, 1, 2 * CSV_CHUNK + 3])
+# 8195 rows is 16 chunks and 3 rows at CSV_CHUNK = 512, and 2 chunks and 3 at 4096
+@pytest.mark.parametrize("rows", [0, 1, 2 * CSV_CHUNK + 3, 8195])
 def test_representations_csv_matches_csv_writer_bytes(tmp_path, rows, experts42):
     """Every CSV writer gives the bytes of the csv.writer loop it replaced."""
     rng = np.random.default_rng(rows)
@@ -230,6 +233,20 @@ def test_streamed_representations_csv_memory_does_not_grow_with_the_split(tmp_pa
     # one block at a time; the whole split's representations would add
     # three blocks of PREDICT_BLOCK x 8 floats (1.5 MB)
     assert peaks[1] < peaks[0] + PREDICT_BLOCK * 8 * 8 / 2
+
+
+def test_run_experiment_holds_one_seed_at_a_time(tmp_path, monkeypatch):
+    held = []  # weak references to each finished seed's dataset and model
+
+    def one_seed(config, seed):
+        assert [ref() for ref in held] == [None] * len(held), "an earlier seed is still held"
+        report, experts, dataset = run_seed(config, seed)
+        held.extend((weakref.ref(dataset), weakref.ref(experts)))
+        return report, experts, dataset
+
+    monkeypatch.setattr(experiment, "run_seed", one_seed)
+    run_experiment(small_config("5, 6, 7"), str(tmp_path))
+    assert len(held) == 6
 
 
 def test_report_json_is_sorted_and_plain(tmp_path):

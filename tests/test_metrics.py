@@ -1,7 +1,21 @@
+import json
+import os
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from fairexperts.data import Dataset, SyntheticConfig, generate_synthetic
+from fairexperts.data import (
+    Dataset,
+    SyntheticConfig,
+    default_schema,
+    generate_synthetic,
+    load_csv,
+    save_csv,
+)
 from fairexperts.metrics import (
     GroupMetrics,
     accuracy,
@@ -11,8 +25,10 @@ from fairexperts.metrics import (
     group_eval,
     max_min,
 )
+from fairexperts.net import APPLY_BLOCK
 
 from helpers import (
+    build_report_oracle,
     equalized_odds_oracle,
     load_interleaved_csv,
     pairwise_auc_oracle,
@@ -510,3 +526,72 @@ def test_predictor_output_needs_one_column_per_class(evaluate):
     multiclass = dataset_from_arrays(np.zeros((12, 1)), np.tile([0, 1, 2], 4), np.repeat([0, 1], 6), 3, 2)
     with pytest.raises(ValueError, match=r"auc needs binary class probabilities \(n, 2\)"):
         evaluate(never_called, multiclass, "train", "auc")
+
+
+@st.composite
+def report_cases(draw):
+    """A dataset, one of its splits, and predictor output rich in ties.
+
+    Each group holds one to three triples of rows, a train, a val and a
+    test row with one label, so every split holds every group and every
+    (group, class) cell of val and test is in train; a group whose
+    triples share a label lacks a class. The rows are shuffled
+    (interleaved splits, index arrays) or ordered by split (slices), and
+    may go through a CSV file.
+    """
+    num_groups, classes = draw(st.integers(1, 70)), draw(st.integers(1, 3))
+    triples = [draw(st.lists(st.integers(0, classes - 1), min_size=1, max_size=3))
+               for _ in range(num_groups)]
+    labels = np.repeat(np.concatenate(triples), 3)
+    groups = np.repeat(np.arange(num_groups), [3 * len(t) for t in triples])
+    split = np.tile(np.arange(3), labels.size // 3)
+    order = (np.array(draw(st.permutations(range(labels.size)))) if draw(st.booleans())
+             else np.argsort(split, kind="stable"))
+    features = np.arange(labels.size, dtype=np.float64)[order, None]
+    ds = Dataset(features, labels[order], groups[order], split[order], classes, num_groups)
+    if draw(st.booleans()):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            save_csv(ds, path)
+            ds = load_csv(path, default_schema(1, classes, num_groups))
+    split_name = draw(st.sampled_from(("train", "val", "test")))
+    # values 0, 0.5 and 1: rows often tie, and argmax takes the first
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.integers(0, 3, (int(ds.cell_counts(split_name).sum()), classes)) / 2
+    return ds, split_name, probs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(case=report_cases())
+def test_report_equals_the_whole_split_oracle_bit_for_bit(case):
+    ds, split, probs = case
+    kinds = ["accuracy"]
+    if ds.classes == 2 and ds.cell_counts(split).all():
+        kinds.append("auc")
+    for kind in kinds:
+        report = build_report(lambda x, g: probs, ds, split, kind)
+        want = build_report_oracle(probs, ds, split, kind)
+        # the bytes a report file holds, so -0.0 and 0.0 differ too
+        assert json.dumps(report, sort_keys=True) == json.dumps(want, sort_keys=True)
+        gm = group_eval(lambda x, g: probs, ds, split, kind)
+        assert json.dumps(gm.values.tolist()) == json.dumps(want["per_group"])
+
+
+def test_build_report_holds_one_block_beyond_the_predictor_output():
+    peaks = []
+    for per_group in (5_000, 20_000):  # 30,000 and 120,000 rows
+        ds = generate_synthetic(SyntheticConfig(
+            d=1, classes=2, groups=6, means=np.zeros((6, 2, 1)), stds=np.ones((6, 2)),
+            counts={"train": (2,) * 6, "val": (per_group,) * 6, "test": (1,) * 6}, seed=3,
+        ))
+        probs = np.random.default_rng(1).random((6 * per_group, 2))
+        tracemalloc.start()
+        try:
+            build_report(lambda x, g: probs, ds, "val", "accuracy")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    # a few intp arrays of one block each; an argmax, hit mask or code per
+    # row of the split would take 0.25 MB at 30,000 rows
+    assert max(peaks) < 8 * APPLY_BLOCK * 8

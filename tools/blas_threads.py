@@ -19,10 +19,13 @@ process, into a temporary directory, and prints per pipeline stage (each
 ``experiment._stage`` block, summed over seeds) the ticks of the worker
 threads and of the calling thread, plus the ticks before the run
 (imports, and a pause of ``SETTLE_S`` that lets the worker's start-up
-spin end) and those outside every stage (writing the report files).
-Two more columns show which stage sets the peak memory: the process's
-peak RSS so far (``ru_maxrss``) and its current RSS (``/proc/self/statm``),
-each the largest read at the end of the stage over the seeds. It
+spin end), those of writing the output files (each seed's report JSON,
+training log and representations CSV, whose blocks are computed as they
+are written, and the aggregate JSON: the calls in ``WRITERS``) and those
+outside all of these. Two more columns show which stage sets the peak
+memory: the process's peak RSS so far (``ru_maxrss``) and its current
+RSS (``/proc/self/statm``), each the largest read at the end of the
+stage, or of a write, over the seeds. It
 imports ``fairexperts`` from ``PYTHONPATH`` if that has it, else from
 this checkout's ``src``, so ``PYTHONPATH=OTHER/src`` measures another
 tree. Linux only (it reads ``/proc/self``); standard library plus
@@ -48,6 +51,8 @@ ROWS = 2_000_000
 BLOCK_SIZES = (8192, 2048, 2047, 1800, 1536, 1024, 512)
 LAYERS = ((10, 32), (32, 8))  # (in, out) of the default backbone
 SETTLE_S = 1.0
+# the output writers that experiment.run_experiment calls, timed as one row
+WRITERS = ("write_json", "write_training_log", "write_representations_csv")
 
 
 def thread_ticks() -> tuple[int, int]:
@@ -100,7 +105,8 @@ def run(size: int, weights: list[np.ndarray], rng: np.random.Generator) -> tuple
 
 
 def run_stages(config_path: str) -> None:
-    """Print worker and calling-thread ticks and RSS per stage of one experiment run."""
+    """Print worker and calling-thread ticks and RSS per stage, and of the
+    output writing, of one experiment run."""
     if str(ROOT / "src") not in sys.path:
         sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which wins
     import fairexperts
@@ -108,33 +114,48 @@ def run_stages(config_path: str) -> None:
     from fairexperts.config import load_config
 
     config = load_config(config_path)
-    stage = experiment._stage  # run_seed looks the name up at each call
-    ticks: dict[str, np.ndarray] = {}  # stage name: (calling, workers), over seeds
-    rss: dict[str, np.ndarray] = {}  # stage name: (peak, current) at its end, over seeds
+    ticks: dict[str, np.ndarray] = {}  # row name: (calling, workers), over seeds
+    rss: dict[str, np.ndarray] = {}  # row name: (peak, current) at its end, over seeds
 
     @contextmanager
-    def counted(name: str, seed: int):
+    def measured(name: str):
         before = np.array(thread_ticks())
         try:
-            with stage(name, seed):
-                yield
+            yield
         finally:
             ticks[name] = ticks.get(name, 0) + np.array(thread_ticks()) - before
             rss[name] = np.maximum(rss.get(name, 0), rss_mb())
 
+    stage = experiment._stage  # run_seed looks the names up at each call
+
+    @contextmanager
+    def counted(name: str, seed: int):
+        with measured(name), stage(name, seed):
+            yield
+
+    def writing(write):
+        def measured_write(*args, **kwargs):
+            with measured("write outputs"):
+                return write(*args, **kwargs)
+        return measured_write
+
+    originals = {name: getattr(experiment, name) for name in ("_stage", *WRITERS)}
+    patches = {"_stage": counted, **{name: writing(originals[name]) for name in WRITERS}}
     # the worker spin-waits for a while after numpy starts it; let that
     # end before the run, or it counts against the first stages
     time.sleep(SETTLE_S)
     start, start_rss = np.array(thread_ticks()), rss_mb()
-    experiment._stage = counted
+    for name, patch in patches.items():
+        setattr(experiment, name, patch)
     try:
         with tempfile.TemporaryDirectory(prefix="blas_threads_") as out:
             experiment.run_experiment(config, out)
     finally:
-        experiment._stage = stage
+        for name, original in originals.items():
+            setattr(experiment, name, original)
     total, end_rss = np.array(thread_ticks()) - start, rss_mb()
     table = {"(before the run)": start, **ticks,
-             "(outside stages)": total - sum(ticks.values()), "run total": total}
+             "(other)": total - sum(ticks.values()), "run total": total}
     rss.update({"(before the run)": start_rss, "run total": end_rss})
     print(f"fairexperts from {Path(fairexperts.__file__).parent}, numpy {np.__version__}, "
           f"{os.cpu_count()} CPUs, {os.sysconf('SC_CLK_TCK')} ticks/s, {config_path}")
