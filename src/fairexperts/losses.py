@@ -100,19 +100,19 @@ def sample_pairs(
     labels: np.ndarray,
     groups: np.ndarray,
     gen: np.random.Generator,
-    batch_size: int | None = None,
+    batch_size: int,
 ) -> PairAssignment:
     """Draw positive/negative partners uniformly among eligible indices.
 
     The positive shares the sample's class and group; the negative differs
     in both class and group. Entries with no eligible partner get -1.
 
-    With ``batch_size``, the rows are consecutive batches of that many
-    (the last may be shorter), partners come only from the sample's own
-    batch, and each index is a position within that batch. The result
-    equals one call per batch on the same ``gen``, in batch order; this
-    is how training draws an epoch's partners at once. Without it, the
-    rows are one batch.
+    The rows are consecutive batches of ``batch_size`` (the last may be
+    shorter), partners come only from the sample's own batch, and each
+    index is a position within that batch. The result equals one call
+    per batch on the same ``gen``, in batch order; this is how training
+    draws an epoch's partners at once. A ``batch_size`` of at least the
+    row count makes the rows one batch.
 
     Draw order: for each sample in batch order, its positive, then its
     negative, skipping partners with no candidate; the k-th draw picks the
@@ -126,13 +126,13 @@ def sample_pairs(
     n = np.size(labels)
     labels = check_index("labels", labels, n)
     groups = check_index("groups", groups, n)
-    if batch_size is not None and batch_size < 1:
+    if batch_size < 1:
         raise ValueError("batch size must be at least 1")
     positive = np.full(n, -1, dtype=np.int64)
     negative = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return PairAssignment(positive, negative)
-    size = n if batch_size is None else min(batch_size, n)
+    size = min(batch_size, n)
     batch = np.arange(n) // size
     # cells are runs of equal (batch, group, class) in this stable order,
     # so each cell lists its members in batch order
@@ -191,8 +191,7 @@ def discriminator_loss(
     Returns (loss, gradient w.r.t. representations, gradients w.r.t.
     discriminator parameters in ``params()`` order).
     """
-    reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
-    groups = check_index("groups", np.atleast_1d(groups), reps.shape[0], disc.out_dim)
+    groups = check_index("groups", groups, reps.shape[0], disc.out_dim)
     logits, cache = disc.forward(reps)
     loss, dlogits = softmax_cross_entropy(logits, groups)
     dparams, dreps = disc.backward(cache, dlogits)
@@ -213,7 +212,7 @@ class CenterCosines:
     """
 
     def __init__(self, reps: np.ndarray, centers: VirtualCenters):
-        self.z = np.atleast_2d(np.asarray(reps, dtype=np.float64))
+        self.z = reps
         self.v = centers.vectors
         # np.linalg.norm's arithmetic, without its Python dispatch
         self.z_norm = np.sqrt(np.add.reduce(self.z * self.z, axis=1))  # (n,)
@@ -263,8 +262,8 @@ def center_alignment_loss(
     """
     n = cosines.z.shape[0]
     g_total, c_total = cosines.cells
-    labels = check_index("labels", np.atleast_1d(labels), n, c_total)
-    check_index("groups", np.atleast_1d(groups), n, g_total)  # the loss covers every group's row
+    labels = check_index("labels", labels, n, c_total)
+    check_index("groups", groups, n, g_total)  # the loss covers every group's row
     logp = log_softmax(cosines.cos)  # softmax over classes, per (sample, group)
     rows = np.arange(n)
     # weights[i, g, c] = d loss / d cos[i, g, c]
@@ -294,8 +293,8 @@ def diversity_loss(
     z = cosines.z
     n = z.shape[0]
     g_total, c_total = cosines.cells
-    labels = check_index("labels", np.atleast_1d(labels), n, c_total)
-    groups = check_index("groups", np.atleast_1d(groups), n, g_total)
+    labels = check_index("labels", labels, n, c_total)
+    groups = check_index("groups", groups, n, g_total)
     rows = np.arange(n)
     for name, partner in (("positive", pairs.positive), ("negative", pairs.negative)):
         partner = np.asarray(partner)

@@ -1,14 +1,14 @@
 """Dense feedforward networks with explicit forward/backward passes.
 
-All parameters are float64 numpy arrays. ``Mlp.forward`` accepts a single
-input vector or a batch matrix (one row per sample). One in-place routine
-does its arithmetic. A cached pass runs all rows as one block and keeps
-each layer's (input, output); inference calls pass ``cache=False``, which
-keeps no cache and runs the rows into one output array in ``row_blocks``
-of at most ``APPLY_BLOCK`` rows, at least half of that unless a block is
-the whole input, so memory grows with the output, not with rows times
-hidden width, and each product stays small enough for OpenBLAS to run it
-on the calling thread.
+All parameters are float64 numpy arrays. ``Mlp.forward`` accepts a batch
+matrix, one row per sample; a single sample is a one-row matrix. One
+in-place routine does its arithmetic. A cached pass runs all rows as one
+block and keeps each layer's (input, output); inference calls pass
+``cache=False``, which keeps no cache and runs the rows into one output
+array in ``row_blocks`` of at most ``APPLY_BLOCK`` rows, at least half
+of that unless a block is the whole input, so memory grows with the
+output, not with rows times hidden width, and each product stays small
+enough for OpenBLAS to run it on the calling thread.
 ``Mlp.backward`` consumes the gradient of a scalar loss with respect to
 the output and returns per-layer parameter gradients plus the gradient
 with respect to the input, which a caller that discards it can skip.
@@ -136,21 +136,23 @@ class Mlp:
         )
 
     def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, Cache | None]:
-        """Evaluate the network; returns (output, cache for backward).
+        """Evaluate the network on the rows of matrix ``x``; returns (output,
+        cache for backward). An input of any other ndim raises ``ValueError``.
 
         With ``cache=False`` the output is the same, bit for bit, and the
         cache is None; rows are evaluated in ``row_blocks`` of at most
         ``APPLY_BLOCK`` rows.
         """
         a = np.asarray(x, dtype=np.float64)
-        if a.shape[-1] != self.in_dim:
+        if a.ndim != 2:
+            raise ValueError(f"input must be a 2-d matrix, got ndim {a.ndim}")
+        if a.shape[1] != self.in_dim:
             raise ValueError(
-                f"input has dimension {a.shape[-1]}, network expects {self.in_dim}"
+                f"input has dimension {a.shape[1]}, network expects {self.in_dim}"
             )
-        out = np.empty(a.shape[:-1] + (self.out_dim,))
+        out = np.empty((a.shape[0], self.out_dim))
         saved: Cache | None = [] if cache else None
-        whole = cache or a.ndim == 1
-        for rows in [slice(None)] if whole else row_blocks(a.shape[0], APPLY_BLOCK):
+        for rows in [slice(None)] if cache else row_blocks(a.shape[0], APPLY_BLOCK):
             self._forward_block(a[rows], out[rows], saved)
         return out, saved
 
@@ -169,7 +171,8 @@ class Mlp:
     def backward(
         self, cache: Cache, dout: np.ndarray, input_grad: bool = True
     ) -> tuple[list[np.ndarray], np.ndarray | None]:
-        """Backpropagate ``dout`` (gradient w.r.t. the output).
+        """Backpropagate ``dout``, the float64 gradient w.r.t. the output,
+        of the cached output's shape (else ``ValueError``).
 
         Returns (parameter gradients in ``params()`` order, gradient
         w.r.t. the network input). With ``input_grad=False`` the input
@@ -178,21 +181,18 @@ class Mlp:
         """
         if len(cache) != len(self.layers):
             raise ValueError("cache does not match network depth")
-        d = np.asarray(dout, dtype=np.float64)
-        if d.shape[-1] != self.out_dim:
-            raise ValueError("output gradient has wrong dimension")
+        shape = cache[-1][1].shape
+        if dout.shape != shape:
+            raise ValueError(f"output gradient has shape {dout.shape}, the output has {shape}")
+        d = dout
         grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.layers))
         for idx in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[idx]
             # after ReLU, output > 0 exactly where the pre-activation was
             a_in, a_out = cache[idx]
             dz = d * (a_out > 0.0) if layer.activation == "relu" else d
-            if dz.ndim == 1:
-                grads[2 * idx] = np.outer(dz, a_in)
-                grads[2 * idx + 1] = dz.copy()
-            else:
-                grads[2 * idx] = dz.T @ a_in
-                grads[2 * idx + 1] = np.add.reduce(dz, axis=0)
+            grads[2 * idx] = dz.T @ a_in
+            grads[2 * idx + 1] = np.add.reduce(dz, axis=0)
             d = dz @ layer.weight if idx or input_grad else None
         return grads, d
 
@@ -257,11 +257,10 @@ def softmax_cross_entropy(
     Returns (loss, gradient w.r.t. logits). The gradient carries the
     1/batch factor, matching this package's averaging convention.
     """
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     n, c = logits.shape
     if n == 0:
         raise ValueError("cross-entropy needs at least one row")
-    labels = check_index("labels", np.atleast_1d(labels), n, c)
+    labels = check_index("labels", labels, n, c)
     ls = log_softmax(logits)
     rows = np.arange(n)
     # the arithmetic of ndarray.mean: one sum, then one true divide
@@ -273,23 +272,18 @@ def softmax_cross_entropy(
 
 
 def sgd_step(
-    params: list[np.ndarray],
-    velocity: list[np.ndarray],
-    grads: list[np.ndarray],
-    lr: float,
-    momentum: float,
+    param: np.ndarray, velocity: np.ndarray, grad: np.ndarray, lr: float, momentum: float
 ) -> None:
-    """Classical momentum update, in place.
+    """Classical momentum update of one parameter array, in place.
 
     velocity <- momentum * velocity + grad; param <- param - lr * velocity.
+    Training keeps every parameter in one flat buffer, so one call moves
+    them all.
     """
-    if len(params) != len(velocity) or len(grads) != len(params):
-        raise ValueError("parameter/gradient/buffer counts disagree")
-    for p, v, g in zip(params, velocity, grads):
-        if p.shape != g.shape:
-            raise ValueError("gradient shape does not match parameter")
-        if not np.isfinite(g).all():
-            raise TrainingDivergence("non-finite gradient entries")
-        v *= momentum
-        v += g
-        p -= lr * v
+    if param.shape != grad.shape:
+        raise ValueError("gradient shape does not match parameter")
+    if not np.isfinite(grad).all():
+        raise TrainingDivergence("non-finite gradient entries")
+    velocity *= momentum
+    velocity += grad
+    param -= lr * velocity

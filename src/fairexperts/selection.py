@@ -178,10 +178,7 @@ def routed_predictor(decision: SelectionDecision, experts_model, erm_model):
     expert_groups = np.asarray(decision.choices) == 1
 
     def predict(features: np.ndarray, groups: np.ndarray) -> np.ndarray:
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        groups = check_index(
-            "groups", np.atleast_1d(groups), features.shape[0], expert_groups.size
-        )
+        groups = check_index("groups", groups, features.shape[0], expert_groups.size)
         if groups.size == 0:
             return erm_predict(features, groups)  # (0, classes), as a model gives
         use_expert = expert_groups[groups]
@@ -191,7 +188,7 @@ def routed_predictor(decision: SelectionDecision, experts_model, erm_model):
                 continue
             if mask.all():  # one model serves every row: no gathered copy
                 return fn(features, groups)
-            part = np.atleast_2d(np.asarray(fn(features[mask], groups[mask])))
+            part = fn(features[mask], groups[mask])
             if probs is None:
                 probs = np.empty((features.shape[0], part.shape[1]))
             probs[mask] = part

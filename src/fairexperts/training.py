@@ -177,9 +177,23 @@ class Model:
             raise ValueError(f"wrong head count {len(self.heads)} for a {self.kind} model")
         if (self.kind == "experts") != (self.discriminator is not None and self.centers is not None):
             raise ValueError("exactly the experts model has a discriminator and centers")
+        width, classes, count = self.backbone.out_dim, self.heads[0].out_dim, len(self.heads)
+        fits = [
+            (f"head {g} has (inputs, outputs)", (h.in_dim, h.out_dim), (width, classes))
+            for g, h in enumerate(self.heads)
+        ]
+        if self.kind == "experts":
+            disc = self.discriminator
+            fits += [
+                ("discriminator has (inputs, outputs)", (disc.in_dim, disc.out_dim), (width, count)),
+                ("centers have shape", self.centers.shape, (count, classes, width)),
+            ]
+        for name, got, want in fits:
+            if got != want:
+                raise ValueError(f"{name} {got}, expected {want}")
 
     def representations(self, features: np.ndarray) -> np.ndarray:
-        return self.backbone.forward(np.atleast_2d(features), cache=False)[0]
+        return self.backbone.forward(features, cache=False)[0]
 
     def predict_proba(self, features: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
         """Class probabilities per row, in blocks of at most ``PREDICT_BLOCK`` rows.
@@ -190,10 +204,9 @@ class Model:
         whole input; with a wider representation a group's rows in a
         block may round differently in the last bit (``PREDICT_BLOCK``).
         """
-        x = np.atleast_2d(features)
-        n = x.shape[0]
+        n = features.shape[0]
         if self.kind != "erm":
-            groups = check_index("groups", np.atleast_1d(groups), n, len(self.heads))
+            groups = check_index("groups", groups, n, len(self.heads))
             # numpy sends a one-row product to gemv, which rounds unlike
             # gemm; a group with more rows in the input takes its only row
             # of a block through a two-row product, as one pass would
@@ -204,7 +217,7 @@ class Model:
             alone = counts == 1
         probs = np.empty((n, self.heads[0].out_dim))
         for rows in row_blocks(n, PREDICT_BLOCK):
-            z = self.representations(x[rows])
+            z = self.representations(features[rows])
             if self.kind == "erm":
                 probs[rows] = softmax(self.heads[0].forward(z, cache=False)[0])
             else:
@@ -286,7 +299,7 @@ def _fit(
             if not all(map(math.isfinite, losses)):
                 raise TrainingDivergence(f"{name} diverged at epoch {epoch}")
             np.concatenate(grads, axis=None, out=flat_grad)
-            sgd_step([flat], [velocity], [flat_grad], hp.lr(epoch), hp.momentum)
+            sgd_step(flat, velocity, flat_grad, hp.lr(epoch), hp.momentum)
             sums = sums + np.asarray(losses) * len(columns[0])
         means.append(sums / n)
     return means
@@ -486,7 +499,6 @@ _PROBE_HP = HyperParams(lr0=0.1, momentum=0.9, lr_decay=0.9, batch_size=64, epoc
 
 def train_group_probe(reps: np.ndarray, groups: np.ndarray, num_groups: int, seed: int) -> Mlp:
     """Fit a fresh linear group classifier on fixed representations."""
-    reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
     probe = init_mlp([reps.shape[1], num_groups], ["identity"], rngmod.stream(seed, rngmod.PROBE))
     _fit_cross_entropy(probe, reps, groups, rngmod.stream(seed, rngmod.PROBE, 1), _PROBE_HP, "probe")
     return probe

@@ -83,7 +83,7 @@ def test_criterion_01_gradients_match_finite_differences():
         disc = init_mlp([m, g], ["identity"], rng)
         centers = VirtualCenters(rng.standard_normal((g, c, m)))
         heads = [init_mlp([m, c], ["identity"], rng) for _ in range(g)]
-        pairs = sample_pairs(labels, groups, rng)
+        pairs = sample_pairs(labels, groups, rng, batch_size=len(labels))
 
         _, dz, dparams = discriminator_loss(z, groups, disc)
         worst = max(worst, max_relative_error(

@@ -120,3 +120,41 @@ def test_checkpoint_rejects_non_finite_parameters(tmp_path, value):
     path.write_text(text.replace(first_bias, first_bias.replace("0.125", value)))
     with pytest.raises(DataError, match=f"^checkpoint '{path}' is malformed: layer parameters must be finite$"):
         load_checkpoint(str(path))
+
+
+def _linear(outputs, inputs):
+    return {"layers": [{"weight": [[0.5] * inputs] * outputs, "bias": [0.0] * outputs,
+                        "activation": "identity"}]}
+
+
+NETS = r"has \(inputs, outputs\)"
+
+
+@pytest.mark.parametrize(
+    "key, part, message",
+    [
+        # the golden experts model: backbone 2 -> 3 -> 2, two groups, two classes
+        pytest.param("heads", _linear(3, 2), rf"head 1 {NETS} \(2, 3\), expected \(2, 2\)",
+                     id="head-outputs"),
+        pytest.param("heads", _linear(2, 7), rf"head 1 {NETS} \(7, 2\), expected \(2, 2\)",
+                     id="head-input"),
+        pytest.param("discriminator", _linear(3, 2),
+                     rf"discriminator {NETS} \(2, 3\), expected \(2, 2\)", id="discriminator-outputs"),
+        pytest.param("discriminator", _linear(2, 7),
+                     rf"discriminator {NETS} \(7, 2\), expected \(2, 2\)", id="discriminator-input"),
+        pytest.param("centers", None, r"centers have shape \(1, 2, 2\), expected \(2, 2, 2\)",
+                     id="centers-of-one-group"),
+    ],
+)
+def test_checkpoint_rejects_parts_that_do_not_fit_together(tmp_path, key, part, message):
+    payload = json.loads(GOLDEN_EXPERTS.read_text(encoding="utf-8"))
+    if key == "heads":
+        payload["heads"][1] = part
+    elif key == "centers":
+        payload["centers"] = payload["centers"][:1]
+    else:
+        payload[key] = part
+    path = tmp_path / "unfit.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=f"^checkpoint '{path}' is malformed: {message}$"):
+        load_checkpoint(str(path))

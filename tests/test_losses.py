@@ -163,7 +163,7 @@ def test_virtual_centers_reinit_degenerate():
 def test_sample_pairs_forced_choice():
     labels = np.array([1, 1])
     groups = np.array([0, 0])
-    pairs = sample_pairs(labels, groups, rngmod.stream(0, rngmod.PAIRS))
+    pairs = sample_pairs(labels, groups, rngmod.stream(0, rngmod.PAIRS), batch_size=len(labels))
     assert pairs.positive.tolist() == [1, 0]
     assert pairs.negative.tolist() == [-1, -1]
 
@@ -171,7 +171,7 @@ def test_sample_pairs_forced_choice():
 def test_sample_pairs_absent_for_unique_cell_member():
     labels = np.array([0, 1, 1])
     groups = np.array([0, 0, 0])
-    pairs = sample_pairs(labels, groups, rngmod.stream(0, rngmod.PAIRS))
+    pairs = sample_pairs(labels, groups, rngmod.stream(0, rngmod.PAIRS), batch_size=len(labels))
     assert pairs.positive[0] == -1
     assert pairs.negative.tolist() == [-1, -1, -1]  # no different-group partner
 
@@ -183,6 +183,7 @@ def test_sample_pairs_matches_golden_file():
         np.array(golden["labels"]),
         np.array(golden["groups"]),
         rngmod.stream(golden["seed"], rngmod.PAIRS),
+        batch_size=len(golden["labels"]),
     )
     assert pairs.positive.tolist() == golden["positive"]
     assert pairs.negative.tolist() == golden["negative"]
@@ -194,7 +195,7 @@ def test_sample_pairs_satisfies_predicates_on_random_batches():
         n = int(rng.integers(1, 20))
         labels = rng.integers(0, 3, n)
         groups = rng.integers(0, 3, n)
-        pairs = sample_pairs(labels, groups, rngmod.stream(trial, rngmod.PAIRS))
+        pairs = sample_pairs(labels, groups, rngmod.stream(trial, rngmod.PAIRS), batch_size=n)
         for i in range(n):
             p, q = pairs.positive[i], pairs.negative[i]
             if p >= 0:
@@ -224,7 +225,7 @@ def test_sample_pairs_uniform_over_eligible_partners():
     counts = {1: 0, 2: 0, 3: 0}
     draws = 10_000
     for _ in range(draws):
-        pairs = sample_pairs(labels, groups, gen)
+        pairs = sample_pairs(labels, groups, gen, batch_size=len(labels))
         counts[int(pairs.positive[0])] += 1
     expected = draws / 3
     sigma = math.sqrt(draws * (1 / 3) * (2 / 3))
@@ -235,8 +236,8 @@ def test_sample_pairs_uniform_over_eligible_partners():
 def test_sample_pairs_deterministic_given_seed():
     labels = np.array([0, 1, 0, 1, 0, 1])
     groups = np.array([0, 0, 1, 1, 0, 1])
-    a = sample_pairs(labels, groups, rngmod.stream(7, rngmod.PAIRS))
-    b = sample_pairs(labels, groups, rngmod.stream(7, rngmod.PAIRS))
+    a = sample_pairs(labels, groups, rngmod.stream(7, rngmod.PAIRS), batch_size=len(labels))
+    b = sample_pairs(labels, groups, rngmod.stream(7, rngmod.PAIRS), batch_size=len(labels))
     assert np.array_equal(a.positive, b.positive)
     assert np.array_equal(a.negative, b.negative)
 
@@ -272,7 +273,8 @@ def test_sample_pairs_matches_per_sample_oracle(seed, n, num_groups, classes, sk
     groups, labels = np.divmod(rng.choice(cells, size=n, p=rng.dirichlet(np.full(cells, skew))), classes)
     gen = rngmod.stream(seed, rngmod.PAIRS)
     oracle_gen = rngmod.stream(seed, rngmod.PAIRS)
-    pairs = sample_pairs(labels, groups, gen)
+    # no rows still take a batch size of at least 1
+    pairs = sample_pairs(labels, groups, gen, batch_size=max(len(labels), 1))
     positive, negative = sample_pairs_oracle(labels, groups, oracle_gen)
     assert pairs.positive.tolist() == positive.tolist()
     assert pairs.negative.tolist() == negative.tolist()
@@ -286,7 +288,7 @@ def test_sample_pairs_memory_is_linear_in_batch_size():
     groups = rng.integers(0, 2, 20_000)
     tracemalloc.start()
     try:
-        pairs = sample_pairs(labels, groups, rngmod.stream(0, rngmod.PAIRS))
+        pairs = sample_pairs(labels, groups, rngmod.stream(0, rngmod.PAIRS), batch_size=len(labels))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -408,7 +410,9 @@ def test_cell_inputs_must_match_the_batch(call, reps, labels, groups, match):
     labels, groups = np.array(labels), np.array(groups)
     centers = VirtualCenters(np.ones((2, 2, 2)))
     calls = {
-        "pairs": lambda: sample_pairs(labels, groups, rngmod.stream(0, rngmod.PAIRS)),
+        "pairs": lambda: sample_pairs(
+            labels, groups, rngmod.stream(0, rngmod.PAIRS), batch_size=len(labels)
+        ),
         "discriminator": lambda: discriminator_loss(reps, groups, uniform_disc(2, dim=2)),
         "cross_entropy": lambda: softmax_cross_entropy(reps, labels),
         "alignment": lambda: center_alignment_loss(CenterCosines(reps, centers), labels, groups),
@@ -560,7 +564,7 @@ def test_losses_reproduce_the_unshared_oracles_bit_for_bit(
     groups = rng.integers(0, num_groups, n)
     z = rng.standard_normal((n, dim)) * scale
     centers = VirtualCenters(rng.standard_normal((num_groups, classes, dim)))
-    drawn = sample_pairs(labels, groups, rngmod.stream(seed, rngmod.PAIRS))
+    drawn = sample_pairs(labels, groups, rngmod.stream(seed, rngmod.PAIRS), batch_size=len(labels))
     pairs = PairAssignment(
         np.where(rng.random(n) < drop, -1, drawn.positive),
         np.where(rng.random(n) < drop, -1, drawn.negative),
@@ -596,7 +600,7 @@ def test_all_loss_gradients_match_finite_differences():
         groups = rng.integers(0, g, n)
         disc = init_mlp([m, g], ["identity"], rng)
         centers = VirtualCenters(rng.standard_normal((g, c, m)))
-        pairs = sample_pairs(labels, groups, rng)
+        pairs = sample_pairs(labels, groups, rng, batch_size=len(labels))
 
         _, dz, dparams = discriminator_loss(z, groups, disc)
         num = central_difference(lambda: discriminator_loss(z, groups, disc)[0], z)

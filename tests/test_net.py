@@ -23,15 +23,15 @@ from helpers import central_difference, max_relative_error
 
 def test_identity_layer_passes_input_through():
     net = Mlp([Layer(np.eye(3), np.zeros(3), "identity")])
-    x = np.array([0.5, -1.0, 2.0])
+    x = np.array([[0.5, -1.0, 2.0]])
     out, _ = net.forward(x)
     assert np.array_equal(out, x)
 
 
 def test_relu_zeroes_negative_preactivations():
     net = Mlp([Layer(np.eye(2), np.array([-5.0, -5.0]), "relu")])
-    out, _ = net.forward(np.array([1.0, 2.0]))
-    assert np.array_equal(out, np.zeros(2))
+    out, _ = net.forward(np.array([[1.0, 2.0]]))
+    assert np.array_equal(out, np.zeros((1, 2)))
 
 
 def test_two_layer_forward_matches_hand_computation():
@@ -42,15 +42,23 @@ def test_two_layer_forward_matches_hand_computation():
     w2 = np.array([[1.0, -1.0, 2.0]])
     b2 = np.array([0.25])
     net = Mlp([Layer(w1, b1, "relu"), Layer(w2, b2, "identity")])
-    out, _ = net.forward(np.array([1.0, 0.0]))
-    assert out.shape == (1,)
-    assert out[0] == pytest.approx(-0.75, abs=1e-15)
+    out, _ = net.forward(np.array([[1.0, 0.0]]))
+    assert out.shape == (1, 1)
+    assert out[0, 0] == pytest.approx(-0.75, abs=1e-15)
 
 
 def test_forward_rejects_wrong_dimension():
     net = Mlp([Layer(np.eye(3), np.zeros(3), "identity")])
     with pytest.raises(ValueError):
-        net.forward(np.zeros(4))
+        net.forward(np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 1, 3)], ids=["1-d", "3-d"])
+def test_forward_accepts_only_a_matrix(shape):
+    net = Mlp([Layer(np.eye(3), np.zeros(3), "identity")])
+    for cache in (True, False):
+        with pytest.raises(ValueError, match=f"2-d matrix, got ndim {len(shape)}"):
+            net.forward(np.zeros(shape), cache=cache)
 
 
 def test_backward_zero_gradient_gives_zero_parameter_gradients():
@@ -65,12 +73,12 @@ def test_backward_zero_gradient_gives_zero_parameter_gradients():
 def test_single_linear_layer_gradient_closed_form():
     # loss = c . out  =>  dW = outer(c, x), db = c
     net = Mlp([Layer(np.zeros((2, 3)), np.zeros(2), "identity")])
-    x = np.array([1.0, -2.0, 0.5])
-    c = np.array([0.3, -0.7])
+    x = np.array([[1.0, -2.0, 0.5]])
+    c = np.array([[0.3, -0.7]])
     _, cache = net.forward(x)
     grads, _ = net.backward(cache, c)
     assert np.allclose(grads[0], np.outer(c, x), atol=1e-15)
-    assert np.allclose(grads[1], c, atol=1e-15)
+    assert np.allclose(grads[1], c[0], atol=1e-15)
 
 
 def test_backward_matches_finite_differences_many_seeds():
@@ -119,7 +127,7 @@ def test_forward_without_cache_is_bit_identical_in_blocks():
               ([3, 6, 6, 2], ["relu", "relu", "identity"])]
     for dims, acts in shapes:
         net = init_mlp(dims, acts, rng)
-        inputs = [rng.standard_normal(dims[0])]
+        inputs = [rng.standard_normal((1, dims[0]))]
         inputs += [rng.standard_normal((n, dims[0])) for n in BLOCK_ROW_COUNTS]
         for x in inputs:
             want, _ = net.forward(x)
@@ -200,7 +208,7 @@ def test_backward_without_input_gradient_keeps_parameter_gradients_bit_identical
               ([3, 6, 6, 2], ["relu", "relu", "identity"])]
     for dims, acts in shapes:
         net = init_mlp(dims, acts, rng)
-        for x in (rng.standard_normal((9, dims[0])), rng.standard_normal(dims[0])):
+        for x in (rng.standard_normal((9, dims[0])), rng.standard_normal((1, dims[0]))):
             out, cache = net.forward(x)
             dout = rng.standard_normal(out.shape)
             full, dx = net.backward(cache, dout)
@@ -219,17 +227,13 @@ def test_relu_at_exact_zero_pre_activations_is_bit_identical_in_every_pass():
     net = Mlp([Layer(w1, b1, "relu"), Layer(w2, np.array([0.1, -0.2]), "identity")])
     x = np.array([[0.0, 0.0], [2.0, 1.0], [3.0, 3.0], [-1.0, 4.0]])
     dout = np.array([[1.0, -1.0], [0.5, 2.0], [-3.0, 1.0], [0.25, 0.75]])
-    for rows in (x, x[2]):
-        d = dout[: len(rows)] if rows.ndim == 2 else dout[2]
+    for rows, d in ((x, dout), (x[2:3], dout[2:3])):
         # the reference arithmetic: mask the gradient by pre-activation > 0
         z1 = rows @ w1.T + b1
         h = np.maximum(z1, 0.0)
         want_out = h @ w2.T + net.layers[1].bias
         dz1 = (d @ w2) * (z1 > 0.0)
-        if rows.ndim == 2:
-            want = [dz1.T @ rows, np.add.reduce(dz1, axis=0), d.T @ h, np.add.reduce(d, axis=0)]
-        else:
-            want = [np.outer(dz1, rows), dz1, np.outer(d, h), d]
+        want = [dz1.T @ rows, np.add.reduce(dz1, axis=0), d.T @ h, np.add.reduce(d, axis=0)]
         want.append(dz1 @ w1)
         out, cache = net.forward(rows)
         uncached, _ = net.forward(rows, cache=False)
@@ -242,17 +246,29 @@ def test_relu_at_exact_zero_pre_activations_is_bit_identical_in_every_pass():
 def test_backward_rejects_mismatched_cache():
     rng = np.random.default_rng(1)
     net = init_mlp([3, 2], ["identity"], rng)
-    _, cache = net.forward(np.zeros(3))
+    _, cache = net.forward(np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        net.backward(cache[:0], np.zeros(2))
+        net.backward(cache[:0], np.zeros((1, 2)))
+
+
+def test_backward_rejects_an_output_gradient_of_another_shape():
+    # a 1-D gradient of the output width once broadcast into a (2, 6)
+    # weight gradient for a (2, 3) weight
+    net = init_mlp([3, 2], ["identity"], np.random.default_rng(1))
+    out, cache = net.forward(np.ones((2, 3)))
+    for dout in (np.ones(2), np.ones((1, 2)), np.ones((2, 2, 1))):
+        with pytest.raises(ValueError, match="output gradient has shape"):
+            net.backward(cache, dout)
+    grads, _ = net.backward(cache, np.ones(out.shape))
+    assert [g.shape for g in grads] == [p.shape for p in net.params()]
 
 
 def test_sgd_zero_gradients_zero_buffers_is_fixed_point():
     rng = np.random.default_rng(2)
     net = init_mlp([3, 2], ["identity"], rng)
     before = [p.copy() for p in net.params()]
-    velocity = [np.zeros_like(p) for p in net.params()]
-    sgd_step(net.params(), velocity, [np.zeros_like(p) for p in net.params()], 0.1, 0.9)
+    for p in net.params():
+        sgd_step(p, np.zeros_like(p), np.zeros_like(p), 0.1, 0.9)
     for p, q in zip(net.params(), before):
         assert np.array_equal(p, q)
 
@@ -262,8 +278,8 @@ def test_sgd_without_momentum_is_plain_gradient_descent():
     net = init_mlp([3, 2], ["identity"], rng)
     before = [p.copy() for p in net.params()]
     grads = [rng.standard_normal(p.shape) for p in net.params()]
-    velocity = [np.zeros_like(p) for p in net.params()]
-    sgd_step(net.params(), velocity, grads, 0.05, 0.0)
+    for p, g in zip(net.params(), grads):
+        sgd_step(p, np.zeros_like(p), g, 0.05, 0.0)
     for p, q, g in zip(net.params(), before, grads):
         assert np.allclose(p, q - 0.05 * g, atol=1e-15)
 
@@ -272,11 +288,11 @@ def test_sgd_momentum_two_identical_gradients():
     # buffer after step 1 is g, after step 2 is 1.9 g, so the second
     # displacement is lr * 1.9 * g
     param = np.array([1.0, -1.0])
-    velocity = [np.zeros(2)]
+    velocity = np.zeros(2)
     g = np.array([0.5, 0.25])
-    sgd_step([param], velocity, [g.copy()], 0.1, 0.9)
+    sgd_step(param, velocity, g.copy(), 0.1, 0.9)
     after_first = param.copy()
-    sgd_step([param], velocity, [g.copy()], 0.1, 0.9)
+    sgd_step(param, velocity, g.copy(), 0.1, 0.9)
     assert np.allclose(after_first - param, 0.1 * 1.9 * g, atol=1e-15)
 
 
@@ -284,24 +300,20 @@ def test_sgd_zero_learning_rate_is_identity():
     rng = np.random.default_rng(4)
     param = rng.standard_normal(5)
     before = param.copy()
-    sgd_step([param], [np.zeros(5)], [rng.standard_normal(5)], 0.0, 0.9)
+    sgd_step(param, np.zeros(5), rng.standard_normal(5), 0.0, 0.9)
     assert np.array_equal(param, before)
 
 
-def test_sgd_rejects_mismatched_counts_and_shapes():
+def test_sgd_rejects_mismatched_shapes():
     param = np.zeros(2)
-    with pytest.raises(ValueError, match="counts"):
-        sgd_step([param], [], [np.ones(2)], 0.1, 0.9)
-    with pytest.raises(ValueError, match="counts"):
-        sgd_step([param], [np.zeros(2)], [], 0.1, 0.9)
     with pytest.raises(ValueError, match="shape"):
-        sgd_step([param], [np.zeros(2)], [np.ones(3)], 0.1, 0.9)
+        sgd_step(param, np.zeros(2), np.ones(3), 0.1, 0.9)
 
 
 def test_sgd_rejects_non_finite_gradients():
     param = np.zeros(2)
     with pytest.raises(TrainingDivergence):
-        sgd_step([param], [np.zeros(2)], [np.array([1.0, np.nan])], 0.1, 0.9)
+        sgd_step(param, np.zeros(2), np.array([1.0, np.nan]), 0.1, 0.9)
 
 
 def test_softmax_cross_entropy_uniform_logits():

@@ -228,9 +228,11 @@ def test_experts_zero_coefficients_reduce_to_joint_cross_entropy():
                 head_grads.append(grads)
                 dz[rows] = dz_rows
             grads_b, _ = backbone.backward(cache, dz)
-            sgd_step(backbone.params(), v_b, grads_b, lr, hp.momentum)
+            for p, v, grad in zip(backbone.params(), v_b, grads_b):
+                sgd_step(p, v, grad, lr, hp.momentum)
             for g, head in enumerate(heads):
-                sgd_step(head.params(), v_h[g], head_grads[g], lr, hp.momentum)
+                for p, v, grad in zip(head.params(), v_h[g], head_grads[g]):
+                    sgd_step(p, v, grad, lr, hp.momentum)
 
     assert params_equal(model.backbone.params(), backbone.params())
     for trained, reference in zip(model.heads, heads):
@@ -265,7 +267,7 @@ def test_experts_full_batch_step_follows_total_loss_gradient(seed, num_groups, e
     backbone, disc, centers, heads = drawn_experts_inits(ds, hp)
     perm = rngmod.stream(hp.seed, rngmod.SHUFFLE).permutation(n)
     xb, yb, ab = ds.features[perm], ds.labels[perm], ds.groups[perm]
-    pairs = sample_pairs(yb, ab, rngmod.stream(hp.seed, rngmod.PAIRS))
+    pairs = sample_pairs(yb, ab, rngmod.stream(hp.seed, rngmod.PAIRS), batch_size=len(yb))
 
     # each term is differenced on its own and weighted afterwards: differencing
     # the O(1) weighted sum loses the terms a tiny lambda scales to ~1e-6
@@ -273,9 +275,10 @@ def test_experts_full_batch_step_follows_total_loss_gradient(seed, num_groups, e
 
     def loss_terms():
         z, _ = backbone.forward(xb)
-        loss_cls = -np.mean(
-            [log_softmax(heads[a].forward(z[i])[0])[y] for i, (y, a) in enumerate(zip(yb, ab))]
-        )
+        loss_cls = -np.mean([
+            log_softmax(heads[a].forward(z[i : i + 1])[0])[0, y]
+            for i, (y, a) in enumerate(zip(yb, ab))
+        ])
         return np.array([
             loss_cls,
             discriminator_loss(z, ab, disc)[0],
@@ -455,7 +458,8 @@ def test_decoupled_single_group_equals_pooled_head_retraining():
             logits, cache = head.forward(z[rows])
             _, dlogits = softmax_cross_entropy(logits, labels[rows])
             grads, _ = head.backward(cache, dlogits)
-            sgd_step(head.params(), velocity, grads, hp.lr0 * hp.lr_decay**epoch, hp.momentum)
+            for p, v, grad in zip(head.params(), velocity, grads):
+                sgd_step(p, v, grad, hp.lr0 * hp.lr_decay**epoch, hp.momentum)
     assert params_equal(decoupled.heads[0].params(), head.params())
 
 
