@@ -89,10 +89,21 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    config = _load_config(args)
+def _model_and_data(args, config: ExperimentConfig):
+    """The checkpoint's model and the seed's dataset, checked to share an input width."""
     model = load_checkpoint(args.checkpoint)
     dataset = dataset_for_seed(config, _seed(args, config))
+    if model.backbone.in_dim != dataset.d:
+        raise DataError(
+            f"checkpoint {args.checkpoint!r} takes {model.backbone.in_dim} input features, "
+            f"but data.d is {dataset.d}"
+        )
+    return model, dataset
+
+
+def cmd_evaluate(args) -> int:
+    config = _load_config(args)
+    model, dataset = _model_and_data(args, config)
     kind = args.metric or config.metric
     _emit(build_report(model.predict_proba, dataset, args.split, kind), args.out)
     return EXIT_OK
@@ -119,8 +130,7 @@ def cmd_select(args) -> int:
 
 def cmd_export_repr(args) -> int:
     config = _load_config(args)
-    model = load_checkpoint(args.checkpoint)
-    dataset = dataset_for_seed(config, _seed(args, config))
+    model, dataset = _model_and_data(args, config)
     blocks = representation_blocks(model, dataset, args.split)
     write_representations_csv(args.out, model.backbone.out_dim, blocks)
     print(f"wrote {dataset.cell_counts(args.split).sum()} representations to {args.out}")

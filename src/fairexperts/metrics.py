@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, group_stats
+from .data import SPLITS, Dataset, group_stats
 from .net import APPLY_BLOCK, row_blocks
 
 METRIC_KINDS = ("accuracy", "auc")
@@ -71,6 +71,8 @@ class GroupMetrics:
         object.__setattr__(self, "proportions", np.asarray(self.proportions, dtype=np.float64))
         if self.metric_kind not in METRIC_KINDS:
             raise ValueError(f"unknown metric kind {self.metric_kind!r}")
+        if self.split not in SPLITS:
+            raise ValueError(f"unknown split {self.split!r}")
         if self.values.shape != self.proportions.shape or self.values.ndim != 1:
             raise ValueError("values and proportions must be matching vectors")
         if not np.all((self.values >= 0) & (self.values <= 1)):

@@ -12,11 +12,17 @@ value below its pooled baseline:
   feasible value, so only O(G^2) choice vectors need scoring, in O(G^3)
   time and O(G^2) memory (the windows of one lo at a time), with no
   recursion.
+
+The two metrics must share their group count, metric kind and split.
+A decision's per-group values come from ``combine``, the one place that
+writes a selection's value rule (expert where chosen, pooled
+elsewhere). ``routed_predictor`` applies a decision to samples: each
+routed row is the chosen model's row of a whole-input prediction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,21 +42,18 @@ class SelectionDecision:
     lambda_sel: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "choices": list(self.choices),
-            "per_group": list(self.per_group),
-            "delta": self.delta,
-            "objective": self.objective,
-            "strategy": self.strategy,
-            "lambda_sel": self.lambda_sel,
-        }
+        return {**asdict(self), "choices": list(self.choices), "per_group": list(self.per_group)}
 
 
 def _check_compatible(expert: GroupMetrics, erm: GroupMetrics) -> None:
+    if expert.num_groups == 0:
+        raise ValueError("no groups to select over")
     if expert.num_groups != erm.num_groups:
         raise ValueError("expert and pooled metrics cover different group counts")
     if expert.metric_kind != erm.metric_kind:
         raise ValueError("expert and pooled metrics use different metric kinds")
+    if expert.split != erm.split:
+        raise ValueError(f"expert metrics are from split {expert.split}, pooled from {erm.split}")
 
 
 def combine(choices: np.ndarray, expert: GroupMetrics, erm: GroupMetrics) -> np.ndarray:
@@ -62,8 +65,23 @@ def combine(choices: np.ndarray, expert: GroupMetrics, erm: GroupMetrics) -> np.
     return v * expert.values + (1 - v) * erm.values
 
 
-def _delta(alpha: np.ndarray) -> float:
-    return float(np.maximum.reduce(alpha) - np.minimum.reduce(alpha)) if alpha.size > 1 else 0.0
+def _decide(
+    choices: np.ndarray, expert: GroupMetrics, erm: GroupMetrics, **fields
+) -> SelectionDecision:
+    """The decision for ``choices``, its per-group values from ``combine``.
+
+    ``fields`` name the strategy and may give the objective and
+    lambda_sel; the objective defaults to the worst-group value.
+    """
+    alpha = combine(choices, expert, erm)
+    low = np.minimum.reduce(alpha)
+    fields.setdefault("objective", float(low))
+    return SelectionDecision(
+        choices=tuple(choices.tolist()),
+        per_group=tuple(alpha.tolist()),
+        delta=float(np.maximum.reduce(alpha) - low),
+        **fields,
+    )
 
 
 def select_greedy(expert: GroupMetrics, erm: GroupMetrics) -> SelectionDecision:
@@ -73,17 +91,8 @@ def select_greedy(expert: GroupMetrics, erm: GroupMetrics) -> SelectionDecision:
     over groups among all 2^G selections.
     """
     _check_compatible(expert, erm)
-    if expert.num_groups == 0:
-        raise ValueError("no groups to select over")
     choices = (expert.values > erm.values).astype(np.int64)
-    alpha = choices * expert.values + (1 - choices) * erm.values  # as combine, unchecked
-    return SelectionDecision(
-        choices=tuple(choices.tolist()),
-        per_group=tuple(alpha.tolist()),
-        delta=_delta(alpha),
-        objective=float(np.minimum.reduce(alpha)),
-        strategy="greedy",
-    )
+    return _decide(choices, expert, erm, strategy="greedy")
 
 
 def _solve_windows(
@@ -153,25 +162,24 @@ def select_ip(
     fewer experts, then the lexicographically smallest choice vector.
     """
     _check_compatible(expert, erm)
-    if expert.num_groups == 0:
-        raise ValueError("no groups to select over")
     if not 0 <= lambda_sel < np.inf:
         raise ValueError("lambda_sel must be finite and nonnegative")
     choices, objective = _solve_windows(expert.values, erm.values, erm.proportions, lambda_sel)
-    v = np.asarray(choices)
-    alpha = v * expert.values + (1 - v) * erm.values  # as combine, unchecked
-    return SelectionDecision(
-        choices=choices,
-        per_group=tuple(alpha.tolist()),
-        delta=_delta(alpha),
-        objective=objective,
-        strategy="ip",
-        lambda_sel=lambda_sel,
+    return _decide(
+        np.asarray(choices), expert, erm, objective=objective, strategy="ip", lambda_sel=lambda_sel
     )
 
 
 def routed_predictor(decision: SelectionDecision, experts_model, erm_model):
-    """Predictor that routes each sample by its group's selection bit."""
+    """Predictor that routes each sample by its group's selection bit.
+
+    Each routed row is the chosen model's prediction for the whole input,
+    so it equals that model's own row bit for bit. When every row chose
+    the expert only the expert predicts; otherwise the pooled model
+    predicts the whole input and, if any row chose the expert, the
+    expert's whole-input prediction is copied into those rows. A mixed
+    selection holds two prediction outputs, no gathered features.
+    """
     expert_predict = experts_model.predict_proba
     erm_predict = erm_model.predict_proba
     # a boolean lookup: one byte per routed row, not an int64
@@ -179,19 +187,12 @@ def routed_predictor(decision: SelectionDecision, experts_model, erm_model):
 
     def predict(features: np.ndarray, groups: np.ndarray) -> np.ndarray:
         groups = check_index("groups", groups, features.shape[0], expert_groups.size)
-        if groups.size == 0:
-            return erm_predict(features, groups)  # (0, classes), as a model gives
         use_expert = expert_groups[groups]
-        probs: np.ndarray | None = None
-        for mask, fn in ((use_expert, expert_predict), (~use_expert, erm_predict)):
-            if not mask.any():
-                continue
-            if mask.all():  # one model serves every row: no gathered copy
-                return fn(features, groups)
-            part = fn(features[mask], groups[mask])
-            if probs is None:
-                probs = np.empty((features.shape[0], part.shape[1]))
-            probs[mask] = part
+        if use_expert.all():
+            return expert_predict(features, groups)
+        probs = erm_predict(features, groups)
+        if use_expert.any():
+            np.copyto(probs, expert_predict(features, groups), where=use_expert[:, None])
         return probs
 
     return predict

@@ -17,6 +17,8 @@ from fairexperts.training import train_erm
 
 from helpers import mutated_bytes, tiny_dataset, tiny_hp
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 CONFIG = """
 version = 1
 seeds = 5
@@ -311,6 +313,18 @@ def test_evaluate_rejects_a_checkpoint_with_the_wrong_class_count(tmp_path, conf
     assert f"predictor returned shape (90, {columns}), expected (90, 2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "export-repr"])
+def test_checkpoint_whose_input_width_is_not_data_d_is_data_error(tmp_path, config_path, capsys, command):
+    # the golden experts checkpoint takes 2 input features; CONFIG sets data.d = 3
+    checkpoint = str(GOLDEN / "checkpoint_experts.json")
+    argv = [command, "--checkpoint", checkpoint, "--config", config_path]
+    if command == "export-repr":
+        argv += ["--out", str(tmp_path / "reps.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {checkpoint!r} takes 2 input features, but data.d is 3" in err
+
+
 def test_run_writes_bundle(tmp_path, config_path):
     out_dir = tmp_path / "bundle"
     assert main(["run", "--config", config_path, "--out-dir", str(out_dir)]) == 0
@@ -398,6 +412,31 @@ def test_select_accepts_metrics_report_payloads(tmp_path):
     a.write_text(json.dumps(report))
     b.write_text(json.dumps(erm))
     assert main(["select", "--strategy", "greedy", "--expert", str(a), "--erm", str(b)]) == 0
+
+
+METRICS_REPORT = {
+    "metric_kind": "accuracy",
+    "split": "val",
+    "per_group": [0.9, 0.8],
+    "proportions": [0.5, 0.5],
+}
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "ip"])
+def test_select_rejects_metrics_from_different_splits(tmp_path, capsys, strategy):
+    expert, erm = tmp_path / "expert.json", tmp_path / "erm.json"
+    expert.write_text(json.dumps(METRICS_REPORT))
+    erm.write_text(json.dumps(dict(METRICS_REPORT, split="test", per_group=[0.85, 0.82])))
+    argv = ["select", "--strategy", strategy, "--expert", str(expert), "--erm", str(erm)]
+    assert main(argv) == 2
+    assert "expert metrics are from split val, pooled from test" in capsys.readouterr().err
+
+
+def test_select_rejects_a_split_outside_splits(tmp_path, capsys):
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(dict(METRICS_REPORT, split=7)))
+    assert main(["select", "--strategy", "ip", "--expert", str(path), "--erm", str(path)]) == 2
+    assert f"metrics file {str(path)!r} is malformed: unknown split 7" in capsys.readouterr().err
 
 
 def test_select_rejects_nan_metric_values(tmp_path, capsys):

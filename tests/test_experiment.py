@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -107,6 +108,27 @@ def test_rerunning_a_seed_reproduces_files_byte_identically(tmp_path):
     run_experiment(small_config("5"), str(b_dir))
     for name in ("report_5.json", "training_log_5.csv", "representations_5.csv", "aggregate.json"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+RUN_DIGESTS = os.path.join(os.path.dirname(__file__), "golden", "run_seeds_1_3_8_sha256.json")
+
+
+def test_run_files_match_their_pinned_sha256(tmp_path):
+    # Seeds 1, 3 and 8 of the small config give mixed ip selections
+    # (0, 1) and (1, 0), an all-pooled ip selection and all-expert greedy
+    # selections, so every routing path writes report bytes. A byte change
+    # in training, evaluation or routing fails here; regenerate the digests
+    # only for a deliberate one.
+    out = run_experiment(small_config("1, 3, 8"), str(tmp_path))
+    ip_choices = [report["selection"]["ip"]["decision"]["choices"] for report in out["reports"]]
+    assert ip_choices == [[0, 1], [1, 0], [0, 0]]
+    with open(RUN_DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(tmp_path))
+    }
+    assert got == want
 
 
 def test_dataset_for_seed_varies_by_run_seed():

@@ -128,6 +128,12 @@ def test_group_metrics_rejects_negative_proportion():
         GroupMetrics("accuracy", np.array([0.5, 0.6]), np.array([1.5, -0.5]), "val")
 
 
+@pytest.mark.parametrize("split", [7, "validation", None])
+def test_group_metrics_rejects_a_split_outside_splits(split):
+    with pytest.raises(ValueError, match=f"unknown split {split!r}"):
+        GroupMetrics("accuracy", np.array([0.5]), np.array([1.0]), split)
+
+
 def test_max_min_and_gap_fractional_values():
     gm = GroupMetrics("auc", np.array([0.8145, 0.8366]), np.array([0.5, 0.5]), "val")
     assert max_min(gm) == pytest.approx(0.8145, abs=1e-12)

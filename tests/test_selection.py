@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,24 @@ def test_combine_mixed_selection_example():
     erm = gm([0.8119, 0.8380], kind="auc")
     alpha = combine(np.array([1, 0]), expert, erm)
     assert np.allclose(alpha, [0.8145, 0.8380], atol=1e-15)
+
+
+@pytest.mark.parametrize("select", [select_greedy, select_ip])
+def test_strategies_reject_no_groups_and_metrics_from_different_splits(select):
+    with pytest.raises(ValueError, match="no groups to select over"):
+        select(gm([], []), gm([], []))
+    with pytest.raises(ValueError, match="expert metrics are from split val, pooled from test"):
+        select(gm([0.6, 0.7]), gm([0.5, 0.8], split="test"))
+
+
+def test_decisions_take_their_values_from_combine():
+    rng = np.random.default_rng(20)
+    for _ in range(100):
+        expert, erm, lam = oracle_instance(rng)
+        for decision in (select_greedy(expert, erm), select_ip(expert, erm, lam)):
+            alpha = combine(np.array(decision.choices), expert, erm)
+            assert decision.per_group == tuple(alpha.tolist())
+            assert decision.delta == float(alpha.max() - alpha.min())
 
 
 def test_combine_rejects_group_mismatch():
@@ -386,6 +406,70 @@ def test_models_and_routing_reject_groups_they_cannot_route(groups, match):
     for choices in ((0, 0), (1, 0), (1, 1)):
         with pytest.raises(ValueError, match=match):
             routed_predictor(make_decision(choices), experts, erm)(x, groups)
+
+
+def routed_models(d, groups, repr_dim, seed=0):
+    """A decoupled model with ``groups`` heads and a pooled model sharing
+    one randomly initialised backbone."""
+    rng = np.random.default_rng(seed)
+    backbone = init_mlp([d, 16, repr_dim], ["relu", "relu"], rng)
+    erm = Model("erm", backbone, [init_mlp([repr_dim, 2], ["identity"], rng)])
+    heads = [init_mlp([repr_dim, 2], ["identity"], rng) for _ in range(groups)]
+    return Model("decoupled", backbone, heads), erm
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_routed_rows_equal_each_models_own_rows_bit_for_bit(seed):
+    # at repr_dim 32 a head product rounds by its row count, so a model
+    # run on a gathered subset of rows differs in the last bit from the
+    # same rows of its whole-input prediction
+    rng = np.random.default_rng(seed)
+    experts, erm = routed_models(3, 2, 32, seed)
+    x = rng.normal(size=(30_000, 3))
+    groups = (rng.uniform(size=30_000) < 0.02).astype(np.uint8)  # a 2% group
+    for choices in ((1, 0), (0, 1)):
+        use_expert = np.asarray(choices)[groups] == 1
+        want = np.where(
+            use_expert[:, None], experts.predict_proba(x, groups), erm.predict_proba(x, groups)
+        )
+        got = routed_predictor(make_decision(choices), experts, erm)(x, groups)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_mixed_routed_call_holds_no_copy_of_the_features():
+    experts, erm = routed_models(10, 6, 8)
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(120_000, 10))
+    groups = rng.integers(0, 6, 120_000).astype(np.uint8)
+    predict = routed_predictor(make_decision((1, 0, 1, 0, 1, 0)), experts, erm)
+    tracemalloc.start()
+    try:
+        predict(x, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes  # two (rows, 2) outputs and one block, not 9.6 MB
+
+
+class CountingModel(StubModel):
+    def __init__(self, value):
+        super().__init__(value)
+        self.rows = []
+
+    def predict_proba(self, features, groups=None):
+        self.rows.append(features.shape[0])
+        return super().predict_proba(features, groups)
+
+
+@pytest.mark.parametrize(
+    "choices, expert_calls, erm_calls",
+    [((1, 1), [4], []), ((1, 0), [4], [4]), ((0, 1), [4], [4]), ((0, 0), [], [4])],
+)
+def test_routing_calls_each_model_at_most_once_on_the_whole_input(choices, expert_calls, erm_calls):
+    experts, erm = CountingModel(0.9), CountingModel(0.1)
+    predict = routed_predictor(make_decision(choices), experts, erm)
+    predict(np.zeros((4, 2)), np.array([0, 1, 1, 0]))
+    assert (experts.rows, erm.rows) == (expert_calls, erm_calls)
 
 
 def test_routing_rejects_unknown_group():
