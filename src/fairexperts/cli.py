@@ -15,17 +15,18 @@ from dataclasses import replace
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import CsvSource, ExperimentConfig, load_config
-from .data import SPLITS, DataError, default_schema, read_json_object, save_csv, write_json
+from .data import SPLITS, CsvSchema, DataError, read_json_object, save_csv, write_json
 from .experiment import (
     dataset_for_seed,
     run_experiment,
+    train_models,
     write_representations_csv,
     write_training_log,
 )
 from .metrics import METRIC_KINDS, GroupMetrics, build_report
 from .net import TrainingDivergence
 from .selection import select_greedy, select_ip
-from .training import representation_blocks, train_decoupled, train_erm, train_experts
+from .training import representation_blocks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,7 +49,7 @@ def _load_config(args) -> ExperimentConfig:
         if isinstance(config.data, CsvSource):
             schema = config.data.schema
         else:
-            schema = default_schema(config.data.d, config.data.classes, config.data.groups)
+            schema = CsvSchema(config.data.d, config.data.classes, config.data.groups)
         config = replace(config, data=CsvSource(args.data_csv, schema))
     return config
 
@@ -76,12 +77,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     config = _load_config(args)
     seed = _seed(args, config)
-    dataset = dataset_for_seed(config, seed)
-    hp = replace(config.hyper, seed=seed)
     os.makedirs(args.out_dir, exist_ok=True)
-    erm = train_erm(dataset, hp)
-    decoupled = train_decoupled(erm, dataset, hp)
-    experts = train_experts(dataset, hp)
+    _, erm, decoupled, experts = train_models(config, seed)
     for name, model in (("erm", erm), ("decoupled", decoupled), ("experts", experts)):
         save_checkpoint(model, os.path.join(args.out_dir, f"{name}_{seed}.json"))
     write_training_log(experts, os.path.join(args.out_dir, f"training_log_{seed}.csv"))

@@ -374,12 +374,6 @@ class CsvSchema:
     split_seed: int = 0
 
 
-def default_schema(d: int, classes: int, groups: int, split_seed: int = 0) -> CsvSchema:
-    return CsvSchema(
-        tuple(f"f{i}" for i in range(d)), classes, groups, split_seed=split_seed
-    )
-
-
 def load_csv(path: str, schema: CsvSchema) -> Dataset:
     """Parse a dataset CSV in row order.
 

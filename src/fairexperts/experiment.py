@@ -89,10 +89,11 @@ def _pair_reports(predict, dataset: Dataset, kind: str, selection: dict | None =
     }
 
 
-def run_seed(config: ExperimentConfig, seed: int):
-    """Train, evaluate, and select for one seed.
+def train_models(config: ExperimentConfig, seed: int):
+    """The seed's dataset and its erm, decoupled and experts models.
 
-    Returns (report dict, trained expert model, dataset).
+    Each step runs in its ``_stage``, so a failure names the stage and
+    the seed. Returns (dataset, erm, decoupled, experts).
     """
     with _stage("data", seed):
         dataset = dataset_for_seed(config, seed)
@@ -103,6 +104,15 @@ def run_seed(config: ExperimentConfig, seed: int):
         decoupled = train_decoupled(erm, dataset, hp)
     with _stage("train-experts", seed):
         experts = train_experts(dataset, hp)
+    return dataset, erm, decoupled, experts
+
+
+def run_seed(config: ExperimentConfig, seed: int):
+    """Train, evaluate, and select for one seed.
+
+    Returns (report dict, trained expert model, dataset).
+    """
+    dataset, erm, decoupled, experts = train_models(config, seed)
 
     kind = config.metric
     with _stage("evaluate", seed):
@@ -142,7 +152,7 @@ def run_seed(config: ExperimentConfig, seed: int):
         "selection": selection_section,
         "probe": probe_section,
         "training": {
-            "epochs": hp.epochs,
+            "epochs": config.hyper.epochs,
             "final_lr": experts.log[-1].lr,
             "final_loss_cls": experts.log[-1].loss_cls,
         },

@@ -7,8 +7,9 @@ group's head. Only experts carry a discriminator and virtual centers.
 Inference over a split (``Model.predict_proba``, the group probe's val
 scores, ``representation_blocks``) runs blocks of at most
 ``PREDICT_BLOCK`` rows and holds its output plus one block, with the
-bits of one pass over the whole split at the default widths (hidden 32,
-representation 8); see ``PREDICT_BLOCK`` for wider representations.
+bits of one pass over the whole split. ``predict_proba`` runs one
+network, the backbone plus every head stacked as one layer, and keeps
+each row's own group's logits.
 
 * ``train_erm``: backbone and pooled head, plain cross-entropy.
 * ``train_decoupled``: per-group heads over the frozen ERM backbone.
@@ -60,6 +61,7 @@ from .losses import (
 )
 from .net import (
     APPLY_BLOCK,
+    Layer,
     Mlp,
     TrainingDivergence,
     check_index,
@@ -134,22 +136,20 @@ MODEL_KINDS = ("erm", "decoupled", "experts")
 
 # most rows per block of a streamed inference pass (prediction, probe
 # scoring, exported representations), cut by row_blocks. A block that is
-# not the whole split has at least 4 * APPLY_BLOCK rows, so the backbone
+# not the whole split has at least 4 * APPLY_BLOCK rows, so the network
 # cuts it into blocks of more than 512 rows: every block is above the
-# bit rule's floor (net.APPLY_BLOCK), and the backbone's bits equal one
-# pass over the split. Each group's head runs on that group's rows of a
-# block, which can be few. With numpy 2.4 and OpenBLAS 0.3.31,
-# (k x 8) @ (8 x 2) rounds like the same rows inside an 8,192-row
-# product for every k but 1, which predict_proba sends through two rows;
-# so at the default widths (hidden 32, repr 8) predictions equal one
-# pass. (k x 32) @ (32 x 2) rounded differently for 364 of the k from 1
-# to 512 (one random draw): with repr_dim 32, 4 to 7 of the 589 rows of
-# a group holding 2% of 30,000 rows differed in the last bit from one
-# pass (three random initialisations; 1 to 4 at hidden and repr 64).
-# Reruns stay identical at any width. Eight APPLY_BLOCKs
-# keep the per-group head loop to a few calls per split: at one
-# APPLY_BLOCK per block, predicting 120,000 rows of 6 groups took 54 ms
-# against 52 ms.
+# bit rule's floor (net.APPLY_BLOCK), and the bits equal one pass over
+# the split. predict_proba's head layer has G x classes outputs, so a
+# block of its logits is G times the size of its probabilities.
+#
+# With OpenBLAS 0.3.31 a product of 32 or more inputs whose rows times
+# outputs is at most 1,200 goes to a small-matrix kernel, which rounds
+# some rows by their position. At repr_dim >= 32 that takes a head
+# product of at most 1,200 / (G x classes) rows: an input that short is
+# one product, equal to one pass but not to the same rows in another
+# order, and an input of 1,025 to 1,200 rows through a head layer of two
+# outputs (erm or one group, two classes) runs two such products, which
+# differ from one pass.
 PREDICT_BLOCK = 8 * APPLY_BLOCK
 
 
@@ -178,9 +178,15 @@ class Model:
         if (self.kind == "experts") != (self.discriminator is not None and self.centers is not None):
             raise ValueError("exactly the experts model has a discriminator and centers")
         width, classes, count = self.backbone.out_dim, self.heads[0].out_dim, len(self.heads)
+        # a head is one linear layer, so predict_proba can stack them all
         fits = [
-            (f"head {g} has (inputs, outputs)", (h.in_dim, h.out_dim), (width, classes))
+            fit
             for g, h in enumerate(self.heads)
+            for fit in (
+                (f"head {g} has layer activations", tuple(l.activation for l in h.layers),
+                 ("identity",)),
+                (f"head {g} has (inputs, outputs)", (h.in_dim, h.out_dim), (width, classes)),
+            )
         ]
         if self.kind == "experts":
             disc = self.discriminator
@@ -198,37 +204,28 @@ class Model:
     def predict_proba(self, features: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
         """Class probabilities per row, in blocks of at most ``PREDICT_BLOCK`` rows.
 
-        Each block runs the backbone, then each group's head on the
-        block's rows of that group, so memory holds the output plus one
-        block. At the default widths the bits equal one pass over the
-        whole input; with a wider representation a group's rows in a
-        block may round differently in the last bit (``PREDICT_BLOCK``).
+        One network runs the backbone and then every group's head as one
+        layer (their weights stacked), so each block gives every head's
+        logits in one cache-free pass; a routed kind keeps each row's own
+        group's logits, and one softmax follows. Memory holds the output
+        plus one block. A row's bits equal one pass over the whole input,
+        whatever the other rows, but for the short inputs of a wide
+        representation that ``PREDICT_BLOCK`` names.
         """
-        n = features.shape[0]
+        n, classes = features.shape[0], self.heads[0].out_dim
         if self.kind != "erm":
             groups = check_index("groups", groups, n, len(self.heads))
-            # numpy sends a one-row product to gemv, which rounds unlike
-            # gemm; a group with more rows in the input takes its only row
-            # of a block through a two-row product, as one pass would
-            # (counted per block: bincount casts its input to an intp copy)
-            counts = np.zeros(len(self.heads), dtype=np.int64)
-            for rows in row_blocks(n, PREDICT_BLOCK):
-                counts += np.bincount(groups[rows], minlength=len(self.heads))
-            alone = counts == 1
-        probs = np.empty((n, self.heads[0].out_dim))
+        heads = [head.layers[0] for head in self.heads]
+        weights = np.concatenate([h.weight for h in heads])
+        net = Mlp(self.backbone.layers + [Layer(weights, np.concatenate([h.bias for h in heads]))])
+        probs = np.empty((n, classes))
         for rows in row_blocks(n, PREDICT_BLOCK):
-            z = self.representations(features[rows])
-            if self.kind == "erm":
-                probs[rows] = softmax(self.heads[0].forward(z, cache=False)[0])
-            else:
-                out, block_groups = probs[rows], groups[rows]
-                for g, head in enumerate(self.heads):
-                    idx = np.flatnonzero(block_groups == g)
-                    if idx.size == 1 and not alone[g]:
-                        idx = idx.repeat(2)
-                    if idx.size:
-                        out[idx] = softmax(head.forward(z[idx], cache=False)[0])
-            del z  # or it stays alive while the next block's is computed
+            logits = net.forward(features[rows], cache=False)[0]
+            if self.kind != "erm":
+                # row r's group g holds flat columns r * G * classes + g * classes onward
+                m = logits.shape[0]
+                logits = logits.reshape(m, len(heads), classes)[np.arange(m), groups[rows]]
+            probs[rows] = softmax(logits)
         return probs
 
 
@@ -261,6 +258,9 @@ def _flatten(parts: list[Mlp | VirtualCenters]) -> np.ndarray:
     return flat
 
 
+# a diverging step overflows before its loss is checked; the check, not a
+# numpy warning, reports it
+@np.errstate(over="ignore", invalid="ignore")
 def _fit(
     parts: list[Mlp | VirtualCenters],
     arrays: list[np.ndarray],
@@ -280,7 +280,9 @@ def _fit(
     contiguous slice of all of them: ``batch_grads(columns, epoch)``
     returns its losses and the gradients of the parts' ``params()`` at
     the pre-step values, in order, and one momentum step moves the whole
-    buffer. Returns each epoch's mean losses.
+    buffer. Returns each epoch's mean losses. Overflow and invalid
+    values raise no numpy warning here: a non-finite loss or gradient
+    raises ``TrainingDivergence``.
     """
     flat = _flatten(parts)
     velocity = np.zeros_like(flat)

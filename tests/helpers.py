@@ -96,19 +96,18 @@ def equalized_odds_oracle(predictions, labels, groups):
 
 
 def predict_proba_oracle(model, features, groups=None):
-    """``Model.predict_proba`` before it streamed row blocks: the whole
-    input's representations, then each group's rows gathered for its head,
-    each product over all of its rows at once."""
-    z = model.backbone.forward(np.atleast_2d(features))[0]
+    """``Model.predict_proba`` as one pass over the whole input: every
+    row's representation, then one product of all heads' stacked weights
+    over all of them, each row keeping its own group's logits (the
+    pooled head's for erm)."""
+    z = model.backbone.forward(features)[0]
+    weight = np.concatenate([head.layers[0].weight for head in model.heads])
+    bias = np.concatenate([head.layers[0].bias for head in model.heads])
+    logits = (z @ weight.T + bias).reshape(z.shape[0], len(model.heads), -1)
     if model.kind == "erm":
-        return softmax(model.heads[0].forward(z)[0])
-    groups = check_index("groups", np.atleast_1d(groups), z.shape[0], len(model.heads))
-    probs = np.empty((z.shape[0], model.heads[0].out_dim))
-    for g, head in enumerate(model.heads):
-        mask = groups == g
-        if mask.any():
-            probs[mask] = softmax(head.forward(z[mask])[0])
-    return probs
+        return softmax(logits[:, 0])
+    groups = check_index("groups", groups, z.shape[0], len(model.heads))
+    return softmax(logits[np.arange(z.shape[0]), groups])
 
 
 def build_report_oracle(probs, dataset, split, kind):
@@ -290,7 +289,10 @@ def load_csv_oracle(path, schema):
         rows = list(reader)
 
     col_index = {name: i for i, name in enumerate(header)}
-    required = [*schema.feature_columns, schema.label_column, schema.group_column]
+    names = schema.feature_columns
+    if isinstance(names, int):  # the count form: f0..f{d-1}
+        names = tuple(f"f{i}" for i in range(names))
+    required = [*names, schema.label_column, schema.group_column]
     missing = [name for name in required if name not in col_index]
     if missing:
         raise DataError(f"{path}: missing columns {missing}")
@@ -300,7 +302,7 @@ def load_csv_oracle(path, schema):
         raise DataError(f"{path}: repeated columns {repeated}")
 
     has_split = schema.split_column is not None and schema.split_column in col_index
-    feat_idx = [col_index[name] for name in schema.feature_columns]
+    feat_idx = [col_index[name] for name in names]
     n = len(rows)
     features = np.empty((n, len(feat_idx)), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
@@ -315,7 +317,7 @@ def load_csv_oracle(path, schema):
                 features[r, j] = float(row[ci])
             except ValueError:
                 raise DataError(
-                    f"{path}: row {r + 1}, column {schema.feature_columns[j]!r}: "
+                    f"{path}: row {r + 1}, column {names[j]!r}: "
                     f"non-numeric value {row[ci]!r}"
                 ) from None
         try:

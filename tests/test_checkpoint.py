@@ -128,6 +128,7 @@ def _linear(outputs, inputs):
 
 
 NETS = r"has \(inputs, outputs\)"
+LINEAR = r"has layer activations"
 
 
 @pytest.mark.parametrize(
@@ -138,6 +139,11 @@ NETS = r"has \(inputs, outputs\)"
                      id="head-outputs"),
         pytest.param("heads", _linear(2, 7), rf"head 1 {NETS} \(7, 2\), expected \(2, 2\)",
                      id="head-input"),
+        pytest.param("heads", {"layers": _linear(2, 2)["layers"] * 2},
+                     rf"head 1 {LINEAR} \('identity', 'identity'\), expected \('identity',\)",
+                     id="head-of-two-layers"),
+        pytest.param("heads", {"layers": [{**_linear(2, 2)["layers"][0], "activation": "relu"}]},
+                     rf"head 1 {LINEAR} \('relu',\), expected \('identity',\)", id="relu-head"),
         pytest.param("discriminator", _linear(3, 2),
                      rf"discriminator {NETS} \(2, 3\), expected \(2, 2\)", id="discriminator-outputs"),
         pytest.param("discriminator", _linear(2, 7),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,19 @@ def test_divergence_exit_code(tmp_path, config_path):
     with np.errstate(all="ignore"):
         code = main(["run", "--config", str(diverging), "--out-dir", str(tmp_path / "out")])
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["train", "run"])
+def test_divergence_names_its_stage_and_seed_without_numpy_warnings(tmp_path, capsys, command):
+    diverging = tmp_path / "diverge.cfg"
+    diverging.write_text(CONFIG + "\nhyper.lr0 = 1000000.0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(diverging), "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err == "training diverged: [stage=train-erm seed=5] pooled loss diverged at epoch 0\n"
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from fairexperts.data import (
     _class_shares,
     _index_dtype,
     assign_splits,
-    default_schema,
     generate_synthetic,
     group_stats,
     load_csv,
@@ -242,7 +241,7 @@ def test_generated_and_assigned_splits_hold_one_byte_per_row(tmp_path):
     assert assign_splits(ds.labels, ds.groups, seed=3).nbytes == ds.n
     path = str(tmp_path / "no_split.csv")
     write_csv(path, [f"f{i}" for i in range(ds.d)] + ["label", "group"], [[ds.features, ds.labels, ds.groups]])
-    loaded = load_csv(path, default_schema(ds.d, ds.classes, ds.num_groups))
+    loaded = load_csv(path, CsvSchema(ds.d, ds.classes, ds.num_groups))
     assert loaded.split.dtype == np.uint8 and loaded.split.nbytes == loaded.n
 
 
@@ -254,7 +253,7 @@ def test_load_csv_files_each_row_under_the_split_its_tag_names(tmp_path):
     write_csv(without, [f"f{i}" for i in range(ds.d)] + ["label", "group"], [[ds.features, ds.labels, ds.groups]])
     with open(with_split, newline="") as fh:
         file_tags = np.array([row["split"] for row in csv.DictReader(fh)])
-    schema = default_schema(ds.d, ds.classes, ds.num_groups, split_seed=4)
+    schema = CsvSchema(ds.d, ds.classes, ds.num_groups, split_seed=4)
     for path, tags in ((with_split, file_tags), (without, assign_splits_mask_per_cell(ds.labels, ds.groups, 4))):
         loaded = load_csv(path, schema)
         for split in SPLITS:
@@ -382,7 +381,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     ds = generate_synthetic(separable_config(seed=9))
     path = str(tmp_path / "data.csv")
     save_csv(ds, path)
-    loaded = load_csv(path, default_schema(ds.d, ds.classes, ds.num_groups))
+    loaded = load_csv(path, CsvSchema(ds.d, ds.classes, ds.num_groups))
     assert np.array_equal(loaded.features, ds.features)
     assert np.array_equal(loaded.labels, ds.labels)
     assert np.array_equal(loaded.groups, ds.groups)
@@ -672,7 +671,7 @@ def test_load_csv_matches_the_per_row_oracle(tmp_path):
     save_csv(ds, str(with_split))
     header = [f"f{i}" for i in range(ds.d)] + ["label", "group"]
     write_csv(str(without), header, [[ds.features, ds.labels, ds.groups]])
-    schema = default_schema(ds.d, ds.classes, ds.num_groups, split_seed=4)
+    schema = CsvSchema(ds.d, ds.classes, ds.num_groups, split_seed=4)
     for path in (with_split, without):
         assert_same_arrays(load_csv(str(path), schema), load_csv_oracle(str(path), schema))
 

@@ -9,9 +9,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from fairexperts.data import (
+    CsvSchema,
     Dataset,
     SyntheticConfig,
-    default_schema,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -559,7 +559,7 @@ def report_cases(draw):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.csv")
             save_csv(ds, path)
-            ds = load_csv(path, default_schema(1, classes, num_groups))
+            ds = load_csv(path, CsvSchema(1, classes, num_groups))
     split_name = draw(st.sampled_from(("train", "val", "test")))
     # values 0, 0.5 and 1: rows often tie, and argmax takes the first
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

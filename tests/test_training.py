@@ -602,7 +602,6 @@ def _blocked_models(repr_dim=8, groups=4, seed=31):
 
 
 def test_predict_proba_in_blocks_equals_one_pass_over_the_input():
-    erm, routed = _blocked_models()
     rng = np.random.default_rng(8)
     n = 3 * PREDICT_BLOCK + 500  # four near-equal blocks
     block0, block1 = list(row_blocks(n, PREDICT_BLOCK))[:2]
@@ -618,18 +617,41 @@ def test_predict_proba_in_blocks_equals_one_pass_over_the_input():
     sparse = shuffled.copy()
     sparse[block1][sparse[block1] == 2] = 0
     sparse[block1.start + 5] = 2
-    for groups in (sorted_groups, shuffled, sparse):
-        assert np.bincount(groups, minlength=4)[3] == 1
-        for model in (erm, routed):
-            for rows in (slice(None), slice(0, 1), slice(0, 700), slice(block0.stop - 3, None)):
-                got = model.predict_proba(x[rows], groups[rows])
-                want = predict_proba_oracle(model, x[rows], groups[rows])
-                assert got.shape == want.shape
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # 8 is the default width; a head product on 32 or 64 inputs rounds
+    # unlike the same rows in a larger product when it has few rows
+    for repr_dim in (8, 32, 64):
+        erm, routed = _blocked_models(repr_dim)
+        for groups in (sorted_groups, shuffled, sparse):
+            assert np.bincount(groups, minlength=4)[3] == 1
+            for model in (erm, routed):
+                for rows in (slice(None), slice(0, 1), slice(0, 700), slice(block0.stop - 3, None)):
+                    got = model.predict_proba(x[rows], groups[rows])
+                    want = predict_proba_oracle(model, x[rows], groups[rows])
+                    assert got.shape == want.shape
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # the cases above hit a group's only row in a block, with more rows
     # of that group elsewhere
     assert np.count_nonzero(sparse[block1] == 2) == 1
     assert np.count_nonzero(sparse == 2) > 1
+
+
+# At repr_dim 32 and 64, OpenBLAS's small-matrix kernel rounds some rows
+# of a head product of at most 1,200 / (G x classes) rows by position
+# (training.PREDICT_BLOCK). The 300-row inputs at G 1 are such products
+# and keep their bits in any order; 302 or 1,025 rows at G 1 do not.
+@pytest.mark.parametrize("rows", [300, 1_500, 20_000])
+@pytest.mark.parametrize("repr_dim", [8, 32, 64])
+@pytest.mark.parametrize("groups", [1, 3, 16])
+def test_predict_proba_rows_do_not_depend_on_row_order(rows, repr_dim, groups):
+    erm, routed = _blocked_models(repr_dim, groups, seed=rows + repr_dim + groups)
+    rng = np.random.default_rng(rows * groups + repr_dim)
+    x = rng.standard_normal((rows, 10))
+    row_groups = rng.integers(0, groups, rows, dtype=np.uint8)
+    perm = rng.permutation(rows)
+    for model in (erm, routed):
+        want = model.predict_proba(x, row_groups)[perm]
+        got = model.predict_proba(x[perm], row_groups[perm])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_predict_proba_bounds_memory_by_the_output():
@@ -644,7 +666,7 @@ def test_predict_proba_bounds_memory_by_the_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one block's representations, a group's gathered copy of them and
-    # smaller temporaries, in a block of at most PREDICT_BLOCK rows; a
-    # pass over the whole input holds rows x 32 representations (31 MB)
+    # one block of every head's logits and smaller temporaries, in a
+    # block of at most PREDICT_BLOCK rows; a pass over the whole input
+    # holds rows x 32 representations (31 MB)
     assert peak < out.nbytes + 2 * PREDICT_BLOCK * 32 * 8

@@ -4,15 +4,18 @@
     python3 tools/blas_threads.py --run configs/group_shift.cfg
 
 Without ``--run``, for each block size it pushes ``ROWS`` rows through
-the default network's two backbone products, (rows x 10) @ (10 x 32)
-and then (rows x 32) @ (32 x 8), one block at a time, and prints the
-CPU ticks that the process's other threads (OpenBLAS's workers) used
-meanwhile, read from ``/proc/self/task/*/stat``, and the wall time.
-Zero worker ticks means every product ran on the calling thread, so no
-worker spin-waits after it. ``net.APPLY_BLOCK`` was chosen from this
-table; re-run it after a numpy or OpenBLAS upgrade. The sizes 1,536 to
-2,047 bracket the point (about 1,700 rows with OpenBLAS 0.3.31) from
-which the first product goes to a worker.
+every inference product of the default network, one block at a time:
+the two backbone products, (rows x 10) @ (10 x 32) and (rows x 32) @
+(32 x 8), then the head layer that ``Model.predict_proba`` stacks from
+every group's head, (rows x 8) @ (8 x 12) at ``heldout_heavy``'s 6
+groups and 2 classes. It prints the CPU ticks that the process's other
+threads (OpenBLAS's workers) used meanwhile, read from
+``/proc/self/task/*/stat``, and the wall time. Zero worker ticks
+means every product ran on the calling thread, so no worker spin-waits
+after it. ``net.APPLY_BLOCK`` was chosen from this table; re-run it
+after a numpy or OpenBLAS upgrade. The sizes 1,536 to 2,047 bracket
+the point (about 1,700 rows with OpenBLAS 0.3.31) from which the first
+product goes to a worker.
 
 ``--run CONFIG`` runs ``experiment.run_experiment`` on CONFIG in this
 process, into a temporary directory, and prints per pipeline stage (each
@@ -49,7 +52,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 ROWS = 2_000_000
 BLOCK_SIZES = (8192, 2048, 2047, 1800, 1536, 1024, 512)
-LAYERS = ((10, 32), (32, 8))  # (in, out) of the default backbone
+# (in, out) of the default backbone, then of the stacked heads of 6 groups
+# and 2 classes
+LAYERS = ((10, 32), (32, 8), (8, 12))
 SETTLE_S = 1.0
 # the output writers that experiment.run_experiment calls, timed as one row
 WRITERS = ("write_json", "write_training_log", "write_representations_csv")
