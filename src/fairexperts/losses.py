@@ -18,6 +18,10 @@ Losses are averaged over the batch and return analytic gradients with
 respect to the representations and to the centers or discriminator
 parameters involved. The two center losses read the batch's cosines
 from one ``CenterCosines``, which training builds once per batch.
+Every loss reads a batch's labels, groups and partners from one
+``Batch``, a slice of a ``BatchPlan``: the plan checks an epoch's index
+arrays and derives their per-row facts once, where it is built, so no
+loss checks them again.
 Partner dot products are taken on unnormalized representations; every
 exponent is clamped to [-EXP_CLAMP, EXP_CLAMP] before exponentiation (a
 no-op for cosines, which live in [-1, 1]).
@@ -183,17 +187,121 @@ def sample_pairs(
     return PairAssignment(positive, negative)
 
 
+class BatchPlan:
+    """One epoch's checked labels, groups and partners, cut into batches.
+
+    The rows are consecutive batches of ``batch_size`` (the last may be
+    shorter), as ``sample_pairs`` draws them, and ``cells`` is (groups,
+    classes). Building the plan runs every input check of the losses
+    once: labels below ``classes`` and groups below the group count
+    (``check_index``), and each partner array of integers, one per row,
+    each -1 or the position of another row of the same batch. It then
+    derives each row's facts once: labels and groups as ``intp``, its
+    position in its batch, whether it has each partner and a diversity
+    denominator, and each batch's rows in group order from one stable
+    sort. It holds 1-D arrays of one entry per row, plus the group ids.
+
+    ``plan[rows]``, for ``rows`` the slice of one of its batches, is that
+    batch's ``Batch``: contiguous slices of these arrays.
+    """
+
+    def __init__(
+        self,
+        labels: np.ndarray,
+        groups: np.ndarray,
+        cells: tuple[int, int],
+        batch_size: int,
+        pairs: PairAssignment,
+    ):
+        num_groups, classes = cells
+        n = np.size(labels)
+        labels = check_index("labels", labels, n, classes).astype(np.intp)
+        groups = check_index("groups", groups, n, num_groups).astype(np.intp)
+        if batch_size < 1:
+            raise ValueError("batch size must be at least 1")
+        size = max(min(batch_size, n), 1)  # no rows make one empty batch
+        index = np.arange(n)
+        position = index % size
+        batch_rows = np.minimum(n - (index - position), size)
+        partners = []
+        for name, partner in (("positive", pairs.positive), ("negative", pairs.negative)):
+            partner = np.asarray(partner)
+            if partner.shape != (n,):
+                raise ValueError(f"{name} partner array must have one entry per sample")
+            if partner.dtype.kind not in "iu":
+                raise ValueError(f"{name} partner array must hold integers, got dtype {partner.dtype}")
+            bad = (partner >= batch_rows) | (partner < -1) | (partner == position)
+            if bad.any():
+                raise ValueError(f"{name} partner index invalid at positions {np.flatnonzero(bad)}")
+            partners.append(partner.astype(np.intp))
+        self.cells = (num_groups, classes)
+        self.labels, self.groups, self.position = labels, groups, position
+        self.positive, self.negative = partners
+        self.has_pos = self.positive >= 0
+        self.has_neg = self.negative >= 0
+        # once the cells are in range, every sample has a cell differing in
+        # both coordinates exactly when there are two groups and two classes
+        self.has_denom = self.has_neg | (num_groups > 1 and classes > 1)
+        self.live = self.has_denom.astype(np.float64)
+        # each batch's rows by group, in batch order within a group
+        order = np.argsort(index // size * num_groups + groups, kind="stable")
+        self.group_rows = position[order]
+        self.group_labels = labels[order]
+        self.sorted_groups = groups[order]
+        self.group_ids = np.arange(num_groups + 1)
+
+    def __getitem__(self, rows: slice) -> "Batch":
+        return Batch(self, rows)
+
+
+class Batch:
+    """One batch of a ``BatchPlan``: its rows' checked facts.
+
+    Each per-row array of the plan (``labels``, ``groups``, ``position``,
+    ``positive``, ``negative``, ``has_pos``, ``has_neg``, ``has_denom``,
+    ``live``, ``group_rows``, ``group_labels``) sliced to the batch's
+    rows, so ``position`` is ``arange`` of the row count and partners are
+    positions in the batch. Group g's rows are
+    ``group_rows[bounds[g]:bounds[g + 1]]``, in batch order, with labels
+    ``group_labels`` over the same range.
+    """
+
+    def __init__(self, plan: BatchPlan, rows: slice):
+        self.cells = plan.cells
+        self.labels, self.groups = plan.labels[rows], plan.groups[rows]
+        self.position = plan.position[rows]
+        self.positive, self.negative = plan.positive[rows], plan.negative[rows]
+        self.has_pos, self.has_neg = plan.has_pos[rows], plan.has_neg[rows]
+        self.has_denom, self.live = plan.has_denom[rows], plan.live[rows]
+        self.group_rows, self.group_labels = plan.group_rows[rows], plan.group_labels[rows]
+        # where each group's run starts in the batch's group order
+        self.bounds = plan.sorted_groups[rows].searchsorted(plan.group_ids).tolist()
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    def check(self, rows: int, cells: tuple[int, int]) -> None:
+        """Raise ``ValueError`` unless the batch has ``rows`` rows over ``cells``."""
+        if self.labels.shape[0] != rows or self.cells != cells:
+            raise ValueError(
+                f"batch of {self.labels.shape[0]} rows over (groups, classes) {self.cells} "
+                f"does not match {rows} representations over {cells}"
+            )
+
+
 def discriminator_loss(
-    reps: np.ndarray, groups: np.ndarray, disc: Mlp
+    reps: np.ndarray, batch: Batch, disc: Mlp
 ) -> tuple[float, np.ndarray, list[np.ndarray]]:
     """Group NLL under the discriminator, batch-averaged.
 
-    Returns (loss, gradient w.r.t. representations, gradients w.r.t.
-    discriminator parameters in ``params()`` order).
+    The targets are ``batch.groups``. Returns (loss, gradient w.r.t.
+    representations, gradients w.r.t. discriminator parameters in
+    ``params()`` order).
     """
-    groups = check_index("groups", groups, reps.shape[0], disc.out_dim)
+    # one output per group; the class count plays no part
+    batch.check(reps.shape[0], (disc.out_dim, batch.cells[1]))
     logits, cache = disc.forward(reps)
-    loss, dlogits = softmax_cross_entropy(logits, groups)
+    loss, dlogits = softmax_cross_entropy(logits, batch.groups)
     dparams, dreps = disc.backward(cache, dlogits)
     return loss, dreps, dparams
 
@@ -217,6 +325,7 @@ class CenterCosines:
         # np.linalg.norm's arithmetic, without its Python dispatch
         self.z_norm = np.sqrt(np.add.reduce(self.z * self.z, axis=1))  # (n,)
         self.v_norm = np.sqrt(np.add.reduce(self.v * self.v, axis=2))  # (G, C)
+        self.cells = self.v.shape[:2]  # (groups, classes) of the centers
         self.undefined = None
         if not self.z_norm.all():
             self.undefined = "cosine similarity undefined for zero-norm representation"
@@ -226,11 +335,6 @@ class CenterCosines:
             self.z_hat = self.z / self.z_norm[:, None]
             self.v_hat = self.v / self.v_norm[:, :, None]
             self._cos = np.einsum("nm,gcm->ngc", self.z_hat, self.v_hat)
-
-    @property
-    def cells(self) -> tuple[int, int]:
-        """(groups, classes) of the centers."""
-        return self.v.shape[:2]
 
     @property
     def cos(self) -> np.ndarray:
@@ -252,7 +356,7 @@ class CenterCosines:
 
 
 def center_alignment_loss(
-    cosines: CenterCosines, labels: np.ndarray, groups: np.ndarray
+    cosines: CenterCosines, batch: Batch
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Bidirectional sample/center alignment, batch-averaged.
 
@@ -261,11 +365,9 @@ def center_alignment_loss(
     per-class centers, summed over the rows. Returns (loss, dZ, dV).
     """
     n = cosines.z.shape[0]
-    g_total, c_total = cosines.cells
-    labels = check_index("labels", labels, n, c_total)
-    check_index("groups", groups, n, g_total)  # the loss covers every group's row
+    batch.check(n, cosines.cells)  # the loss covers every group's row
+    labels, rows = batch.labels, batch.position
     logp = log_softmax(cosines.cos)  # softmax over classes, per (sample, group)
-    rows = np.arange(n)
     # weights[i, g, c] = d loss / d cos[i, g, c]
     weights = np.exp(logp)
     weights[rows, :, labels] -= 1.0
@@ -277,10 +379,7 @@ def center_alignment_loss(
 
 
 def diversity_loss(
-    cosines: CenterCosines,
-    labels: np.ndarray,
-    groups: np.ndarray,
-    pairs: PairAssignment,
+    cosines: CenterCosines, batch: Batch
 ) -> tuple[float, np.ndarray, np.ndarray, int]:
     """Contrastive pull/push over partners and centers, batch-averaged.
 
@@ -293,22 +392,12 @@ def diversity_loss(
     z = cosines.z
     n = z.shape[0]
     g_total, c_total = cosines.cells
-    labels = check_index("labels", labels, n, c_total)
-    groups = check_index("groups", groups, n, g_total)
-    rows = np.arange(n)
-    for name, partner in (("positive", pairs.positive), ("negative", pairs.negative)):
-        partner = np.asarray(partner)
-        if partner.shape != (n,):
-            raise ValueError(f"{name} partner array must have one entry per sample")
-        bad = (partner >= n) | (partner < -1) | (partner == rows)
-        if bad.any():
-            raise ValueError(f"{name} partner index invalid at positions {np.flatnonzero(bad)}")
+    batch.check(n, cosines.cells)
+    labels, groups, rows = batch.labels, batch.groups, batch.position
     cos = cosines.cos  # raises here if a representation or center has zero norm
 
-    pos = pairs.positive
-    neg = pairs.negative
-    has_pos = pos >= 0
-    has_neg = neg >= 0
+    pos, neg = batch.positive, batch.negative
+    has_pos, has_neg = batch.has_pos, batch.has_neg
     z_pos = z[pos]
     z_neg = z[neg]
 
@@ -334,9 +423,7 @@ def diversity_loss(
     exp_other = np.exp(cos) * other
 
     numer = exp_pos + exp_own  # own-center term keeps this nonempty
-    # once the cells are in range, every sample has a cell differing in
-    # both coordinates exactly when there are two groups and two classes
-    has_denom = has_neg | (g_total > 1 and c_total > 1)
+    has_denom = batch.has_denom
     denom = exp_neg + np.add.reduce(exp_other, axis=(1, 2))
     skipped = n - np.count_nonzero(has_denom)
     safe_denom = np.where(has_denom, denom, 1.0)
@@ -346,7 +433,7 @@ def diversity_loss(
     if not math.isfinite(loss):
         raise TrainingDivergence("diversity loss diverged despite exponent clamping")
 
-    live = has_denom.astype(np.float64)
+    live = batch.live
     coef_pos = -(exp_pos / numer) * act_pos * live / n
     coef_neg = (exp_neg / safe_denom) * act_neg * live / n
     coef_own = -(exp_own / numer) * live / n

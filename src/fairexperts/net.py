@@ -252,15 +252,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Batch-averaged cross-entropy of integer ``labels`` under softmax.
+    """Batch-averaged cross-entropy of ``labels`` under softmax.
 
+    ``labels`` holds one class index per row, already checked: by
+    ``check_index`` against the class count, as training checks its
+    targets once per fit, or by a ``losses.BatchPlan``.
     Returns (loss, gradient w.r.t. logits). The gradient carries the
     1/batch factor, matching this package's averaging convention.
     """
-    n, c = logits.shape
+    n = logits.shape[0]
     if n == 0:
         raise ValueError("cross-entropy needs at least one row")
-    labels = check_index("labels", labels, n, c)
     ls = log_softmax(logits)
     rows = np.arange(n)
     # the arithmetic of ndarray.mean: one sum, then one true divide

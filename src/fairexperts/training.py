@@ -28,11 +28,16 @@ All four run through ``_fit``, the one training loop: seeded mini-batch
 momentum SGD over one flat parameter buffer and one flat velocity buffer
 per trained model, with the rate lr0 * lr_decay**epoch. The model's
 arrays become views of that buffer, so one element-wise step per batch
-moves them all. Each epoch gathers the training arrays in shuffled
-order once and hands each batch contiguous slices of them; the expert
-trainer also draws the whole epoch's partners in one ``sample_pairs``
-call. Each trainer hands ``_fit`` a batch function that
-returns the batch losses and every gradient at the pre-step parameters:
+moves them all. Each epoch gathers the features in shuffled order once
+and builds one checked plan of the epoch's per-row facts, and each batch
+gets contiguous slices of both. For the cross-entropy fits the plan is
+the targets, checked once per fit and gathered as ``intp``; the expert
+trainer draws the whole epoch's partners in one ``sample_pairs`` call
+and builds a ``losses.BatchPlan``, which checks labels, groups and
+partners once and derives what every batch's losses read (partner
+masks, each group's rows), so no loss checks or derives them per
+batch. Each trainer hands ``_fit`` a batch function that returns the
+batch losses and every gradient at the pre-step parameters:
 ``_fit_cross_entropy`` for the first three, the expert step for the
 last. Determinism: given the same dataset and hyperparameters, training
 is bit-identical. Named random streams (init, shuffle, pairs) derive
@@ -51,8 +56,9 @@ import numpy as np
 from . import rng as rngmod
 from .data import Dataset
 from .losses import (
+    Batch,
+    BatchPlan,
     CenterCosines,
-    PairAssignment,
     VirtualCenters,
     center_alignment_loss,
     discriminator_loss,
@@ -263,46 +269,47 @@ def _flatten(parts: list[Mlp | VirtualCenters]) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def _fit(
     parts: list[Mlp | VirtualCenters],
-    arrays: list[np.ndarray],
+    features: np.ndarray,
     shuffle_rng,
     hp: HyperParams,
     name: str,
     batch_grads,
-    epoch_arrays=None,
+    epoch_plan,
 ):
     """The one training loop: seeded mini-batch momentum SGD, in place.
 
     The arrays of ``parts`` become views of one flat parameter buffer,
     with one flat velocity buffer beside it. Each epoch draws one
-    permutation of the training rows and gathers every per-row array of
-    ``arrays`` in that order once; ``epoch_arrays(gathered)``, if given,
-    returns more per-row arrays for that epoch. Each batch is a
-    contiguous slice of all of them: ``batch_grads(columns, epoch)``
-    returns its losses and the gradients of the parts' ``params()`` at
-    the pre-step values, in order, and one momentum step moves the whole
-    buffer. Returns each epoch's mean losses. Overflow and invalid
-    values raise no numpy warning here: a non-finite loss or gradient
-    raises ``TrainingDivergence``.
+    permutation of the training rows, gathers ``features`` in that
+    order once, and ``epoch_plan(perm)`` returns the epoch's checked
+    per-row facts in that order: the targets of a cross-entropy fit, or
+    the experts' ``BatchPlan``. Each batch gets a contiguous slice of
+    both: ``batch_grads(features, facts, epoch)`` returns its losses and
+    the gradients of the parts' ``params()`` at the pre-step values, in
+    order, and one momentum step moves the whole buffer. Returns each
+    epoch's mean losses. Overflow and invalid values raise no numpy
+    warning here: a non-finite loss or gradient raises
+    ``TrainingDivergence``.
     """
     flat = _flatten(parts)
     velocity = np.zeros_like(flat)
     flat_grad = np.empty_like(flat)
-    n = len(arrays[0])
+    n = features.shape[0]
     means = []
     for epoch in range(hp.epochs):
         perm = shuffle_rng.permutation(n)
-        gathered = [a[perm] for a in arrays]
-        if epoch_arrays is not None:
-            gathered += epoch_arrays(gathered)
+        gathered = features[perm]
+        plan = epoch_plan(perm)
+        lr = hp.lr(epoch)
         sums = 0.0
         for rows in _batches(n, hp.batch_size):
-            columns = [a[rows] for a in gathered]
-            losses, grads = batch_grads(columns, epoch)
+            xb = gathered[rows]
+            losses, grads = batch_grads(xb, plan[rows], epoch)
             if not all(map(math.isfinite, losses)):
                 raise TrainingDivergence(f"{name} diverged at epoch {epoch}")
             np.concatenate(grads, axis=None, out=flat_grad)
-            sgd_step(flat, velocity, flat_grad, hp.lr(epoch), hp.momentum)
-            sums = sums + np.asarray(losses) * len(columns[0])
+            sgd_step(flat, velocity, flat_grad, lr, hp.momentum)
+            sums = sums + np.asarray(losses) * xb.shape[0]
         means.append(sums / n)
     return means
 
@@ -310,15 +317,19 @@ def _fit(
 def _fit_cross_entropy(
     net: Mlp, x: np.ndarray, y: np.ndarray, shuffle_rng, hp: HyperParams, name: str
 ) -> list[np.ndarray]:
-    """Minimize cross-entropy of ``net`` on (x, y) through ``_fit``."""
+    """Minimize cross-entropy of ``net`` on (x, y) through ``_fit``.
 
-    def batch_grads(columns, epoch):
-        xb, yb = columns
+    The targets are checked once, as ``intp``; each epoch's plan is
+    their gather in the epoch's order.
+    """
+    targets = check_index("labels", y, x.shape[0], net.out_dim).astype(np.intp)
+
+    def batch_grads(xb, yb, epoch):
         logits, cache = net.forward(xb)
         loss, dlogits = softmax_cross_entropy(logits, yb)
         return (loss,), net.backward(cache, dlogits, input_grad=False)[0]
 
-    return _fit([net], [x, y], shuffle_rng, hp, name, batch_grads)
+    return _fit([net], x, shuffle_rng, hp, name, batch_grads, lambda perm: targets[perm])
 
 
 def _init_backbone(d: int, hp: HyperParams, init_rng: np.random.Generator) -> Mlp:
@@ -351,28 +362,32 @@ def train_erm(dataset: Dataset, hp: HyperParams) -> Model:
 
 
 def _routed_cross_entropy(
-    heads: list[Mlp], z: np.ndarray, labels: np.ndarray, groups: np.ndarray
+    heads: list[Mlp], z: np.ndarray, batch: Batch
 ) -> tuple[float, np.ndarray, list[list[np.ndarray]]]:
     """Cross-entropy with each sample routed to its group's head.
 
     Averaged over the whole batch, so a head's gradient is the batch
-    gradient restricted to its group's rows; heads of absent groups get
-    exact zeros. Returns (loss, dZ, per-head parameter gradients).
+    gradient restricted to its group's rows (the batch's group row
+    lists); heads of absent groups get exact zeros. Returns (loss, dZ,
+    per-head parameter gradients).
     """
     n = z.shape[0]
+    batch.check(n, (len(heads), heads[0].out_dim))
     dz = np.zeros(z.shape)
     total = 0.0
     head_grads: list[list[np.ndarray]] = []
+    bounds = batch.bounds
     for g, head in enumerate(heads):
-        idx = np.flatnonzero(groups == g)
-        if idx.size == 0:
+        lo, hi = bounds[g], bounds[g + 1]
+        if lo == hi:
             head_grads.append([np.zeros_like(p) for p in head.params()])
             continue
+        idx = batch.group_rows[lo:hi]
         logits, cache = head.forward(z[idx])
         # per-sample terms carry the global 1/n, not 1/len(idx)
-        loss_mean, dlogits = softmax_cross_entropy(logits, labels[idx])
-        total += loss_mean * idx.size
-        dlogits *= idx.size / n
+        loss_mean, dlogits = softmax_cross_entropy(logits, batch.group_labels[lo:hi])
+        total += loss_mean * (hi - lo)
+        dlogits *= (hi - lo) / n
         grads, dz_rows = head.backward(cache, dlogits)
         head_grads.append(grads)
         dz[idx] = dz_rows
@@ -408,33 +423,34 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
         if redrawn:
             logger.warning("epoch %d: redrew %d degenerate centers", epoch, redrawn)
 
-    def epoch_pairs(gathered):
-        # every batch's partners in one draw, the same as one draw per batch
-        _, yb, ab = gathered
-        pairs = sample_pairs(yb, ab, pairs_rng, hp.batch_size)
-        return [pairs.positive, pairs.negative]
+    cells = (dataset.num_groups, dataset.classes)
 
-    def batch_grads(columns, epoch):
+    def epoch_plan(perm):
+        # every batch's partners in one draw, the same as one draw per batch
+        yb, ab = labels[perm], groups[perm]
+        pairs = sample_pairs(yb, ab, pairs_rng, hp.batch_size)
+        return BatchPlan(yb, ab, cells, hp.batch_size, pairs)
+
+    def batch_grads(xb, batch, epoch):
         # the previous step may have collapsed a center; redraw it before
         # any loss reads it
         redraw_degenerate_centers(epoch)
-        xb, yb, ab, positive, negative = columns
         z, cache_b = backbone.forward(xb)
-        # one cosine system per batch, shared by both center losses
+        # one cosine system per batch, shared by both center losses; with
+        # every center redrawn above the norm floor, only a zero
+        # representation leaves it undefined
         cosines = CenterCosines(z, centers)
-        if not cosines.z_norm.all():
+        if cosines.undefined:
             raise TrainingDivergence(
                 f"epoch {epoch}: a sample's representation is exactly zero "
                 "(all hidden units inactive); widen hidden_dim or rescale "
                 "the features"
             )
 
-        loss_cls, dz_cls, head_grads = _routed_cross_entropy(heads, z, yb, ab)
-        loss_disc, dz_disc, disc_grads = discriminator_loss(z, ab, disc)
-        loss_virt, dz_virt, dv_virt = center_alignment_loss(cosines, yb, ab)
-        loss_div, dz_div, dv_div, skipped = diversity_loss(
-            cosines, yb, ab, PairAssignment(positive, negative)
-        )
+        loss_cls, dz_cls, head_grads = _routed_cross_entropy(heads, z, batch)
+        loss_disc, dz_disc, disc_grads = discriminator_loss(z, batch, disc)
+        loss_virt, dz_virt, dv_virt = center_alignment_loss(cosines, batch)
+        loss_div, dz_div, dv_div, skipped = diversity_loss(cosines, batch)
         if skipped:
             logger.debug("epoch %d: %d samples skipped in diversity loss", epoch, skipped)
 
@@ -444,7 +460,7 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
         grads_b, _ = backbone.backward(cache_b, dz_total, input_grad=False)
         grads = [
             *grads_b,
-            *(hp.lambda_disc * g for g in disc_grads),
+            *[hp.lambda_disc * g for g in disc_grads],
             hp.lambda_virt * dv_virt + hp.lambda_div * dv_div,
         ]
         for g in head_grads:
@@ -453,9 +469,7 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
 
     parts = [backbone, disc, centers, *heads]
     shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE)
-    means = _fit(
-        parts, [features, labels, groups], shuffle_rng, hp, "expert loss", batch_grads, epoch_pairs
-    )
+    means = _fit(parts, features, shuffle_rng, hp, "expert loss", batch_grads, epoch_plan)
     redraw_degenerate_centers(hp.epochs - 1)
     log = [ExpertsEpoch(k, *map(float, mean), hp.lr(k)) for k, mean in enumerate(means)]
     return Model("experts", backbone, heads, disc, centers, log=log, seed=hp.seed)

@@ -16,9 +16,25 @@ from fairexperts.data import (
     group_stats,
     load_csv,
 )
-from fairexperts.losses import EXP_CLAMP, PairAssignment, VirtualCenters
+from fairexperts.losses import EXP_CLAMP, BatchPlan, PairAssignment, VirtualCenters
 from fairexperts.metrics import _odds_score, accuracy, auc
 from fairexperts.net import TrainingDivergence, check_index, softmax
+
+
+def one_batch(labels, groups, cells, pairs=None):
+    """``labels`` and ``groups`` as the one ``Batch`` of a ``BatchPlan`` over
+    (groups, classes) ``cells``, checked as training checks an epoch;
+    partners are ``pairs``, or none."""
+    n = np.size(labels)
+    if pairs is None:
+        pairs = PairAssignment(np.full(n, -1), np.full(n, -1))
+    return BatchPlan(labels, groups, cells, max(n, 1), pairs)[:]
+
+
+def group_batch(groups, num_groups):
+    """``groups`` as the one checked ``Batch`` a discriminator of
+    ``num_groups`` outputs reads; every label is 0 of one class."""
+    return one_batch(np.zeros(np.size(groups), dtype=np.intp), groups, (num_groups, 1))
 
 
 def central_difference(fn, x, step=1e-5):

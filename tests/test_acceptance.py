@@ -18,7 +18,6 @@ from fairexperts.config import config_from_dict, load_config
 from fairexperts.experiment import dataset_for_seed, run_experiment
 from fairexperts.losses import (
     CenterCosines,
-    PairAssignment,
     VirtualCenters,
     center_alignment_loss,
     discriminator_loss,
@@ -33,7 +32,9 @@ from fairexperts.training import _routed_cross_entropy, train_erm, train_experts
 from helpers import (
     central_difference,
     enumerate_ip_oracle,
+    group_batch,
     max_relative_error,
+    one_batch,
     pairwise_auc_oracle,
 )
 
@@ -84,56 +85,53 @@ def test_criterion_01_gradients_match_finite_differences():
         centers = VirtualCenters(rng.standard_normal((g, c, m)))
         heads = [init_mlp([m, c], ["identity"], rng) for _ in range(g)]
         pairs = sample_pairs(labels, groups, rng, batch_size=len(labels))
+        batch = one_batch(labels, groups, (g, c), pairs)
 
-        _, dz, dparams = discriminator_loss(z, groups, disc)
+        _, dz, dparams = discriminator_loss(z, batch, disc)
         worst = max(worst, max_relative_error(
-            dz, central_difference(lambda: discriminator_loss(z, groups, disc)[0], z)
+            dz, central_difference(lambda: discriminator_loss(z, batch, disc)[0], z)
         ))
         for p, grad in zip(disc.params(), dparams):
             worst = max(worst, max_relative_error(
-                grad, central_difference(lambda: discriminator_loss(z, groups, disc)[0], p)
+                grad, central_difference(lambda: discriminator_loss(z, batch, disc)[0], p)
             ))
 
-        _, dz, dv = center_alignment_loss(CenterCosines(z, centers), labels, groups)
+        _, dz, dv = center_alignment_loss(CenterCosines(z, centers), batch)
         worst = max(worst, max_relative_error(
             dz,
             central_difference(
-                lambda: center_alignment_loss(CenterCosines(z, centers), labels, groups)[0], z
+                lambda: center_alignment_loss(CenterCosines(z, centers), batch)[0], z
             ),
         ))
         worst = max(worst, max_relative_error(
             dv,
             central_difference(
-                lambda: center_alignment_loss(CenterCosines(z, centers), labels, groups)[0], centers.vectors
+                lambda: center_alignment_loss(CenterCosines(z, centers), batch)[0], centers.vectors
             ),
         ))
 
-        _, dz, dv, _ = diversity_loss(CenterCosines(z, centers), labels, groups, pairs)
+        _, dz, dv, _ = diversity_loss(CenterCosines(z, centers), batch)
         worst = max(worst, max_relative_error(
             dz,
-            central_difference(
-                lambda: diversity_loss(CenterCosines(z, centers), labels, groups, pairs)[0], z
-            ),
+            central_difference(lambda: diversity_loss(CenterCosines(z, centers), batch)[0], z),
         ))
         worst = max(worst, max_relative_error(
             dv,
             central_difference(
-                lambda: diversity_loss(CenterCosines(z, centers), labels, groups, pairs)[0], centers.vectors
+                lambda: diversity_loss(CenterCosines(z, centers), batch)[0], centers.vectors
             ),
         ))
 
-        _, dz, head_grads = _routed_cross_entropy(heads, z, labels, groups)
+        _, dz, head_grads = _routed_cross_entropy(heads, z, batch)
         worst = max(worst, max_relative_error(
             dz,
-            central_difference(lambda: _routed_cross_entropy(heads, z, labels, groups)[0], z),
+            central_difference(lambda: _routed_cross_entropy(heads, z, batch)[0], z),
         ))
         for head, grads in zip(heads, head_grads):
             for p, grad in zip(head.params(), grads):
                 worst = max(worst, max_relative_error(
                     grad,
-                    central_difference(
-                        lambda: _routed_cross_entropy(heads, z, labels, groups)[0], p
-                    ),
+                    central_difference(lambda: _routed_cross_entropy(heads, z, batch)[0], p),
                 ))
         checked += 1
     elapsed = time.perf_counter() - start
@@ -146,12 +144,15 @@ def test_criterion_01_gradients_match_finite_differences():
 
 def test_criterion_02_closed_form_loss_values():
     disc = Mlp([Layer(np.zeros((2, 3)), np.zeros(2), "identity")])
-    loss_disc, _, _ = discriminator_loss(np.array([[1.0, 2.0, 3.0]]), np.array([0]), disc)
+    loss_disc, _, _ = discriminator_loss(
+        np.array([[1.0, 2.0, 3.0]]), group_batch(np.array([0]), 2), disc
+    )
     err_disc = abs(loss_disc - math.log(2))
 
     centers_single = VirtualCenters(np.ones((2, 1, 3)))
     loss_virt, _, _ = center_alignment_loss(
-        CenterCosines(np.array([[1.0, 2.0, 3.0]]), centers_single), np.array([0]), np.array([1])
+        CenterCosines(np.array([[1.0, 2.0, 3.0]]), centers_single),
+        one_batch(np.array([0]), np.array([1]), (2, 1)),
     )
 
     vectors = np.zeros((2, 2, 3))
@@ -161,9 +162,7 @@ def test_criterion_02_closed_form_loss_values():
     vectors[1, 0] = [0.0, 0.0, 5.0]
     loss_div, _, _, _ = diversity_loss(
         CenterCosines(np.array([[1.0, 0.0, 0.0]]), VirtualCenters(vectors)),
-        np.array([0]),
-        np.array([0]),
-        PairAssignment(np.array([-1]), np.array([-1])),
+        one_batch(np.array([0]), np.array([0]), (2, 2)),
     )
     ok = err_disc < 1e-12 and abs(loss_virt) < 1e-12 and abs(loss_div) < 1e-12
     report_criterion(

@@ -1,4 +1,4 @@
-"""``tools/call_count.py``, the calls per expert batch, on a tiny config."""
+"""``tools/call_count.py``, the calls per expert and per pooled batch, on a tiny config."""
 
 import os
 import subprocess
@@ -22,6 +22,9 @@ def test_two_runs_print_the_same_count(tmp_path):
         for _ in range(2)
     ]
     # CONFIG: 180 train rows in batches of 32 over 3 epochs
-    assert "calls over 18 batches" in outputs[0]
-    assert "calls per expert batch" in outputs[0]
+    lines = outputs[0].splitlines()
+    assert len(lines) == 2
+    for line, kind in zip(lines, ("expert", "pooled")):
+        assert "calls over 18 batches" in line
+        assert line.endswith(f"calls per {kind} batch")
     assert outputs[0] == outputs[1]

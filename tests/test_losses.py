@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fairexperts import rng as rngmod
 from fairexperts.losses import (
     EXP_CLAMP,
+    BatchPlan,
     CenterCosines,
     PairAssignment,
     VirtualCenters,
@@ -19,14 +20,16 @@ from fairexperts.losses import (
     diversity_loss,
     sample_pairs,
 )
-from fairexperts.net import Layer, Mlp, init_mlp, log_softmax, softmax_cross_entropy
+from fairexperts.net import Layer, Mlp, check_index, init_mlp, log_softmax, softmax_cross_entropy
 
 from helpers import (
     center_alignment_oracle,
     central_difference,
     diversity_oracle,
     log_softmax_oracle,
+    group_batch,
     max_relative_error,
+    one_batch,
     sample_pairs_oracle,
     softmax_cross_entropy_oracle,
 )
@@ -45,24 +48,24 @@ def test_disc_loss_zero_for_perfect_discriminator():
     # huge margin on the true group drives the NLL numerically to zero
     w = np.zeros((2, 2))
     disc = Mlp([Layer(w, np.array([60.0, -60.0]), "identity")])
-    loss, _, _ = discriminator_loss(np.zeros((3, 2)), np.zeros(3, dtype=int), disc)
+    loss, _, _ = discriminator_loss(np.zeros((3, 2)), group_batch(np.zeros(3, dtype=int), 2), disc)
     assert loss < 1e-12
 
 
 def test_disc_loss_uniform_binary_is_ln2():
-    loss, _, _ = discriminator_loss(np.array([[1.0, 2.0, 3.0]]), np.array([0]), uniform_disc(2))
+    loss, _, _ = discriminator_loss(np.array([[1.0, 2.0, 3.0]]), group_batch(np.array([0]), 2), uniform_disc(2))
     assert abs(loss - math.log(2)) < 1e-12
 
 
 def test_disc_loss_two_samples_four_groups_is_ln4():
     z = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 0.5]])
-    loss, _, _ = discriminator_loss(z, np.array([1, 3]), uniform_disc(4))
+    loss, _, _ = discriminator_loss(z, group_batch(np.array([1, 3]), 4), uniform_disc(4))
     assert abs(loss - math.log(4)) < 1e-12
 
 
 def test_disc_loss_rejects_out_of_range_group():
     with pytest.raises(ValueError, match="group index"):
-        discriminator_loss(np.zeros((1, 3)), np.array([2]), uniform_disc(2))
+        discriminator_loss(np.zeros((1, 3)), group_batch(np.array([2]), 2), uniform_disc(2))
 
 
 def test_disc_loss_nonnegative_and_zero_iff_exact():
@@ -71,7 +74,7 @@ def test_disc_loss_nonnegative_and_zero_iff_exact():
         disc = init_mlp([4, 3], ["identity"], rng)
         z = rng.standard_normal((6, 4))
         groups = rng.integers(0, 3, 6)
-        loss, _, _ = discriminator_loss(z, groups, disc)
+        loss, _, _ = discriminator_loss(z, group_batch(groups, 3), disc)
         assert loss >= 0.0
 
 
@@ -81,7 +84,8 @@ def test_disc_loss_nonnegative_and_zero_iff_exact():
 def test_alignment_loss_zero_for_single_class():
     centers = VirtualCenters(np.ones((2, 1, 3)))
     loss, dz, dv = center_alignment_loss(
-        CenterCosines(np.array([[1.0, 2.0, 3.0]]), centers), np.array([0]), np.array([1])
+        CenterCosines(np.array([[1.0, 2.0, 3.0]]), centers),
+        one_batch(np.array([0]), np.array([1]), (2, 1)),
     )
     assert loss == 0.0
     assert np.all(dz == 0) and np.all(dv == 0)
@@ -91,7 +95,9 @@ def test_alignment_loss_symmetric_cosines_give_ln2():
     # one sample, G=1, C=2, equal similarity to both class centers
     z = np.array([[1.0, 1.0]])
     centers = VirtualCenters(np.array([[[2.0, 0.0], [0.0, 2.0]]]))
-    loss, _, _ = center_alignment_loss(CenterCosines(z, centers), np.array([0]), np.array([0]))
+    loss, _, _ = center_alignment_loss(
+        CenterCosines(z, centers), one_batch(np.array([0]), np.array([0]), (1, 2))
+    )
     assert abs(loss - math.log(2)) < 1e-12
 
 
@@ -103,7 +109,7 @@ def test_alignment_loss_hand_value_two_groups():
     vectors[:, 0] = [2.0, 0.0, 0.0]
     vectors[:, 1] = [-3.0, 0.0, 0.0]
     loss, _, _ = center_alignment_loss(
-        CenterCosines(z, VirtualCenters(vectors)), np.array([0]), np.array([0])
+        CenterCosines(z, VirtualCenters(vectors)), one_batch(np.array([0]), np.array([0]), (2, 2))
     )
     assert loss == pytest.approx(2 * math.log(1 + math.exp(-2)), abs=1e-12)
 
@@ -114,10 +120,11 @@ def test_alignment_loss_nonnegative_and_scale_invariant():
     labels = rng.integers(0, 2, 6)
     groups = rng.integers(0, 2, 6)
     centers = VirtualCenters(rng.standard_normal((2, 2, 4)))
-    loss, _, _ = center_alignment_loss(CenterCosines(z, centers), labels, groups)
+    batch = one_batch(labels, groups, (2, 2))
+    loss, _, _ = center_alignment_loss(CenterCosines(z, centers), batch)
     assert loss >= 0.0
     scales = rng.uniform(0.1, 10.0, size=(6, 1))
-    scaled, _, _ = center_alignment_loss(CenterCosines(z * scales, centers), labels, groups)
+    scaled, _, _ = center_alignment_loss(CenterCosines(z * scales, centers), batch)
     assert scaled == pytest.approx(loss, rel=1e-12, abs=1e-12)
 
 
@@ -125,7 +132,7 @@ def test_alignment_loss_rejects_zero_norm():
     centers = VirtualCenters(np.ones((1, 2, 3)))
     with pytest.raises(ValueError, match="zero-norm"):
         center_alignment_loss(
-            CenterCosines(np.zeros((1, 3)), centers), np.array([0]), np.array([0])
+            CenterCosines(np.zeros((1, 3)), centers), one_batch(np.array([0]), np.array([0]), (1, 2))
         )
     # every direct use of an undefined system raises the same error
     z = np.ones((2, 3))
@@ -413,12 +420,18 @@ def test_cell_inputs_must_match_the_batch(call, reps, labels, groups, match):
         "pairs": lambda: sample_pairs(
             labels, groups, rngmod.stream(0, rngmod.PAIRS), batch_size=len(labels)
         ),
-        "discriminator": lambda: discriminator_loss(reps, groups, uniform_disc(2, dim=2)),
-        "cross_entropy": lambda: softmax_cross_entropy(reps, labels),
-        "alignment": lambda: center_alignment_loss(CenterCosines(reps, centers), labels, groups),
+        "discriminator": lambda: discriminator_loss(
+            reps, one_batch(labels, groups, (2, 2)), uniform_disc(2, dim=2)
+        ),
+        # training checks a cross-entropy fit's targets once, with check_index
+        "cross_entropy": lambda: softmax_cross_entropy(
+            reps, check_index("labels", labels, len(reps), reps.shape[1])
+        ),
+        "alignment": lambda: center_alignment_loss(
+            CenterCosines(reps, centers), one_batch(labels, groups, (2, 2))
+        ),
         "diversity": lambda: diversity_loss(
-            CenterCosines(reps, centers), labels, groups,
-            PairAssignment(np.full(len(reps), -1), np.full(len(reps), -1)),
+            CenterCosines(reps, centers), one_batch(labels, groups, (2, 2))
         ),
     }
     with pytest.raises(ValueError, match=match):
@@ -439,7 +452,7 @@ def test_diversity_loss_zero_when_ratio_is_one():
     vectors[1, 0] = [0.0, 0.0, 5.0]
     pairs = PairAssignment(np.array([-1]), np.array([-1]))
     loss, dz, dv, skipped = diversity_loss(
-        CenterCosines(z, VirtualCenters(vectors)), np.array([0]), np.array([0]), pairs
+        CenterCosines(z, VirtualCenters(vectors)), one_batch(np.array([0]), np.array([0]), (2, 2), pairs)
     )
     assert loss == 0.0
     assert skipped == 0
@@ -461,7 +474,7 @@ def test_diversity_loss_hand_value():
     vectors[1, 0] = [0.0, 0.0, 0.0, 7.0]
     pairs = PairAssignment(np.array([1, -1, -1]), np.array([2, -1, -1]))
     loss, _, _, skipped = diversity_loss(
-        CenterCosines(z, VirtualCenters(vectors)), labels, groups, pairs
+        CenterCosines(z, VirtualCenters(vectors)), one_batch(labels, groups, (2, 2), pairs)
     )
     assert loss == pytest.approx(-1.0 / 3.0, abs=1e-12)
     assert skipped == 0
@@ -474,7 +487,7 @@ def test_diversity_loss_skips_samples_without_denominator():
     centers = VirtualCenters(np.ones((1, 2, 2)))
     pairs = PairAssignment(np.array([-1]), np.array([-1]))
     loss, dz, dv, skipped = diversity_loss(
-        CenterCosines(z, centers), np.array([0]), np.array([0]), pairs
+        CenterCosines(z, centers), one_batch(np.array([0]), np.array([0]), (1, 2), pairs)
     )
     assert loss == 0.0
     assert skipped == 1
@@ -498,7 +511,7 @@ def test_diversity_loss_decreases_when_positive_dot_grows():
     for dot in (0.2, 0.9, 2.5):
         z1 = np.array([0.0, 0.0, dot, 1.0])  # z0 . z1 = dot, center cosines fixed
         loss, _, _, _ = diversity_loss(
-            CenterCosines(np.vstack([z0, z1]), centers), labels, groups, pairs
+            CenterCosines(np.vstack([z0, z1]), centers), one_batch(labels, groups, (2, 2), pairs)
         )
         losses.append(loss)
     assert losses[0] > losses[1] > losses[2]
@@ -510,7 +523,9 @@ def test_diversity_loss_clamps_large_exponents():
     groups = np.array([0, 0, 1])
     centers = VirtualCenters(np.ones((2, 2, 2)))
     pairs = PairAssignment(np.array([1, -1, -1]), np.array([2, -1, -1]))
-    loss, dz, dv, _ = diversity_loss(CenterCosines(z, centers), labels, groups, pairs)
+    loss, dz, dv, _ = diversity_loss(
+        CenterCosines(z, centers), one_batch(labels, groups, (2, 2), pairs)
+    )
     assert np.isfinite(loss)
     # sample 0 contributes about -(clamp - log(1 + e^cos)); batch of 3
     assert loss == pytest.approx(-(EXP_CLAMP - math.log(1 + math.exp(1 / math.sqrt(2)))) / 3, abs=1e-9)
@@ -523,10 +538,75 @@ def test_diversity_loss_rejects_bad_partner_index():
     with pytest.raises(ValueError, match="partner index"):
         diversity_loss(
             CenterCosines(z, centers),
-            np.array([0, 1]),
-            np.array([0, 1]),
-            PairAssignment(np.array([0, -1]), np.array([-1, -1])),  # self-partner
+            one_batch(
+                np.array([0, 1]),
+                np.array([0, 1]),
+                (2, 2),
+                PairAssignment(np.array([0, -1]), np.array([-1, -1])),  # self-partner
+            ),
         )
+
+
+@pytest.mark.parametrize(
+    "partner", [np.array([-1.0, -1.0]), np.array([False, False])], ids=["float", "bool"]
+)
+def test_diversity_loss_rejects_partners_that_are_not_integers(partner):
+    # numpy would read floats as a bad index and booleans as a mask
+    z = np.ones((2, 2))
+    centers = VirtualCenters(np.ones((2, 2, 2)))
+    absent = np.array([-1, -1])
+    for name, pairs in (
+        ("positive", PairAssignment(partner, absent)),
+        ("negative", PairAssignment(absent, partner)),
+    ):
+        with pytest.raises(ValueError, match=f"{name} partner array must hold integers"):
+            diversity_loss(
+                CenterCosines(z, centers),
+                one_batch(np.array([0, 1]), np.array([0, 1]), (2, 2), pairs),
+            )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 90),
+    batch_size=st.integers(1, 40),
+    num_groups=st.integers(1, 4),
+    classes=st.integers(1, 3),
+)
+def test_batch_plan_slices_equal_each_batch_derived_alone(
+    seed, n, batch_size, num_groups, classes
+):
+    # one plan over an epoch gives each batch the facts that batch alone
+    # gives: intp cells, positions, partner masks and each group's rows
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, classes, n).astype(np.uint8)
+    groups = rng.integers(0, num_groups, n).astype(np.uint8)
+    pairs = sample_pairs(labels, groups, rng, batch_size)
+    plan = BatchPlan(labels, groups, (num_groups, classes), batch_size, pairs)
+    for start in range(0, n, batch_size):
+        rows = slice(start, start + batch_size)
+        batch = plan[rows]
+        y, a, positive, negative = labels[rows], groups[rows], pairs.positive[rows], pairs.negative[rows]
+        assert len(batch) == len(y) and batch.cells == (num_groups, classes)
+        for got, want in (
+            (batch.labels, y),
+            (batch.groups, a),
+            (batch.position, np.arange(len(y))),
+            (batch.positive, positive),
+            (batch.negative, negative),
+        ):
+            assert got.dtype == np.intp and np.array_equal(got, want)
+        has_denom = (negative >= 0) | (num_groups > 1 and classes > 1)
+        assert np.array_equal(batch.has_pos, positive >= 0)
+        assert np.array_equal(batch.has_neg, negative >= 0)
+        assert np.array_equal(batch.has_denom, has_denom)
+        assert np.array_equal(batch.live, has_denom.astype(np.float64))
+        for g in range(num_groups):
+            lo, hi = batch.bounds[g], batch.bounds[g + 1]
+            idx = np.flatnonzero(a == g)
+            assert np.array_equal(batch.group_rows[lo:hi], idx)
+            assert np.array_equal(batch.group_labels[lo:hi], y[idx])
 
 
 # --- bit-for-bit oracles --------------------------------------------------
@@ -570,12 +650,13 @@ def test_losses_reproduce_the_unshared_oracles_bit_for_bit(
         np.where(rng.random(n) < drop, -1, drawn.negative),
     )
     cosines = CenterCosines(z, centers)
+    batch = one_batch(labels, groups, (num_groups, classes), pairs)
     assert_same_bits(
-        center_alignment_loss(cosines, labels, groups),
+        center_alignment_loss(cosines, batch),
         center_alignment_oracle(z, labels, groups, centers),
     )
     assert_same_bits(
-        diversity_loss(cosines, labels, groups, pairs),
+        diversity_loss(cosines, batch),
         diversity_oracle(z, labels, groups, pairs, centers),
     )
     logits = rng.standard_normal((n, classes)) * scale * 10
@@ -602,30 +683,30 @@ def test_all_loss_gradients_match_finite_differences():
         centers = VirtualCenters(rng.standard_normal((g, c, m)))
         pairs = sample_pairs(labels, groups, rng, batch_size=len(labels))
 
-        _, dz, dparams = discriminator_loss(z, groups, disc)
-        num = central_difference(lambda: discriminator_loss(z, groups, disc)[0], z)
+        batch = one_batch(labels, groups, (g, c), pairs)
+
+        _, dz, dparams = discriminator_loss(z, batch, disc)
+        num = central_difference(lambda: discriminator_loss(z, batch, disc)[0], z)
         assert max_relative_error(dz, num) < 1e-4
         for p, grad in zip(disc.params(), dparams):
-            num = central_difference(lambda: discriminator_loss(z, groups, disc)[0], p)
+            num = central_difference(lambda: discriminator_loss(z, batch, disc)[0], p)
             assert max_relative_error(grad, num) < 1e-4
 
-        _, dz, dv = center_alignment_loss(CenterCosines(z, centers), labels, groups)
+        _, dz, dv = center_alignment_loss(CenterCosines(z, centers), batch)
         num = central_difference(
-            lambda: center_alignment_loss(CenterCosines(z, centers), labels, groups)[0], z
+            lambda: center_alignment_loss(CenterCosines(z, centers), batch)[0], z
         )
         assert max_relative_error(dz, num) < 1e-4
         num = central_difference(
-            lambda: center_alignment_loss(CenterCosines(z, centers), labels, groups)[0], centers.vectors
+            lambda: center_alignment_loss(CenterCosines(z, centers), batch)[0], centers.vectors
         )
         assert max_relative_error(dv, num) < 1e-4
 
-        _, dz, dv, _ = diversity_loss(CenterCosines(z, centers), labels, groups, pairs)
-        num = central_difference(
-            lambda: diversity_loss(CenterCosines(z, centers), labels, groups, pairs)[0], z
-        )
+        _, dz, dv, _ = diversity_loss(CenterCosines(z, centers), batch)
+        num = central_difference(lambda: diversity_loss(CenterCosines(z, centers), batch)[0], z)
         assert max_relative_error(dz, num) < 1e-4
         num = central_difference(
-            lambda: diversity_loss(CenterCosines(z, centers), labels, groups, pairs)[0], centers.vectors
+            lambda: diversity_loss(CenterCosines(z, centers), batch)[0], centers.vectors
         )
         assert max_relative_error(dv, num) < 1e-4
 
@@ -636,7 +717,10 @@ def test_diversity_loss_rejects_out_of_range_negative_index():
     with pytest.raises(ValueError, match="partner index"):
         diversity_loss(
             CenterCosines(z, centers),
-            np.array([0, 1]),
-            np.array([0, 1]),
-            PairAssignment(np.array([-1, -1]), np.array([-5, -1])),
+            one_batch(
+                np.array([0, 1]),
+                np.array([0, 1]),
+                (2, 2),
+                PairAssignment(np.array([-1, -1]), np.array([-5, -1])),
+            ),
         )

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from fairexperts import losses, net, training
 from fairexperts import rng as rngmod
 from fairexperts.data import Dataset, SyntheticConfig, generate_synthetic
 from fairexperts.losses import (
@@ -20,6 +22,7 @@ from fairexperts.net import (
     Layer,
     Mlp,
     TrainingDivergence,
+    check_index,
     init_mlp,
     log_softmax,
     row_blocks,
@@ -42,6 +45,7 @@ from fairexperts.training import (
 from helpers import (
     central_difference,
     max_relative_error,
+    one_batch,
     predict_proba_oracle,
     split_tags,
     tiny_dataset,
@@ -268,6 +272,7 @@ def test_experts_full_batch_step_follows_total_loss_gradient(seed, num_groups, e
     perm = rngmod.stream(hp.seed, rngmod.SHUFFLE).permutation(n)
     xb, yb, ab = ds.features[perm], ds.labels[perm], ds.groups[perm]
     pairs = sample_pairs(yb, ab, rngmod.stream(hp.seed, rngmod.PAIRS), batch_size=len(yb))
+    batch = one_batch(yb, ab, (num_groups, 2), pairs)
 
     # each term is differenced on its own and weighted afterwards: differencing
     # the O(1) weighted sum loses the terms a tiny lambda scales to ~1e-6
@@ -281,9 +286,9 @@ def test_experts_full_batch_step_follows_total_loss_gradient(seed, num_groups, e
         ])
         return np.array([
             loss_cls,
-            discriminator_loss(z, ab, disc)[0],
-            center_alignment_loss(CenterCosines(z, centers), yb, ab)[0],
-            diversity_loss(CenterCosines(z, centers), yb, ab, pairs)[0],
+            discriminator_loss(z, batch, disc)[0],
+            center_alignment_loss(CenterCosines(z, centers), batch)[0],
+            diversity_loss(CenterCosines(z, centers), batch)[0],
         ])
 
     parts = [
@@ -334,7 +339,7 @@ def test_routed_cross_entropy_matches_per_group_oracle():
     labels = rng.integers(0, 2, 12)
     groups = rng.integers(0, 3, 12)
     heads = [init_mlp([4, 2], ["identity"], rng) for _ in range(3)]
-    loss, dz, head_grads = _routed_cross_entropy(heads, z, labels, groups)
+    loss, dz, head_grads = _routed_cross_entropy(heads, z, one_batch(labels, groups, (3, 2)))
 
     total = 0.0
     for g, head in enumerate(heads):
@@ -360,11 +365,12 @@ def test_group_sample_contributes_zero_gradient_to_other_heads():
     labels = rng.integers(0, 2, 8)
     groups = np.array([0] * 4 + [1] * 4)
     heads = [init_mlp([4, 2], ["identity"], rng) for _ in range(2)]
-    _, _, grads_before = _routed_cross_entropy(heads, z, labels, groups)
+    batch = one_batch(labels, groups, (2, 2))
+    _, _, grads_before = _routed_cross_entropy(heads, z, batch)
     # perturbing group-1 rows must leave head 0's gradient untouched
     z2 = z.copy()
     z2[4:] += 10.0
-    _, _, grads_after = _routed_cross_entropy(heads, z2, labels, groups)
+    _, _, grads_after = _routed_cross_entropy(heads, z2, batch)
     assert all(np.array_equal(a, b) for a, b in zip(grads_before[0], grads_after[0]))
     assert not all(np.array_equal(a, b) for a, b in zip(grads_before[1], grads_after[1]))
 
@@ -419,6 +425,48 @@ def test_experts_epoch_log_matches_schedule():
     assert len(model.log) == 4
     for k, entry in enumerate(model.log):
         assert entry.lr == hp.lr0 * hp.lr_decay**k
+
+
+def test_index_checks_scale_with_epochs_not_batches(monkeypatch):
+    # a fit checks its labels, groups and partners once per epoch at most,
+    # so 40 batches an epoch make as many checks as one batch
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return check_index(*args, **kwargs)
+
+    for module in (net, losses, training):
+        monkeypatch.setattr(module, "check_index", counted)
+    ds = tiny_dataset()  # 80 train rows
+    epochs = 3
+    for train in (train_erm, train_experts):
+        counts = []
+        for batch_size in (2, 80):
+            calls.clear()
+            train(ds, tiny_hp(epochs=epochs, batch_size=batch_size))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 4 * epochs, (train.__name__, counts)
+
+
+def test_a_batch_size_past_the_train_rows_trains_as_one_whole_batch():
+    # nothing in training is sized by batch_size, so 10**12 runs at once
+    ds = tiny_dataset()
+    n_train = int((split_tags(ds) == "train").sum())
+
+    def arrays(model):
+        parts = [model.backbone, *model.heads]
+        if model.discriminator is not None:
+            parts += [model.discriminator, model.centers]
+        return [p for part in parts for p in part.params()]
+
+    for train in (train_erm, train_experts):
+        whole = train(ds, tiny_hp(batch_size=n_train))
+        start = time.process_time()
+        huge = train(ds, tiny_hp(batch_size=10**12))
+        assert time.process_time() - start < 5.0
+        assert [a.tobytes() for a in arrays(huge)] == [a.tobytes() for a in arrays(whole)]
+        assert huge.log == whole.log
 
 
 # --- decoupled baseline ------------------------------------------------------------
