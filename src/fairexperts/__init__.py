@@ -42,7 +42,6 @@ from .net import Layer, Mlp, TrainingDivergence, init_mlp, sgd_step
 from .selection import (
     SelectionDecision,
     combine,
-    routed_predictor,
     select_greedy,
     select_ip,
 )

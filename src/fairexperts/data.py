@@ -556,6 +556,7 @@ def write_csv(
 def _write_block(fh, columns: Sequence[np.ndarray]) -> None:
     """Write one block's rows; nothing of the block is held once it returns."""
     fields = [f for c in columns for f in (c.T if c.ndim == 2 else [c])]
+    line = ",".join(["%s"] * len(fields)) + "\r\n"  # %s writes str(value)
     for start in range(0, len(columns[0]), CSV_CHUNK):
-        cells = [map(str, f[start : start + CSV_CHUNK].tolist()) for f in fields]
-        fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+        cells = [f[start : start + CSV_CHUNK].tolist() for f in fields]
+        fh.write("".join(map(line.__mod__, zip(*cells))))

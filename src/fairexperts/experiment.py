@@ -3,8 +3,10 @@
 For every seed in the config this trains the pooled baseline, the
 decoupled-heads baseline, and the expert model; evaluates each per group
 on the validation and test splits; runs the configured selection
-strategies on validation metrics; evaluates the routed predictors; and
-writes one JSON report per seed plus a mean/std aggregate. Reruns of the
+strategies on validation metrics; evaluates the routed predictions; and
+writes one JSON report per seed plus a mean/std aggregate. Each model
+predicts each split once, split by split: its report, the selection
+inputs and the routed reports all read those rows. Reruns of the
 same seed reproduce all files byte for byte. This module only picks the
 columns of each output file; ``data`` encodes them. The representations
 file is computed and written one block of rows at a time.
@@ -22,7 +24,7 @@ from . import rng as rngmod
 from .config import CsvSource, ExperimentConfig
 from .data import Dataset, generate_synthetic, load_csv, write_csv, write_json
 from .metrics import build_report, group_eval
-from .selection import routed_predictor, select_greedy, select_ip
+from .selection import route, select_greedy, select_ip
 from .training import (
     probe_group_accuracy,
     representation_blocks,
@@ -82,11 +84,10 @@ def write_representations_csv(path: str, width: int, blocks) -> None:
     write_csv(path, header, blocks)
 
 
-def _pair_reports(predict, dataset: Dataset, kind: str, selection: dict | None = None) -> dict:
-    return {
-        split: build_report(predict, dataset, split, kind, selection)
-        for split in ("val", "test")
-    }
+def _held(probs: np.ndarray):
+    """A predictor that returns ``probs``, rows already predicted for a
+    whole split, so a report reads them without predicting again."""
+    return lambda features, groups: probs
 
 
 def train_models(config: ExperimentConfig, seed: int):
@@ -110,32 +111,51 @@ def train_models(config: ExperimentConfig, seed: int):
 def run_seed(config: ExperimentConfig, seed: int):
     """Train, evaluate, and select for one seed.
 
-    Returns (report dict, trained expert model, dataset).
+    Each split is evaluated in turn, val then test, from one
+    ``predict_proba`` call per model: six predictions per seed. Returns
+    (report dict, trained expert model, dataset).
     """
     dataset, erm, decoupled, experts = train_models(config, seed)
 
     kind = config.metric
-    with _stage("evaluate", seed):
-        models_section = {
-            "erm": _pair_reports(erm.predict_proba, dataset, kind),
-            "decoupled": _pair_reports(decoupled.predict_proba, dataset, kind),
-            "experts": _pair_reports(experts.predict_proba, dataset, kind),
-        }
-        expert_val = group_eval(experts.predict_proba, dataset, "val", kind)
-        erm_val = group_eval(erm.predict_proba, dataset, "val", kind)
-
+    models_section = {"erm": {}, "decoupled": {}, "experts": {}}
     selection_section = {}
-    with _stage("select", seed):
-        for strategy in config.strategies:
-            if strategy == "greedy":
-                decision = select_greedy(expert_val, erm_val)
-            else:
-                decision = select_ip(expert_val, erm_val, config.lambda_sel)
-            routed = routed_predictor(decision, experts, erm)
-            selection_section[strategy] = {
-                "decision": decision.to_dict(),
-                **_pair_reports(routed, dataset, kind, decision.to_dict()),
-            }
+    decisions = {}
+    for split in ("val", "test"):
+        features, _, groups = dataset.split_arrays(split)
+        with _stage("evaluate", seed):
+            # decoupled first, its rows released once reported: at most the
+            # erm and experts rows are held at once
+            models_section["decoupled"][split] = build_report(
+                _held(decoupled.predict_proba(features, groups)), dataset, split, kind
+            )
+            erm_probs = erm.predict_proba(features, groups)
+            models_section["erm"][split] = build_report(_held(erm_probs), dataset, split, kind)
+            expert_probs = experts.predict_proba(features, groups)
+            del features  # a copy when the split's rows interleave
+            models_section["experts"][split] = build_report(
+                _held(expert_probs), dataset, split, kind
+            )
+            if split == "val":
+                expert_val = group_eval(_held(expert_probs), dataset, split, kind)
+                erm_val = group_eval(_held(erm_probs), dataset, split, kind)
+
+        with _stage("select", seed):
+            if split == "val":
+                for strategy in config.strategies:
+                    if strategy == "greedy":
+                        decisions[strategy] = select_greedy(expert_val, erm_val)
+                    else:
+                        decisions[strategy] = select_ip(expert_val, erm_val, config.lambda_sel)
+                    selection_section[strategy] = {"decision": decisions[strategy].to_dict()}
+            for strategy, decision in decisions.items():
+                # a mixed decision's routed rows, a new array, go with its report
+                selection_section[strategy][split] = build_report(
+                    _held(route(decision, expert_probs, erm_probs, groups)),
+                    dataset, split, kind, decision.to_dict(),
+                )
+        # or this split's rows stay alive while the next split predicts
+        del erm_probs, expert_probs
 
     with _stage("probe", seed):
         probe_section = {

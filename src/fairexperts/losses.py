@@ -442,8 +442,14 @@ def diversity_loss(
     dz = np.zeros(z.shape)
     dz += coef_pos[:, None] * np.where(has_pos[:, None], z_pos, 0.0)
     dz += coef_neg[:, None] * np.where(has_neg[:, None], z_neg, 0.0)
-    np.add.at(dz, pos[has_pos], coef_pos[has_pos, None] * z[has_pos])
-    np.add.at(dz, neg[has_neg], coef_neg[has_neg, None] * z[has_neg])
+    # partner scatters as 1-D index and value arrays on the flat buffer,
+    # entry (p, j) at p * m + j: the same additions in the same order as a
+    # scatter of rows, on numpy's fast 1-D ``add.at`` path
+    m = z.shape[1]
+    flat, columns = dz.reshape(-1), np.arange(m)
+    for partner, has, coef in ((pos, has_pos, coef_pos), (neg, has_neg, coef_neg)):
+        cells = (partner[has, None] * m + columns).reshape(-1)
+        np.add.at(flat, cells, (coef[has, None] * z[has]).reshape(-1))
 
     weights[rows, groups, labels] += coef_own
     dz_cos, dv = cosines.grads(weights)

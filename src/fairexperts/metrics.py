@@ -3,8 +3,11 @@ and an equalized-odds score for binary tasks.
 
 A predictor is anything callable as ``predict(features, groups)``
 returning one row of class probabilities per sample, one column per
-class (the groups argument lets routed predictors dispatch; plain models
-may ignore it). A report calls its predictor once on the whole split,
+class (the groups argument picks each row's head in a model with
+per-group heads; the pooled model ignores it). ``experiment.run_seed``
+passes predictors that return rows it already predicted for the whole
+split, so one prediction per model and split serves every report and
+the selection inputs. A report calls its predictor once on the whole split,
 then counts (group, label, argmax) over blocks of at most
 ``APPLY_BLOCK`` rows into one (groups, classes, classes) table; its
 accuracies and equalized-odds rates are counts of that table divided by

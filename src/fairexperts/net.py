@@ -240,8 +240,18 @@ def check_index(name: str, values: np.ndarray, rows: int, bound: int | None = No
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax with max subtraction for stability."""
-    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    """Row-wise log-softmax with max subtraction for stability.
+
+    The row maximum folds the class columns one ``np.maximum`` at a
+    time, much faster than a reduce over a short last axis. A maximum is
+    exact, so the output has the reduce's bits; the two may pick
+    different zeros of a +0/-0 tie, which moves no output bit, and only
+    a NaN's sign may differ.
+    """
+    top = logits[..., 0].copy()
+    for c in range(1, logits.shape[-1]):
+        np.maximum(top, logits[..., c], out=top)
+    z = logits - top[..., None]
     return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 

@@ -16,8 +16,8 @@ value below its pooled baseline:
 The two metrics must share their group count, metric kind and split.
 A decision's per-group values come from ``combine``, the one place that
 writes a selection's value rule (expert where chosen, pooled
-elsewhere). ``routed_predictor`` applies a decision to samples: each
-routed row is the chosen model's row of a whole-input prediction.
+elsewhere). ``route`` applies a decision to the rows of a split: each
+routed row is the chosen model's row of its whole-split prediction.
 """
 
 from __future__ import annotations
@@ -170,29 +170,26 @@ def select_ip(
     )
 
 
-def routed_predictor(decision: SelectionDecision, experts_model, erm_model):
-    """Predictor that routes each sample by its group's selection bit.
+def route(
+    decision: SelectionDecision,
+    expert_probs: np.ndarray,
+    erm_probs: np.ndarray,
+    groups: np.ndarray,
+) -> np.ndarray:
+    """Rows of a routed prediction: each row's group picks its model's row.
 
-    Each routed row is the chosen model's prediction for the whole input,
-    so it equals that model's own row bit for bit. When every row chose
-    the expert only the expert predicts; otherwise the pooled model
-    predicts the whole input and, if any row chose the expert, the
-    expert's whole-input prediction is copied into those rows. A mixed
-    selection holds two prediction outputs, no gathered features.
+    ``expert_probs`` and ``erm_probs`` are the two models' predictions
+    for the same whole split, whose rows carry ``groups``; each routed
+    row equals its chosen model's row bit for bit. When every row chose
+    one model, that model's array is returned itself, not a copy; a
+    mixed selection returns one new array.
     """
-    expert_predict = experts_model.predict_proba
-    erm_predict = erm_model.predict_proba
     # a boolean lookup: one byte per routed row, not an int64
     expert_groups = np.asarray(decision.choices) == 1
-
-    def predict(features: np.ndarray, groups: np.ndarray) -> np.ndarray:
-        groups = check_index("groups", groups, features.shape[0], expert_groups.size)
-        use_expert = expert_groups[groups]
-        if use_expert.all():
-            return expert_predict(features, groups)
-        probs = erm_predict(features, groups)
-        if use_expert.any():
-            np.copyto(probs, expert_predict(features, groups), where=use_expert[:, None])
-        return probs
-
-    return predict
+    groups = check_index("groups", groups, expert_probs.shape[0], expert_groups.size)
+    use_expert = expert_groups[groups]
+    if use_expert.all():
+        return expert_probs
+    if not use_expert.any():
+        return erm_probs
+    return np.where(use_expert[:, None], expert_probs, erm_probs)

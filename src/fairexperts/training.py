@@ -228,9 +228,10 @@ class Model:
         for rows in row_blocks(n, PREDICT_BLOCK):
             logits = net.forward(features[rows], cache=False)[0]
             if self.kind != "erm":
-                # row r's group g holds flat columns r * G * classes + g * classes onward
+                # row r's group g holds flat row r * G + g of (m * G, classes)
                 m = logits.shape[0]
-                logits = logits.reshape(m, len(heads), classes)[np.arange(m), groups[rows]]
+                own = np.arange(m) * len(heads) + groups[rows]
+                logits = np.take(logits.reshape(-1, classes), own, axis=0)
             probs[rows] = softmax(logits)
         return probs
 

@@ -271,6 +271,25 @@ def test_run_experiment_holds_one_seed_at_a_time(tmp_path, monkeypatch):
     assert len(held) == 6
 
 
+def test_run_seed_predicts_each_model_once_per_split(monkeypatch):
+    calls = []  # (model kind, features, groups) of each prediction
+    predict = Model.predict_proba
+
+    def counted(model, features, groups=None):
+        calls.append((model.kind, features, groups))
+        return predict(model, features, groups)
+
+    monkeypatch.setattr(Model, "predict_proba", counted)
+    report, _, dataset = run_seed(small_config("5"), 5)
+    # the model reports, the selection inputs and both strategies' routed
+    # reports all read these six predictions
+    assert [kind for kind, _, _ in calls] == ["decoupled", "erm", "experts"] * 2
+    for (_, features, groups), split in zip(calls, ["val"] * 3 + ["test"] * 3):
+        want_features, _, want_groups = dataset.split_arrays(split)
+        assert np.array_equal(features, want_features) and np.array_equal(groups, want_groups)
+    assert list(report["selection"]) == ["greedy", "ip"]
+
+
 def test_report_json_is_sorted_and_plain(tmp_path):
     run_experiment(small_config("5"), str(tmp_path))
     payload = json.loads((tmp_path / "report_5.json").read_text())

@@ -335,6 +335,24 @@ def test_log_softmax_rows_normalize():
     assert np.allclose(np.exp(ls).sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("classes", range(1, 11))
+def test_log_softmax_folded_maximum_keeps_the_reduce_bits(classes):
+    # ties, signed zeros, infinities and NaN rows, as (n, C) and (n, G, C);
+    # at 9 or more columns the fold and the reduce may pick different
+    # zeros of a +0/-0 tie, which moves no output bit: the row's sum is
+    # then at least 2, so its log is not 0
+    rng = np.random.default_rng(classes)
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.5])
+    for shape in ((400, classes), (100, 3, classes)):
+        logits = rng.choice(values, size=shape)
+        logits[:10] = rng.standard_normal(logits[:10].shape)
+        logits[10:20] = np.nan
+        with np.errstate(invalid="ignore"):
+            z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+            want = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+            assert log_softmax(logits).tobytes() == want.tobytes()
+
+
 def test_layer_validation():
     with pytest.raises(ValueError):
         Layer(np.zeros((2, 2)), np.zeros(3), "identity")

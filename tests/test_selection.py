@@ -8,7 +8,7 @@ from fairexperts.net import init_mlp
 from fairexperts.selection import (
     SelectionDecision,
     combine,
-    routed_predictor,
+    route,
     select_greedy,
     select_ip,
 )
@@ -351,26 +351,25 @@ def make_decision(choices):
 
 def test_routing_all_zero_equals_erm():
     experts, erm = StubModel(0.9), StubModel(0.1)
-    predict = routed_predictor(make_decision((0, 0)), experts, erm)
     x = np.zeros((4, 3))
     groups = np.array([0, 1, 0, 1])
-    assert np.array_equal(predict(x, groups), erm.predict_proba(x))
+    probs = route(make_decision((0, 0)), experts.predict_proba(x), erm.predict_proba(x), groups)
+    assert np.array_equal(probs, erm.predict_proba(x))
 
 
 def test_routing_all_one_equals_expert():
     experts, erm = StubModel(0.9), StubModel(0.1)
-    predict = routed_predictor(make_decision((1, 1)), experts, erm)
     x = np.zeros((4, 3))
     groups = np.array([0, 1, 0, 1])
-    assert np.array_equal(predict(x, groups), experts.predict_proba(x))
+    probs = route(make_decision((1, 1)), experts.predict_proba(x), erm.predict_proba(x), groups)
+    assert np.array_equal(probs, experts.predict_proba(x))
 
 
 def test_routing_mixed_decision():
     experts, erm = StubModel(0.9), StubModel(0.1)
-    predict = routed_predictor(make_decision((1, 0)), experts, erm)
     x = np.zeros((4, 2))
     groups = np.array([0, 1, 1, 0])
-    probs = predict(x, groups)
+    probs = route(make_decision((1, 0)), experts.predict_proba(x), erm.predict_proba(x), groups)
     assert np.allclose(probs[groups == 0, 0], 0.9)
     assert np.allclose(probs[groups == 1, 0], 0.1)
 
@@ -381,8 +380,9 @@ def test_routing_zero_rows_gives_the_models_empty_shape():
     erm = Model("erm", backbone, [init_mlp([4, 2], ["identity"], rng)])
     experts = Model("decoupled", backbone, [init_mlp([4, 2], ["identity"], rng) for _ in range(2)])
     x, groups = np.empty((0, 3)), np.empty(0, dtype=np.int64)
+    expert_probs, erm_probs = experts.predict_proba(x, groups), erm.predict_proba(x, groups)
     for choices in ((0, 0), (1, 0), (1, 1)):
-        probs = routed_predictor(make_decision(choices), experts, erm)(x, groups)
+        probs = route(make_decision(choices), expert_probs, erm_probs, groups)
         assert probs.shape == experts.predict_proba(x, groups).shape == (0, 2)
 
 
@@ -403,9 +403,10 @@ def test_models_and_routing_reject_groups_they_cannot_route(groups, match):
     x, groups = np.ones((2, 3)), np.array(groups)
     with pytest.raises(ValueError, match=match):
         experts.predict_proba(x, groups)
+    expert_probs, erm_probs = experts.predict_proba(x, [0, 1]), erm.predict_proba(x)
     for choices in ((0, 0), (1, 0), (1, 1)):
         with pytest.raises(ValueError, match=match):
-            routed_predictor(make_decision(choices), experts, erm)(x, groups)
+            route(make_decision(choices), expert_probs, erm_probs, groups)
 
 
 def routed_models(d, groups, repr_dim, seed=0):
@@ -427,53 +428,43 @@ def test_routed_rows_equal_each_models_own_rows_bit_for_bit(seed):
     experts, erm = routed_models(3, 2, 32, seed)
     x = rng.normal(size=(30_000, 3))
     groups = (rng.uniform(size=30_000) < 0.02).astype(np.uint8)  # a 2% group
+    expert_probs, erm_probs = experts.predict_proba(x, groups), erm.predict_proba(x, groups)
     for choices in ((1, 0), (0, 1)):
         use_expert = np.asarray(choices)[groups] == 1
         want = np.where(
             use_expert[:, None], experts.predict_proba(x, groups), erm.predict_proba(x, groups)
         )
-        got = routed_predictor(make_decision(choices), experts, erm)(x, groups)
+        got = route(make_decision(choices), expert_probs, erm_probs, groups)
         assert got.tobytes() == want.tobytes()
 
 
-def test_mixed_routed_call_holds_no_copy_of_the_features():
-    experts, erm = routed_models(10, 6, 8)
+def test_mixed_route_allocates_only_its_output():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(120_000, 10))
     groups = rng.integers(0, 6, 120_000).astype(np.uint8)
-    predict = routed_predictor(make_decision((1, 0, 1, 0, 1, 0)), experts, erm)
+    expert_probs, erm_probs = rng.uniform(size=(2, 120_000, 2))
     tracemalloc.start()
     try:
-        predict(x, groups)
+        probs = route(make_decision((1, 0, 1, 0, 1, 0)), expert_probs, erm_probs, groups)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < x.nbytes  # two (rows, 2) outputs and one block, not 9.6 MB
-
-
-class CountingModel(StubModel):
-    def __init__(self, value):
-        super().__init__(value)
-        self.rows = []
-
-    def predict_proba(self, features, groups=None):
-        self.rows.append(features.shape[0])
-        return super().predict_proba(features, groups)
+    # the (rows, 2) output plus the one-byte-per-row choice mask
+    assert peak <= probs.nbytes + 2 * groups.nbytes
 
 
 @pytest.mark.parametrize(
-    "choices, expert_calls, erm_calls",
-    [((1, 1), [4], []), ((1, 0), [4], [4]), ((0, 1), [4], [4]), ((0, 0), [], [4])],
+    "choices, held",
+    [((1, 1), "expert"), ((1, 0), None), ((0, 1), None), ((0, 0), "erm")],
 )
-def test_routing_calls_each_model_at_most_once_on_the_whole_input(choices, expert_calls, erm_calls):
-    experts, erm = CountingModel(0.9), CountingModel(0.1)
-    predict = routed_predictor(make_decision(choices), experts, erm)
-    predict(np.zeros((4, 2)), np.array([0, 1, 1, 0]))
-    assert (experts.rows, erm.rows) == (expert_calls, erm_calls)
+def test_uniform_routing_returns_the_held_rows_without_a_copy(choices, held):
+    x = np.zeros((4, 2))
+    expert_probs, erm_probs = StubModel(0.9).predict_proba(x), StubModel(0.1).predict_proba(x)
+    probs = route(make_decision(choices), expert_probs, erm_probs, np.array([0, 1, 1, 0]))
+    assert (probs is expert_probs, probs is erm_probs) == (held == "expert", held == "erm")
 
 
 def test_routing_rejects_unknown_group():
     experts, erm = StubModel(0.9), StubModel(0.1)
-    predict = routed_predictor(make_decision((1, 0)), experts, erm)
+    x = np.zeros((1, 2))
     with pytest.raises(ValueError, match="group index"):
-        predict(np.zeros((1, 2)), np.array([2]))
+        route(make_decision((1, 0)), experts.predict_proba(x), erm.predict_proba(x), np.array([2]))
