@@ -12,10 +12,8 @@ from .data import (
     CsvSchema,
     DataError,
     Dataset,
-    GroupStats,
     SyntheticConfig,
     generate_synthetic,
-    group_stats,
     load_csv,
     save_csv,
 )

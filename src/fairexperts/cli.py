@@ -148,49 +148,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fairexperts", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def option(*flags, **kwargs):
+        # one option, shared by the subcommands that list it as a parent
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*flags, **kwargs)
+        return p
+
+    checkpoint = option("--checkpoint", required=True)
+    config = option("--config", required=True)
+    seed = option("--seed", type=int, default=None, help="run seed (default: first config seed)")
+    data_csv = option("--data-csv", default=None, help="override the data source with a CSV file")
+
+    def add(name, func, parents, **kwargs):
+        p = sub.add_parser(name, parents=parents, **kwargs)
         p.set_defaults(func=func)
         return p
 
-    p = add("gen-data", cmd_gen_data, help="generate a synthetic dataset CSV")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="run seed (default: first config seed)")
+    p = add("gen-data", cmd_gen_data, [config, seed], help="generate a synthetic dataset CSV")
     p.add_argument("--out", required=True)
 
-    p = add("train", cmd_train, help="train all models for one seed")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--data-csv", default=None, help="override the data source with a CSV file")
+    p = add("train", cmd_train, [config, seed, data_csv], help="train all models for one seed")
     p.add_argument("--out-dir", required=True)
 
-    p = add("evaluate", cmd_evaluate, help="evaluate a checkpoint on a split")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--data-csv", default=None)
+    p = add("evaluate", cmd_evaluate, [checkpoint, config, seed, data_csv],
+            help="evaluate a checkpoint on a split")
     p.add_argument("--split", default="val", choices=SPLITS)
     p.add_argument("--metric", default=None, choices=METRIC_KINDS)
     p.add_argument("--out", default=None)
 
-    p = add("select", cmd_select, help="run a selection strategy on stored group metrics")
+    p = add("select", cmd_select, [], help="run a selection strategy on stored group metrics")
     p.add_argument("--strategy", required=True, choices=("greedy", "ip"))
     p.add_argument("--lambda", dest="lambda_sel", type=float, default=0.1)
     p.add_argument("--expert", required=True, help="expert GroupMetrics/report JSON")
     p.add_argument("--erm", required=True, help="pooled GroupMetrics/report JSON")
     p.add_argument("--out", default=None)
 
-    p = add("export-repr", cmd_export_repr, help="export representations as CSV")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--data-csv", default=None)
+    p = add("export-repr", cmd_export_repr, [checkpoint, config, seed, data_csv],
+            help="export representations as CSV")
     p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--out", required=True)
 
-    p = add("run", cmd_run, help="run the full experiment over all config seeds")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data-csv", default=None)
+    p = add("run", cmd_run, [config, data_csv], help="run the full experiment over all config seeds")
     p.add_argument("--out-dir", default=None)
     return parser
 

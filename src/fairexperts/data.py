@@ -9,7 +9,9 @@ with shortest round-trip decimal repr, so save followed by load
 reproduces values exactly. This module owns every file encoding:
 ``write_csv`` writes each CSV file the package writes, from column blocks
 that a caller may compute one at a time, ``write_json`` each JSON file,
-and ``read_json_object`` reads JSON back.
+and ``read_json_object`` reads JSON back. Every pass over rows here,
+``Dataset``'s cell counts and each CSV file the package writes, is cut
+by ``net.row_blocks`` into blocks of at most ``net.APPLY_BLOCK`` rows.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rng as rngmod
+from .net import APPLY_BLOCK, row_blocks
 
 SPLITS = ("train", "val", "test")
 SPLIT_RATIOS = {"train": 0.8, "val": 0.1, "test": 0.1}
@@ -94,10 +97,6 @@ def _tag_codes(tags: np.ndarray) -> np.ndarray:
         names = sorted(set(map(str, tags[unknown].tolist())))
         raise DataError(f"row {np.argmax(unknown) + 1}: unknown split tags: {names}")
     return codes
-
-
-# rows per block of Dataset's cell counts
-CHECK_BLOCK = 8192
 
 
 def _index_dtype(bound: int) -> type:
@@ -199,14 +198,13 @@ class Dataset:
 
     def _count_cells(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """(split, group, class) sample counts and each split's first and
-        last row ((0, -1) if it has none), counted ``CHECK_BLOCK`` rows at
-        a time, so no temporary is as long as the data."""
+        last row ((0, -1) if it has none), counted in ``row_blocks`` of at
+        most ``APPLY_BLOCK`` rows, so no temporary is as long as the data."""
         counts = np.zeros((len(SPLITS), self.num_groups, self.classes), dtype=np.int64)
         flat = counts.reshape(-1)  # a view
         ends = [[None, -1] for _ in SPLITS]
-        for start in range(0, self.n, CHECK_BLOCK):
-            rows = slice(start, start + CHECK_BLOCK)
-            block = self.split[rows]
+        for rows in row_blocks(self.n, APPLY_BLOCK):
+            start, block = rows.start, self.split[rows]
             # one code per (split, group, class) cell, in that order; intp,
             # or it wraps
             codes = block.astype(np.intp)
@@ -248,23 +246,6 @@ class Dataset:
     def cell_counts(self, split_name: str) -> np.ndarray:
         """Read-only (groups, classes) table of one split's sample counts."""
         return self._cells[self._check_split(split_name)]
-
-
-@dataclass(frozen=True)
-class GroupStats:
-    counts: np.ndarray  # (G,) exact counts
-    proportions: np.ndarray  # (G,) counts / total
-    missing: tuple[int, ...]  # groups absent from the split
-
-
-def group_stats(dataset: Dataset, split_name: str) -> GroupStats:
-    """Per-group counts and proportions within one split."""
-    counts = dataset.cell_counts(split_name).sum(axis=1)
-    if not counts.any():
-        raise DataError(f"split {split_name!r} is empty")
-    proportions = counts / counts.sum()
-    missing = tuple(int(g) for g in np.flatnonzero(counts == 0))
-    return GroupStats(counts, proportions, missing)
 
 
 @dataclass(frozen=True)
@@ -517,20 +498,17 @@ def assign_splits(labels: np.ndarray, groups: np.ndarray, seed: int) -> np.ndarr
 
 
 def save_csv(dataset: Dataset, path: str) -> None:
-    """Write the documented CSV format, including the split column."""
+    """Write the documented CSV format, including the split column, in
+    ``row_blocks`` of at most ``APPLY_BLOCK`` rows."""
     header = [f"f{i}" for i in range(dataset.d)] + ["label", "group", "split"]
     # object dtype: each row refers to one of the SPLITS strings, not a copy
-    tags = np.array(SPLITS, dtype=object)[dataset.split]
-    write_csv(path, header, [[dataset.features, dataset.labels, dataset.groups, tags]])
-
-
-# rows per tolist() call: memory holds one chunk of Python values (each
-# float, its str and its share of the line) besides the block being
-# written, and converting the whole array at once would hold every value
-# as a Python float. Writing heldout_heavy's 120,000-row representations
-# file (10 columns) peaked 3.05 MB above its start at 4,096 rows per
-# chunk and 0.84 MB at 512 (tracemalloc), the same bytes.
-CSV_CHUNK = 512
+    names = np.array(SPLITS, dtype=object)
+    blocks = (
+        [dataset.features[rows], dataset.labels[rows], dataset.groups[rows],
+         names[dataset.split[rows]]]
+        for rows in row_blocks(dataset.n, APPLY_BLOCK)
+    )
+    write_csv(path, header, blocks)
 
 
 def write_csv(
@@ -540,10 +518,12 @@ def write_csv(
 
     A 2-d column fills one field per column. The blocks follow each other
     in the file, so a caller can stream rows it computes one block at a
-    time. Values are written with ``str`` (for a float, its shortest
-    round-trip ``repr``) and lines end in ``\\r\\n``. No field the package
-    writes (fixed headers, floats, ints, split tags) needs quoting, so the
-    bytes equal ``csv.writer``'s.
+    time. Each block is converted whole, so memory holds one block's
+    Python values: the package's callers pass blocks of at most
+    ``APPLY_BLOCK`` rows. Values are written with ``str`` (for a float,
+    its shortest round-trip ``repr``) and lines end in ``\\r\\n``. No
+    field the package writes (fixed headers, floats, ints, split tags)
+    needs quoting, so the bytes equal ``csv.writer``'s.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -557,6 +537,4 @@ def _write_block(fh, columns: Sequence[np.ndarray]) -> None:
     """Write one block's rows; nothing of the block is held once it returns."""
     fields = [f for c in columns for f in (c.T if c.ndim == 2 else [c])]
     line = ",".join(["%s"] * len(fields)) + "\r\n"  # %s writes str(value)
-    for start in range(0, len(columns[0]), CSV_CHUNK):
-        cells = [f[start : start + CSV_CHUNK].tolist() for f in fields]
-        fh.write("".join(map(line.__mod__, zip(*cells))))
+    fh.write("".join(map(line.__mod__, zip(*[f.tolist() for f in fields]))))

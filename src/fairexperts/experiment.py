@@ -8,8 +8,9 @@ writes one JSON report per seed plus a mean/std aggregate. Each model
 predicts each split once, split by split: its report, the selection
 inputs and the routed reports all read those rows. Reruns of the
 same seed reproduce all files byte for byte. This module only picks the
-columns of each output file; ``data`` encodes them. The representations
-file is computed and written one block of rows at a time.
+columns of each output file; ``data`` encodes them. Each CSV file is
+written in ``net.row_blocks`` of at most ``APPLY_BLOCK`` rows, and the
+representations file is computed one such block at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import rng as rngmod
 from .config import CsvSource, ExperimentConfig
 from .data import Dataset, generate_synthetic, load_csv, write_csv, write_json
 from .metrics import build_report, group_eval
+from .net import APPLY_BLOCK, row_blocks
 from .selection import route, select_greedy, select_ip
 from .training import (
     probe_group_accuracy,
@@ -70,7 +72,8 @@ def write_training_log(model, path: str) -> None:
     names = ("loss_cls", "loss_disc", "loss_virt", "loss_div", "lr")
     epochs = np.array([entry.epoch for entry in model.log])
     losses = np.array([[getattr(entry, name) for name in names] for entry in model.log])
-    write_csv(path, ["epoch", *names], [[epochs, losses]])
+    blocks = ([epochs[rows], losses[rows]] for rows in row_blocks(len(epochs), APPLY_BLOCK))
+    write_csv(path, ["epoch", *names], blocks)
 
 
 def write_representations_csv(path: str, width: int, blocks) -> None:

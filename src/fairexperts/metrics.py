@@ -8,10 +8,12 @@ per-group heads; the pooled model ignores it). ``experiment.run_seed``
 passes predictors that return rows it already predicted for the whole
 split, so one prediction per model and split serves every report and
 the selection inputs. A report calls its predictor once on the whole split,
-then counts (group, label, argmax) over blocks of at most
-``APPLY_BLOCK`` rows into one (groups, classes, classes) table; its
-accuracies and equalized-odds rates are counts of that table divided by
-counts, so it holds the predictor's output plus one block.
+then counts (group, label, argmax) over ``net.row_blocks`` of at most
+``APPLY_BLOCK`` rows, the blocks of every streamed pass, into one
+(groups, classes, classes) table; its accuracies and equalized-odds
+rates are counts of that table divided by counts, so it holds the
+predictor's output plus one block. Each group's row count and
+proportion come from the dataset's ``cell_counts``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SPLITS, Dataset, group_stats
+from .data import SPLITS, DataError, Dataset
 from .net import APPLY_BLOCK, row_blocks
 
 METRIC_KINDS = ("accuracy", "auc")
@@ -136,16 +138,20 @@ def _evaluate(predict, dataset: Dataset, split: str, kind: str):
 
     ``counts[g, y, k]`` is the number of rows of group g with label y
     whose argmax is k (the first index on ties). Per-group accuracy is a
-    group's diagonal over its rows.
+    group's diagonal over its rows, and a group's proportion its rows
+    over the split's, both read from ``dataset.cell_counts``. An empty
+    split raises ``DataError``, a group absent from it ``ValueError``.
     """
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
     if kind == "auc" and dataset.classes != 2:
         raise ValueError("auc needs binary class probabilities (n, 2)")
     features, labels, groups = dataset.split_arrays(split)
-    stats = group_stats(dataset, split)
-    if stats.missing:
-        raise ValueError(f"groups {list(stats.missing)} absent from split {split!r}")
+    sizes = dataset.cell_counts(split).sum(axis=1)
+    if not sizes.any():
+        raise DataError(f"split {split!r} is empty")
+    if not sizes.all():
+        raise ValueError(f"groups {np.flatnonzero(sizes == 0).tolist()} absent from split {split!r}")
     probs = np.asarray(predict(features, groups), dtype=np.float64)
     expected = (features.shape[0], dataset.classes)
     if probs.shape != expected:
@@ -161,7 +167,7 @@ def _evaluate(predict, dataset: Dataset, split: str, kind: str):
         counts += np.bincount(codes, minlength=counts.size)
     counts = counts.reshape(dataset.num_groups, c, c)
     if kind == "accuracy":
-        values = np.trace(counts, axis1=1, axis2=2) / stats.counts
+        values = np.trace(counts, axis1=1, axis2=2) / sizes
     else:
         values = np.empty(dataset.num_groups)
         cells = dataset.cell_counts(split)
@@ -170,7 +176,7 @@ def _evaluate(predict, dataset: Dataset, split: str, kind: str):
                 raise ValueError(f"group {g} has a single class; auc undefined")
             mask = groups == g
             values[g] = auc(probs[mask, 1], labels[mask])
-    gm = GroupMetrics(kind, values, stats.proportions, split)
+    gm = GroupMetrics(kind, values, sizes / sizes.sum(), split)
     return gm, counts, probs, labels
 
 

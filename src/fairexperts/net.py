@@ -28,10 +28,12 @@ ACTIVATIONS = ("relu", "identity")
 # cache entry per layer: (layer input, layer output)
 Cache = list[tuple[np.ndarray, np.ndarray]]
 
-# Most rows per block of a cache-free forward pass. ``row_blocks`` cuts
-# a pass into ceil(rows / APPLY_BLOCK) near-equal blocks, so a block has
-# at most APPLY_BLOCK rows and, unless it is the whole input, at least
-# half of that.
+# Most rows per block of every streamed pass: a cache-free forward
+# pass, and through it prediction, probe scoring and the exported
+# representations, the report counts, ``Dataset``'s cell counts and each
+# CSV block. ``row_blocks`` cuts a pass into ceil(rows / APPLY_BLOCK)
+# near-equal blocks, so a block has at most APPLY_BLOCK rows and, unless
+# it is the whole input, at least half of that.
 #
 # Bits: with numpy 2.4 and OpenBLAS 0.3.31, a product of the default
 # backbone's second layer, (rows x 32) @ (32 x 8), rounds differently on
@@ -40,6 +42,16 @@ Cache = list[tuple[np.ndarray, np.ndarray]]
 # every layer, because numpy sends it to gemv instead of gemm. So no
 # block is shorter than 256 rows, unless the whole input is, and a pass
 # in blocks gives the bits of one pass over the whole input.
+#
+# One exception: OpenBLAS 0.3.31 sends a product of 32 or more inputs
+# whose rows times outputs is at most 1,200 to a small-matrix kernel,
+# which rounds some rows by their position. At repr_dim >= 32 that takes
+# a prediction head product of at most 1,200 / (G x classes) rows: an
+# input that short is one product, equal to one pass but not to the same
+# rows in another order, and an input of 1,025 to 1,200 rows through a
+# head layer of two outputs (erm or one group, two classes) runs two
+# such products, which differ from one pass. Past 2,048 rows every
+# block has at least 683 rows.
 #
 # Threads: OpenBLAS runs a product this small on the calling thread, so
 # its worker thread does no work and never spin-waits after a product

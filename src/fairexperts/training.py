@@ -5,9 +5,9 @@ Every trained predictor is one ``Model``: a backbone plus linear heads.
 ignores groups; ``decoupled`` and ``experts`` send each sample to its
 group's head. Only experts carry a discriminator and virtual centers.
 Inference over a split (``Model.predict_proba``, the group probe's val
-scores, ``representation_blocks``) runs blocks of at most
-``PREDICT_BLOCK`` rows and holds its output plus one block, with the
-bits of one pass over the whole split. ``predict_proba`` runs one
+scores, ``representation_blocks``) runs ``net.row_blocks`` of at most
+``APPLY_BLOCK`` rows and holds its output plus one block, with the bits
+of one pass over the whole split. ``predict_proba`` runs one
 network, the backbone plus every head stacked as one layer, and keeps
 each row's own group's logits.
 
@@ -140,24 +140,6 @@ class ExpertsEpoch:
 
 MODEL_KINDS = ("erm", "decoupled", "experts")
 
-# most rows per block of a streamed inference pass (prediction, probe
-# scoring, exported representations), cut by row_blocks. A block that is
-# not the whole split has at least 4 * APPLY_BLOCK rows, so the network
-# cuts it into blocks of more than 512 rows: every block is above the
-# bit rule's floor (net.APPLY_BLOCK), and the bits equal one pass over
-# the split. predict_proba's head layer has G x classes outputs, so a
-# block of its logits is G times the size of its probabilities.
-#
-# With OpenBLAS 0.3.31 a product of 32 or more inputs whose rows times
-# outputs is at most 1,200 goes to a small-matrix kernel, which rounds
-# some rows by their position. At repr_dim >= 32 that takes a head
-# product of at most 1,200 / (G x classes) rows: an input that short is
-# one product, equal to one pass but not to the same rows in another
-# order, and an input of 1,025 to 1,200 rows through a head layer of two
-# outputs (erm or one group, two classes) runs two such products, which
-# differ from one pass.
-PREDICT_BLOCK = 8 * APPLY_BLOCK
-
 
 @dataclass
 class Model:
@@ -208,15 +190,16 @@ class Model:
         return self.backbone.forward(features, cache=False)[0]
 
     def predict_proba(self, features: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
-        """Class probabilities per row, in blocks of at most ``PREDICT_BLOCK`` rows.
+        """Class probabilities per row, in blocks of at most ``APPLY_BLOCK`` rows.
 
         One network runs the backbone and then every group's head as one
         layer (their weights stacked), so each block gives every head's
         logits in one cache-free pass; a routed kind keeps each row's own
         group's logits, and one softmax follows. Memory holds the output
-        plus one block. A row's bits equal one pass over the whole input,
+        plus one block; a block of logits is G times the size of its
+        probabilities. A row's bits equal one pass over the whole input,
         whatever the other rows, but for the short inputs of a wide
-        representation that ``PREDICT_BLOCK`` names.
+        representation that ``net.APPLY_BLOCK`` names.
         """
         n, classes = features.shape[0], self.heads[0].out_dim
         if self.kind != "erm":
@@ -225,7 +208,7 @@ class Model:
         weights = np.concatenate([h.weight for h in heads])
         net = Mlp(self.backbone.layers + [Layer(weights, np.concatenate([h.bias for h in heads]))])
         probs = np.empty((n, classes))
-        for rows in row_blocks(n, PREDICT_BLOCK):
+        for rows in row_blocks(n, APPLY_BLOCK):
             logits = net.forward(features[rows], cache=False)[0]
             if self.kind != "erm":
                 # row r's group g holds flat row r * G + g of (m * G, classes)
@@ -495,7 +478,7 @@ def train_decoupled(erm: Model, dataset: Dataset, hp: HyperParams) -> Model:
 
 
 def representation_blocks(model, dataset: Dataset, split: str):
-    """Backbone outputs of one split, in blocks of at most ``PREDICT_BLOCK`` rows.
+    """Backbone outputs of one split, in blocks of at most ``APPLY_BLOCK`` rows.
 
     Returns an iterator of (representations, labels, groups) blocks in
     row order, with the same bits as one pass over the whole split; an
@@ -506,7 +489,7 @@ def representation_blocks(model, dataset: Dataset, split: str):
         raise ValueError(f"split {split!r} is empty")
     return (
         (model.representations(features[rows]), labels[rows], groups[rows])
-        for rows in row_blocks(features.shape[0], PREDICT_BLOCK)
+        for rows in row_blocks(features.shape[0], APPLY_BLOCK)
     )
 
 

@@ -13,7 +13,6 @@ from fairexperts.data import (
     DataError,
     Dataset,
     assign_splits,
-    group_stats,
     load_csv,
 )
 from fairexperts.losses import EXP_CLAMP, BatchPlan, PairAssignment, VirtualCenters
@@ -132,11 +131,11 @@ def build_report_oracle(probs, dataset, split, kind):
     per group and for the pooled accuracy, and the (group, label,
     prediction) table of binary tasks from one bincount of n codes."""
     _, labels, groups = dataset.split_arrays(split)
-    stats = group_stats(dataset, split)
+    sizes = np.bincount(groups, minlength=dataset.num_groups)
     predicted = probs.argmax(axis=1)
     if kind == "accuracy":
         values = np.bincount(groups[predicted == labels], minlength=dataset.num_groups)
-        values = values / stats.counts
+        values = values / sizes
         overall = accuracy(predicted, labels)
     else:
         values = np.array([auc(probs[groups == g, 1], labels[groups == g])
@@ -152,7 +151,7 @@ def build_report_oracle(probs, dataset, split, kind):
         "split": split,
         "overall": float(overall),
         "per_group": [float(v) for v in values],
-        "proportions": [float(p) for p in stats.proportions],
+        "proportions": [float(p) for p in sizes / sizes.sum()],
         "mf": float(values.min()),
         "gap": float(values.max() - values.min()) if dataset.num_groups >= 2 else 0.0,
         "eo": eo,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from fairexperts.checkpoint import load_checkpoint, save_checkpoint
-from fairexperts.cli import main
+from fairexperts.cli import build_parser, main
 from fairexperts.metrics import GroupMetrics
 from fairexperts.selection import select_ip
 from fairexperts.training import train_erm
@@ -19,6 +20,7 @@ from fairexperts.training import train_erm
 from helpers import mutated_bytes, tiny_dataset, tiny_hp
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "group_shift.cfg"
 
 CONFIG = """
 version = 1
@@ -388,6 +390,46 @@ def test_gen_data_then_train_matches_in_process_pipeline(tmp_path, config_path):
     )
     for name in ("erm_5.json", "decoupled_5.json", "experts_5.json"):
         assert (synthetic_dir / name).read_bytes() == (csv_dir / name).read_bytes()
+
+
+def test_gen_data_on_the_reference_config_matches_its_pinned_sha256(tmp_path):
+    # 8,000 rows of seed 11, written in eight row blocks; a byte change in
+    # data generation or the CSV writer fails here
+    out = tmp_path / "data.csv"
+    assert main(["gen-data", "--config", str(REFERENCE_CONFIG), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "2d0fa75c984db280684aeb4189cd49de4a1ffc1036eadc2fafa1dd029bd860e4"
+
+
+def test_each_subcommand_takes_its_own_options():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    got = {
+        name: {
+            action.option_strings[0]: (action.required, action.default)
+            for action in sub._actions if action.dest != "help"
+        }
+        for name, sub in subcommands.items()
+    }
+    config, seed, data_csv = (True, None), (False, None), (False, None)
+    out = (True, None)
+    assert got == {
+        "gen-data": {"--config": config, "--seed": seed, "--out": out},
+        "train": {"--config": config, "--seed": seed, "--data-csv": data_csv, "--out-dir": out},
+        "evaluate": {
+            "--checkpoint": (True, None), "--config": config, "--seed": seed,
+            "--data-csv": data_csv, "--split": (False, "val"), "--metric": (False, None),
+            "--out": (False, None),
+        },
+        "select": {
+            "--strategy": (True, None), "--lambda": (False, 0.1), "--expert": (True, None),
+            "--erm": (True, None), "--out": (False, None),
+        },
+        "export-repr": {
+            "--checkpoint": (True, None), "--config": config, "--seed": seed,
+            "--data-csv": data_csv, "--split": (False, "test"), "--out": out,
+        },
+        "run": {"--config": config, "--data-csv": data_csv, "--out-dir": (False, None)},
+    }
 
 
 def test_select_wrapper_matches_in_process_call(tmp_path, capsys):

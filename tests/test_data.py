@@ -8,7 +8,6 @@ from hypothesis import Phase, given, settings
 
 from fairexperts import rng as rngmod
 from fairexperts.data import (
-    CHECK_BLOCK,
     SPLIT_RATIOS,
     SPLITS,
     CsvSchema,
@@ -19,11 +18,12 @@ from fairexperts.data import (
     _index_dtype,
     assign_splits,
     generate_synthetic,
-    group_stats,
     load_csv,
     save_csv,
     write_csv,
 )
+from fairexperts.metrics import group_eval
+from fairexperts.net import APPLY_BLOCK
 
 from helpers import (
     INTERLEAVED_TAGS,
@@ -166,14 +166,12 @@ def test_cell_counts_match_a_bincount_oracle(tmp_path):
         train_only.cell_counts("dev")
 
 
-def test_write_csv_holds_one_block_while_the_next_is_computed(tmp_path, monkeypatch):
-    # short chunks, so that a block's floats outweigh one chunk's Python values
-    monkeypatch.setattr("fairexperts.data.CSV_CHUNK", 256)
+def test_write_csv_holds_one_block_while_the_next_is_computed(tmp_path):
     header = [f"z{i}" for i in range(8)]
     peaks = []
     for count in (1, 4):
         rng = np.random.default_rng(8)
-        blocks = ([rng.standard_normal((8192, 8))] for _ in range(count))
+        blocks = ([rng.standard_normal((APPLY_BLOCK, 8))] for _ in range(count))
         tracemalloc.start()
         try:
             write_csv(str(tmp_path / f"blocks_{count}.csv"), header, blocks)
@@ -181,8 +179,9 @@ def test_write_csv_holds_one_block_while_the_next_is_computed(tmp_path, monkeypa
         finally:
             tracemalloc.stop()
         peaks.append(peak)
-    # a block still held while the next is drawn adds 8,192 x 8 floats (0.5 MB)
-    assert peaks[1] < peaks[0] + 8192 * 8 * 8 / 2
+    # a block still held while the next is drawn and written adds
+    # APPLY_BLOCK x 8 floats (64 KB)
+    assert peaks[1] < peaks[0] + APPLY_BLOCK * 8 * 8 / 2
 
 
 def test_cell_counts_of_more_cells_than_a_uint8_code_holds():
@@ -308,8 +307,7 @@ def test_symmetric_counts_give_equal_proportions():
     cfg = blob_config(counts={"train": (100, 100), "val": (100, 100), "test": (100, 100)})
     ds = generate_synthetic(cfg)
     for split in ("train", "val", "test"):
-        stats = group_stats(ds, split)
-        assert np.allclose(stats.proportions, [0.5, 0.5], atol=0)
+        assert np.allclose(group_proportions(ds, split), [0.5, 0.5], atol=0)
 
 
 def test_cell_means_concentrate_around_configured_means():
@@ -599,7 +597,7 @@ def test_dataset_checks_hold_one_block_at_any_size():
         peaks.append(peak)
     # one block of intp cell codes and numpy's cast buffer of as many; an
     # n x d finiteness mask alone would take 0.3 MB at 30,000 rows
-    assert max(peaks) < 3 * CHECK_BLOCK * 8
+    assert max(peaks) < 3 * APPLY_BLOCK * 8
 
 
 def write_lines(path, lines):
@@ -742,15 +740,23 @@ def test_assign_splits_matches_the_mask_per_cell_loop():
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def group_proportions(ds, split):
+    """A split's group proportions, as ``group_eval`` reports them."""
+    def uniform(features, groups):
+        return np.full((len(features), ds.classes), 1 / ds.classes)
+
+    return group_eval(uniform, ds, split, "accuracy").proportions
+
+
 def test_group_stats_proportions():
     features = np.zeros((100, 1))
     labels = np.zeros(100, dtype=int)
     groups = np.array([0] * 30 + [1] * 70)
     ds = Dataset(features, labels, groups, np.array(["train"] * 100), classes=1, num_groups=2)
-    stats = group_stats(ds, "train")
-    assert stats.counts.tolist() == [30, 70]
-    assert np.allclose(stats.proportions, [0.3, 0.7], atol=0)
-    assert stats.missing == ()
+    # no group is absent, or group_eval raises; 30 and 70 of 100 rows
+    proportions = group_proportions(ds, "train")
+    assert proportions.tolist() == [30 / 100, 70 / 100]
+    assert np.allclose(proportions, [0.3, 0.7], atol=0)
 
 
 def test_group_stats_flags_absent_group():
@@ -763,19 +769,17 @@ def test_group_stats_flags_absent_group():
         classes=1,
         num_groups=3,
     )
-    stats = group_stats(ds, "train")
-    assert stats.counts.tolist() == [10, 0, 0]
-    assert stats.proportions.tolist() == [1.0, 0.0, 0.0]
-    assert stats.missing == (1, 2)
+    with pytest.raises(ValueError, match=r"^groups \[1, 2\] absent from split 'train'$"):
+        group_proportions(ds, "train")
 
 
 def test_group_stats_three_equal_groups():
     features = np.zeros((99, 1))
     groups = np.repeat([0, 1, 2], 33)
     ds = Dataset(features, np.zeros(99, dtype=int), groups, np.array(["train"] * 99), 1, 3)
-    stats = group_stats(ds, "train")
-    assert np.allclose(stats.proportions, 1 / 3, atol=1e-12)
-    assert abs(stats.proportions.sum() - 1.0) < 1e-12
+    proportions = group_proportions(ds, "train")
+    assert np.allclose(proportions, 1 / 3, atol=1e-12)
+    assert abs(proportions.sum() - 1.0) < 1e-12
 
 
 def test_group_stats_rejects_empty_split():
@@ -789,8 +793,8 @@ def test_group_stats_rejects_empty_split():
         ds.classes,
         ds.num_groups,
     )
-    with pytest.raises(DataError, match="empty"):
-        group_stats(trimmed, "val")
+    with pytest.raises(DataError, match="^split 'val' is empty$"):
+        group_proportions(trimmed, "val")
 
 
 def test_proportions_sum_to_one_on_random_datasets():
@@ -812,7 +816,7 @@ def test_proportions_sum_to_one_on_random_datasets():
         )
         ds = generate_synthetic(cfg)
         for split in ("train", "val", "test"):
-            assert abs(group_stats(ds, split).proportions.sum() - 1.0) < 1e-12
+            assert abs(group_proportions(ds, split).sum() - 1.0) < 1e-12
 
 
 def test_dataset_arrays_are_immutable():

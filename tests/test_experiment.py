@@ -9,15 +9,15 @@ import weakref
 import numpy as np
 import pytest
 
-from fairexperts import experiment
+from fairexperts import data, experiment
 from fairexperts.config import config_from_dict, parse_kv_text
 from fairexperts.data import (
-    CSV_CHUNK,
     DataError,
     Dataset,
     SyntheticConfig,
     generate_synthetic,
     save_csv,
+    write_csv,
 )
 from fairexperts.experiment import (
     dataset_for_seed,
@@ -26,10 +26,10 @@ from fairexperts.experiment import (
     write_representations_csv,
     write_training_log,
 )
-from fairexperts.net import init_mlp
-from fairexperts.training import PREDICT_BLOCK, Model, representation_blocks
+from fairexperts.net import APPLY_BLOCK, Mlp, init_mlp
+from fairexperts.training import Model, representation_blocks
 
-from helpers import load_interleaved_csv, separable_config, split_tags
+from helpers import load_interleaved_csv, predict_proba_oracle, separable_config, split_tags
 
 SMALL = """
 version = 1
@@ -178,8 +178,8 @@ def csv_writer_bytes(header, rows):
     return out.getvalue().encode("utf-8")
 
 
-# 8195 rows is 16 chunks and 3 rows at CSV_CHUNK = 512, and 2 chunks and 3 at 4096
-@pytest.mark.parametrize("rows", [0, 1, 2 * CSV_CHUNK + 3, 8195])
+# save_csv cuts 1,027 rows into two row_blocks of APPLY_BLOCK and 8,195 into nine
+@pytest.mark.parametrize("rows", [0, 1, APPLY_BLOCK + 3, 8195])
 def test_representations_csv_matches_csv_writer_bytes(tmp_path, rows, experts42):
     """Every CSV writer gives the bytes of the csv.writer loop it replaced."""
     rng = np.random.default_rng(rows)
@@ -234,7 +234,7 @@ def test_streamed_representations_csv_memory_does_not_grow_with_the_split(tmp_pa
     model = Model("erm", backbone, [init_mlp([8, 2], ["identity"], rng)])
     peaks = []
     for blocks in (1, 4):
-        per_group = blocks * PREDICT_BLOCK // 2
+        per_group = blocks * APPLY_BLOCK // 2
         ds = generate_synthetic(SyntheticConfig(
             d=3, classes=2, groups=2, means=np.zeros((2, 2, 3)), stds=np.ones((2, 2)),
             counts={"train": (2, 2), "val": (1, 1), "test": (per_group, per_group)}, seed=3,
@@ -253,8 +253,55 @@ def test_streamed_representations_csv_memory_does_not_grow_with_the_split(tmp_pa
         write_representations_csv(str(whole), 8, [one_block])
         assert path.read_bytes() == whole.read_bytes()
     # one block at a time; the whole split's representations would add
-    # three blocks of PREDICT_BLOCK x 8 floats (1.5 MB)
-    assert peaks[1] < peaks[0] + PREDICT_BLOCK * 8 * 8 / 2
+    # three blocks of APPLY_BLOCK x 8 floats (0.2 MB)
+    assert peaks[1] < peaks[0] + APPLY_BLOCK * 8 * 8 / 2
+
+
+def test_every_streamed_pass_takes_at_most_apply_block_rows_at_a_time(tmp_path, monkeypatch):
+    """Past 8,192 rows, prediction, the exported representations, the
+    dataset CSV and Dataset's cell counts each take at most APPLY_BLOCK
+    rows at a time, with the bits of one pass over the whole input."""
+    source = generate_synthetic(SyntheticConfig(
+        d=10, classes=2, groups=3, means=np.zeros((3, 2, 10)), stds=np.ones((3, 2)),
+        counts={"train": (100,) * 3, "val": (3_000,) * 3, "test": (10,) * 3}, seed=6,
+    ))
+    features, labels, groups = source.split_arrays("val")  # 9,000 rows
+    rng = np.random.default_rng(6)
+    backbone = init_mlp([10, 32, 8], ["relu", "identity"], rng)
+    model = Model("decoupled", backbone, [init_mlp([8, 2], ["identity"], rng) for _ in range(3)])
+    want_probs = predict_proba_oracle(model, features, groups)
+    want_reps = backbone.forward(features)[0]
+    whole = tmp_path / "whole.csv"
+    header = [f"f{i}" for i in range(10)] + ["label", "group", "split"]
+    write_csv(str(whole), header, [[source.features, source.labels, source.groups,
+                                    split_tags(source)]])
+
+    seen = {"forward": [], "cells": [], "csv": []}
+    forward, bincount, write_block = Mlp.forward, np.bincount, data._write_block
+    monkeypatch.setattr(Mlp, "forward", lambda self, x, cache=True: (
+        seen["forward"].append(len(x)) or forward(self, x, cache)))
+    monkeypatch.setattr(data, "_write_block", lambda fh, columns: (
+        seen["csv"].append(len(columns[0])) or write_block(fh, columns)))
+
+    probs = model.predict_proba(features, groups)
+    assert np.array_equal(probs.view(np.int64), want_probs.view(np.int64))
+    blocks = list(representation_blocks(model, source, "val"))
+    assert max(len(z) for z, _, _ in blocks) <= APPLY_BLOCK
+    reps = np.concatenate([z for z, _, _ in blocks])
+    assert np.array_equal(reps.view(np.int64), want_reps.view(np.int64))
+    save_csv(source, str(tmp_path / "blocks.csv"))
+    assert (tmp_path / "blocks.csv").read_bytes() == whole.read_bytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "bincount", lambda codes, minlength=0: (
+            seen["cells"].append(len(codes)) or bincount(codes, minlength=minlength)))
+        again = Dataset(source.features, source.labels, source.groups, source.split, 2, 3)
+    for split in ("train", "val", "test"):
+        assert np.array_equal(again.cell_counts(split), source.cell_counts(split))
+
+    assert sum(seen["forward"]) == 2 * len(features)  # predict, then representations
+    assert sum(seen["cells"]) == sum(seen["csv"]) == source.n == 9_330
+    for name, rows in seen.items():
+        assert max(rows) <= APPLY_BLOCK, name
 
 
 def test_run_experiment_holds_one_seed_at_a_time(tmp_path, monkeypatch):

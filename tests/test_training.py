@@ -19,6 +19,7 @@ from fairexperts.losses import (
 )
 from fairexperts.metrics import accuracy, group_eval
 from fairexperts.net import (
+    APPLY_BLOCK,
     Layer,
     Mlp,
     TrainingDivergence,
@@ -30,7 +31,6 @@ from fairexperts.net import (
     softmax_cross_entropy,
 )
 from fairexperts.training import (
-    PREDICT_BLOCK,
     HyperParams,
     Model,
     _batches,
@@ -651,8 +651,8 @@ def _blocked_models(repr_dim=8, groups=4, seed=31):
 
 def test_predict_proba_in_blocks_equals_one_pass_over_the_input():
     rng = np.random.default_rng(8)
-    n = 3 * PREDICT_BLOCK + 500  # four near-equal blocks
-    block0, block1 = list(row_blocks(n, PREDICT_BLOCK))[:2]
+    n = 3 * APPLY_BLOCK + 500  # four near-equal blocks
+    block0, block1 = list(row_blocks(n, APPLY_BLOCK))[:2]
     x = rng.standard_normal((n, 10))
     # sorted: group 1's first row is the last row of block 0, group 3 has
     # a single row in the whole input, group 0 fills the rest
@@ -685,7 +685,7 @@ def test_predict_proba_in_blocks_equals_one_pass_over_the_input():
 
 # At repr_dim 32 and 64, OpenBLAS's small-matrix kernel rounds some rows
 # of a head product of at most 1,200 / (G x classes) rows by position
-# (training.PREDICT_BLOCK). The 300-row inputs at G 1 are such products
+# (net.APPLY_BLOCK). The 300-row inputs at G 1 are such products
 # and keep their bits in any order; 302 or 1,025 rows at G 1 do not.
 @pytest.mark.parametrize("rows", [300, 1_500, 20_000])
 @pytest.mark.parametrize("repr_dim", [8, 32, 64])
@@ -714,7 +714,9 @@ def test_predict_proba_bounds_memory_by_the_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one block of every head's logits and smaller temporaries, in a
-    # block of at most PREDICT_BLOCK rows; a pass over the whole input
-    # holds rows x 32 representations (31 MB)
-    assert peak < out.nbytes + 2 * PREDICT_BLOCK * 32 * 8
+    # one block of at most APPLY_BLOCK rows: its hidden activations and
+    # representations (two APPLY_BLOCK x 32 float arrays, 0.52 MB), every
+    # head's logits and smaller temporaries, 0.67 MB in all here; the
+    # bound, 1.05 MB, is that of four such arrays. A pass over the whole
+    # input holds rows x 32 representations (31 MB)
+    assert peak < out.nbytes + 4 * APPLY_BLOCK * 32 * 8

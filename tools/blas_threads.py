@@ -13,7 +13,9 @@ threads (OpenBLAS's workers) used meanwhile, read from
 ``/proc/self/task/*/stat``, and the wall time. Zero worker ticks
 means every product ran on the calling thread, so no worker spin-waits
 after it. ``net.APPLY_BLOCK`` was chosen from this table; re-run it
-after a numpy or OpenBLAS upgrade. The sizes 1,536 to 2,047 bracket
+after a numpy or OpenBLAS upgrade. The same constant also sizes the
+blocks of ``Dataset``'s cell counts, of the report counts and of every
+CSV file, so a change to it moves those passes' memory too. The sizes 1,536 to 2,047 bracket
 the point (about 1,700 rows with OpenBLAS 0.3.31) from which the first
 product goes to a worker.
 
