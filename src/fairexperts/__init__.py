@@ -29,7 +29,6 @@ from .losses import (
 )
 from .metrics import (
     GroupMetrics,
-    accuracy,
     auc,
     build_report,
     gap,

@@ -228,6 +228,8 @@ def config_from_dict(config: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"unknown selection strategy {s!r}")
     if not strategies:
         raise ConfigError("need at least one selection strategy")
+    if len(set(strategies)) != len(strategies):
+        raise ConfigError(f"strategies must be distinct, got {', '.join(strategies)}")
     kind = _require(kv, "data.kind")
     if kind not in ("synthetic", "csv"):
         raise ConfigError(f"data.kind must be synthetic or csv, got {kind!r}")

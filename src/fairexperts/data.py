@@ -343,7 +343,9 @@ class CsvSchema:
 
     ``feature_columns`` names the feature columns in order, or is a count
     d that stands for ``f0..f{d-1}``; those names are made only once the
-    file's header is known to hold them all.
+    file's header is known to hold them all. Each column has one role:
+    a name given twice among the features, label, group and split
+    columns raises ``DataError`` (a label read as a feature would leak).
     """
 
     feature_columns: Sequence[str] | int
@@ -353,6 +355,17 @@ class CsvSchema:
     group_column: str = "group"
     split_column: str | None = "split"
     split_seed: int = 0
+
+    def __post_init__(self) -> None:
+        roles = (self.label_column, self.group_column, self.split_column)
+        others = [c for c in roles if c is not None]
+        features = self.feature_columns
+        if isinstance(features, int):  # of f0..f{d-1}, only those the others name
+            features = [c for c in others if _is_default_column(c, self.feature_columns)]
+        counts = Counter([*features, *others])
+        repeated = [c for c, k in counts.items() if k > 1]
+        if repeated:
+            raise DataError(f"columns {repeated} are given more than one role")
 
 
 def load_csv(path: str, schema: CsvSchema) -> Dataset:

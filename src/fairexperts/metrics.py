@@ -28,15 +28,6 @@ from .net import APPLY_BLOCK, row_blocks
 METRIC_KINDS = ("accuracy", "auc")
 
 
-def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of exact matches."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape or predictions.size == 0:
-        raise ValueError("predictions and labels must be equal-length and nonempty")
-    return float(np.mean(predictions == labels))
-
-
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability a random positive outscores a random negative.
 
@@ -88,14 +79,6 @@ class GroupMetrics:
     @property
     def num_groups(self) -> int:
         return self.values.size
-
-    def to_dict(self) -> dict:
-        return {
-            "metric_kind": self.metric_kind,
-            "split": self.split,
-            "values": [float(v) for v in self.values],
-            "proportions": [float(p) for p in self.proportions],
-        }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GroupMetrics":

@@ -142,11 +142,6 @@ class Mlp:
             out.append(layer.bias)
         return out
 
-    def copy(self) -> "Mlp":
-        return Mlp(
-            [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
-
     def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, Cache | None]:
         """Evaluate the network on the rows of matrix ``x``; returns (output,
         cache for backward). An input of any other ndim raises ``ValueError``.

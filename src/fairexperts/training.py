@@ -122,13 +122,6 @@ class HyperParams:
 
 
 @dataclass(frozen=True)
-class ErmEpoch:
-    epoch: int
-    loss: float
-    lr: float
-
-
-@dataclass(frozen=True)
 class ExpertsEpoch:
     epoch: int
     loss_cls: float
@@ -147,7 +140,8 @@ class Model:
 
     ``erm`` uses ``heads[0]`` for every sample and ignores groups; the
     other kinds send each sample to its group's head. Experts also carry
-    the discriminator and the virtual centers they were trained with.
+    the discriminator and the virtual centers they were trained with, and
+    ``log``, one ``ExpertsEpoch`` per epoch; the other kinds keep no log.
     """
 
     kind: str
@@ -338,11 +332,10 @@ def train_erm(dataset: Dataset, hp: HyperParams) -> Model:
     head = init_mlp([hp.repr_dim, dataset.classes], ["identity"], init_rng)
     # one network over the same Layer objects, so training moves their arrays
     shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE)
-    means = _fit_cross_entropy(
+    _fit_cross_entropy(
         Mlp(backbone.layers + head.layers), features, labels, shuffle_rng, hp, "pooled loss"
     )
-    log = [ErmEpoch(k, float(mean[0]), hp.lr(k)) for k, mean in enumerate(means)]
-    return Model("erm", backbone, [head], log=log, seed=hp.seed)
+    return Model("erm", backbone, [head], seed=hp.seed)
 
 
 def _routed_cross_entropy(
@@ -378,14 +371,9 @@ def _routed_cross_entropy(
     return total / n, dz, head_grads
 
 
-def missing_train_cells(dataset: Dataset) -> list[tuple[int, int]]:
-    """(group, class) cells with no training samples."""
-    return list(map(tuple, np.argwhere(dataset.cell_counts("train") == 0).tolist()))
-
-
 def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
     """Run the full decoupled-representation training procedure."""
-    missing = missing_train_cells(dataset)
+    missing = list(map(tuple, np.argwhere(dataset.cell_counts("train") == 0).tolist()))
     if missing:
         raise ValueError(f"(group, class) cells {missing} have no training samples")
     features, labels, groups = dataset.split_arrays("train")
@@ -460,8 +448,9 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
 
 
 def train_decoupled(erm: Model, dataset: Dataset, hp: HyperParams) -> Model:
-    """Train per-group heads over the frozen ERM backbone."""
-    backbone = erm.backbone.copy()
+    """Train per-group heads over the frozen ERM backbone, which the
+    returned model holds itself: nothing trains it afterwards."""
+    backbone = erm.backbone
     features, labels, groups = dataset.split_arrays("train")
     z_all = backbone.forward(features, cache=False)[0]
     heads: list[Mlp] = []

@@ -16,7 +16,7 @@ from fairexperts.data import (
     load_csv,
 )
 from fairexperts.losses import EXP_CLAMP, BatchPlan, PairAssignment, VirtualCenters
-from fairexperts.metrics import _odds_score, accuracy, auc
+from fairexperts.metrics import _odds_score, auc
 from fairexperts.net import TrainingDivergence, check_index, softmax
 
 
@@ -136,7 +136,7 @@ def build_report_oracle(probs, dataset, split, kind):
     if kind == "accuracy":
         values = np.bincount(groups[predicted == labels], minlength=dataset.num_groups)
         values = values / sizes
-        overall = accuracy(predicted, labels)
+        overall = np.mean(predicted == labels)
     else:
         values = np.array([auc(probs[groups == g, 1], labels[groups == g])
                            for g in range(dataset.num_groups)])

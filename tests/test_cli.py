@@ -115,6 +115,30 @@ def test_run_on_a_csv_that_is_not_utf8_is_data_error(tmp_path, config_path, caps
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "roles, column",
+    [
+        ("data.features = f0, label", "label"),
+        ("data.features = f0, f0", "f0"),
+        ("data.features = f0, f1\ndata.group_column = label", "label"),
+    ],
+    ids=["label-as-feature", "feature-twice", "label-as-group"],
+)
+def test_run_rejects_a_column_given_two_roles(tmp_path, capsys, forbid_training, roles, column):
+    rng = np.random.default_rng(8)
+    rows = [f"{a:.3f},{b:.3f},{k % 2},{k // 100}" for k, (a, b) in enumerate(rng.normal(size=(200, 2)))]
+    (tmp_path / "data.csv").write_text("f0,f1,label,group\n" + "\n".join(rows) + "\n")
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        "version = 1\nseeds = 5\ndata.kind = csv\n"
+        f"data.path = {tmp_path / 'data.csv'}\ndata.classes = 2\ndata.groups = 2\n{roles}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert f"columns [{column!r}] are given more than one role" in capsys.readouterr().err
+    assert not out.exists()  # refused while the config loaded
+
+
 def test_run_on_a_config_that_is_not_utf8_is_data_error(tmp_path, capsys):
     path = tmp_path / "latin.cfg"
     path.write_bytes(CONFIG.replace("seeds = 5", "# caf\xe9\nseeds = 5").encode("latin-1"))
@@ -433,12 +457,13 @@ def test_each_subcommand_takes_its_own_options():
 
 
 def test_select_wrapper_matches_in_process_call(tmp_path, capsys):
-    expert = GroupMetrics("accuracy", np.array([0.85, 0.80]), np.array([0.5, 0.5]), "val")
-    erm = GroupMetrics("accuracy", np.array([0.80, 0.80]), np.array([0.5, 0.5]), "val")
+    expert = {"metric_kind": "accuracy", "split": "val", "values": [0.85, 0.80],
+              "proportions": [0.5, 0.5]}
+    erm = {**expert, "values": [0.80, 0.80]}
     expert_path = tmp_path / "expert.json"
     erm_path = tmp_path / "erm.json"
-    expert_path.write_text(json.dumps(expert.to_dict()))
-    erm_path.write_text(json.dumps(erm.to_dict()))
+    expert_path.write_text(json.dumps(expert))
+    erm_path.write_text(json.dumps(erm))
     out_path = tmp_path / "decision.json"
     code = main(
         [
@@ -452,7 +477,7 @@ def test_select_wrapper_matches_in_process_call(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out_path.read_text())
-    expected = select_ip(expert, erm, 0.1)
+    expected = select_ip(GroupMetrics.from_dict(expert), GroupMetrics.from_dict(erm), 0.1)
     assert payload == expected.to_dict()
 
 
@@ -515,7 +540,8 @@ def test_select_ip_on_1200_groups(tmp_path):
     paths = []
     for name, values in (("expert", expert_values), ("erm", erm_values)):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(GroupMetrics("accuracy", values, p, "val").to_dict()))
+        path.write_text(json.dumps({"metric_kind": "accuracy", "split": "val",
+                                    "values": values.tolist(), "proportions": p.tolist()}))
         paths.append(str(path))
     out = tmp_path / "decision.json"
     argv = ["select", "--strategy", "ip", "--expert", paths[0], "--erm", paths[1], "--out", str(out)]
@@ -582,7 +608,8 @@ def test_run_output_bytes_do_not_depend_on_blas_thread_count(tmp_path):
 
 
 METRICS_JSON = json.dumps(
-    GroupMetrics("accuracy", np.array([0.85, 0.8, 0.6]), np.array([0.5, 0.3, 0.2]), "val").to_dict()
+    {"metric_kind": "accuracy", "split": "val", "values": [0.85, 0.8, 0.6],
+     "proportions": [0.5, 0.3, 0.2]}
 ).encode()
 
 

@@ -314,6 +314,13 @@ def test_config_rejects_invalid_hyperparameters():
             config_from_dict(parse_kv_text(MINIMAL.replace(old, new)))
 
 
+def test_config_rejects_repeated_strategies():
+    text = MINIMAL.replace("strategies = greedy, ip", "strategies = greedy, greedy")
+    assert text != MINIMAL
+    with pytest.raises(ConfigError, match="strategies must be distinct, got greedy, greedy"):
+        config_from_dict(parse_kv_text(text))
+
+
 def test_bad_hyperparameter_named_does_not_depend_on_hash_seed():
     # three unparsable hyperparameters; the first in HyperParams' field
     # order is reported, whatever order a set of names would iterate in

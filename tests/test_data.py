@@ -432,6 +432,20 @@ def test_load_csv_missing_column(tmp_path):
         load_csv(str(path), CsvSchema(("f0",), classes=2, groups=1))
 
 
+def test_csv_schema_gives_each_column_one_role():
+    cases = [
+        (dict(feature_columns=("f0", "f1"), split_column="group"), "['group']"),
+        (dict(feature_columns=("f0", "f1", "f0"), label_column="f1"), "['f0', 'f1']"),
+        # a count stands for f0..f{d-1}, however large d is
+        (dict(feature_columns=3, label_column="f2"), "['f2']"),
+        (dict(feature_columns=10**18, group_column="f999"), "['f999']"),
+    ]
+    for kwargs, repeated in cases:
+        with pytest.raises(DataError, match=re.escape(f"columns {repeated} are given more than one role")):
+            CsvSchema(classes=2, groups=2, **kwargs)
+    CsvSchema(3, classes=2, groups=2, label_column="f3", split_column=None)
+
+
 def test_load_csv_names_the_first_missing_columns_of_a_count_and_counts_the_rest(tmp_path):
     # of f0..f{d-1} this header holds f0, f999 (for d above 999) and f1000
     # (for d above 1000); f01, f and f٣ are not such names

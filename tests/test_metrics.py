@@ -18,7 +18,6 @@ from fairexperts.data import (
 )
 from fairexperts.metrics import (
     GroupMetrics,
-    accuracy,
     auc,
     build_report,
     gap,
@@ -34,26 +33,6 @@ from helpers import (
     pairwise_auc_oracle,
     separable_config,
 )
-
-
-# --- accuracy -------------------------------------------------------------
-
-
-def test_accuracy_all_correct():
-    assert accuracy(np.array([1, 0, 2]), np.array([1, 0, 2])) == 1.0
-
-
-def test_accuracy_all_wrong():
-    assert accuracy(np.array([1, 1, 1]), np.array([0, 0, 0])) == 0.0
-
-
-def test_accuracy_three_of_four():
-    assert accuracy(np.array([1, 0, 1, 1]), np.array([1, 0, 1, 0])) == 0.75
-
-
-def test_accuracy_rejects_empty():
-    with pytest.raises(ValueError):
-        accuracy(np.array([]), np.array([]))
 
 
 # --- auc --------------------------------------------------------------------
@@ -340,7 +319,7 @@ def test_group_accuracy_aggregates_to_pooled_accuracy():
             return probs
 
         gm = group_eval(predictor, ds, "train", "accuracy")
-        pooled = accuracy(preds, labels)
+        pooled = np.count_nonzero(preds == labels) / n
         assert abs(float(gm.proportions @ gm.values) - pooled) < 1e-12
 
 
@@ -364,11 +343,12 @@ def test_pooled_auc_is_not_weighted_mean_of_group_aucs():
 
 
 def test_group_metrics_round_trip_dict():
-    gm = GroupMetrics("auc", np.array([0.7, 0.9]), np.array([0.4, 0.6]), "test")
-    back = GroupMetrics.from_dict(gm.to_dict())
-    assert back.metric_kind == gm.metric_kind and back.split == gm.split
-    assert np.array_equal(back.values, gm.values)
-    assert np.array_equal(back.proportions, gm.proportions)
+    payload = {"metric_kind": "auc", "split": "test", "values": [0.7, 0.9],
+               "proportions": [0.4, 0.6]}
+    gm = GroupMetrics.from_dict(payload)
+    assert gm.metric_kind == "auc" and gm.split == "test"
+    assert gm.values.tolist() == payload["values"]
+    assert gm.proportions.tolist() == payload["proportions"]
 
 
 def test_group_metrics_from_report_dict():

@@ -17,7 +17,7 @@ from fairexperts.losses import (
     diversity_loss,
     sample_pairs,
 )
-from fairexperts.metrics import accuracy, group_eval
+from fairexperts.metrics import group_eval
 from fairexperts.net import (
     APPLY_BLOCK,
     Layer,
@@ -35,7 +35,6 @@ from fairexperts.training import (
     Model,
     _batches,
     _routed_cross_entropy,
-    missing_train_cells,
     representation_blocks,
     train_decoupled,
     train_erm,
@@ -141,10 +140,9 @@ def test_erm_single_full_batch_step_matches_finite_difference_gradient():
 
 
 def test_erm_reference_run_learns(separable_ds, erm42):
-    assert erm42.log[-1].loss < erm42.log[0].loss
     features, labels, _ = separable_ds.split_arrays("train")
     preds = erm42.predict_proba(features).argmax(axis=1)
-    assert accuracy(preds, labels) > 0.9
+    assert np.mean(preds == labels) > 0.9
 
 
 def test_erm_rejects_empty_train_split():
@@ -162,16 +160,24 @@ def test_erm_training_diverges_with_absurd_learning_rate():
         train_erm(tiny_dataset(), tiny_hp(lr0=1e8, epochs=4))
 
 
-def test_training_log_length_and_lr_schedule():
+def test_training_log_length_and_lr_schedule(monkeypatch):
     # (lr0, epochs): the default rate, one decay from 0.05, the closed
-    # form after sixty decays, and a zero rate that stays zero
+    # form after sixty decays, and a zero rate that stays zero; every
+    # step of epoch k takes HyperParams.lr(k)
+    rates = []
+
+    def recorded(params, velocity, grad, lr, momentum):
+        rates.append(lr)
+        return sgd_step(params, velocity, grad, lr, momentum)
+
+    monkeypatch.setattr(training, "sgd_step", recorded)
+    ds = tiny_dataset()  # 80 train rows: two batches of 40 an epoch
     for lr0, epochs in ((0.01, 5), (0.05, 2), (0.01, 61), (0.0, 3)):
-        hp = tiny_hp(lr0=lr0, epochs=epochs)
-        model = train_erm(tiny_dataset(), hp)
-        assert len(model.log) == epochs
-        for k, entry in enumerate(model.log):
-            assert entry.epoch == k
-            assert entry.lr == lr0 * 0.9**k
+        hp = tiny_hp(lr0=lr0, epochs=epochs, batch_size=40)
+        rates.clear()
+        train_erm(ds, hp)
+        assert [hp.lr(k) for k in range(epochs)] == [lr0 * 0.9**k for k in range(epochs)]
+        assert rates == [hp.lr(k) for k in range(epochs) for _ in range(2)]
 
 
 # --- expert training -------------------------------------------------------------
@@ -391,8 +397,7 @@ def test_experts_rejects_missing_train_cell():
         ds.features[keep], ds.labels[keep], ds.groups[keep], ds.split[keep],
         ds.classes, ds.num_groups,
     )
-    assert missing_train_cells(pruned) == [(1, 1)]
-    with pytest.raises(ValueError, match=r"\(1, 1\)"):
+    with pytest.raises(ValueError, match=r"cells \[\(1, 1\)\] have no training samples"):
         train_experts(pruned, tiny_hp())
 
 
@@ -402,7 +407,8 @@ def test_missing_train_cells_lists_every_cell_in_group_class_order():
     groups = [2, 0, 1, 1, 0, 2]
     split = ["train", "train", "train", "val", "test", "train"]
     ds = Dataset(np.zeros((6, 1)), labels, groups, split, classes=2, num_groups=3)
-    assert missing_train_cells(ds) == [(0, 1), (1, 0), (2, 1)]
+    with pytest.raises(ValueError, match=r"cells \[\(0, 1\), \(1, 0\), \(2, 1\)\] have no"):
+        train_experts(ds, tiny_hp())
 
 
 def test_experts_reference_run_links_groups_and_does_no_harm(
@@ -485,6 +491,16 @@ def single_group_dataset(seed=6):
     return generate_synthetic(cfg)
 
 
+def test_decoupled_holds_the_frozen_erm_backbone():
+    ds = tiny_dataset()
+    erm = train_erm(ds, tiny_hp())
+    before = [p.tobytes() for part in (erm.backbone, erm.heads[0]) for p in part.params()]
+    decoupled = train_decoupled(erm, ds, tiny_hp())
+    assert decoupled.backbone is erm.backbone
+    after = [p.tobytes() for part in (erm.backbone, erm.heads[0]) for p in part.params()]
+    assert after == before
+
+
 def test_decoupled_single_group_equals_pooled_head_retraining():
     ds = single_group_dataset()
     hp = tiny_hp(epochs=3)
@@ -493,7 +509,7 @@ def test_decoupled_single_group_equals_pooled_head_retraining():
 
     # reference: retrain one pooled head over the frozen backbone with the
     # decoupled trainer's documented streams
-    backbone = erm.backbone.copy()
+    backbone = erm.backbone
     features, labels, _ = ds.split_arrays("train")
     z = backbone.forward(features)[0]
     head = init_mlp([hp.repr_dim, ds.classes], ["identity"], rngmod.stream(hp.seed, rngmod.INIT, 1))
@@ -639,7 +655,6 @@ def test_erm_training_is_deterministic():
     b = train_erm(ds, tiny_hp())
     assert params_equal(a.backbone.params(), b.backbone.params())
     assert params_equal(a.heads[0].params(), b.heads[0].params())
-    assert a.log == b.log
 
 
 def _blocked_models(repr_dim=8, groups=4, seed=31):
