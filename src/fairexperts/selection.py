@@ -11,9 +11,12 @@ value below its pooled baseline:
   windows [lo, hi]: inside a window each group takes its largest
   feasible value, so only O(G^2) choice vectors need scoring, in O(G^3)
   time and O(G^2) memory (the windows of one lo at a time), with no
-  recursion.
+  recursion. The floors lo swept are the values some group can take:
+  each pooled value, and each expert value strictly above its own
+  pooled value.
 
-The two metrics must share their group count, metric kind and split.
+The two metrics must share their group count, metric kind, split and
+group proportions.
 A decision's per-group values come from ``combine``, the one place that
 writes a selection's value rule (expert where chosen, pooled
 elsewhere). ``route`` applies a decision to the rows of a split: each
@@ -54,6 +57,12 @@ def _check_compatible(expert: GroupMetrics, erm: GroupMetrics) -> None:
         raise ValueError("expert and pooled metrics use different metric kinds")
     if expert.split != erm.split:
         raise ValueError(f"expert metrics are from split {expert.split}, pooled from {erm.split}")
+    # Bytes first: equal vectors, the usual case, then skip np.array_equal,
+    # whose Python-level overhead, paid twice per selection, is about a
+    # tenth of a small selection's time.
+    p, q = expert.proportions, erm.proportions
+    if p.tobytes() != q.tobytes() and not np.array_equal(p, q):
+        raise ValueError(f"expert proportions {p} differ from pooled {q}")
 
 
 def combine(choices: np.ndarray, expert: GroupMetrics, erm: GroupMetrics) -> np.ndarray:
@@ -115,13 +124,23 @@ def _solve_windows(
     candidate hi values give nested expert sets, so the first row with
     the least objective has the fewest experts.
 
+    The floors lo are the values some group can take: the pooled values
+    and the expert values strictly above their own pooled value. The
+    loop reads lo only through the groups it forces. No pooled value
+    lies between an expert value at or below its pooled one and the
+    next floor kept, so both floors force the same groups and score the
+    same rows, and that next floor passes the bound, which is itself a
+    value some group can take. Leaving such expert values out therefore
+    changes no choice and no objective bit; it saves work where they
+    lie below the least per-group maximum.
+
     The loop calls only numpy functions and methods written in C
     (ufuncs, sort, indexing): numpy's Python-level helpers (unique, pad,
     ndarray.max) cost more than a small window's arithmetic.
     """
     optional = (expert > erm) & (lambda_sel * proportions > 0)
     erm_top = np.maximum.reduce(erm)
-    los = np.concatenate([erm, expert])
+    los = np.concatenate([erm, expert[expert > erm]])
     los.sort()
     los = los[np.concatenate([[True], los[1:] != los[:-1]])]  # distinct, ascending
     best = (np.inf, 0, ())

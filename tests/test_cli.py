@@ -513,6 +513,15 @@ def test_select_rejects_metrics_from_different_splits(tmp_path, capsys, strategy
     assert "expert metrics are from split val, pooled from test" in capsys.readouterr().err
 
 
+def test_select_rejects_expert_and_pooled_proportions_that_differ(tmp_path, capsys):
+    expert, erm = tmp_path / "expert.json", tmp_path / "erm.json"
+    expert.write_text(json.dumps(dict(METRICS_REPORT, proportions=[0.9, 0.1])))
+    erm.write_text(json.dumps(dict(METRICS_REPORT, per_group=[0.85, 0.82], proportions=[0.1, 0.9])))
+    argv = ["select", "--strategy", "ip", "--expert", str(expert), "--erm", str(erm)]
+    assert main(argv) == 2
+    assert "expert proportions [0.9 0.1] differ from pooled [0.1 0.9]" in capsys.readouterr().err
+
+
 def test_select_rejects_a_split_outside_splits(tmp_path, capsys):
     path = tmp_path / "metrics.json"
     path.write_text(json.dumps(dict(METRICS_REPORT, split=7)))

@@ -90,6 +90,17 @@ def test_strategies_reject_no_groups_and_metrics_from_different_splits(select):
         select(gm([0.6, 0.7]), gm([0.5, 0.8], split="test"))
 
 
+@pytest.mark.parametrize("select", [select_greedy, select_ip])
+def test_strategies_reject_expert_and_pooled_proportions_that_differ(select):
+    # select_ip weighs the groups by one proportion vector, so the two
+    # metrics must agree on it
+    match = r"expert proportions \[0.9 0.1\] differ from pooled \[0.1 0.9\]"
+    with pytest.raises(ValueError, match=match):
+        select(gm([0.6, 0.7], [0.9, 0.1]), gm([0.5, 0.8], [0.1, 0.9]))
+    # equal values with other bytes are the same weights
+    assert select(gm([0.6, 0.7], [0.0, 1.0]), gm([0.5, 0.8], [-0.0, 1.0])).choices[0] == 1
+
+
 def test_decisions_take_their_values_from_combine():
     rng = np.random.default_rng(20)
     for _ in range(100):
@@ -299,6 +310,35 @@ def test_ip_matches_the_window_sweep_oracle_bit_for_bit():
             choices, objective = solve_windows_oracle(expert.values, erm.values, p, lam)
             assert decision.choices == tuple(choices.tolist())
             assert np.float64(decision.objective).tobytes() == np.float64(objective).tobytes()
+
+
+def test_ip_matches_the_oracle_bit_for_bit_when_experts_lose_below_the_floor_bound():
+    # Expert values at or below their pooled value can be no group's
+    # value; where they also lie below the floor bound min(max(erm,
+    # expert)), the oracle sweeps them as floors of their own. Quantized
+    # values tie, and signed zeros stand as experts below a positive
+    # pooled value or beside a pooled zero of the other sign.
+    rng = np.random.default_rng(34)
+    for g in (2, 8, 32, 200, 1200):
+        for case in range(4):
+            n = int(rng.integers(4, 12))
+            erm_values = rng.integers(n // 2, n + 1, g) / n
+            expert_values = rng.integers(0, n + 1, g) / n
+            if case >= 2:
+                zeros = rng.uniform(size=g) < 0.3
+                expert_values[zeros] = np.where(rng.uniform(size=zeros.sum()) < 0.5, -0.0, 0.0)
+            if case == 3:
+                erm_values[0], expert_values[0] = -0.0, 0.0
+            bound = np.maximum(erm_values, expert_values).min()
+            lost = (expert_values <= erm_values) & (expert_values < bound)
+            assert case == 3 or lost.sum() >= g // 4
+            p = rng.dirichlet(np.ones(g))
+            expert, erm = gm(expert_values, p), gm(erm_values, p)
+            for lam in (0.0, 1e-17, 0.1, 2.0):
+                decision = select_ip(expert, erm, lam)
+                choices, objective = solve_windows_oracle(expert.values, erm.values, p, lam)
+                assert decision.choices == tuple(choices.tolist())
+                assert np.float64(decision.objective).tobytes() == np.float64(objective).tobytes()
 
 
 def test_ip_solves_1200_groups():
