@@ -119,10 +119,16 @@ class Dataset:
     ``split`` holds one ``uint8`` code per row, an index into ``SPLITS``.
     It may be given as codes (an integer array) or as the tags
     train/val/test, which are turned into codes here; tags exist only in
-    CSV files. The arrays are stored as read-only views, without a copy
-    where the given array already has the stored dtype; the caller's
-    arrays stay writable, and the dataset assumes they are not edited
-    afterwards.
+    CSV files.
+
+    The rows are held grouped by split, train then val then test, each
+    split's rows in their given order, so every split is one slice of the
+    arrays. Errors name rows in the given order. Rows whose split codes
+    never decrease, as in generated data, are already grouped; otherwise
+    one stable sort by split gathers each array once, here. The arrays
+    are stored as read-only views, without a copy where the given array
+    is grouped and already has the stored dtype; the caller's arrays stay
+    writable, and the dataset assumes they are not edited afterwards.
     """
 
     features: np.ndarray  # (n, d) float64
@@ -169,18 +175,8 @@ class Dataset:
         object.__setattr__(
             self, "split", split.astype(np.uint8, copy=False) if given_codes else _tag_codes(split)
         )
-        cells, ends = self._count_cells()
-        # each split's rows as a slice when contiguous, else an index array
-        rows = {}
-        for s, name in enumerate(SPLITS):
-            first, last = ends[s]
-            if last - first + 1 == cells[s].sum():
-                rows[name] = slice(first, last + 1)
-            else:
-                rows[name] = np.flatnonzero(self.split == s)
+        cells, grouped = self._count_cells()
         cells = dict(zip(SPLITS, cells))
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_cells", cells)
         for split_name in ("val", "test"):
             missing = np.argwhere((cells[split_name] > 0) & (cells["train"] == 0))
             if missing.size:
@@ -188,6 +184,15 @@ class Dataset:
                     f"(group, class) cells {list(map(tuple, missing.tolist()))} "
                     f"appear in {split_name} but not in train"
                 )
+        if not grouped:
+            # one stable sort groups the rows by split, each split's rows in
+            # their given order; the checks above named rows in that order
+            order = np.argsort(self.split, kind="stable")
+            for name in ("features", "labels", "groups", "split"):
+                object.__setattr__(self, name, getattr(self, name)[order])
+        stops = np.cumsum([counts.sum() for counts in cells.values()]).tolist()
+        object.__setattr__(self, "_rows", dict(zip(SPLITS, map(slice, [0, *stops], stops))))
+        object.__setattr__(self, "_cells", cells)
         # read-only views: the caller's own arrays stay writable
         for name in ("features", "labels", "groups", "split"):
             view = getattr(self, name).view()
@@ -196,30 +201,28 @@ class Dataset:
         for counts in cells.values():
             counts.flags.writeable = False
 
-    def _count_cells(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """(split, group, class) sample counts and each split's first and
-        last row ((0, -1) if it has none), counted in ``row_blocks`` of at
-        most ``APPLY_BLOCK`` rows, so no temporary is as long as the data."""
+    def _count_cells(self) -> tuple[np.ndarray, bool]:
+        """(split, group, class) sample counts, and whether the split codes
+        never decrease (the rows are grouped by split), both found in
+        ``row_blocks`` of at most ``APPLY_BLOCK`` rows, so no temporary is
+        as long as the data."""
         counts = np.zeros((len(SPLITS), self.num_groups, self.classes), dtype=np.int64)
         flat = counts.reshape(-1)  # a view
-        ends = [[None, -1] for _ in SPLITS]
+        grouped = True
         for rows in row_blocks(self.n, APPLY_BLOCK):
-            start, block = rows.start, self.split[rows]
             # one code per (split, group, class) cell, in that order; intp,
             # or it wraps
-            codes = block.astype(np.intp)
+            codes = self.split[rows].astype(np.intp)
             codes *= self.num_groups
             codes += self.groups[rows]
             codes *= self.classes
             codes += self.labels[rows]
             flat += np.bincount(codes, minlength=flat.size)
-            for s, end in enumerate(ends):
-                hit = block == s
-                if hit.any():
-                    if end[0] is None:
-                        end[0] = start + int(hit.argmax())
-                    end[1] = start + len(block) - 1 - int(hit[::-1].argmax())
-        return counts, [(0, -1) if first is None else (first, last) for first, last in ends]
+            if grouped:
+                # from the previous block's last row, so each boundary is seen
+                edge = self.split[max(rows.start - 1, 0) : rows.stop]
+                grouped = not (edge[1:] < edge[:-1]).any()
+        return counts, grouped
 
     @property
     def n(self) -> int:
@@ -235,11 +238,8 @@ class Dataset:
         return split_name
 
     def split_arrays(self, split_name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(features, labels, groups) for one split, in dataset order.
-
-        When the split's rows are contiguous, as in generated data, these
-        are read-only views of the dataset's arrays; otherwise copies.
-        """
+        """(features, labels, groups) for one split, in the order given:
+        read-only views of the dataset's arrays, never copies."""
         rows = self._rows[self._check_split(split_name)]
         return self.features[rows], self.labels[rows], self.groups[rows]
 
@@ -369,10 +369,12 @@ class CsvSchema:
 
 
 def load_csv(path: str, schema: CsvSchema) -> Dataset:
-    """Parse a dataset CSV in row order.
+    """Parse a dataset CSV.
 
     This turns text into arrays; ``Dataset`` checks their content, and
-    its errors are prefixed with the path.
+    its errors, which name rows in file order, are prefixed with the
+    path. The dataset holds the rows grouped by split, each split's rows
+    in file order.
 
     If the schema's split column is absent from the header, rows are
     assigned to train/val/test at an 8:1:1 ratio, stratified by
@@ -380,7 +382,7 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
     largest-remainder rounding, so every nonempty cell lands in train.
     """
     # the file's rows are freed when _csv_columns returns, before the
-    # dataset turns the split tags into codes
+    # dataset turns the split tags into codes and groups the rows
     features, labels, groups, split = _csv_columns(path, schema)
     if split is None:
         split = assign_splits(labels, groups, schema.split_seed)
@@ -396,7 +398,9 @@ def _csv_columns(path: str, schema: CsvSchema) -> tuple:
     Checks the header and each row's field count, then converts each
     column the schema reads once, in schema order; a cell that does not
     convert (an integer outside int64 included) is named by row, column
-    and text. The split tags are the column's text, unchecked.
+    and text. The split tags are the column's text, unchecked; each
+    known tag is the one ``SPLITS`` string, so no row's own text outlives
+    the parse.
     """
     try:
         # utf-8-sig also reads the byte-order mark that some exporters write
@@ -458,9 +462,14 @@ def _csv_columns(path: str, schema: CsvSchema) -> tuple:
     for j, name in enumerate(names):
         features[:, j] = column(name, float)
     si = col_index.get(schema.split_column)
-    # an object array: a fixed-width str array would give every row the
-    # longest tag's width
-    split = None if si is None else np.fromiter(map(itemgetter(si), rows), object, len(rows))
+    split = None
+    if si is not None:
+        # an object array: a fixed-width str array would give every row the
+        # longest tag's width; a known tag refers to the one SPLITS string,
+        # so no row's own string outlives the parse
+        shared = {tag: tag for tag in SPLITS}
+        tags = (shared.get(tag, tag) for tag in map(itemgetter(si), rows))
+        split = np.fromiter(tags, object, len(rows))
     return features, column(schema.label_column, int), column(schema.group_column, int), split
 
 

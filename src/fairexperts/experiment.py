@@ -135,7 +135,6 @@ def run_seed(config: ExperimentConfig, seed: int):
             erm_probs = erm.predict_proba(features, groups)
             models_section["erm"][split] = build_report(_held(erm_probs), dataset, split, kind)
             expert_probs = experts.predict_proba(features, groups)
-            del features  # a copy when the split's rows interleave
             models_section["experts"][split] = build_report(
                 _held(expert_probs), dataset, split, kind
             )

@@ -242,7 +242,6 @@ class BatchPlan:
         # once the cells are in range, every sample has a cell differing in
         # both coordinates exactly when there are two groups and two classes
         self.has_denom = self.has_neg | (num_groups > 1 and classes > 1)
-        self.live = self.has_denom.astype(np.float64)
         # each batch's rows by group, in batch order within a group
         order = np.argsort(index // size * num_groups + groups, kind="stable")
         self.group_rows = position[order]
@@ -259,7 +258,7 @@ class Batch:
 
     Each per-row array of the plan (``labels``, ``groups``, ``position``,
     ``positive``, ``negative``, ``has_pos``, ``has_neg``, ``has_denom``,
-    ``live``, ``group_rows``, ``group_labels``) sliced to the batch's
+    ``group_rows``, ``group_labels``) sliced to the batch's
     rows, so ``position`` is ``arange`` of the row count and partners are
     positions in the batch. Group g's rows are
     ``group_rows[bounds[g]:bounds[g + 1]]``, in batch order, with labels
@@ -272,7 +271,7 @@ class Batch:
         self.position = plan.position[rows]
         self.positive, self.negative = plan.positive[rows], plan.negative[rows]
         self.has_pos, self.has_neg = plan.has_pos[rows], plan.has_neg[rows]
-        self.has_denom, self.live = plan.has_denom[rows], plan.live[rows]
+        self.has_denom = plan.has_denom[rows]
         self.group_rows, self.group_labels = plan.group_rows[rows], plan.group_labels[rows]
         # where each group's run starts in the batch's group order
         self.bounds = plan.sorted_groups[rows].searchsorted(plan.group_ids).tolist()
@@ -315,8 +314,9 @@ class CenterCosines:
     builds one per batch and hands it to both center losses.
 
     A zero-norm representation or center leaves the cosines undefined.
-    Building still succeeds, so each loss can check its cell indices
-    first; reading ``cos`` or calling ``grads`` then raises ``ValueError``.
+    Building still succeeds, so a batch built after the cosines reports
+    its index errors first; reading ``cos`` or calling ``grads`` then
+    raises ``ValueError``.
     """
 
     def __init__(self, reps: np.ndarray, centers: VirtualCenters):
@@ -433,11 +433,10 @@ def diversity_loss(
     if not math.isfinite(loss):
         raise TrainingDivergence("diversity loss diverged despite exponent clamping")
 
-    live = batch.live
-    coef_pos = -(exp_pos / numer) * act_pos * live / n
-    coef_neg = (exp_neg / safe_denom) * act_neg * live / n
-    coef_own = -(exp_own / numer) * live / n
-    weights = exp_other / safe_denom[:, None, None] * live[:, None, None] / n
+    coef_pos = -(exp_pos / numer) * act_pos * has_denom / n
+    coef_neg = (exp_neg / safe_denom) * act_neg * has_denom / n
+    coef_own = -(exp_own / numer) * has_denom / n
+    weights = exp_other / safe_denom[:, None, None] * has_denom[:, None, None] / n
 
     dz = np.zeros(z.shape)
     dz += coef_pos[:, None] * np.where(has_pos[:, None], z_pos, 0.0)

@@ -135,13 +135,21 @@ def test_dataset_leaves_the_callers_arrays_writable():
             stored[0] = stored[0]
 
 
-def test_split_arrays_of_interleaved_splits_are_copies_in_dataset_order(tmp_path):
+def test_interleaved_rows_are_grouped_by_split_and_each_split_is_a_view(tmp_path):
     ds = load_interleaved_csv(tmp_path)
-    for split in SPLITS:
-        idx = np.flatnonzero(np.array(INTERLEAVED_TAGS) == split)
-        for got, full in zip(ds.split_arrays(split), (ds.features, ds.labels, ds.groups)):
-            assert not np.shares_memory(got, full)
-            assert got.dtype == full.dtype and np.array_equal(got, full[idx])
+    # helpers write file row i with f0 = i + 0.5
+    file_rows = [np.flatnonzero(np.array(INTERLEAVED_TAGS) == split) for split in SPLITS]
+    for split, want in zip(SPLITS, file_rows):
+        arrays = ds.split_arrays(split)
+        for got, full in zip(arrays, (ds.features, ds.labels, ds.groups)):
+            assert np.shares_memory(got, full)
+            assert not got.flags.writeable
+        features, labels, groups = arrays
+        assert np.array_equal(features[:, 0], want + 0.5)
+        assert np.array_equal(labels, want % 3 // 2) and np.array_equal(groups, want // 2 % 2)
+    # train, val and test rows in turn, each split's in file order
+    assert np.array_equal(ds.features[:, 0], np.concatenate(file_rows) + 0.5)
+    assert np.array_equal(ds.split, np.repeat([0, 1, 2], [len(rows) for rows in file_rows]))
 
 
 def test_cell_counts_match_a_bincount_oracle(tmp_path):

@@ -131,6 +131,33 @@ def test_run_files_match_their_pinned_sha256(tmp_path):
     assert got == want
 
 
+def test_a_run_on_shuffled_csv_rows_writes_the_bytes_of_those_rows_grouped_by_split(tmp_path):
+    source = dataset_for_seed(small_config("5"), 5)
+    shuffled = np.random.default_rng(0).permutation(source.n)
+    grouped = shuffled[np.argsort(source.split[shuffled], kind="stable")]
+    kv = {k: v for k, v in parse_kv_text(SMALL.format(seeds="5")).items()
+          if not k.startswith(("data.mean.", "data.count.", "data.seed"))}
+    path = tmp_path / "data.csv"
+    kv.update({"data.kind": "csv", "data.path": str(path)})
+    header = [f"f{i}" for i in range(source.d)] + ["label", "group", "split"]
+    columns = [source.features, source.labels, source.groups, np.asarray(data.SPLITS)[source.split]]
+    files = {}
+    for name, order in (("shuffled", shuffled), ("grouped", grouped)):
+        write_csv(str(path), header, [[column[order] for column in columns]])
+        files[name] = path.read_bytes()
+        run_experiment(config_from_dict(kv), str(tmp_path / name))
+    names = sorted(os.listdir(tmp_path / "grouped"))
+    assert names == sorted(os.listdir(tmp_path / "shuffled")) and len(names) == 4
+    for name in names:
+        assert (tmp_path / "shuffled" / name).read_bytes() == (tmp_path / "grouped" / name).read_bytes()
+    assert files["shuffled"] != files["grouped"]
+
+    # the loaded dataset holds, and save_csv writes, the rows grouped by split
+    path.write_bytes(files["shuffled"])
+    save_csv(dataset_for_seed(config_from_dict(kv), 5), str(tmp_path / "saved.csv"))
+    assert (tmp_path / "saved.csv").read_bytes() == files["grouped"]
+
+
 def test_dataset_for_seed_varies_by_run_seed():
     config = small_config("5, 6")
     a = dataset_for_seed(config, 5)

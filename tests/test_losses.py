@@ -601,7 +601,6 @@ def test_batch_plan_slices_equal_each_batch_derived_alone(
         assert np.array_equal(batch.has_pos, positive >= 0)
         assert np.array_equal(batch.has_neg, negative >= 0)
         assert np.array_equal(batch.has_denom, has_denom)
-        assert np.array_equal(batch.live, has_denom.astype(np.float64))
         for g in range(num_groups):
             lo, hi = batch.bounds[g], batch.bounds[g + 1]
             idx = np.flatnonzero(a == g)

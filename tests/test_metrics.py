@@ -474,7 +474,7 @@ def test_report_accuracies_equal_a_mask_per_group_oracle(tmp_path):
     cases = [
         (generate_synthetic(separable_config(seed=7)), ("train", "val", "test")),
         (generate_synthetic(_three_group_three_class()), ("train", "val", "test")),
-        (load_interleaved_csv(tmp_path), ("train",)),  # index-array split
+        (load_interleaved_csv(tmp_path), ("train",)),  # splits interleave in the file
     ]
     for ds, splits in cases:
         for split in splits:
@@ -522,8 +522,8 @@ def report_cases(draw):
     test row with one label, so every split holds every group and every
     (group, class) cell of val and test is in train; a group whose
     triples share a label lacks a class. The rows are shuffled
-    (interleaved splits, index arrays) or ordered by split (slices), and
-    may go through a CSV file.
+    (interleaved splits, which ``Dataset`` groups) or ordered by split,
+    and may go through a CSV file.
     """
     num_groups, classes = draw(st.integers(1, 70)), draw(st.integers(1, 3))
     triples = [draw(st.lists(st.integers(0, classes - 1), min_size=1, max_size=3))
@@ -564,13 +564,23 @@ def test_report_equals_the_whole_split_oracle_bit_for_bit(case):
 
 
 def test_build_report_holds_one_block_beyond_the_predictor_output():
-    peaks = []
-    for per_group in (5_000, 20_000):  # 30,000 and 120,000 rows
-        ds = generate_synthetic(SyntheticConfig(
+    datasets = [
+        generate_synthetic(SyntheticConfig(
             d=1, classes=2, groups=6, means=np.zeros((6, 2, 1)), stds=np.ones((6, 2)),
             counts={"train": (2,) * 6, "val": (per_group,) * 6, "test": (1,) * 6}, seed=3,
         ))
-        probs = np.random.default_rng(1).random((6 * per_group, 2))
+        for per_group in (5_000, 20_000)  # 30,000 and 120,000 rows
+    ]
+    # 120,000 rows of 10 features whose split codes interleave: a copy of
+    # the 40,000 val rows' features would take 3.2 MB
+    n = 120_000
+    datasets.append(Dataset(
+        np.zeros((n, 10)), np.tile([0, 1], n // 2), np.repeat(np.arange(6), n // 6),
+        np.tile([0, 1, 2], n // 3), 2, 6,
+    ))
+    peaks = []
+    for ds in datasets:
+        probs = np.random.default_rng(1).random((int(ds.cell_counts("val").sum()), 2))
         tracemalloc.start()
         try:
             build_report(lambda x, g: probs, ds, "val", "accuracy")
