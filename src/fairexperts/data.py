@@ -81,24 +81,6 @@ def write_json(payload: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _tag_codes(tags: np.ndarray) -> np.ndarray:
-    """The ``SPLITS`` index of each split tag, as ``uint8``.
-
-    Each tag is compared whole, so a longer tag such as ``"trainx"`` is
-    unknown rather than cut to a known one; an unknown tag raises
-    ``DataError`` naming the first row that holds one.
-    """
-    codes = np.full(tags.shape, len(SPLITS), np.uint8)
-    for code, name in enumerate(SPLITS):
-        codes[tags == name] = code
-    unknown = codes == len(SPLITS)
-    if unknown.any():
-        # listed from the unknown rows alone: no fixed-width copy of every tag
-        names = sorted(set(map(str, tags[unknown].tolist())))
-        raise DataError(f"row {np.argmax(unknown) + 1}: unknown split tags: {names}")
-    return codes
-
-
 def _index_dtype(bound: int) -> type:
     """The narrowest unsigned integer type that holds ``range(bound)``:
     ``uint8`` up to 256 values. Labels and groups are stored in it, so
@@ -116,10 +98,9 @@ class Dataset:
     ``labels`` and ``groups`` may be given in any integer type; once in
     range they are stored in the narrowest unsigned type that holds
     ``[0, classes)`` and ``[0, num_groups)`` (``uint8`` up to 256 values).
-    ``split`` holds one ``uint8`` code per row, an index into ``SPLITS``.
-    It may be given as codes (an integer array) or as the tags
-    train/val/test, which are turned into codes here; tags exist only in
-    CSV files.
+    ``split`` holds one ``uint8`` code per row, an index into ``SPLITS``,
+    and may be given in any integer type too; a CSV file's split tags are
+    turned into codes by ``load_csv``.
 
     The rows are held grouped by split, train then val then test, each
     split's rows in their given order, so every split is one slice of the
@@ -139,42 +120,37 @@ class Dataset:
     num_groups: int
 
     def __post_init__(self) -> None:
-        for name in ("labels", "groups"):
+        for name in ("labels", "groups", "split"):
             values = np.asarray(getattr(self, name))
             if values.size and values.dtype.kind not in "iu":
                 raise DataError(f"{name} must be integers, got dtype {values.dtype}")
             object.__setattr__(self, name, values)
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        split = np.asarray(self.split)
         if self.features.ndim != 2:
             raise DataError("features must be a 2-d matrix")
         n = self.features.shape[0]
         if self.features.shape[1] == 0:
             raise DataError("features must have at least one column")
-        if self.labels.shape != (n,) or self.groups.shape != (n,) or split.shape != (n,):
+        if self.labels.shape != (n,) or self.groups.shape != (n,) or self.split.shape != (n,):
             raise DataError("labels/groups/split lengths must match features")
-        # integers (and an empty split, as for labels) are codes, anything
-        # else is tags
-        given_codes = split.dtype.kind in "iu" or not split.size
         # each check reduces the whole array without a temporary (NaN fails
         # both comparisons); only a failed one looks for the first row at
         # fault, counted from 1 as in a CSV file
         if n and not (-np.inf < self.features.min() and self.features.max() < np.inf):
             r = np.argmax(~np.isfinite(self.features).all(axis=1))
             raise DataError(f"row {r + 1}: features must be finite")
-        bounds = [("label", self.labels, self.classes), ("group", self.groups, self.num_groups)]
-        if given_codes:
-            bounds.append(("split code", split, len(SPLITS)))
-        for what, values, bound in bounds:
+        for what, values, bound in (
+            ("label", self.labels, self.classes),
+            ("group", self.groups, self.num_groups),
+            ("split code", self.split, len(SPLITS)),
+        ):
             if n and (values.min() < 0 or values.max() >= bound):
                 r = np.argmax((values < 0) | (values >= bound))
                 raise DataError(f"row {r + 1}: {what} {values[r]} out of range")
         for name, bound in (("labels", self.classes), ("groups", self.num_groups)):
             values = getattr(self, name).astype(_index_dtype(bound), copy=False)
             object.__setattr__(self, name, values)
-        object.__setattr__(
-            self, "split", split.astype(np.uint8, copy=False) if given_codes else _tag_codes(split)
-        )
+        object.__setattr__(self, "split", self.split.astype(np.uint8, copy=False))
         cells, grouped = self._count_cells()
         cells = dict(zip(SPLITS, cells))
         for split_name in ("val", "test"):
@@ -371,18 +347,16 @@ class CsvSchema:
 def load_csv(path: str, schema: CsvSchema) -> Dataset:
     """Parse a dataset CSV.
 
-    This turns text into arrays; ``Dataset`` checks their content, and
-    its errors, which name rows in file order, are prefixed with the
-    path. The dataset holds the rows grouped by split, each split's rows
-    in file order.
+    This turns text into arrays, the split tags into ``SPLITS`` codes;
+    ``Dataset`` checks their content, and its errors, which name rows in
+    file order, are prefixed with the path. The dataset holds the rows
+    grouped by split, each split's rows in file order.
 
     If the schema's split column is absent from the header, rows are
     assigned to train/val/test at an 8:1:1 ratio, stratified by
     (group, class): within each cell, a seeded shuffle splits rows with
     largest-remainder rounding, so every nonempty cell lands in train.
     """
-    # the file's rows are freed when _csv_columns returns, before the
-    # dataset turns the split tags into codes and groups the rows
     features, labels, groups, split = _csv_columns(path, schema)
     if split is None:
         split = assign_splits(labels, groups, schema.split_seed)
@@ -393,14 +367,14 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
 
 
 def _csv_columns(path: str, schema: CsvSchema) -> tuple:
-    """Features, labels, groups and the split tags (or None) of a CSV file.
+    """Features, labels, groups and the split codes (or None) of a CSV file.
 
     Checks the header and each row's field count, then converts each
     column the schema reads once, in schema order; a cell that does not
     convert (an integer outside int64 included) is named by row, column
-    and text. The split tags are the column's text, unchecked; each
-    known tag is the one ``SPLITS`` string, so no row's own text outlives
-    the parse.
+    and text. Each split tag is compared whole with the ``SPLITS`` names
+    and decoded into its ``uint8`` index; the first row with an unknown
+    tag is named, with every distinct unknown tag.
     """
     try:
         # utf-8-sig also reads the byte-order mark that some exporters write
@@ -461,16 +435,19 @@ def _csv_columns(path: str, schema: CsvSchema) -> tuple:
     features = np.empty((len(rows), len(names)))
     for j, name in enumerate(names):
         features[:, j] = column(name, float)
+    labels, groups = column(schema.label_column, int), column(schema.group_column, int)
     si = col_index.get(schema.split_column)
     split = None
     if si is not None:
-        # an object array: a fixed-width str array would give every row the
-        # longest tag's width; a known tag refers to the one SPLITS string,
-        # so no row's own string outlives the parse
-        shared = {tag: tag for tag in SPLITS}
-        tags = (shared.get(tag, tag) for tag in map(itemgetter(si), rows))
-        split = np.fromiter(tags, object, len(rows))
-    return features, column(schema.label_column, int), column(schema.group_column, int), split
+        codes, unread = {tag: code for code, tag in enumerate(SPLITS)}, iter(rows)
+        tags = map(itemgetter(si), unread)
+        try:
+            split = np.fromiter(map(codes.__getitem__, tags), np.uint8, count=len(rows))
+        except KeyError:
+            r = len(rows) - length_hint(unread)  # the first row with an unknown tag
+            names = sorted(set(map(itemgetter(si), rows)).difference(codes))
+            raise DataError(f"{path}: row {r}: unknown split tags: {names}") from None
+    return features, labels, groups, split
 
 
 def _is_default_column(name: str, d: int) -> bool:

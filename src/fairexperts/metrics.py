@@ -101,10 +101,9 @@ def max_min(gm: GroupMetrics) -> float:
 
 
 def gap(gm: GroupMetrics) -> float:
-    """Spread between the best and worst group."""
-    if gm.num_groups < 2:
-        raise ValueError("gap needs at least two groups")
-    return float(gm.values.max() - gm.values.min())
+    """Spread between the best and worst group, 0.0 for one group."""
+    worst = max_min(gm)  # no groups raise here
+    return float(gm.values.max() - worst)
 
 
 def _odds_score(table: np.ndarray) -> float:
@@ -200,7 +199,7 @@ def build_report(
         "per_group": [float(v) for v in gm.values],
         "proportions": [float(p) for p in gm.proportions],
         "mf": max_min(gm),
-        "gap": gap(gm) if gm.num_groups >= 2 else 0.0,
+        "gap": gap(gm),
         "eo": eo,
         "selection": selection,
     }

@@ -13,8 +13,8 @@ each row's own group's logits.
 
 * ``train_erm``: backbone and pooled head, plain cross-entropy.
 * ``train_decoupled``: per-group heads over the frozen ERM backbone.
-* ``train_group_probe``: a linear group classifier on fixed
-  representations.
+* ``probe_group_accuracy``: a linear group classifier, fit on a model's
+  fixed train representations and scored on val.
 * ``train_experts``: the full procedure. Each batch computes the routed
   per-group cross-entropy, the discriminator linkage loss, the center
   alignment loss, and the diversity loss (the last two share one
@@ -452,7 +452,7 @@ def train_decoupled(erm: Model, dataset: Dataset, hp: HyperParams) -> Model:
     returned model holds itself: nothing trains it afterwards."""
     backbone = erm.backbone
     features, labels, groups = dataset.split_arrays("train")
-    z_all = backbone.forward(features, cache=False)[0]
+    z_all = erm.representations(features)
     heads: list[Mlp] = []
     init_rng = rngmod.stream(hp.seed, rngmod.INIT, 1)
     for g in range(dataset.num_groups):
@@ -486,25 +486,22 @@ def representation_blocks(model, dataset: Dataset, split: str):
 _PROBE_HP = HyperParams(lr0=0.1, momentum=0.9, lr_decay=0.9, batch_size=64, epochs=25)
 
 
-def train_group_probe(reps: np.ndarray, groups: np.ndarray, num_groups: int, seed: int) -> Mlp:
-    """Fit a fresh linear group classifier on fixed representations."""
-    probe = init_mlp([reps.shape[1], num_groups], ["identity"], rngmod.stream(seed, rngmod.PROBE))
-    _fit_cross_entropy(probe, reps, groups, rngmod.stream(seed, rngmod.PROBE, 1), _PROBE_HP, "probe")
-    return probe
-
-
 def probe_group_accuracy(model, dataset: Dataset, seed: int) -> float:
     """Accuracy of a freshly trained group probe on a model's representations.
 
-    The probe is fit on the train split's representations and scored on
-    the val split, whose hits are counted block by block. Measures how
-    separable the groups are in the learned space.
+    The probe, a linear group classifier, is fit on the train split's
+    representations and scored on the val split, whose hits are counted
+    block by block. Measures how separable the groups are in the learned
+    space.
     """
     # an empty train split leaves val empty too (Dataset), so this check
     # also runs before the fit
     val_blocks = representation_blocks(model, dataset, "val")
     features, _, groups = dataset.split_arrays("train")
-    probe = train_group_probe(model.representations(features), groups, dataset.num_groups, seed)
+    reps = model.representations(features)
+    init_rng, shuffle_rng = rngmod.stream(seed, rngmod.PROBE), rngmod.stream(seed, rngmod.PROBE, 1)
+    probe = init_mlp([reps.shape[1], dataset.num_groups], ["identity"], init_rng)
+    _fit_cross_entropy(probe, reps, groups, shuffle_rng, _PROBE_HP, "probe")
     hits = rows = 0
     for z, _, val_groups in val_blocks:
         hits += np.count_nonzero(probe.forward(z, cache=False)[0].argmax(axis=1) == val_groups)

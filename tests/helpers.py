@@ -322,7 +322,7 @@ def load_csv_oracle(path, schema):
     features = np.empty((n, len(feat_idx)), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
     groups = np.empty(n, dtype=np.int64)
-    split = np.empty(n, dtype="U5")
+    split = np.empty(n, dtype=np.uint8)
 
     for r, row in enumerate(rows):
         if len(row) != len(header):
@@ -348,7 +348,7 @@ def load_csv_oracle(path, schema):
             tag = row[col_index[schema.split_column]]
             if tag not in SPLITS:
                 raise DataError(f"{path}: row {r + 1}: unknown split tag {tag!r}")
-            split[r] = tag
+            split[r] = SPLITS.index(tag)
 
     if not has_split:
         split = assign_splits(labels, groups, schema.split_seed)

@@ -153,7 +153,7 @@ def test_interleaved_rows_are_grouped_by_split_and_each_split_is_a_view(tmp_path
 
 
 def test_cell_counts_match_a_bincount_oracle(tmp_path):
-    train_only = Dataset(np.zeros((4, 1)), [0, 1, 1, 0], [2, 0, 0, 1], ["train"] * 4, 2, 3)
+    train_only = Dataset(np.zeros((4, 1)), [0, 1, 1, 0], [2, 0, 0, 1], [0] * 4, 2, 3)
     datasets = [
         generate_synthetic(separable_config(seed=4)),
         load_interleaved_csv(tmp_path),
@@ -225,15 +225,20 @@ def test_labels_and_groups_are_stored_in_the_narrowest_unsigned_type(tmp_path):
         load_csv(str(path), CsvSchema(("f0",), classes=2, groups=2))
 
 
-def test_dataset_stores_split_codes_given_as_codes_or_tags():
+def test_dataset_takes_split_codes_only():
     features, labels, groups = np.zeros((4, 1)), [0, 1, 0, 1], [0, 0, 0, 0]
-    tags = ["train", "train", "val", "test"]
-    for split in (tags, np.array(tags, dtype=object), [0, 0, 1, 2], np.array([0, 0, 1, 2], np.int8)):
+    codes = [0, 0, 1, 2]
+    for split in (codes, np.array(codes, np.int8), np.array(codes, np.uint8)):
         ds = Dataset(features, labels, groups, split, 2, 1)
-        assert ds.split.dtype == np.uint8 and ds.split.tolist() == [0, 0, 1, 2]
+        assert ds.split.dtype == np.uint8 and ds.split.tolist() == codes
+    # tags are a CSV file's form, decoded by load_csv
+    tags = ["train", "train", "val", "test"]
+    for split, dtype in ((tags, "<U5"), (np.array(tags, dtype=object), "object")):
+        with pytest.raises(DataError, match=rf"^split must be integers, got dtype {dtype}$"):
+            Dataset(features, labels, groups, split, 2, 1)
     with pytest.raises(DataError, match=r"^row 2: split code 3 out of range$"):
         Dataset(features, labels, groups, [0, 3, 1, -1], 2, 1)
-    # codes are checked after labels and groups, as tags are
+    # codes are checked after labels and groups
     with pytest.raises(DataError, match=r"^row 4: label 9 out of range$"):
         Dataset(features, [0, 0, 0, 9], groups, [5] * 4, 2, 1)
     # an empty split holds no codes, whatever its dtype
@@ -285,13 +290,22 @@ def test_load_csv_holds_no_fixed_width_copy_of_the_split_column(tmp_path):
     assert peak < 4 << 20
 
 
-def test_dataset_names_unknown_tags_and_missing_cells():
-    with pytest.raises(DataError, match=r"unknown split tags: \['dev'\]$"):
-        Dataset(np.zeros((2, 1)), [0, 0], [0, 0], ["train", "dev"], classes=1, num_groups=1)
-    # tags longer than five characters are checked whole, not cut first
-    for tag in ("trainx", "validation"):
-        with pytest.raises(DataError, match=rf"unknown split tags: \['{tag}'\]$"):
-            Dataset(np.zeros((2, 1)), [0, 0], [0, 0], ["train", tag], classes=1, num_groups=1)
+def test_load_csv_names_unknown_tags_and_missing_cells(tmp_path):
+    schema = CsvSchema(("f0",), classes=1, groups=1)
+    cases = [
+        (["train", "dev"], r"row 2: unknown split tags: \['dev'\]$"),
+        # tags longer than five characters are checked whole, not cut first
+        (["train", "trainx"], r"row 2: unknown split tags: \['trainx'\]$"),
+        (["train", "validation"], r"row 2: unknown split tags: \['validation'\]$"),
+        # the first row with an unknown tag, and every distinct one, sorted
+        (["train", "test2", "val", "dev", "test2"],
+         r"row 2: unknown split tags: \['dev', 'test2'\]$"),
+    ]
+    for tags, message in cases:
+        lines = ["f0,label,group,split"] + [f"0.5,0,0,{tag}" for tag in tags]
+        path = write_lines(tmp_path / "tags.csv", lines)
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: {message}"):
+            load_csv(path, schema)
     with pytest.raises(
         DataError, match=r"cells \[\(0, 1\), \(2, 0\)\] appear in test but not in train"
     ):
@@ -299,7 +313,7 @@ def test_dataset_names_unknown_tags_and_missing_cells():
             np.zeros((5, 1)),
             [0, 1, 0, 1, 1],
             [0, 0, 2, 1, 1],
-            ["train", "test", "test", "val", "train"],
+            [0, 2, 2, 1, 0],
             classes=2,
             num_groups=3,
         )
@@ -377,7 +391,7 @@ def test_dataset_requires_every_eval_cell_in_train():
             features,
             np.array([0, 0, 1]),
             np.array([0, 0, 0]),
-            np.array(["train", "val", "val"]),
+            np.array([0, 1, 1]),
             classes=2,
             num_groups=1,
         )
@@ -551,7 +565,7 @@ def test_load_csv_out_of_range_label_and_group(tmp_path):
 
 
 def test_dataset_rejects_labels_and_groups_that_are_not_integers():
-    features, split = np.zeros((3, 1)), ["train"] * 3
+    features, split = np.zeros((3, 1)), [0] * 3
     with pytest.raises(DataError, match=r"^labels must be integers, got dtype float64$"):
         Dataset(features, np.array([0.5, 1.7, 0.2]), [0, 0, 0], split, classes=2, num_groups=1)
     with pytest.raises(DataError, match=r"^groups must be integers, got dtype <U1$"):
@@ -566,7 +580,7 @@ def test_dataset_rejects_labels_and_groups_that_are_not_integers():
 
 def test_dataset_names_the_first_row_at_fault():
     def build(features=((0.0,),) * 4, labels=(0, 1, 0, 1), groups=(0, 0, 0, 0), split=None):
-        split = split or ["train"] * 4
+        split = split or [0] * 4
         return Dataset(np.array(features), np.array(labels), np.array(groups), split, 2, 1)
 
     with pytest.raises(DataError, match=r"^row 3: features must be finite$"):
@@ -575,20 +589,22 @@ def test_dataset_names_the_first_row_at_fault():
         build(labels=(0, 5, -1, 1))
     with pytest.raises(DataError, match=r"^row 4: group -1 out of range$"):
         build(groups=(0, 0, 0, -1))
-    with pytest.raises(DataError, match=r"^row 2: unknown split tags: \['dev', 'test2'\]$"):
-        build(split=["train", "test2", "val", "dev"])
-    # the checks run in this order: finite, label, group, tags
+    with pytest.raises(DataError, match=r"^row 2: split code 7 out of range$"):
+        build(split=[0, 7, 1, 9])
+    # the checks run in this order: finite, label, group, split code
     with pytest.raises(DataError, match="features must be finite"):
         build(features=((0.0,), (0.0,), (0.0,), (np.inf,)), labels=(9, 0, 0, 0))
     with pytest.raises(DataError, match="row 4: label 9"):
-        build(labels=(0, 0, 0, 9), groups=(3, 0, 0, 0), split=["dev"] * 4)
+        build(labels=(0, 0, 0, 9), groups=(3, 0, 0, 0), split=[5] * 4)
+    with pytest.raises(DataError, match="row 1: group 3"):
+        build(groups=(3, 0, 0, 0), split=[5] * 4)
 
 
 def test_dataset_rejects_zero_width_features():
     # training would divide by a zero fan-in, and min/max reduce no values
     for n in (4, 0):
         with pytest.raises(DataError, match=r"^features must have at least one column$"):
-            Dataset(np.zeros((n, 0)), [0, 1, 0, 1][:n], [0] * n, ["train"] * n, 2, 1)
+            Dataset(np.zeros((n, 0)), [0, 1, 0, 1][:n], [0] * n, [0] * n, 2, 1)
     # the shape is checked before its row count is read
     with pytest.raises(DataError, match=r"^features must be a 2-d matrix$"):
         Dataset(np.float64(5.0), [], [], [], 2, 1)
@@ -600,7 +616,7 @@ def test_dataset_names_the_first_row_with_a_value_that_is_not_finite(bad):
     features[2, 1] = bad
     features[3, 0] = np.nan
     with pytest.raises(DataError, match=r"^row 3: features must be finite$"):
-        Dataset(features, [0, 1, 0, 1, 0], [0] * 5, ["train"] * 5, 2, 1)
+        Dataset(features, [0, 1, 0, 1, 0], [0] * 5, [0] * 5, 2, 1)
 
 
 def test_dataset_checks_hold_one_block_at_any_size():
@@ -664,12 +680,14 @@ def test_load_csv_reports_field_counts_then_columns_then_content(tmp_path):
         ([head, "1,x,0,0,train", "x,2,0,0,train"], r"row 2, column 'f0'"),
         ([head, "1,2,x,0,train", "1,x,0,0,train"], r"row 2, column 'f1'"),
         ([head, "1,2,0,x,train", "1,2,x,0,train"], r"row 2, column 'label'"),
-        # a conversion error before any content check
+        # a conversion error before any content check, in any column
         ([head, "inf,2,5,0,dev", "1,2,0,x,train"], r"row 2, column 'group'"),
-        # then the dataset's checks: finite, label, group, tags
+        # an unknown split tag is one too: it comes before any content check
+        ([head, "1,2,0,0,dev", "1,2,0,7,train"], r"row 1: unknown split tags: \['dev'\]$"),
+        # then the dataset's checks: finite, label, group
         ([head, "1,2,5,0,train", "nan,2,0,0,train"], "row 2: features must be finite"),
         ([head, "1,2,0,7,train", "1,2,5,0,train"], "row 2: label 5 out of range"),
-        ([head, "1,2,0,0,dev", "1,2,0,7,train"], "row 2: group 7 out of range"),
+        ([head, "1,2,0,1,val", "1,2,0,7,train"], "row 2: group 7 out of range"),
     ]
     for lines, message in cases:
         path = write_lines(tmp_path / "order.csv", lines)
@@ -774,7 +792,7 @@ def test_group_stats_proportions():
     features = np.zeros((100, 1))
     labels = np.zeros(100, dtype=int)
     groups = np.array([0] * 30 + [1] * 70)
-    ds = Dataset(features, labels, groups, np.array(["train"] * 100), classes=1, num_groups=2)
+    ds = Dataset(features, labels, groups, np.zeros(100, np.uint8), classes=1, num_groups=2)
     # no group is absent, or group_eval raises; 30 and 70 of 100 rows
     proportions = group_proportions(ds, "train")
     assert proportions.tolist() == [30 / 100, 70 / 100]
@@ -787,7 +805,7 @@ def test_group_stats_flags_absent_group():
         features,
         np.zeros(10, dtype=int),
         np.zeros(10, dtype=int),
-        np.array(["train"] * 10),
+        np.zeros(10, np.uint8),
         classes=1,
         num_groups=3,
     )
@@ -798,7 +816,7 @@ def test_group_stats_flags_absent_group():
 def test_group_stats_three_equal_groups():
     features = np.zeros((99, 1))
     groups = np.repeat([0, 1, 2], 33)
-    ds = Dataset(features, np.zeros(99, dtype=int), groups, np.array(["train"] * 99), 1, 3)
+    ds = Dataset(features, np.zeros(99, dtype=int), groups, np.zeros(99, np.uint8), 1, 3)
     proportions = group_proportions(ds, "train")
     assert np.allclose(proportions, 1 / 3, atol=1e-12)
     assert abs(proportions.sum() - 1.0) < 1e-12
@@ -811,7 +829,7 @@ def test_group_stats_rejects_empty_split():
         ds.features[train],
         ds.labels[train],
         ds.groups[train],
-        np.array(["train"] * int(train.sum())),
+        np.zeros(int(train.sum()), np.uint8),
         ds.classes,
         ds.num_groups,
     )

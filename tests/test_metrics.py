@@ -142,10 +142,14 @@ def test_max_min_gap_permutation_invariant():
         assert gap(shuffled) == gap(gm)
 
 
-def test_gap_rejects_single_group():
+def test_gap_of_one_group_is_zero():
     gm = GroupMetrics("accuracy", np.array([0.5]), np.array([1.0]), "val")
-    with pytest.raises(ValueError):
-        gap(gm)
+    assert gap(gm) == 0.0 and isinstance(gap(gm), float)
+    # no groups have no spread, as they have no worst value
+    none = GroupMetrics("accuracy", np.array([]), np.array([]), "val")
+    for measure in (gap, max_min):
+        with pytest.raises(ValueError, match="^no groups$"):
+            measure(none)
 
 
 # --- equalized odds ----------------------------------------------------------
@@ -228,10 +232,7 @@ def test_binary_inputs_reject_other_values(value):
 
 
 def dataset_from_arrays(features, labels, groups, classes, num_groups):
-    n = len(labels)
-    return Dataset(
-        features, labels, groups, np.array(["train"] * n), classes, num_groups
-    )
+    return Dataset(features, labels, groups, np.zeros(len(labels), np.uint8), classes, num_groups)
 
 
 def test_group_eval_ground_truth_predictor_scores_one():

@@ -116,7 +116,7 @@ def test_erm_single_full_batch_step_matches_finite_difference_gradient():
         cfg_ds.features[idx],
         cfg_ds.labels[idx],
         cfg_ds.groups[idx],
-        np.array(["train"] * 4),
+        np.zeros(4, np.uint8),
         cfg_ds.classes,
         cfg_ds.num_groups,
     )
@@ -266,7 +266,7 @@ def test_experts_full_batch_step_follows_total_loss_gradient(seed, num_groups, e
     groups = np.array([a for a, _ in cells] + rng.integers(0, num_groups, extra).tolist())
     labels = np.array([y for _, y in cells] + rng.integers(0, 2, extra).tolist())
     n = len(labels)
-    ds = Dataset(rng.standard_normal((n, 3)), labels, groups, np.array(["train"] * n), 2, num_groups)
+    ds = Dataset(rng.standard_normal((n, 3)), labels, groups, np.zeros(n, np.uint8), 2, num_groups)
     lambda_disc, lambda_virt, lambda_div = lambdas
     hp = HyperParams(
         seed=seed, epochs=1, batch_size=n, lr0=0.5, hidden_dim=16, repr_dim=4,
@@ -405,7 +405,7 @@ def test_missing_train_cells_lists_every_cell_in_group_class_order():
     # cells (0, 1), (1, 0) and (2, 1) hold no rows in any split
     labels = [0, 0, 1, 1, 0, 0]
     groups = [2, 0, 1, 1, 0, 2]
-    split = ["train", "train", "train", "val", "test", "train"]
+    split = [0, 0, 0, 1, 2, 0]
     ds = Dataset(np.zeros((6, 1)), labels, groups, split, classes=2, num_groups=3)
     with pytest.raises(ValueError, match=r"cells \[\(0, 1\), \(1, 0\), \(2, 1\)\] have no"):
         train_experts(ds, tiny_hp())
