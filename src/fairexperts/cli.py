@@ -101,6 +101,11 @@ def _model_and_data(args, config: ExperimentConfig):
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
     model, dataset = _model_and_data(args, config)
+    if model.kind != "erm" and model.num_groups != dataset.num_groups:
+        raise DataError(
+            f"checkpoint {args.checkpoint!r} has {model.num_groups} group heads, "
+            f"but data.groups is {dataset.num_groups}"
+        )
     kind = args.metric or config.metric
     _emit(build_report(model.predict_proba, dataset, args.split, kind), args.out)
     return EXIT_OK

@@ -197,9 +197,8 @@ class BatchPlan:
     (``check_index``), and each partner array of integers, one per row,
     each -1 or the position of another row of the same batch. It then
     derives each row's facts once: labels and groups as ``intp``, its
-    position in its batch, whether it has each partner and a diversity
-    denominator, and each batch's rows in group order from one stable
-    sort. It holds 1-D arrays of one entry per row, plus the group ids.
+    position in its batch, and whether it has each partner and a
+    diversity denominator. It holds 1-D arrays of one entry per row.
 
     ``plan[rows]``, for ``rows`` the slice of one of its batches, is that
     batch's ``Batch``: contiguous slices of these arrays.
@@ -242,12 +241,6 @@ class BatchPlan:
         # once the cells are in range, every sample has a cell differing in
         # both coordinates exactly when there are two groups and two classes
         self.has_denom = self.has_neg | (num_groups > 1 and classes > 1)
-        # each batch's rows by group, in batch order within a group
-        order = np.argsort(index // size * num_groups + groups, kind="stable")
-        self.group_rows = position[order]
-        self.group_labels = labels[order]
-        self.sorted_groups = groups[order]
-        self.group_ids = np.arange(num_groups + 1)
 
     def __getitem__(self, rows: slice) -> "Batch":
         return Batch(self, rows)
@@ -257,12 +250,9 @@ class Batch:
     """One batch of a ``BatchPlan``: its rows' checked facts.
 
     Each per-row array of the plan (``labels``, ``groups``, ``position``,
-    ``positive``, ``negative``, ``has_pos``, ``has_neg``, ``has_denom``,
-    ``group_rows``, ``group_labels``) sliced to the batch's
-    rows, so ``position`` is ``arange`` of the row count and partners are
-    positions in the batch. Group g's rows are
-    ``group_rows[bounds[g]:bounds[g + 1]]``, in batch order, with labels
-    ``group_labels`` over the same range.
+    ``positive``, ``negative``, ``has_pos``, ``has_neg``, ``has_denom``)
+    sliced to the batch's rows, so ``position`` is ``arange`` of the row
+    count and partners are positions in the batch.
     """
 
     def __init__(self, plan: BatchPlan, rows: slice):
@@ -272,9 +262,6 @@ class Batch:
         self.positive, self.negative = plan.positive[rows], plan.negative[rows]
         self.has_pos, self.has_neg = plan.has_pos[rows], plan.has_neg[rows]
         self.has_denom = plan.has_denom[rows]
-        self.group_rows, self.group_labels = plan.group_rows[rows], plan.group_labels[rows]
-        # where each group's run starts in the batch's group order
-        self.bounds = plan.sorted_groups[rows].searchsorted(plan.group_ids).tolist()
 
     def __len__(self) -> int:
         return self.labels.shape[0]

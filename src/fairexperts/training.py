@@ -1,18 +1,22 @@
 """Training pipelines.
 
-Every trained predictor is one ``Model``: a backbone plus linear heads.
-``kind`` says how the heads are routed: ``erm`` has one pooled head and
-ignores groups; ``decoupled`` and ``experts`` send each sample to its
-group's head. Only experts carry a discriminator and virtual centers.
-Inference over a split (``Model.predict_proba``, the group probe's val
-scores, ``representation_blocks``) runs ``net.row_blocks`` of at most
+Every trained predictor is one ``Model``: a backbone plus linear heads,
+held as one stacked layer whose row block g is group g's head; training
+and prediction both read it. ``kind`` says how the heads are routed:
+``erm`` has one pooled head and ignores groups; ``decoupled`` and
+``experts`` send each sample to its group's head. Only experts carry a
+discriminator and virtual centers. Inference over a split
+(``Model.predict_proba``, the group probe's val scores,
+``representation_blocks``) runs ``net.row_blocks`` of at most
 ``APPLY_BLOCK`` rows and holds its output plus one block, with the bits
-of one pass over the whole split. ``predict_proba`` runs one
-network, the backbone plus every head stacked as one layer, and keeps
-each row's own group's logits.
+of one pass over the whole split. ``predict_proba`` runs one network,
+the backbone plus the stacked head layer, and keeps each row's own
+group's logits.
 
 * ``train_erm``: backbone and pooled head, plain cross-entropy.
-* ``train_decoupled``: per-group heads over the frozen ERM backbone.
+* ``train_decoupled``: per-group heads over the frozen ERM backbone,
+  each fit on its own and stacked once (``stack_heads``, which the
+  checkpoint loader uses too).
 * ``probe_group_accuracy``: a linear group classifier, fit on a model's
   fixed train representations and scored on val.
 * ``train_experts``: the full procedure. Each batch computes the routed
@@ -34,15 +38,14 @@ gets contiguous slices of both. For the cross-entropy fits the plan is
 the targets, checked once per fit and gathered as ``intp``; the expert
 trainer draws the whole epoch's partners in one ``sample_pairs`` call
 and builds a ``losses.BatchPlan``, which checks labels, groups and
-partners once and derives what every batch's losses read (partner
-masks, each group's rows), so no loss checks or derives them per
-batch. Each trainer hands ``_fit`` a batch function that returns the
-batch losses and every gradient at the pre-step parameters:
-``_fit_cross_entropy`` for the first three, the expert step for the
-last. Determinism: given the same dataset and hyperparameters, training
-is bit-identical. Named random streams (init, shuffle, pairs) derive
-from the seed, so the ERM and expert runs of one seed start from the
-same backbone draw.
+partners once and derives what every batch's losses read (positions
+and partner masks), so no loss checks or derives them per batch. Each
+trainer hands ``_fit`` a batch function that returns the batch losses
+and every gradient at the pre-step parameters: ``_fit_cross_entropy``
+for the first three, the expert step for the last. Determinism: given
+the same dataset and hyperparameters, training is bit-identical. Named
+random streams (init, shuffle, pairs) derive from the seed, so the ERM
+and expert runs of one seed start from the same backbone draw.
 """
 
 from __future__ import annotations
@@ -134,19 +137,44 @@ class ExpertsEpoch:
 MODEL_KINDS = ("erm", "decoupled", "experts")
 
 
+def stack_heads(heads: list[Mlp], width: int) -> Layer:
+    """Stack one-layer heads into one layer, head g as rows g*C:(g+1)*C.
+
+    Each head must be one identity layer of ``width`` inputs and C
+    outputs, C being the first head's; else ``ValueError`` names the
+    head.
+    """
+    if not heads:
+        raise ValueError("a model needs at least one head")
+    for g, h in enumerate(heads):
+        for name, got, want in (
+            ("layer activations", tuple(l.activation for l in h.layers), ("identity",)),
+            ("(inputs, outputs)", (h.in_dim, h.out_dim), (width, heads[0].out_dim)),
+        ):
+            if got != want:
+                raise ValueError(f"head {g} has {name} {got}, expected {want}")
+    weights, biases = zip(*(h.params() for h in heads))
+    return Layer(np.concatenate(weights), np.concatenate(biases))
+
+
 @dataclass
 class Model:
-    """Backbone plus linear heads, routed as ``kind`` says.
+    """Backbone plus every group's linear head, stacked, routed as ``kind`` says.
 
-    ``erm`` uses ``heads[0]`` for every sample and ignores groups; the
+    ``head`` is one identity layer of (G * classes, m) weights whose rows
+    g * classes:(g + 1) * classes are group g's head; the trainers draw
+    it, and heads read from elsewhere are checked and stacked by
+    ``stack_heads``. ``erm`` has one pooled head and ignores groups; the
     other kinds send each sample to its group's head. Experts also carry
-    the discriminator and the virtual centers they were trained with, and
-    ``log``, one ``ExpertsEpoch`` per epoch; the other kinds keep no log.
+    the discriminator and the virtual centers they were trained with,
+    and ``log``, one ``ExpertsEpoch`` per epoch; the other kinds keep no
+    log.
     """
 
     kind: str
     backbone: Mlp
-    heads: list[Mlp]
+    head: Layer
+    classes: int
     discriminator: Mlp | None = None
     centers: VirtualCenters | None = None
     log: list = field(default_factory=list)
@@ -155,30 +183,21 @@ class Model:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if not self.heads or (self.kind == "erm" and len(self.heads) != 1):
-            raise ValueError(f"wrong head count {len(self.heads)} for a {self.kind} model")
         if (self.kind == "experts") != (self.discriminator is not None and self.centers is not None):
             raise ValueError("exactly the experts model has a discriminator and centers")
-        width, classes, count = self.backbone.out_dim, self.heads[0].out_dim, len(self.heads)
-        # a head is one linear layer, so predict_proba can stack them all
-        fits = [
-            fit
-            for g, h in enumerate(self.heads)
-            for fit in (
-                (f"head {g} has layer activations", tuple(l.activation for l in h.layers),
-                 ("identity",)),
-                (f"head {g} has (inputs, outputs)", (h.in_dim, h.out_dim), (width, classes)),
-            )
-        ]
         if self.kind == "experts":
-            disc = self.discriminator
-            fits += [
+            width, count, disc = self.backbone.out_dim, self.num_groups, self.discriminator
+            for name, got, want in (
                 ("discriminator has (inputs, outputs)", (disc.in_dim, disc.out_dim), (width, count)),
-                ("centers have shape", self.centers.shape, (count, classes, width)),
-            ]
-        for name, got, want in fits:
-            if got != want:
-                raise ValueError(f"{name} {got}, expected {want}")
+                ("centers have shape", self.centers.shape, (count, self.classes, width)),
+            ):
+                if got != want:
+                    raise ValueError(f"{name} {got}, expected {want}")
+
+    @property
+    def num_groups(self) -> int:
+        """G, the number of heads in ``head``: 1 for erm."""
+        return self.head.bias.shape[0] // self.classes
 
     def representations(self, features: np.ndarray) -> np.ndarray:
         return self.backbone.forward(features, cache=False)[0]
@@ -186,28 +205,26 @@ class Model:
     def predict_proba(self, features: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
         """Class probabilities per row, in blocks of at most ``APPLY_BLOCK`` rows.
 
-        One network runs the backbone and then every group's head as one
-        layer (their weights stacked), so each block gives every head's
-        logits in one cache-free pass; a routed kind keeps each row's own
-        group's logits, and one softmax follows. Memory holds the output
-        plus one block; a block of logits is G times the size of its
-        probabilities. A row's bits equal one pass over the whole input,
-        whatever the other rows, but for the short inputs of a wide
-        representation that ``net.APPLY_BLOCK`` names.
+        One network runs the backbone and then the stacked head layer, so
+        each block gives every head's logits in one cache-free pass; a
+        routed kind keeps each row's own group's logits, and one softmax
+        follows. Memory holds the output plus one block; a block of
+        logits is G times the size of its probabilities. A row's bits
+        equal one pass over the whole input, whatever the other rows, but
+        for the short inputs of a wide representation that
+        ``net.APPLY_BLOCK`` names.
         """
-        n, classes = features.shape[0], self.heads[0].out_dim
+        n, classes, count = features.shape[0], self.classes, self.num_groups
         if self.kind != "erm":
-            groups = check_index("groups", groups, n, len(self.heads))
-        heads = [head.layers[0] for head in self.heads]
-        weights = np.concatenate([h.weight for h in heads])
-        net = Mlp(self.backbone.layers + [Layer(weights, np.concatenate([h.bias for h in heads]))])
+            groups = check_index("groups", groups, n, count)
+        net = Mlp(self.backbone.layers + [self.head])
         probs = np.empty((n, classes))
         for rows in row_blocks(n, APPLY_BLOCK):
             logits = net.forward(features[rows], cache=False)[0]
             if self.kind != "erm":
                 # row r's group g holds flat row r * G + g of (m * G, classes)
                 m = logits.shape[0]
-                own = np.arange(m) * len(heads) + groups[rows]
+                own = np.arange(m) * count + groups[rows]
                 logits = np.take(logits.reshape(-1, classes), own, axis=0)
             probs[rows] = softmax(logits)
         return probs
@@ -335,40 +352,40 @@ def train_erm(dataset: Dataset, hp: HyperParams) -> Model:
     _fit_cross_entropy(
         Mlp(backbone.layers + head.layers), features, labels, shuffle_rng, hp, "pooled loss"
     )
-    return Model("erm", backbone, [head], seed=hp.seed)
+    return Model("erm", backbone, head.layers[0], dataset.classes, seed=hp.seed)
 
 
 def _routed_cross_entropy(
-    heads: list[Mlp], z: np.ndarray, batch: Batch
-) -> tuple[float, np.ndarray, list[list[np.ndarray]]]:
+    head: Layer, z: np.ndarray, batch: Batch
+) -> tuple[float, np.ndarray, list[np.ndarray]]:
     """Cross-entropy with each sample routed to its group's head.
 
-    Averaged over the whole batch, so a head's gradient is the batch
-    gradient restricted to its group's rows (the batch's group row
-    lists); heads of absent groups get exact zeros. Returns (loss, dZ,
-    per-head parameter gradients).
+    ``head`` is the stacked layer of ``Model.head``. Averaged over the
+    whole batch, so a head's gradient is the batch gradient restricted
+    to its group's rows; the rows of absent groups get exact zeros.
+    Returns (loss, dZ, [dW, db] of the stacked layer).
     """
     n = z.shape[0]
-    batch.check(n, (len(heads), heads[0].out_dim))
+    num_groups, classes = batch.cells
+    batch.check(n, (head.bias.shape[0] // classes, classes))
     dz = np.zeros(z.shape)
+    dw, db = np.zeros(head.weight.shape), np.zeros(head.bias.shape)
     total = 0.0
-    head_grads: list[list[np.ndarray]] = []
-    bounds = batch.bounds
-    for g, head in enumerate(heads):
-        lo, hi = bounds[g], bounds[g + 1]
-        if lo == hi:
-            head_grads.append([np.zeros_like(p) for p in head.params()])
+    for g in range(num_groups):
+        idx = np.flatnonzero(batch.groups == g)
+        if idx.size == 0:
             continue
-        idx = batch.group_rows[lo:hi]
-        logits, cache = head.forward(z[idx])
+        # group g's head, with the arithmetic of Mlp.forward and backward
+        rows, zg = slice(g * classes, (g + 1) * classes), z[idx]
+        logits = zg @ head.weight[rows].T + head.bias[rows]
         # per-sample terms carry the global 1/n, not 1/len(idx)
-        loss_mean, dlogits = softmax_cross_entropy(logits, batch.group_labels[lo:hi])
-        total += loss_mean * (hi - lo)
-        dlogits *= (hi - lo) / n
-        grads, dz_rows = head.backward(cache, dlogits)
-        head_grads.append(grads)
-        dz[idx] = dz_rows
-    return total / n, dz, head_grads
+        loss_mean, dlogits = softmax_cross_entropy(logits, batch.labels[idx])
+        total += loss_mean * idx.size
+        dlogits *= idx.size / n
+        dw[rows] = dlogits.T @ zg
+        db[rows] = np.add.reduce(dlogits, axis=0)
+        dz[idx] = dlogits @ head.weight[rows]
+    return total / n, dz, [dw, db]
 
 
 def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
@@ -381,21 +398,18 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
     pairs_rng = rngmod.stream(hp.seed, rngmod.PAIRS)
 
     # draw order matters for reproducibility: backbone, discriminator,
-    # centers, then heads by group
+    # centers, then heads by group; one draw of the stacked head layer
+    # equals one draw per group's head
     backbone = _init_backbone(dataset.d, hp, init_rng)
     disc = init_mlp([hp.repr_dim, dataset.num_groups], ["identity"], init_rng)
     centers = VirtualCenters.init(dataset.num_groups, dataset.classes, hp.repr_dim, init_rng)
-    heads = [
-        init_mlp([hp.repr_dim, dataset.classes], ["identity"], init_rng)
-        for _ in range(dataset.num_groups)
-    ]
+    cells = (dataset.num_groups, dataset.classes)
+    head = init_mlp([hp.repr_dim, math.prod(cells)], ["identity"], init_rng).layers[0]
 
     def redraw_degenerate_centers(epoch: int) -> None:
         redrawn = centers.reinit_degenerate(init_rng)
         if redrawn:
             logger.warning("epoch %d: redrew %d degenerate centers", epoch, redrawn)
-
-    cells = (dataset.num_groups, dataset.classes)
 
     def epoch_plan(perm):
         # every batch's partners in one draw, the same as one draw per batch
@@ -419,7 +433,7 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
                 "the features"
             )
 
-        loss_cls, dz_cls, head_grads = _routed_cross_entropy(heads, z, batch)
+        loss_cls, dz_cls, head_grads = _routed_cross_entropy(head, z, batch)
         loss_disc, dz_disc, disc_grads = discriminator_loss(z, batch, disc)
         loss_virt, dz_virt, dv_virt = center_alignment_loss(cosines, batch)
         loss_div, dz_div, dv_div, skipped = diversity_loss(cosines, batch)
@@ -434,22 +448,23 @@ def train_experts(dataset: Dataset, hp: HyperParams) -> Model:
             *grads_b,
             *[hp.lambda_disc * g for g in disc_grads],
             hp.lambda_virt * dv_virt + hp.lambda_div * dv_div,
+            *head_grads,
         ]
-        for g in head_grads:
-            grads += g
         return (loss_cls, loss_disc, loss_virt, loss_div), grads
 
-    parts = [backbone, disc, centers, *heads]
+    parts = [backbone, disc, centers, Mlp([head])]
     shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE)
     means = _fit(parts, features, shuffle_rng, hp, "expert loss", batch_grads, epoch_plan)
     redraw_degenerate_centers(hp.epochs - 1)
     log = [ExpertsEpoch(k, *map(float, mean), hp.lr(k)) for k, mean in enumerate(means)]
-    return Model("experts", backbone, heads, disc, centers, log=log, seed=hp.seed)
+    return Model("experts", backbone, head, dataset.classes, disc, centers, log=log, seed=hp.seed)
 
 
 def train_decoupled(erm: Model, dataset: Dataset, hp: HyperParams) -> Model:
     """Train per-group heads over the frozen ERM backbone, which the
-    returned model holds itself: nothing trains it afterwards."""
+    returned model holds itself: nothing trains it afterwards. Each head
+    is its own fit, with its own shuffle stream; the trained heads are
+    stacked once."""
     backbone = erm.backbone
     features, labels, groups = dataset.split_arrays("train")
     z_all = erm.representations(features)
@@ -463,7 +478,8 @@ def train_decoupled(erm: Model, dataset: Dataset, hp: HyperParams) -> Model:
         shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE, 1, g)
         _fit_cross_entropy(head, z_all[idx], labels[idx], shuffle_rng, hp, f"decoupled head {g}")
         heads.append(head)
-    return Model("decoupled", backbone, heads, seed=hp.seed)
+    head = stack_heads(heads, backbone.out_dim)
+    return Model("decoupled", backbone, head, dataset.classes, seed=hp.seed)
 
 
 def representation_blocks(model, dataset: Dataset, split: str):

@@ -112,16 +112,14 @@ def equalized_odds_oracle(predictions, labels, groups):
 
 def predict_proba_oracle(model, features, groups=None):
     """``Model.predict_proba`` as one pass over the whole input: every
-    row's representation, then one product of all heads' stacked weights
+    row's representation, then one product of the stacked head layer
     over all of them, each row keeping its own group's logits (the
     pooled head's for erm)."""
     z = model.backbone.forward(features)[0]
-    weight = np.concatenate([head.layers[0].weight for head in model.heads])
-    bias = np.concatenate([head.layers[0].bias for head in model.heads])
-    logits = (z @ weight.T + bias).reshape(z.shape[0], len(model.heads), -1)
+    logits = (z @ model.head.weight.T + model.head.bias).reshape(z.shape[0], -1, model.classes)
     if model.kind == "erm":
         return softmax(logits[:, 0])
-    groups = check_index("groups", groups, z.shape[0], len(model.heads))
+    groups = check_index("groups", groups, z.shape[0], logits.shape[1])
     return softmax(logits[np.arange(z.shape[0]), groups])
 
 

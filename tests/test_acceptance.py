@@ -83,7 +83,7 @@ def test_criterion_01_gradients_match_finite_differences():
         groups = rng.integers(0, g, n)
         disc = init_mlp([m, g], ["identity"], rng)
         centers = VirtualCenters(rng.standard_normal((g, c, m)))
-        heads = [init_mlp([m, c], ["identity"], rng) for _ in range(g)]
+        head = init_mlp([m, g * c], ["identity"], rng).layers[0]
         pairs = sample_pairs(labels, groups, rng, batch_size=len(labels))
         batch = one_batch(labels, groups, (g, c), pairs)
 
@@ -122,16 +122,18 @@ def test_criterion_01_gradients_match_finite_differences():
             ),
         ))
 
-        _, dz, head_grads = _routed_cross_entropy(heads, z, batch)
+        _, dz, (dw, db) = _routed_cross_entropy(head, z, batch)
         worst = max(worst, max_relative_error(
             dz,
-            central_difference(lambda: _routed_cross_entropy(heads, z, batch)[0], z),
+            central_difference(lambda: _routed_cross_entropy(head, z, batch)[0], z),
         ))
-        for head, grads in zip(heads, head_grads):
-            for p, grad in zip(head.params(), grads):
+        # each group's rows of the stacked weight and bias
+        for k in range(g):
+            rows = slice(k * c, (k + 1) * c)
+            for p, grad in zip((head.weight[rows], head.bias[rows]), (dw[rows], db[rows])):
                 worst = max(worst, max_relative_error(
                     grad,
-                    central_difference(lambda: _routed_cross_entropy(heads, z, batch)[0], p),
+                    central_difference(lambda: _routed_cross_entropy(head, z, batch)[0], p),
                 ))
         checked += 1
     elapsed = time.perf_counter() - start

@@ -14,7 +14,7 @@ import pytest
 from fairexperts.checkpoint import load_checkpoint, save_checkpoint
 from fairexperts.losses import VirtualCenters
 from fairexperts.net import Layer, Mlp
-from fairexperts.training import Model
+from fairexperts.training import Model, stack_heads
 
 GOLDEN = Path(__file__).parent / "golden"
 KINDS = ("erm", "decoupled", "experts")
@@ -39,16 +39,17 @@ def golden_model(kind):
     )
     heads = [linear(2, 2, 5), linear(2, 2, -7)]
     if kind == "erm":
-        return Model("erm", backbone, heads[:1], seed=7)
+        return Model("erm", backbone, heads[0].layers[0], 2, seed=7)
+    head = stack_heads(heads, 2)
     if kind == "decoupled":
-        return Model("decoupled", backbone, heads, seed=8)
+        return Model("decoupled", backbone, head, 2, seed=8)
     return Model(
-        "experts", backbone, heads, linear(2, 2, 11), VirtualCenters(grid((2, 2, 2), 1)), seed=9
+        "experts", backbone, head, 2, linear(2, 2, 11), VirtualCenters(grid((2, 2, 2), 1)), seed=9
     )
 
 
 def parameter_arrays(model):
-    parts = [model.backbone, *model.heads]
+    parts = [model.backbone, Mlp([model.head])]
     if model.discriminator is not None:
         parts.append(model.discriminator)
     arrays = [p for part in parts for p in part.params()]

@@ -353,6 +353,23 @@ def test_evaluate_rejects_a_checkpoint_with_the_wrong_class_count(tmp_path, conf
     assert f"predictor returned shape (90, {columns}), expected (90, 2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("heads", [1, 3])
+def test_evaluate_rejects_a_routed_checkpoint_with_the_wrong_group_count(tmp_path, config_path, capsys, heads):
+    # a decoupled checkpoint for CONFIG's 3 features and 2 classes with
+    # ``heads`` group heads where the config has 2 groups: with 3 it used
+    # to report on 2 of them, with 1 it failed on an unnamed group index
+    payload = dict(
+        LINEAGE_LIST, kind="decoupled", seed_lineage={"seed": 5, "generator": "PCG64"},
+        heads=[LINEAGE_LIST["head"]] * heads,
+    )
+    del payload["head"]
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(payload))
+    assert main(["evaluate", "--checkpoint", str(path), "--config", config_path]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {str(path)!r} has {heads} group heads, but data.groups is 2" in err
+
+
 @pytest.mark.parametrize("command", ["evaluate", "export-repr"])
 def test_checkpoint_whose_input_width_is_not_data_d_is_data_error(tmp_path, config_path, capsys, command):
     # the golden experts checkpoint takes 2 input features; CONFIG sets data.d = 3

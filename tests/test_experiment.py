@@ -258,7 +258,7 @@ def test_representations_csv_matches_csv_writer_bytes(tmp_path, rows, experts42)
 def test_streamed_representations_csv_memory_does_not_grow_with_the_split(tmp_path):
     rng = np.random.default_rng(5)
     backbone = init_mlp([3, 32, 8], ["relu", "identity"], rng)
-    model = Model("erm", backbone, [init_mlp([8, 2], ["identity"], rng)])
+    model = Model("erm", backbone, init_mlp([8, 2], ["identity"], rng).layers[0], 2)
     peaks = []
     for blocks in (1, 4):
         per_group = blocks * APPLY_BLOCK // 2
@@ -295,7 +295,7 @@ def test_every_streamed_pass_takes_at_most_apply_block_rows_at_a_time(tmp_path, 
     features, labels, groups = source.split_arrays("val")  # 9,000 rows
     rng = np.random.default_rng(6)
     backbone = init_mlp([10, 32, 8], ["relu", "identity"], rng)
-    model = Model("decoupled", backbone, [init_mlp([8, 2], ["identity"], rng) for _ in range(3)])
+    model = Model("decoupled", backbone, init_mlp([8, 3 * 2], ["identity"], rng).layers[0], 2)
     want_probs = predict_proba_oracle(model, features, groups)
     want_reps = backbone.forward(features)[0]
     whole = tmp_path / "whole.csv"

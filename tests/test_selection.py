@@ -417,8 +417,8 @@ def test_routing_mixed_decision():
 def test_routing_zero_rows_gives_the_models_empty_shape():
     rng = np.random.default_rng(0)
     backbone = init_mlp([3, 4], ["relu"], rng)
-    erm = Model("erm", backbone, [init_mlp([4, 2], ["identity"], rng)])
-    experts = Model("decoupled", backbone, [init_mlp([4, 2], ["identity"], rng) for _ in range(2)])
+    erm = Model("erm", backbone, init_mlp([4, 2], ["identity"], rng).layers[0], 2)
+    experts = Model("decoupled", backbone, init_mlp([4, 2 * 2], ["identity"], rng).layers[0], 2)
     x, groups = np.empty((0, 3)), np.empty(0, dtype=np.int64)
     expert_probs, erm_probs = experts.predict_proba(x, groups), erm.predict_proba(x, groups)
     for choices in ((0, 0), (1, 0), (1, 1)):
@@ -438,8 +438,8 @@ def test_models_and_routing_reject_groups_they_cannot_route(groups, match):
     # a group of 0.5 used to pass the range check and leave its row unset
     rng = np.random.default_rng(0)
     backbone = init_mlp([3, 4], ["relu"], rng)
-    erm = Model("erm", backbone, [init_mlp([4, 2], ["identity"], rng)])
-    experts = Model("decoupled", backbone, [init_mlp([4, 2], ["identity"], rng) for _ in range(2)])
+    erm = Model("erm", backbone, init_mlp([4, 2], ["identity"], rng).layers[0], 2)
+    experts = Model("decoupled", backbone, init_mlp([4, 2 * 2], ["identity"], rng).layers[0], 2)
     x, groups = np.ones((2, 3)), np.array(groups)
     with pytest.raises(ValueError, match=match):
         experts.predict_proba(x, groups)
@@ -454,9 +454,9 @@ def routed_models(d, groups, repr_dim, seed=0):
     one randomly initialised backbone."""
     rng = np.random.default_rng(seed)
     backbone = init_mlp([d, 16, repr_dim], ["relu", "relu"], rng)
-    erm = Model("erm", backbone, [init_mlp([repr_dim, 2], ["identity"], rng)])
-    heads = [init_mlp([repr_dim, 2], ["identity"], rng) for _ in range(groups)]
-    return Model("decoupled", backbone, heads), erm
+    erm = Model("erm", backbone, init_mlp([repr_dim, 2], ["identity"], rng).layers[0], 2)
+    head = init_mlp([repr_dim, groups * 2], ["identity"], rng).layers[0]
+    return Model("decoupled", backbone, head, 2), erm
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

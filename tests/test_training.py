@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fairexperts import losses, net, training
 from fairexperts import rng as rngmod
+from fairexperts.checkpoint import save_checkpoint
 from fairexperts.data import Dataset, SyntheticConfig, generate_synthetic
 from fairexperts.losses import (
     CenterCosines,
@@ -64,11 +66,8 @@ def drawn_experts_inits(dataset, hp):
     backbone = init_mlp([dataset.d, hp.hidden_dim, hp.repr_dim], ["relu", "identity"], rng)
     disc = init_mlp([hp.repr_dim, dataset.num_groups], ["identity"], rng)
     centers = VirtualCenters.init(dataset.num_groups, dataset.classes, hp.repr_dim, rng)
-    heads = [
-        init_mlp([hp.repr_dim, dataset.classes], ["identity"], rng)
-        for _ in range(dataset.num_groups)
-    ]
-    return backbone, disc, centers, heads
+    head = init_mlp([hp.repr_dim, dataset.num_groups * dataset.classes], ["identity"], rng)
+    return backbone, disc, centers, head.layers[0]
 
 
 def params_equal(a, b):
@@ -106,7 +105,7 @@ def test_erm_zero_learning_rate_keeps_initialization():
     model = train_erm(ds, hp)
     backbone0, head0 = drawn_erm_inits(ds, hp)
     assert params_equal(model.backbone.params(), backbone0.params())
-    assert params_equal(model.heads[0].params(), head0.params())
+    assert params_equal(Mlp([model.head]).params(), head0.params())
 
 
 def test_erm_single_full_batch_step_matches_finite_difference_gradient():
@@ -132,7 +131,7 @@ def test_erm_single_full_batch_step_matches_finite_difference_gradient():
 
     for trained, init in (
         (model.backbone.params(), backbone0.params()),
-        (model.heads[0].params(), head0.params()),
+        (Mlp([model.head]).params(), head0.params()),
     ):
         for p_new, p_init in zip(trained, init):
             grad = central_difference(batch_loss, p_init, step=1e-6)
@@ -187,12 +186,11 @@ def test_experts_zero_learning_rate_keeps_initialization():
     ds = tiny_dataset()
     hp = tiny_hp(lr0=0.0, epochs=3)
     model = train_experts(ds, hp)
-    backbone0, disc0, centers0, heads0 = drawn_experts_inits(ds, hp)
+    backbone0, disc0, centers0, head0 = drawn_experts_inits(ds, hp)
     assert params_equal(model.backbone.params(), backbone0.params())
     assert params_equal(model.discriminator.params(), disc0.params())
     assert np.array_equal(model.centers.vectors, centers0.vectors)
-    for head, head0 in zip(model.heads, heads0):
-        assert params_equal(head.params(), head0.params())
+    assert params_equal(Mlp([model.head]).params(), Mlp([head0]).params())
     # parameter-dependent losses are logged but constant across epochs
     # (up to batch-partition summation order); the diversity loss varies
     # because partners are redrawn every batch
@@ -210,11 +208,12 @@ def test_experts_zero_coefficients_reduce_to_joint_cross_entropy():
     model = train_experts(ds, hp)
 
     # independent reference: jointly train backbone + routed heads on
-    # cross-entropy alone, using the same documented streams
-    backbone, _, _, heads = drawn_experts_inits(ds, hp)
+    # cross-entropy alone, using the same documented streams; group g's
+    # head is rows g * classes:(g + 1) * classes of the stacked layer
+    backbone, _, _, head = drawn_experts_inits(ds, hp)
     shuffle_rng = rngmod.stream(hp.seed, rngmod.SHUFFLE)
     v_b = [np.zeros_like(p) for p in backbone.params()]
-    v_h = [[np.zeros_like(p) for p in h.params()] for h in heads]
+    v_h = [np.zeros_like(head.weight), np.zeros_like(head.bias)]
     features, labels, groups = ds.split_arrays("train")
     n = features.shape[0]
     for epoch in range(hp.epochs):
@@ -225,28 +224,27 @@ def test_experts_zero_coefficients_reduce_to_joint_cross_entropy():
             xb, yb, ab = features[picked], labels[picked], groups[picked]
             z, cache = backbone.forward(xb)
             dz = np.zeros_like(z)
-            head_grads = []
-            for g, head in enumerate(heads):
+            head_grads = [np.zeros_like(head.weight), np.zeros_like(head.bias)]
+            for g in range(ds.num_groups):
                 rows = np.flatnonzero(ab == g)
                 if rows.size == 0:
-                    head_grads.append([np.zeros_like(p) for p in head.params()])
                     continue
-                logits, hcache = head.forward(z[rows])
+                block = slice(g * ds.classes, (g + 1) * ds.classes)
+                group_head = Mlp([Layer(head.weight[block], head.bias[block])])
+                logits, hcache = group_head.forward(z[rows])
                 _, dlogits = softmax_cross_entropy(logits, yb[rows])
                 dlogits *= rows.size / len(picked)  # global batch averaging
-                grads, dz_rows = head.backward(hcache, dlogits)
-                head_grads.append(grads)
+                (dw, db), dz_rows = group_head.backward(hcache, dlogits)
+                head_grads[0][block], head_grads[1][block] = dw, db
                 dz[rows] = dz_rows
             grads_b, _ = backbone.backward(cache, dz)
             for p, v, grad in zip(backbone.params(), v_b, grads_b):
                 sgd_step(p, v, grad, lr, hp.momentum)
-            for g, head in enumerate(heads):
-                for p, v, grad in zip(head.params(), v_h[g], head_grads[g]):
-                    sgd_step(p, v, grad, lr, hp.momentum)
+            for p, v, grad in zip((head.weight, head.bias), v_h, head_grads):
+                sgd_step(p, v, grad, lr, hp.momentum)
 
     assert params_equal(model.backbone.params(), backbone.params())
-    for trained, reference in zip(model.heads, heads):
-        assert params_equal(trained.params(), reference.params())
+    assert params_equal(Mlp([model.head]).params(), Mlp([head]).params())
 
 
 # no shrink phase: every example trains a model and takes a
@@ -274,7 +272,7 @@ def test_experts_full_batch_step_follows_total_loss_gradient(seed, num_groups, e
     )
     model = train_experts(ds, hp)
 
-    backbone, disc, centers, heads = drawn_experts_inits(ds, hp)
+    backbone, disc, centers, head = drawn_experts_inits(ds, hp)
     perm = rngmod.stream(hp.seed, rngmod.SHUFFLE).permutation(n)
     xb, yb, ab = ds.features[perm], ds.labels[perm], ds.groups[perm]
     pairs = sample_pairs(yb, ab, rngmod.stream(hp.seed, rngmod.PAIRS), batch_size=len(yb))
@@ -286,9 +284,11 @@ def test_experts_full_batch_step_follows_total_loss_gradient(seed, num_groups, e
 
     def loss_terms():
         z, _ = backbone.forward(xb)
+        # sample i's logits are its group's two rows of the stacked head
+        rows = [slice(2 * a, 2 * a + 2) for a in ab]
         loss_cls = -np.mean([
-            log_softmax(heads[a].forward(z[i : i + 1])[0])[0, y]
-            for i, (y, a) in enumerate(zip(yb, ab))
+            log_softmax(z[i : i + 1] @ head.weight[r].T + head.bias[r])[0, y]
+            for i, (y, r) in enumerate(zip(yb, rows))
         ])
         return np.array([
             loss_cls,
@@ -301,7 +301,8 @@ def test_experts_full_batch_step_follows_total_loss_gradient(seed, num_groups, e
         (model.backbone.params(), backbone.params()),
         (model.discriminator.params(), disc.params()),
         (model.centers.params(), centers.params()),
-    ] + [(trained.params(), init.params()) for trained, init in zip(model.heads, heads)]
+        (Mlp([model.head]).params(), Mlp([head]).params()),
+    ]
     for trained, init in parts:
         for p_new, p_init in zip(trained, init):
             step_grad = (p_init - p_new) / hp.lr0
@@ -319,8 +320,7 @@ def test_update_routing_lambda_disc_only_touches_disc_and_backbone():
         runs[lam] = train_experts(ds, hp)
     a, b = runs[0.05], runs[0.5]
     assert np.array_equal(a.centers.vectors, b.centers.vectors)
-    for ha, hb in zip(a.heads, b.heads):
-        assert params_equal(ha.params(), hb.params())
+    assert params_equal(Mlp([a.head]).params(), Mlp([b.head]).params())
     assert not params_equal(a.discriminator.params(), b.discriminator.params())
     assert not params_equal(a.backbone.params(), b.backbone.params())
 
@@ -343,26 +343,30 @@ def test_routed_cross_entropy_matches_per_group_oracle():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((12, 4))
     labels = rng.integers(0, 2, 12)
-    groups = rng.integers(0, 3, 12)
-    heads = [init_mlp([4, 2], ["identity"], rng) for _ in range(3)]
-    loss, dz, head_grads = _routed_cross_entropy(heads, z, one_batch(labels, groups, (3, 2)))
-
-    total = 0.0
-    for g, head in enumerate(heads):
-        rows = np.flatnonzero(groups == g)
-        if rows.size == 0:
-            assert all(np.all(x == 0) for x in head_grads[g])
-            continue
-        logits, _ = head.forward(z[rows])
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        p = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        total += -np.log(p[np.arange(rows.size), labels[rows]]).sum()
-        dlogits = p.copy()
-        dlogits[np.arange(rows.size), labels[rows]] -= 1.0
-        dlogits /= 12
-        assert np.allclose(head_grads[g][0], dlogits.T @ z[rows], atol=1e-12)
-        assert np.allclose(head_grads[g][1], dlogits.sum(axis=0), atol=1e-12)
-    assert loss == pytest.approx(total / 12, abs=1e-12)
+    drawn = rng.integers(0, 3, 12)
+    head = init_mlp([4, 3 * 2], ["identity"], rng).layers[0]
+    # the drawn groups, then group 1's rows moved to group 2: group 1's
+    # rows of dW and db must be exact zeros
+    for groups in (drawn, np.where(drawn == 1, 2, drawn)):
+        batch = one_batch(labels, groups, (3, 2))
+        loss, dz, (dw, db) = _routed_cross_entropy(head, z, batch)
+        total = 0.0
+        for g in range(3):
+            rows, block = np.flatnonzero(groups == g), slice(2 * g, 2 * g + 2)
+            if rows.size == 0:
+                assert not dw[block].any() and not db[block].any()
+                continue
+            logits = z[rows] @ head.weight[block].T + head.bias[block]
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            p = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+            total += -np.log(p[np.arange(rows.size), labels[rows]]).sum()
+            dlogits = p.copy()
+            dlogits[np.arange(rows.size), labels[rows]] -= 1.0
+            dlogits /= 12
+            assert np.allclose(dw[block], dlogits.T @ z[rows], atol=1e-12)
+            assert np.allclose(db[block], dlogits.sum(axis=0), atol=1e-12)
+            assert np.allclose(dz[rows], dlogits @ head.weight[block], atol=1e-12)
+        assert loss == pytest.approx(total / 12, abs=1e-12)
 
 
 def test_group_sample_contributes_zero_gradient_to_other_heads():
@@ -370,15 +374,15 @@ def test_group_sample_contributes_zero_gradient_to_other_heads():
     z = rng.standard_normal((8, 4))
     labels = rng.integers(0, 2, 8)
     groups = np.array([0] * 4 + [1] * 4)
-    heads = [init_mlp([4, 2], ["identity"], rng) for _ in range(2)]
+    head = init_mlp([4, 2 * 2], ["identity"], rng).layers[0]
     batch = one_batch(labels, groups, (2, 2))
-    _, _, grads_before = _routed_cross_entropy(heads, z, batch)
-    # perturbing group-1 rows must leave head 0's gradient untouched
+    _, _, grads_before = _routed_cross_entropy(head, z, batch)
+    # perturbing group-1 rows must leave head 0's rows 0:2 untouched
     z2 = z.copy()
     z2[4:] += 10.0
-    _, _, grads_after = _routed_cross_entropy(heads, z2, batch)
-    assert all(np.array_equal(a, b) for a, b in zip(grads_before[0], grads_after[0]))
-    assert not all(np.array_equal(a, b) for a, b in zip(grads_before[1], grads_after[1]))
+    _, _, grads_after = _routed_cross_entropy(head, z2, batch)
+    assert all(np.array_equal(a[:2], b[:2]) for a, b in zip(grads_before, grads_after))
+    assert not all(np.array_equal(a[2:], b[2:]) for a, b in zip(grads_before, grads_after))
 
 
 def test_experts_training_is_deterministic():
@@ -461,7 +465,7 @@ def test_a_batch_size_past_the_train_rows_trains_as_one_whole_batch():
     n_train = int((split_tags(ds) == "train").sum())
 
     def arrays(model):
-        parts = [model.backbone, *model.heads]
+        parts = [model.backbone, Mlp([model.head])]
         if model.discriminator is not None:
             parts += [model.discriminator, model.centers]
         return [p for part in parts for p in part.params()]
@@ -494,10 +498,10 @@ def single_group_dataset(seed=6):
 def test_decoupled_holds_the_frozen_erm_backbone():
     ds = tiny_dataset()
     erm = train_erm(ds, tiny_hp())
-    before = [p.tobytes() for part in (erm.backbone, erm.heads[0]) for p in part.params()]
+    before = [p.tobytes() for part in (erm.backbone, Mlp([erm.head])) for p in part.params()]
     decoupled = train_decoupled(erm, ds, tiny_hp())
     assert decoupled.backbone is erm.backbone
-    after = [p.tobytes() for part in (erm.backbone, erm.heads[0]) for p in part.params()]
+    after = [p.tobytes() for part in (erm.backbone, Mlp([erm.head])) for p in part.params()]
     assert after == before
 
 
@@ -524,7 +528,7 @@ def test_decoupled_single_group_equals_pooled_head_retraining():
             grads, _ = head.backward(cache, dlogits)
             for p, v, grad in zip(head.params(), velocity, grads):
                 sgd_step(p, v, grad, hp.lr0 * hp.lr_decay**epoch, hp.momentum)
-    assert params_equal(decoupled.heads[0].params(), head.params())
+    assert params_equal(Mlp([decoupled.head]).params(), head.params())
 
 
 def test_decoupled_zero_learning_rate_keeps_head_initialization():
@@ -533,8 +537,10 @@ def test_decoupled_zero_learning_rate_keeps_head_initialization():
     erm = train_erm(ds, hp)
     decoupled = train_decoupled(erm, ds, hp)
     rng = rngmod.stream(hp.seed, rngmod.INIT, 1)
-    for head in decoupled.heads:
+    for g in range(ds.num_groups):
         reference = init_mlp([hp.repr_dim, ds.classes], ["identity"], rng)
+        block = slice(g * ds.classes, (g + 1) * ds.classes)
+        head = Mlp([Layer(decoupled.head.weight[block], decoupled.head.bias[block])])
         assert params_equal(head.params(), reference.params())
 
 
@@ -567,7 +573,7 @@ def test_one_group_decoupled_model_still_routes_by_group():
     ds = single_group_dataset()
     hp = tiny_hp(epochs=1)
     decoupled = train_decoupled(train_erm(ds, hp), ds, hp)
-    assert len(decoupled.heads) == 1
+    assert decoupled.num_groups == 1
     x = ds.features[:2]
     decoupled.predict_proba(x, np.array([0, 0]))
     with pytest.raises(ValueError, match="group index out of range"):
@@ -602,8 +608,7 @@ def _split_representations(model, ds, split):
 def test_representation_blocks_identity_backbone_returns_raw_features():
     ds = tiny_dataset()
     identity = Mlp([Layer(np.eye(ds.d), np.zeros(ds.d), "identity")])
-    head = Mlp([Layer(np.zeros((2, ds.d)), np.zeros(2), "identity")])
-    model = Model("erm", identity, [head])
+    model = Model("erm", identity, Layer(np.zeros((2, ds.d)), np.zeros(2)), 2)
     reps, labels, groups = _split_representations(model, ds, "val")
     features, want_labels, want_groups = ds.split_arrays("val")
     assert np.array_equal(reps, features)
@@ -654,14 +659,39 @@ def test_erm_training_is_deterministic():
     a = train_erm(ds, tiny_hp())
     b = train_erm(ds, tiny_hp())
     assert params_equal(a.backbone.params(), b.backbone.params())
-    assert params_equal(a.heads[0].params(), b.heads[0].params())
+    assert params_equal(Mlp([a.head]).params(), Mlp([b.head]).params())
+
+
+def test_five_group_training_bits_match_their_pinned_sha256(tmp_path):
+    # 3 classes over 5 groups of uneven size: 117 train rows make seven
+    # batches of 16 and a short last one of 5, and groups 1, 3 and 4 each
+    # miss some batches. The digest covers every model's test
+    # probabilities and its checkpoint, whose decimals round-trip each
+    # parameter bit
+    rng = np.random.default_rng(41)
+    ds = generate_synthetic(SyntheticConfig(
+        d=4, classes=3, groups=5,
+        means=rng.normal(0.0, 2.0, (5, 3, 4)), stds=np.full((5, 3), 1.0),
+        counts={"train": (40, 12, 25, 9, 31), "val": (9, 6, 9, 6, 9), "test": (15, 6, 12, 9, 3)},
+        seed=41,
+    ))
+    hp = tiny_hp(seed=41, epochs=3, batch_size=16)
+    erm = train_erm(ds, hp)
+    features, _, groups = ds.split_arrays("test")
+    digest = hashlib.sha256()
+    for model in (erm, train_decoupled(erm, ds, hp), train_experts(ds, hp)):
+        digest.update(model.predict_proba(features, groups).tobytes())
+        save_checkpoint(model, tmp_path / "model.json")
+        digest.update((tmp_path / "model.json").read_bytes())
+    assert digest.hexdigest() == "802598beb38460c66648e5055d981112fe7fa26d833013ba419f4c6edc22abe7"
 
 
 def _blocked_models(repr_dim=8, groups=4, seed=31):
     rng = np.random.default_rng(seed)
     backbone = init_mlp([10, 32, repr_dim], ["relu", "identity"], rng)
-    heads = [init_mlp([repr_dim, 2], ["identity"], rng) for _ in range(groups)]
-    return Model("erm", backbone, heads[:1]), Model("decoupled", backbone, heads)
+    head = init_mlp([repr_dim, groups * 2], ["identity"], rng).layers[0]
+    pooled = Layer(head.weight[:2], head.bias[:2])
+    return Model("erm", backbone, pooled, 2), Model("decoupled", backbone, head, 2)
 
 
 def test_predict_proba_in_blocks_equals_one_pass_over_the_input():
